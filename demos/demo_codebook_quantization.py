@@ -37,17 +37,21 @@ kmeans_init(book, first)
 print(f"after kmeans_init: {book.initialized}, "
       f"code norms {np.linalg.norm(book.codes, axis=1).round(6)}")
 
-# Quantization reports indices, the selected codes, and a commitment
-# penalty measuring how far inputs sit from their assigned codes.
+# Quantization reports indices and the selected codes. The commitment
+# penalty the model adds during training (weight beta) measures how far the
+# normalized inputs sit from their assigned codes.
 result = quantize(book, first)
+normed = first / np.linalg.norm(first, axis=1, keepdims=True)
+beta = 0.25
+penalty = beta * np.mean(np.sum((normed - result.quantized) ** 2, axis=1))
 print(f"\nassignment counts: {np.bincount(result.indices, minlength=4)}")
-print(f"commitment penalty: {result.commitment_loss:.4f}")
+print(f"commitment penalty: {penalty:.4f}")
 
 # EMA updates pull each code toward the (normalized) mean of the rows
 # assigned to it. Codes drift onto the true cluster directions.
 for _ in range(30):
     x = batch()
-    ema_update(book, x, quantize(book, x))
+    ema_update(book, x, quantize(book, x).indices)
 sims = (book.codes @ anchors.T).max(axis=1)
 print(f"\nafter 30 EMA batches, best anchor cosine per code: {sims.round(3)}")
 
@@ -57,7 +61,7 @@ print(f"\nafter 30 EMA batches, best anchor cosine per code: {sims.round(3)}")
 print()
 for step in range(4):
     x = batch(clusters=2)
-    ema_update(book, x, quantize(book, x))
+    ema_update(book, x, quantize(book, x).indices)
     info = expire_stale(book, x)
     replaced = info.replaced.tolist() if info.replaced.size else "none"
     print(f"batch {step}: ages {book.usage_age.tolist()}, replaced {replaced}")

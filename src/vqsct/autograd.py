@@ -204,16 +204,11 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
 def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """N-d convolution node (spatial rank 2 or 3), optional bias."""
     y = conv_forward_data(x.data, w.data, b.data if b is not None else None, stride, pad)
-    if b is None:
-        def vjp(g):
-            gx, gw, _ = conv_backward_data(x.data, w.data, g, stride, pad)
-            return gx, gw
-        return Tensor(y, "conv", (x, w), vjp)
+    parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        gx, gw, gb = conv_backward_data(x.data, w.data, g, stride, pad)
-        return gx, gw, gb
-    return Tensor(y, "conv", (x, w, b), vjp)
+        return conv_backward_data(x.data, w.data, g, stride, pad)[:len(parents)]
+    return Tensor(y, "conv", parents, vjp)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

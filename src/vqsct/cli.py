@@ -306,7 +306,7 @@ def _cmd_finetune(args) -> int:
         base, resolved["mode"], pet_slices, ct_slices,
         resolved["steps"], resolved["seed"],
         learning_rate=resolved["learning_rate"], batch_size=resolved["batch_size"],
-        beta=resolved["beta"], include_commitment=not resolved["no_commitment"],
+        beta=0.0 if resolved["no_commitment"] else resolved["beta"],
         expire_age=resolved["expire_age"], decay=resolved["decay"],
         weight_decay=resolved["weight_decay"],
         freeze_codebook_with_encoder=not resolved["train_codebook"],

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autograd as ag
 from .errors import DomainError, ShapeError
 
 __all__ = [
@@ -23,12 +22,10 @@ __all__ = [
     "ExpireInfo",
     "kmeans_init",
     "quantize",
-    "straight_through",
     "ema_update",
     "expire_stale",
 ]
 
-DEFAULT_BETA = 0.25
 DEFAULT_DECAY = 0.99
 DEFAULT_EXPIRE_AGE = 2
 
@@ -51,7 +48,6 @@ class QuantizeResult:
 
     indices: np.ndarray        # [M] int64 code index per input row
     quantized: np.ndarray      # [M, dim] selected code vectors (exact copies)
-    commitment_loss: float     # beta * mean squared normalized-input-to-code distance
     zero_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
@@ -141,7 +137,7 @@ def kmeans_init(codebook: Codebook, first_batch: np.ndarray, iters: int = 10, se
     return codebook
 
 
-def quantize(codebook: Codebook, inputs: np.ndarray, beta: float = DEFAULT_BETA) -> QuantizeResult:
+def quantize(codebook: Codebook, inputs: np.ndarray) -> QuantizeResult:
     """Assign each input row to the code with maximal cosine similarity.
 
     Inputs are row-normalized first; ties break toward the lowest code index
@@ -156,36 +152,29 @@ def quantize(codebook: Codebook, inputs: np.ndarray, beta: float = DEFAULT_BETA)
     normed, zero_rows = _normalize_rows(x)
     sims = normed @ codebook.codes.T
     indices = np.argmax(sims, axis=1)
-    quantized = codebook.codes[indices]
-    diff = normed - quantized
-    # mean over rows of the squared euclidean distance to the selected code
-    commitment = float(beta * (diff * diff).sum(axis=1).mean()) if x.size else 0.0
-    return QuantizeResult(indices=indices, quantized=quantized,
-                          commitment_loss=commitment, zero_rows=zero_rows)
+    return QuantizeResult(indices=indices, quantized=codebook.codes[indices],
+                          zero_rows=zero_rows)
 
 
-def straight_through(inputs: ag.Tensor, result: QuantizeResult) -> ag.Tensor:
-    """Graph node forwarding the code vectors, gradient copied through unchanged."""
-    return ag.straight_through(inputs, result.quantized)
-
-
-def ema_update(codebook: Codebook, inputs: np.ndarray, result: QuantizeResult,
+def ema_update(codebook: Codebook, inputs: np.ndarray, indices: np.ndarray,
                decay: float = DEFAULT_DECAY) -> Codebook:
     """Fold one batch into the per-code EMA and refresh assigned codes.
 
-    Codes with assignments are replaced by their re-normalized EMA sum and
-    their age resets; unassigned codes keep their values and age by one.
+    ``indices`` holds the code assigned to each input row, as returned by
+    :func:`quantize`. Codes with assignments are replaced by their
+    re-normalized EMA sum and their age resets; unassigned codes keep their
+    values and age by one.
     Mutates and returns ``codebook``.
     """
     if not 0.0 < decay < 1.0:
         raise DomainError(f"decay must be in (0, 1), got {decay}")
     normed, _ = _normalize_rows(np.asarray(inputs, dtype=np.float64))
-    if normed.shape[0] != result.indices.shape[0]:
-        raise ShapeError("inputs and quantize result disagree on batch size")
+    if normed.shape[0] != indices.shape[0]:
+        raise ShapeError("inputs and code indices disagree on batch size")
     k = codebook.n_codes
-    counts = np.bincount(result.indices, minlength=k).astype(np.float64)
+    counts = np.bincount(indices, minlength=k).astype(np.float64)
     sums = np.zeros_like(codebook.ema_embed_sum)
-    np.add.at(sums, result.indices, normed)
+    np.add.at(sums, indices, normed)
 
     codebook.ema_cluster_size = decay * codebook.ema_cluster_size + (1.0 - decay) * counts
     codebook.ema_embed_sum = decay * codebook.ema_embed_sum + (1.0 - decay) * sums

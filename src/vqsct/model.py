@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autograd as ag
-from .codebook import Codebook, QuantizeResult, quantize
+from .codebook import Codebook, quantize
 from .errors import DomainError, FormatError, ShapeError
 
 __all__ = [
@@ -128,10 +128,9 @@ class Checkpoint:
 @dataclass
 class ForwardResult:
     output: ag.Tensor
-    commitment: ag.Tensor                   # scalar node, flows to the encoder
+    commitment: ag.Tensor | None            # scalar node flowing to the encoder; None if beta == 0
     code_indices: list[np.ndarray]          # per level, spatial layout
     latent_rows: list[np.ndarray]           # per level, [positions, codebook_dim]
-    quantize_results: list[QuantizeResult] = field(default_factory=list)
 
 
 def value_space(ckpt: Checkpoint) -> str:
@@ -191,33 +190,38 @@ def param_tensors(ckpt: Checkpoint) -> dict[str, ag.Tensor]:
 
 
 def _quantize_level(feat: ag.Tensor, level: int, params, codebook: Codebook, beta: float):
-    """Project, snap to codes, project back; returns the graph pieces."""
+    """Project, snap to codes, project back; returns the graph pieces.
+
+    The commitment node is built only for ``beta > 0`` (else it is None).
+    """
     proj = ag.conv(feat, params[f"vq{level}.in.w"], params[f"vq{level}.in.b"])
     dim = proj.data.shape[0]
     spatial = proj.data.shape[1:]
     rows_data = proj.data.reshape(dim, -1).T
-    qres = quantize(codebook, rows_data, beta=beta)
+    qres = quantize(codebook, rows_data)
     qmap = qres.quantized.T.reshape((dim,) + spatial)
     st = ag.straight_through(proj, qmap)
     out = ag.conv(st, params[f"vq{level}.out.w"], params[f"vq{level}.out.b"])
 
-    rows_t = ag.moveaxis(ag.reshape(proj, (dim, rows_data.shape[0])), 0, 1)
-    normed = ag.l2_normalize_rows(rows_t)
-    diff = ag.sub(normed, ag.leaf(qres.quantized))
-    # mean over rows of the squared distance: elementwise mean times row width
-    commit = ag.scale(ag.mean_all(ag.mul(diff, diff)), beta * dim)
-
-    indices = qres.indices.reshape(spatial)
-    return out, commit, indices, rows_data, qres
+    commit = None
+    if beta > 0:
+        rows_t = ag.moveaxis(ag.reshape(proj, (dim, rows_data.shape[0])), 0, 1)
+        normed = ag.l2_normalize_rows(rows_t)
+        diff = ag.sub(normed, ag.leaf(qres.quantized))
+        # mean over rows of the squared distance: elementwise mean times row width
+        commit = ag.scale(ag.mean_all(ag.mul(diff, diff)), beta * dim)
+    return out, commit, qres.indices.reshape(spatial), rows_data
 
 
 def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
-            beta: float = 0.25) -> ForwardResult:
+            beta: float = 0.0) -> ForwardResult:
     """Run the full encoder/quantizer/decoder graph on one input.
 
     ``x`` is ``[1, *spatial]`` with every spatial extent divisible by
     2^depth. Pass a shared ``params`` dict (from :func:`param_tensors`) to
-    accumulate gradients across several inputs in one backward pass.
+    accumulate gradients across several inputs in one backward pass. The
+    commitment term, weighted by ``beta``, is part of the graph only when
+    ``beta > 0``; inference leaves it out.
     """
     cfg = ckpt.config
     arr = np.asarray(x, dtype=np.float64)
@@ -227,6 +231,8 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     div = 2 ** cfg.depth
     if any(d % div for d in arr.shape[1:]):
         raise DomainError(f"spatial extents {arr.shape[1:]} must be divisible by {div}")
+    if not beta >= 0.0:
+        raise DomainError(f"commitment weight beta must be >= 0, got {beta}")
     if params is None:
         params = param_tensors(ckpt)
 
@@ -242,15 +248,13 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     commits = []
     indices = []
     rows = []
-    qresults = []
     for j in range(cfg.pyramid_levels):
-        out, commit, idx, row_data, qres = _quantize_level(
+        out, commit, idx, row_data = _quantize_level(
             enc_feats[cfg.depth - 1 - j], j, params, ckpt.codebooks[j], beta)
         quantized.append(out)
         commits.append(commit)
         indices.append(idx)
         rows.append(row_data)
-        qresults.append(qres)
 
     d = quantized[0]
     for i in range(cfg.depth):
@@ -263,12 +267,13 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     out = ag.conv(d, params["dec.final.w"], params["dec.final.b"], pad=1)
 
     total_commit = commits[0]
-    for c in commits[1:]:
-        total_commit = ag.add(total_commit, c)
-    if len(commits) > 1:
-        total_commit = ag.scale(total_commit, 1.0 / len(commits))
+    if total_commit is not None:
+        for c in commits[1:]:
+            total_commit = ag.add(total_commit, c)
+        if len(commits) > 1:
+            total_commit = ag.scale(total_commit, 1.0 / len(commits))
 
-    return ForwardResult(out, total_commit, indices, rows, qresults)
+    return ForwardResult(out, total_commit, indices, rows)
 
 
 def apply_freeze(ckpt: Checkpoint, mask: FreezeMask) -> list[str]:
@@ -301,6 +306,31 @@ def _block_order(params: dict, n_levels: int):
     return names
 
 
+def _block_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Shape of every VQCK block of an architecture, in file order."""
+    shapes = {}
+    for name, c_out, c_in, k in _layer_specs(config):
+        shapes[f"{name}.w"] = (c_out, c_in) + (k,) * config.spatial_rank
+        shapes[f"{name}.b"] = (c_out,)
+    order = _block_order(shapes, config.pyramid_levels)
+    book = (config.codebook_size, config.codebook_dim)
+    for j in range(config.pyramid_levels):
+        shapes[f"codebook{j}.codes"] = book
+        shapes[f"codebook{j}.ema_embed_sum"] = book
+        shapes[f"codebook{j}.ema_cluster_size"] = book[:1]
+    return {name: shapes[name] for name in order}
+
+
+def _manifest(shapes: dict):
+    """Manifest entries for float32 blocks laid back to back, and the payload size."""
+    manifest = []
+    offset = 0
+    for name, shape in shapes.items():
+        manifest.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * int(np.prod(shape))
+    return manifest, offset
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Serialize to VQCK; re-saving a loaded checkpoint is byte-identical."""
     blocks: dict[str, np.ndarray] = dict(ckpt.params)
@@ -308,13 +338,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         blocks[f"codebook{j}.codes"] = cb.codes
         blocks[f"codebook{j}.ema_embed_sum"] = cb.ema_embed_sum
         blocks[f"codebook{j}.ema_cluster_size"] = cb.ema_cluster_size
-    manifest = []
-    offset = 0
     order = _block_order(ckpt.params, len(ckpt.codebooks))
-    for name in order:
-        arr = blocks[name]
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += 4 * arr.size
+    manifest, _ = _manifest({name: blocks[name].shape for name in order})
     header = {
         "config": asdict(ckpt.config),
         "provenance": ckpt.provenance,
@@ -335,6 +360,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a VQCK file, checking it against the architecture in its header.
+
+    The manifest must list exactly the blocks of that architecture, with
+    their shapes, back to back in file order; the payload must end with the
+    last block and hold only finite values; there must be one codebook
+    record per pyramid level with one usage age per code. Any mismatch
+    raises :class:`FormatError`.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 or blob[: len(MAGIC)] != MAGIC:
@@ -349,41 +382,49 @@ def load_checkpoint(path) -> Checkpoint:
         config = ModelConfig(**header["config"]).validate()
         provenance = header["provenance"]
         step = int(header["step"])
-        cb_meta = header["codebooks"]
         manifest = header["manifest"]
+        ages = [np.asarray(meta["usage_age"], dtype=np.int64)
+                for meta in header["codebooks"]]
+        flags = [meta["initialized"] for meta in header["codebooks"]]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError, DomainError) as exc:
+            ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
     if provenance not in PROVENANCE_TAGS:
         raise FormatError(f"{path}: unknown provenance tag {provenance!r}")
 
-    blocks: dict[str, np.ndarray] = {}
+    shapes = _block_shapes(config)
+    expected, size = _manifest(shapes)
+    if manifest != expected:
+        raise FormatError(f"{path}: block manifest does not match the header's architecture")
     payload = blob[end:]
-    for entry in manifest:
-        shape = tuple(int(s) for s in entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        lo = int(entry["offset"])
-        hi = lo + 4 * size
-        if hi > len(payload):
-            raise FormatError(f"{path}: block {entry['name']} overruns payload")
-        blocks[entry["name"]] = np.frombuffer(
-            payload[lo:hi], dtype="<f4").reshape(shape).astype(np.float64)
+    if len(payload) != size:
+        raise FormatError(f"{path}: payload is {len(payload)} bytes, manifest needs {size}")
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite values in payload")
+    if len(ages) != config.pyramid_levels:
+        raise FormatError(f"{path}: {len(ages)} codebook records for "
+                          f"{config.pyramid_levels} pyramid levels")
+    for j, (age, flag) in enumerate(zip(ages, flags)):
+        if age.shape != (config.codebook_size,) or not isinstance(flag, bool):
+            raise FormatError(f"{path}: codebook {j} record needs a boolean flag "
+                              f"and {config.codebook_size} usage ages")
 
+    blocks = {}
+    offset = 0
+    for name, shape in shapes.items():
+        n = int(np.prod(shape))
+        blocks[name] = values[offset:offset + n].reshape(shape)
+        offset += n
     params = {n: a for n, a in blocks.items() if not n.startswith("codebook")}
     codebooks = []
-    for j, meta in enumerate(cb_meta):
-        try:
-            codes = blocks[f"codebook{j}.codes"]
-            embed = blocks[f"codebook{j}.ema_embed_sum"]
-            csize = blocks[f"codebook{j}.ema_cluster_size"]
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing codebook block {exc}") from None
+    for j, (age, flag) in enumerate(zip(ages, flags)):
         cb = Codebook.__new__(Codebook)
-        cb.codes = codes
-        cb.ema_embed_sum = embed
-        cb.ema_cluster_size = csize
-        cb.usage_age = np.asarray(meta["usage_age"], dtype=np.int64)
-        cb.initialized = bool(meta["initialized"])
+        cb.codes = blocks[f"codebook{j}.codes"]
+        cb.ema_embed_sum = blocks[f"codebook{j}.ema_embed_sum"]
+        cb.ema_cluster_size = blocks[f"codebook{j}.ema_cluster_size"]
+        cb.usage_age = age
+        cb.initialized = flag
         codebooks.append(cb)
     return Checkpoint(config, params, codebooks, step=step, provenance=provenance)
 

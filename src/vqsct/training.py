@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .codebook import QuantizeResult, ema_update, expire_stale, kmeans_init
+from .codebook import ema_update, expire_stale, kmeans_init
 from .errors import DomainError, ShapeError, TrainingError
 from .model import (Checkpoint, FreezeMask, ModelConfig, apply_freeze, build_model,
                     forward, mask_for_mode, param_tensors, reinitialized, value_space)
@@ -190,9 +190,8 @@ def _augmented_item(item: np.ndarray, element: int) -> np.ndarray:
 
 def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                 mask: FreezeMask, learning_rate: float, batch_size: int,
-                beta: float, include_commitment: bool, expire_age: int,
-                decay: float, weight_decay: float,
-                augment: bool = False) -> TrainResult:
+                beta: float, expire_age: int, decay: float,
+                weight_decay: float, augment: bool = False) -> TrainResult:
     """The shared optimization loop over paired (input, target) items."""
     n = len(inputs)
     data_rng = np.random.default_rng([seed, 0])
@@ -227,12 +226,12 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                     tgt, element)
             res = forward(ckpt, inp, params, beta=beta)
             l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(tgt))))
-            loss = ag.add(l1, res.commitment) if include_commitment else l1
+            loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
             item_losses.append(loss)
             l1_values.append(float(l1.data))
             for j in range(len(ckpt.codebooks)):
                 level_rows[j].append(res.latent_rows[j])
-                level_indices[j].append(res.quantize_results[j].indices)
+                level_indices[j].append(res.code_indices[j].ravel())
 
         total = item_losses[0]
         for extra in item_losses[1:]:
@@ -248,9 +247,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
             for j, cb in enumerate(ckpt.codebooks):
                 rows = np.concatenate(level_rows[j], axis=0)
                 indices = np.concatenate(level_indices[j], axis=0)
-                combined = QuantizeResult(indices=indices, quantized=cb.codes[indices],
-                                          commitment_loss=0.0)
-                ema_update(cb, rows, combined, decay=decay)
+                ema_update(cb, rows, indices, decay=decay)
                 expire_stale(cb, rows, expire_age,
                              seed=int(expire_rng.integers(2 ** 31)))
 
@@ -315,9 +312,8 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     result = _train_loop(
         ckpt, items, items, steps, seed,
         mask=FreezeMask(True, True, True), learning_rate=learning_rate,
-        batch_size=batch_size, beta=beta, include_commitment=True,
-        expire_age=expire_age, decay=decay, weight_decay=weight_decay,
-        augment=augment)
+        batch_size=batch_size, beta=beta, expire_age=expire_age, decay=decay,
+        weight_decay=weight_decay, augment=augment)
     result.checkpoint.provenance = "pretrained"
     return result
 
@@ -325,8 +321,8 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
 def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
                        steps: int, seed: int, *, learning_rate: float = 1e-5,
                        batch_size: int = 8, beta: float = 0.25,
-                       include_commitment: bool = True, expire_age: int = 2,
-                       decay: float = 0.99, weight_decay: float = 0.01,
+                       expire_age: int = 2, decay: float = 0.99,
+                       weight_decay: float = 0.01,
                        freeze_codebook_with_encoder: bool = True,
                        augment: bool = False) -> TrainResult:
     """Supervised PET-to-CT fine-tuning on paired sym11 slices.
@@ -360,9 +356,8 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     result = _train_loop(
         ckpt, inputs, targets, steps, seed,
         mask=mask, learning_rate=learning_rate, batch_size=batch_size,
-        beta=beta, include_commitment=include_commitment,
-        expire_age=expire_age, decay=decay, weight_decay=weight_decay,
-        augment=augment)
+        beta=beta, expire_age=expire_age, decay=decay,
+        weight_decay=weight_decay, augment=augment)
     result.checkpoint.provenance = "finetuned"
     return result
 

@@ -42,10 +42,7 @@ __all__ = [
     "activity_to_normalized",
     "normalized_to_activity",
     "apply_cube_symmetry",
-    "inverse_cube_symmetry",
     "apply_plane_symmetry",
-    "inverse_plane_symmetry",
-    "augment",
     "extract_cubes",
     "stitch_cubes",
     "pad_to_multiple",
@@ -270,11 +267,9 @@ def denormalize(volume: Volume, target_space: str, reference: float | None = Non
 
 _PERMS3 = tuple(permutations(range(3)))
 N_CUBE_SYMMETRIES = len(_PERMS3) * 8  # 6 axis permutations x 8 flip patterns
-_inverse_cube_cache: dict[int, int] = {}
 
 _PERMS2 = ((0, 1), (1, 0))
 N_PLANE_SYMMETRIES = len(_PERMS2) * 4
-_inverse_plane_cache: dict[int, int] = {}
 
 
 def apply_cube_symmetry(values: np.ndarray, element: int) -> np.ndarray:
@@ -295,22 +290,6 @@ def apply_cube_symmetry(values: np.ndarray, element: int) -> np.ndarray:
     return out.copy()
 
 
-def inverse_cube_symmetry(element: int) -> int:
-    """Index of the group inverse: applying element then its inverse is identity."""
-    if not 0 <= element < N_CUBE_SYMMETRIES:
-        raise DomainError(f"cube symmetry element must be in [0, 48), got {element}")
-    cached = _inverse_cube_cache.get(element)
-    if cached is not None:
-        return cached
-    marker = np.arange(27, dtype=np.int64).reshape(3, 3, 3)
-    moved = apply_cube_symmetry(marker, element)
-    for candidate in range(N_CUBE_SYMMETRIES):
-        if np.array_equal(apply_cube_symmetry(moved, candidate), marker):
-            _inverse_cube_cache[element] = candidate
-            return candidate
-    raise AssertionError("cube symmetries form a group; inverse must exist")
-
-
 def apply_plane_symmetry(values: np.ndarray, element: int) -> np.ndarray:
     """Apply one of the 8 square symmetries (transpose x flips) to a 2D array."""
     if not 0 <= element < N_PLANE_SYMMETRIES:
@@ -323,33 +302,6 @@ def apply_plane_symmetry(values: np.ndarray, element: int) -> np.ndarray:
         if element & (1 << axis):
             out = np.flip(out, axis=axis)
     return out.copy()
-
-
-def inverse_plane_symmetry(element: int) -> int:
-    if not 0 <= element < N_PLANE_SYMMETRIES:
-        raise DomainError(f"plane symmetry element must be in [0, 8), got {element}")
-    cached = _inverse_plane_cache.get(element)
-    if cached is not None:
-        return cached
-    marker = np.arange(6, dtype=np.int64).reshape(2, 3)
-    moved = apply_plane_symmetry(marker, element)
-    for candidate in range(N_PLANE_SYMMETRIES):
-        restored = apply_plane_symmetry(moved, candidate)
-        if restored.shape == marker.shape and np.array_equal(restored, marker):
-            _inverse_plane_cache[element] = candidate
-            return candidate
-    raise AssertionError("plane symmetries form a group; inverse must exist")
-
-
-def augment(volume: Volume, seed: int) -> Volume:
-    """Apply a uniformly seeded cube symmetry; spacing axes permute along."""
-    element = int(np.random.default_rng(seed).integers(N_CUBE_SYMMETRIES))
-    perm = _PERMS3[element // 8]
-    out = apply_cube_symmetry(volume.voxels, element)
-    spacing = tuple(volume.spacing_mm[p] for p in perm)
-    meta = dict(volume.meta)
-    meta["augment_element"] = element
-    return Volume(out, spacing, volume.intensity_space, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from vqsct.cli import main
+from vqsct.errors import FormatError
 from vqsct.evaluation import read_report_csv, write_report_csv
-from vqsct.model import load_checkpoint
+from vqsct.model import (ModelConfig, build_model, load_checkpoint,
+                         save_checkpoint)
 from vqsct.phantom import generate_texture_volume
 from vqsct.volume import read_volume, write_volume
 
@@ -298,6 +301,67 @@ def test_corrupt_checkpoint_exits_1(work, tmp_path):
     assert main(["translate", "--ckpt", str(bogus),
                  "--pet", str(work["phantom"] / "case_000_pet.mvol"),
                  "--out", str(tmp_path / "o.mvol")]) == 1
+
+
+def _drop_param(ckpt):
+    del ckpt.params["enc.0.w"]
+
+
+def _drop_codebook(ckpt):
+    ckpt.codebooks.pop()
+
+
+def _long_usage_age(ckpt):
+    cb = ckpt.codebooks[0]
+    cb.usage_age = np.zeros(cb.n_codes + 1, dtype=np.int64)
+
+
+def _wrong_block_shape(ckpt):
+    ckpt.params["dec.final.b"] = np.zeros(2)
+
+
+def _non_finite(ckpt):
+    ckpt.params["dec.final.b"][0] = np.inf
+
+
+def _keep(ckpt):
+    pass
+
+
+@pytest.mark.parametrize("mutate,junk", [
+    (_drop_param, b""), (_drop_codebook, b""), (_long_usage_age, b""),
+    (_wrong_block_shape, b""), (_non_finite, b""), (_keep, b"\x00" * 8)])
+def test_malformed_checkpoint_is_rejected(work, tmp_path, capsys, mutate, junk):
+    ckpt = build_model(ModelConfig(depth=2, base_channels=4, codebook_size=8,
+                                   codebook_dim=6, pyramid_levels=2))
+    ckpt.provenance = "finetuned"
+    mutate(ckpt)
+    path = tmp_path / "bad.vqck"
+    save_checkpoint(ckpt, path)
+    path.write_bytes(path.read_bytes() + junk)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["translate", "--ckpt", str(path),
+                 "--pet", str(work["phantom"] / "case_000_pet.mvol"),
+                 "--out", str(tmp_path / "o.mvol")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and "Traceback" not in err
+
+
+def test_finetune_no_commitment_equals_beta_zero(work, tmp_path):
+    d = work["phantom"]
+    outputs = []
+    for name, extra in (("off", ["--no-commitment"]), ("zero", ["--beta", "0"])):
+        out = tmp_path / f"{name}.vqck"
+        assert main(["finetune", "--base", work["pre"], "--mode", "no-frozen",
+                     "--pet", str(d / "case_000_pet.mvol"),
+                     "--ct", str(d / "case_000_ct.mvol"), "--planes", "axial",
+                     "--steps", "2", "--batch-size", "4", "--out", str(out),
+                     *extra]) == 0
+        outputs.append((out.read_bytes(),
+                        (tmp_path / f"{name}.vqck.history.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_threads_flag_sets_environment(tmp_path):

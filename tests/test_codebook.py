@@ -1,14 +1,16 @@
 """Cosine codebook checks against brute-force and scalar-loop oracles."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_assign
-from vqsct import autograd as ag
 from vqsct.codebook import (Codebook, ema_update, expire_stale, kmeans_init,
-                            quantize, straight_through)
+                            quantize)
 from vqsct.errors import DomainError
 
 
@@ -113,17 +115,6 @@ def test_quantize_tie_breaks_to_lowest_index():
     assert result.indices[0] == 0
 
 
-def test_quantize_commitment_loss_oracle():
-    rng = np.random.default_rng(2)
-    cb, _ = make_initialized(6, 4, seed=5)
-    inputs = rng.standard_normal((15, 4))
-    result = quantize(cb, inputs, beta=0.25)
-    normed = inputs / np.linalg.norm(inputs, axis=1, keepdims=True)
-    expected = 0.25 * np.mean(
-        np.sum((normed - cb.codes[result.indices]) ** 2, axis=1))
-    assert result.commitment_loss == pytest.approx(expected, rel=1e-12)
-
-
 def test_quantize_flags_zero_rows():
     cb, _ = make_initialized(4, 3, seed=6)
     inputs = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
@@ -133,23 +124,6 @@ def test_quantize_flags_zero_rows():
     e0 = np.zeros(3)
     e0[0] = 1.0
     assert result.indices[0] == brute_force_assign(e0[None], cb.codes)[0]
-
-
-# ---------------------------------------------------------------------------
-# Straight-through wiring
-# ---------------------------------------------------------------------------
-
-def test_straight_through_passes_gradient_bitwise():
-    rng = np.random.default_rng(3)
-    cb, _ = make_initialized(8, 5, seed=7)
-    rows = ag.leaf(rng.standard_normal((12, 5)))
-    result = quantize(cb, rows.data)
-    out = straight_through(rows, result)
-    assert np.array_equal(out.data, result.quantized)
-    weight = rng.standard_normal((12, 5))
-    loss = ag.sum_all(ag.mul(out, ag.leaf(weight)))
-    grads = ag.gradient_map(loss, {"rows": rows})
-    assert np.array_equal(grads["rows"], weight)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +162,7 @@ def test_ema_update_matches_scalar_recurrence():
         want_codes, want_size, want_sum = ema_oracle(
             cb.codes, cb.ema_cluster_size, cb.ema_embed_sum,
             inputs, result.indices, decay=0.99)
-        ema_update(cb, inputs, result, decay=0.99)
+        ema_update(cb, inputs, result.indices, decay=0.99)
         assert np.allclose(cb.codes, want_codes, atol=1e-12)
         assert np.allclose(cb.ema_cluster_size, want_size, atol=1e-12)
         assert np.allclose(cb.ema_embed_sum, want_sum, atol=1e-12)
@@ -199,8 +173,7 @@ def test_ema_update_keeps_unit_norms_over_long_sequences():
     cb, _ = make_initialized(8, 6, seed=11)
     for _ in range(200):
         inputs = rng.standard_normal((16, 6))
-        result = quantize(cb, inputs)
-        ema_update(cb, inputs, result)
+        ema_update(cb, inputs, quantize(cb, inputs).indices)
     assert np.allclose(np.linalg.norm(cb.codes, axis=1), 1.0, atol=1e-6)
 
 
@@ -209,7 +182,7 @@ def test_ema_update_ages_unused_codes():
     inputs = np.tile(cb.codes[0], (6, 1)) + 1e-4
     result = quantize(cb, inputs)
     used = set(result.indices)
-    ema_update(cb, inputs, result)
+    ema_update(cb, inputs, result.indices)
     for j in range(4):
         assert cb.usage_age[j] == (0 if j in used else 1)
 
@@ -277,6 +250,12 @@ def test_update_sequences_preserve_membership_and_norms(seed):
         result = quantize(cb, batch)
         assert result.indices.min() >= 0
         assert result.indices.max() < n_codes
-        ema_update(cb, batch, result)
+        ema_update(cb, batch, result.indices)
         expire_stale(cb, batch, age_threshold=2, seed=int(rng.integers(2**31)))
     assert np.allclose(np.linalg.norm(cb.codes, axis=1), 1.0, atol=1e-6)
+
+
+def test_codebook_demo_runs(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "demo_codebook_quantization.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert "commitment penalty:" in capsys.readouterr().out

@@ -95,7 +95,7 @@ def test_forward_output_shape_matches_input(rank, shape):
     rng = np.random.default_rng(0)
     ckpt = build_model(small_config(rank=rank))
     initialize_codebooks(ckpt, rng)
-    result = forward(ckpt, rng.standard_normal(shape))
+    result = forward(ckpt, rng.standard_normal(shape), beta=0.25)
     assert result.output.data.shape == shape
     assert np.isfinite(result.commitment.data).all()
 
@@ -146,11 +146,34 @@ def test_quantizer_transparent_when_codebook_holds_encoder_rows():
     kmeans_init(cb, rng.standard_normal((2 * len(normed), normed.shape[1])))
     cb.codes = normed.copy()
     exact.codebooks[0] = cb
-    transparent = forward(exact, x)
-    q = transparent.quantize_results[0]
-    assert np.allclose(q.quantized, normed, atol=1e-12)
+    transparent = forward(exact, x, beta=0.25)
+    quantized = cb.codes[transparent.code_indices[0].ravel()]
+    assert np.allclose(quantized, normed, atol=1e-12)
     assert transparent.commitment.data.item() < 1e-20
     assert not np.allclose(transparent.output.data, probe.output.data)
+
+
+def test_forward_commitment_oracle():
+    # the level mean of beta * mean_rows ||z/|z| - codes[idx]||^2
+    rng = np.random.default_rng(6)
+    ckpt = build_model(small_config(pyramid_levels=2))
+    initialize_codebooks(ckpt, rng)
+    x = rng.standard_normal((1, 16, 16))
+    with_commit = forward(ckpt, x, beta=0.25)
+    per_level = []
+    for rows, idx, cb in zip(with_commit.latent_rows, with_commit.code_indices,
+                             ckpt.codebooks):
+        normed = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        diff = normed - cb.codes[idx.ravel()]
+        per_level.append(0.25 * np.mean(np.sum(diff ** 2, axis=1)))
+    assert with_commit.commitment.data.item() == pytest.approx(
+        np.mean(per_level), rel=1e-12)
+
+    plain = forward(ckpt, x)
+    assert plain.commitment is None
+    assert plain.output.data.tobytes() == with_commit.output.data.tobytes()
+    with pytest.raises(DomainError):
+        forward(ckpt, x, beta=-0.25)
 
 
 def test_forward_accepts_external_param_tensors():

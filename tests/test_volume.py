@@ -8,9 +8,8 @@ import pytest
 
 from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.volume import (HU_MAX, HU_MIN, Volume, activity_to_normalized,
-                          apply_cube_symmetry, apply_plane_symmetry, augment,
+                          apply_cube_symmetry, apply_plane_symmetry,
                           denormalize, extract_cubes, hu_to_normalized,
-                          inverse_cube_symmetry, inverse_plane_symmetry,
                           normalize, normalized_to_activity, normalized_to_hu,
                           pad_to_multiple, read_volume, resample_trilinear,
                           stitch_cubes, write_volume)
@@ -188,13 +187,14 @@ def test_normalize_hu_then_denormalize_restores_clamped_hu():
 # ---------------------------------------------------------------------------
 
 def test_cube_symmetries_are_distinct_and_invertible():
+    # every voxel of the marker is distinct, so keeping the sorted values
+    # means the map permutes voxels, which makes it invertible
     marker = np.arange(27.0).reshape(3, 3, 3)
     seen = set()
     for element in range(48):
         moved = apply_cube_symmetry(marker, element)
         seen.add(moved.tobytes())
-        inv = inverse_cube_symmetry(element)
-        assert np.array_equal(apply_cube_symmetry(moved, inv), marker), element
+        assert np.array_equal(np.sort(moved, axis=None), marker.ravel()), element
     assert len(seen) == 48
 
 
@@ -215,30 +215,8 @@ def test_plane_symmetries_are_distinct_and_invertible():
     for element in range(8):
         moved = apply_plane_symmetry(marker, element)
         seen.add(moved.tobytes())
-        inv = inverse_plane_symmetry(element)
-        assert np.array_equal(apply_plane_symmetry(moved, inv), marker)
+        assert np.array_equal(np.sort(moved, axis=None), marker.ravel()), element
     assert len(seen) == 8
-
-
-def test_augment_permutes_spacing_with_axes():
-    rng = np.random.default_rng(7)
-    vol = Volume(rng.standard_normal((4, 5, 6)), (1.0, 2.0, 3.0), "HU", {})
-    out = augment(vol, seed=123)
-    element = out.meta["augment_element"]
-    assert np.array_equal(out.voxels, apply_cube_symmetry(vol.voxels, element))
-    # each output axis length pairs with its original spacing
-    sizes = {1.0: 4, 2.0: 5, 3.0: 6}
-    for sp, n in zip(out.spacing_mm, out.dims):
-        assert sizes[sp] == n
-
-
-def test_augment_deterministic():
-    rng = np.random.default_rng(8)
-    vol = Volume(rng.standard_normal((4, 4, 4)), (1, 1, 1), "HU", {})
-    a = augment(vol, seed=9)
-    b = augment(vol, seed=9)
-    assert np.array_equal(a.voxels, b.voxels)
-    assert a.meta["augment_element"] == b.meta["augment_element"]
 
 
 # ---------------------------------------------------------------------------
