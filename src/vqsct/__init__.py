@@ -5,7 +5,7 @@ Submodules:
 * ``autograd``   minimal reverse-mode autodiff numeric core
 * ``codebook``   cosine-similarity vector quantizer with EMA learning
 * ``model``      encoder/quantizer/decoder assembly and VQCK checkpoints
-* ``volume``     MVOL volume I/O, resampling, normalization, tiling
+* ``volume``     MVOL volume I/O, normalization, tiling
 * ``phantom``    synthetic paired PET/CT phantom generator
 * ``training``   AdamW, fold splitting, pretraining and fine-tuning loops
 * ``pipeline``   tri-planar slice translation and 3D cube reconstruction

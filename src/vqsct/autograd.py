@@ -2,8 +2,10 @@
 
 The computation graph is a DAG of :class:`Tensor` nodes built eagerly as
 operations are applied. Each non-leaf node records its parent nodes and a
-vector-Jacobian closure; :func:`backward` walks the graph once in reverse
-topological order, accumulating exactly one gradient array per node.
+vector-Jacobian closure. :func:`backward` returns the gradients of a scalar
+loss with respect to the requested leaves only: it walks, in reverse
+topological order, just the nodes that lie on a path from a requested leaf
+to the loss, and drops each intermediate gradient once it has been passed on.
 
 Conventions:
 
@@ -45,24 +47,20 @@ __all__ = [
     "reshape",
     "moveaxis",
     "backward",
-    "gradient_map",
 ]
 
 
 class Tensor:
     """One node of the computation graph.
 
-    ``data`` is the forward value, ``grad`` the accumulated gradient from the
-    most recent :func:`backward` call (``None`` if the node was unreachable
-    from the loss). ``parents`` and ``vjp`` describe how the node was made:
-    ``vjp(upstream)`` returns one gradient array per parent.
+    ``data`` is the forward value. ``parents`` and ``vjp`` describe how the
+    node was made: ``vjp(upstream)`` returns one gradient array per parent.
     """
 
-    __slots__ = ("data", "grad", "op", "parents", "vjp")
+    __slots__ = ("data", "op", "parents", "vjp")
 
     def __init__(self, data, op="leaf", parents=(), vjp=None):
         self.data = data
-        self.grad = None
         self.op = op
         self.parents = parents
         self.vjp = vjp
@@ -291,37 +289,39 @@ def _toposort(root: Tensor):
     return order
 
 
-def backward(loss: Tensor):
-    """Reverse-accumulate gradients of a scalar loss into ``.grad`` fields.
+def backward(loss: Tensor, wrt: dict) -> dict:
+    """Return ``{name: d loss / d wrt[name]}`` for a scalar ``loss``.
 
-    Every node reachable from ``loss`` receives exactly one accumulated
-    gradient; previous ``.grad`` contents on the subgraph are overwritten.
+    Only nodes with a requested tensor among their ancestors (or that are one)
+    are differentiated; gradients flowing into any other parent are
+    discarded, and each intermediate gradient is released once its vjp has
+    run. A requested tensor the loss does not depend on gets zeros.
     """
     if loss.data.size != 1:
         raise DomainError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     order = _toposort(loss)
-    for node in order:
-        node.grad = None
-    grads = {id(loss): np.ones_like(loss.data)}
+    targets = {id(t) for t in wrt.values()}
+    needed = set(targets)
+    for node in order:  # parents come before children
+        if any(id(p) in needed for p in node.parents):
+            needed.add(id(node))
+    grads = {id(loss): np.ones_like(loss.data)} if id(loss) in needed else {}
+    found = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g
+        if id(node) in targets:
+            found[id(node)] = g
         if node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
+            if id(parent) not in needed:
+                continue
             acc = grads.get(id(parent))
             if acc is None:
                 grads[id(parent)] = np.zeros_like(parent.data) + pg
             else:
                 acc += pg
-
-
-def gradient_map(loss: Tensor, params: dict) -> dict:
-    """Run backward and return ``{name: grad}``; unreachable params get zeros."""
-    backward(loss)
-    return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params.items()
-    }
+    return {name: found[id(t)] if id(t) in found else np.zeros_like(t.data)
+            for name, t in wrt.items()}

@@ -240,7 +240,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
         if not np.isfinite(total.data):
             raise TrainingError(f"training diverged: loss {float(total.data)}")
 
-        grads = ag.gradient_map(total, {name: params[name] for name in trainable})
+        grads = ag.backward(total, {name: params[name] for name in trainable})
         adamw_step(state, ckpt.params, grads)
 
         if mask.codebook_trainable:

@@ -1,4 +1,4 @@
-"""Volumes: container type, MVOL file I/O, resampling, intensity maps, tiling.
+"""Volumes: container type, MVOL file I/O, intensity maps, tiling.
 
 A ``Volume`` wraps a 3D scalar grid indexed ``[x, y, z]`` with voxel spacing
 in millimetres and a declared intensity space:
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import DomainError, FormatError, ShapeError
 
@@ -34,7 +33,6 @@ __all__ = [
     "N_CUBE_SYMMETRIES",
     "read_volume",
     "write_volume",
-    "resample_trilinear",
     "normalize",
     "denormalize",
     "hu_to_normalized",
@@ -79,8 +77,8 @@ class Volume:
         if self.voxels.ndim != 3:
             raise ShapeError(f"volume must be 3D, got shape {self.voxels.shape}")
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
-        if len(self.spacing_mm) != 3 or any(s <= 0 for s in self.spacing_mm):
-            raise DomainError(f"spacing must be 3 positive values, got {self.spacing_mm}")
+        if len(self.spacing_mm) != 3 or not all(0 < s < np.inf for s in self.spacing_mm):
+            raise DomainError(f"spacing must be 3 finite positive values, got {self.spacing_mm}")
         if self.intensity_space not in INTENSITY_SPACES:
             raise DomainError(f"unknown intensity space {self.intensity_space!r}")
         if not np.all(np.isfinite(self.voxels)):
@@ -120,6 +118,12 @@ def write_volume(volume: Volume, path) -> None:
         fh.write(payload)
 
 
+def _is_triple(value, types) -> bool:
+    """A JSON list of exactly three values of ``types`` (booleans excluded)."""
+    return (isinstance(value, list) and len(value) == 3
+            and all(isinstance(v, types) and not isinstance(v, bool) for v in value))
+
+
 def read_volume(path) -> Volume:
     """Read an MVOL file; malformed magic, header, or payload raise FormatError."""
     with open(path, "rb") as fh:
@@ -135,15 +139,17 @@ def read_volume(path) -> Volume:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: invalid header JSON ({exc})") from None
-    try:
-        dims = tuple(int(d) for d in header["dims"])
-        spacing = tuple(float(s) for s in header["spacing_mm"])
-        space = header["intensity_space"]
-        meta = header.get("meta", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header fields ({exc})") from None
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise FormatError(f"{path}: bad dims {dims}")
+    required = ("dims", "spacing_mm", "intensity_space")
+    if not isinstance(header, dict) or any(k not in header for k in required):
+        raise FormatError(f"{path}: header needs {', '.join(required)}")
+    dims, spacing = header["dims"], header["spacing_mm"]
+    space, meta = header["intensity_space"], header.get("meta", {})
+    if not _is_triple(dims, int) or any(d < 1 for d in dims):
+        raise FormatError(f"{path}: dims must be 3 positive integers, got {dims!r}")
+    if not _is_triple(spacing, (int, float)):
+        raise FormatError(f"{path}: spacing_mm must be 3 numbers, got {spacing!r}")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: meta must be an object, got {meta!r}")
     expected = 4 * dims[0] * dims[1] * dims[2]
     payload = blob[header_end:]
     if len(payload) != expected:
@@ -154,32 +160,6 @@ def read_volume(path) -> Volume:
         return Volume(voxels.astype(np.float64), spacing, space, meta)
     except (DomainError, ShapeError) as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# Resampling
-# ---------------------------------------------------------------------------
-
-def resample_trilinear(volume: Volume, target_spacing_mm) -> Volume:
-    """Resample to a new voxel spacing with trilinear interpolation.
-
-    Output extents are round(dim * spacing / target), minimum 1, with the
-    voxel at index 0 kept in place; coordinates outside the source grid
-    clamp to the border. Resampling to the current spacing is the identity.
-    """
-    target = tuple(float(t) for t in target_spacing_mm)
-    if len(target) != 3 or any(t <= 0 for t in target):
-        raise DomainError(f"target spacing must be 3 positive values, got {target}")
-    src = volume.voxels
-    out_dims = []
-    axes = []
-    for n, s, t in zip(src.shape, volume.spacing_mm, target):
-        m = max(1, int(np.floor(n * s / t + 0.5)))
-        out_dims.append(m)
-        axes.append(np.arange(m, dtype=np.float64) * (t / s))
-    grid = np.meshgrid(*axes, indexing="ij")
-    out = map_coordinates(src, np.stack(grid), order=1, mode="nearest")
-    return Volume(out, target, volume.intensity_space, dict(volume.meta))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from vqsct.evaluation import read_report_csv, write_report_csv
 from vqsct.model import (ModelConfig, build_model, load_checkpoint,
                          save_checkpoint)
 from vqsct.phantom import generate_texture_volume
-from vqsct.volume import read_volume, write_volume
+from vqsct.volume import Volume, read_volume, write_volume
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +348,31 @@ def test_malformed_checkpoint_is_rejected(work, tmp_path, capsys, mutate, junk):
                  "--out", str(tmp_path / "o.mvol")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("vqsct: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("changes", [
+    {"meta": [1, 2]}, {"meta": "xy"},
+    {"spacing_mm": ["nan", 1, 1]}, {"spacing_mm": [float("nan"), 1, 1]},
+    {"spacing_mm": [1, float("inf"), 1]}, {"spacing_mm": "111"},
+    {"dims": [8.7, 8, 8]}, {"dims": [True, 8, 64]}])
+def test_malformed_volume_header_is_rejected(work, tmp_path, capsys, changes):
+    # an 8x8x8 payload, so each dims mutation still matches its byte count
+    path = tmp_path / "bad.mvol"
+    write_volume(Volume(np.ones((8, 8, 8)), (1.0, 1.0, 1.0), "activity", {}), path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + n])
+    header.update(changes)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + n:])
+    with pytest.raises(FormatError):
+        read_volume(path)
+    capsys.readouterr()
+    assert main(["translate", "--ckpt", work["fin"], "--pet", str(path),
+                 "--out", str(tmp_path / "o.mvol")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_finetune_no_commitment_equals_beta_zero(work, tmp_path):

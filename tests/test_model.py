@@ -184,9 +184,46 @@ def test_forward_accepts_external_param_tensors():
     x = rng.standard_normal((1, 8, 8))
     result = forward(ckpt, x, params=params)
     loss = ag.mean_all(ag.abs_val(result.output))
-    grads = ag.gradient_map(loss, params)
+    grads = ag.backward(loss, params)
     assert set(grads) == set(ckpt.params)
     assert any(np.abs(g).sum() > 0 for g in grads.values())
+
+
+def _two_level_loss(seed):
+    rng = np.random.default_rng(seed)
+    ckpt = build_model(small_config(pyramid_levels=2))
+    initialize_codebooks(ckpt, rng)
+    params = param_tensors(ckpt)
+    result = forward(ckpt, rng.standard_normal((1, 16, 16)), params=params)
+    return ckpt, params, ag.mean_all(ag.abs_val(result.output))
+
+
+def test_backward_on_trainable_subset_matches_full_bitwise():
+    ckpt, params, loss = _two_level_loss(6)
+    trainable = apply_freeze(ckpt, mask_for_mode("enc-frozen"))
+    full = ag.backward(loss, params)
+    subset = ag.backward(loss, {n: params[n] for n in trainable})
+    assert set(subset) == set(trainable)
+    for name in trainable:
+        assert subset[name].tobytes() == full[name].tobytes(), name
+
+
+def test_backward_skips_conv_vjps_of_frozen_encoder(monkeypatch):
+    ckpt, params, loss = _two_level_loss(7)
+    calls = []
+    original = ag.conv_backward_data
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ag, "conv_backward_data", counting)
+    trainable = apply_freeze(ckpt, mask_for_mode("enc-frozen"))
+    ag.backward(loss, {n: params[n] for n in trainable})
+    assert len(calls) == 5  # vq0.out, vq1.out, dec.0, dec.1, dec.final
+    calls.clear()
+    ag.backward(loss, params)
+    assert len(calls) == 9  # plus enc.0, enc.1, vq0.in, vq1.in
 
 
 # ---------------------------------------------------------------------------

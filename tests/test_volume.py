@@ -1,4 +1,4 @@
-"""Volume container, file format, resampling, symmetry, and tiling checks."""
+"""Volume container, file format, symmetry, and tiling checks."""
 
 import json
 import struct
@@ -11,8 +11,8 @@ from vqsct.volume import (HU_MAX, HU_MIN, Volume, activity_to_normalized,
                           apply_cube_symmetry, apply_plane_symmetry,
                           denormalize, extract_cubes, hu_to_normalized,
                           normalize, normalized_to_activity, normalized_to_hu,
-                          pad_to_multiple, read_volume, resample_trilinear,
-                          stitch_cubes, write_volume)
+                          pad_to_multiple, read_volume, stitch_cubes,
+                          write_volume)
 
 
 def random_volume(rng, dims=(6, 5, 4), space="HU"):
@@ -37,6 +37,9 @@ def test_volume_requires_3d_finite_voxels():
 def test_volume_requires_positive_spacing_and_known_space():
     with pytest.raises(DomainError):
         Volume(np.zeros((3, 3, 3)), (1, 0, 1), "HU", {})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            Volume(np.zeros((3, 3, 3)), (1, bad, 1), "HU", {})
     with pytest.raises(DomainError):
         Volume(np.zeros((3, 3, 3)), (1, 1, 1), "kelvin", {})
 
@@ -87,40 +90,6 @@ def test_mvol_rejects_bad_magic_and_truncation(tmp_path):
     short.write_bytes(bytes(raw[:-5]))
     with pytest.raises(FormatError):
         read_volume(short)
-
-
-# ---------------------------------------------------------------------------
-# Resampling
-# ---------------------------------------------------------------------------
-
-def test_resample_identity_spacing_returns_same_grid():
-    rng = np.random.default_rng(1)
-    vol = random_volume(rng, (8, 7, 6))
-    out = resample_trilinear(vol, vol.spacing_mm)
-    assert out.dims == vol.dims
-    assert np.allclose(out.voxels, vol.voxels)
-
-
-def test_resample_dims_follow_rounding_rule():
-    vol = Volume(np.zeros((10, 10, 10)), (2.0, 2.0, 2.0), "HU", {})
-    out = resample_trilinear(vol, (1.0, 1.5, 4.0))
-    assert out.dims == (20, int(np.floor(10 * 2.0 / 1.5 + 0.5)), 5)
-    assert out.spacing_mm == (1.0, 1.5, 4.0)
-
-
-def test_resample_linear_ramp_is_exact():
-    # trilinear interpolation reproduces an affine field exactly (interior)
-    x, y, z = np.meshgrid(np.arange(9.0), np.arange(8.0), np.arange(7.0),
-                          indexing="ij")
-    vol = Volume(3.0 * x - 2.0 * y + 0.5 * z, (2.0, 2.0, 2.0), "HU", {})
-    out = resample_trilinear(vol, (1.0, 1.0, 1.0))
-    ox, oy, oz = np.meshgrid(np.arange(out.dims[0], dtype=np.float64) * 0.5,
-                             np.arange(out.dims[1], dtype=np.float64) * 0.5,
-                             np.arange(out.dims[2], dtype=np.float64) * 0.5,
-                             indexing="ij")
-    expected = 3.0 * ox - 2.0 * oy + 0.5 * oz
-    interior = ((ox <= 8.0) & (oy <= 7.0) & (oz <= 6.0))
-    assert np.allclose(out.voxels[interior], expected[interior], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
