@@ -27,31 +27,31 @@ def batch(n=96, clusters=3):
     return anchors[which] + 0.05 * rng.normal(size=(n, 8))
 
 
-# A codebook starts unseeded; the first training batch runs k-means
-# (on normalized rows) to place the initial codes.
+# Quantization normalizes each row once and reports the unit rows with the
+# indices and the selected codes; the learners below all take those rows.
+# A codebook starts unseeded; the first training batch runs k-means on its
+# unit rows to place the initial codes.
 book = Codebook(n_codes=4, dim=8, seed=0)
 print(f"initialized from data yet: {book.initialized}")
 
 first = batch()
-kmeans_init(book, first)
+kmeans_init(book, quantize(book, first).unit_rows)
 print(f"after kmeans_init: {book.initialized}, "
       f"code norms {np.linalg.norm(book.codes, axis=1).round(6)}")
 
-# Quantization reports indices and the selected codes. The commitment
-# penalty the model adds during training (weight beta) measures how far the
-# normalized inputs sit from their assigned codes.
+# The commitment penalty the model adds during training (weight beta)
+# measures how far the unit rows sit from their assigned codes.
 result = quantize(book, first)
-normed = first / np.linalg.norm(first, axis=1, keepdims=True)
 beta = 0.25
-penalty = beta * np.mean(np.sum((normed - result.quantized) ** 2, axis=1))
+penalty = beta * np.mean(np.sum((result.unit_rows - result.quantized) ** 2, axis=1))
 print(f"\nassignment counts: {np.bincount(result.indices, minlength=4)}")
 print(f"commitment penalty: {penalty:.4f}")
 
 # EMA updates pull each code toward the (normalized) mean of the rows
 # assigned to it. Codes drift onto the true cluster directions.
 for _ in range(30):
-    x = batch()
-    ema_update(book, x, quantize(book, x).indices)
+    result = quantize(book, batch())
+    ema_update(book, result.unit_rows, result.indices)
 sims = (book.codes @ anchors.T).max(axis=1)
 print(f"\nafter 30 EMA batches, best anchor cosine per code: {sims.round(3)}")
 
@@ -60,8 +60,8 @@ print(f"\nafter 30 EMA batches, best anchor cosine per code: {sims.round(3)}")
 # sampling only the first two clusters, and watch its code be recycled.
 print()
 for step in range(4):
-    x = batch(clusters=2)
-    ema_update(book, x, quantize(book, x).indices)
-    info = expire_stale(book, x)
+    result = quantize(book, batch(clusters=2))
+    ema_update(book, result.unit_rows, result.indices)
+    info = expire_stale(book, result.unit_rows)
     replaced = info.replaced.tolist() if info.replaced.size else "none"
     print(f"batch {step}: ages {book.usage_age.tolist()}, replaced {replaced}")

@@ -7,7 +7,7 @@ Submodules:
 * ``model``      encoder/quantizer/decoder assembly and VQCK checkpoints
 * ``volume``     MVOL volume I/O, normalization, tiling
 * ``phantom``    synthetic paired PET/CT phantom generator
-* ``training``   AdamW, fold splitting, pretraining and fine-tuning loops
+* ``training``   AdamW, pretraining and fine-tuning loops
 * ``pipeline``   tri-planar slice translation and 3D cube reconstruction
 * ``evaluation`` masked metrics, Wilcoxon test, reports, difference maps
 * ``cli``        the ``vqsct`` command-line interface

@@ -232,22 +232,22 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize each row of an ``[M, d]`` matrix onto the unit sphere.
 
-    Rows with norm below ``eps`` are divided by ``eps`` instead (keeps the
-    map total and differentiable; quantization flags such rows separately).
+    Rows with norm below ``eps`` map to the basis vector e0, the rule of
+    ``codebook.quantize``; e0 is a constant, so such rows pass zero gradient.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"l2_normalize_rows expects a 2-d matrix, got shape {x.data.shape}")
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
     denom = np.maximum(norms, eps)
     y = x.data / denom
+    zero = norms[:, 0] < eps
+    y[zero] = 0.0
+    y[zero, 0] = 1.0
 
     def vjp(g):
         inner = (y * g).sum(axis=1, keepdims=True)
         gx = (g - y * inner) / denom
-        # below the clamp the map is linear: x / eps
-        small = norms < eps
-        if small.any():
-            gx = np.where(small, g / eps, gx)
+        gx[zero] = 0.0
         return (gx,)
 
     return Tensor(y, "l2norm", (x,), vjp)

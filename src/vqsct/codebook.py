@@ -2,10 +2,11 @@
 
 Codes live on the unit sphere; assignment maximizes cosine similarity
 (ties break toward the lowest index, zero-norm inputs are mapped to a fixed
-basis vector and flagged). The codebook is learned without gradients:
-k-means initialization on the first batch, an exponential moving average of
-the assigned vectors per code, and expiration of codes that go unused for
-several consecutive batches.
+basis vector and flagged). :func:`quantize` is the one place that normalizes
+input rows: it returns them as ``unit_rows``. The codebook is learned without
+gradients from those unit rows: k-means initialization on the first batch,
+an exponential moving average of the assigned vectors per code, and
+expiration of codes that go unused for several consecutive batches.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
 
 DEFAULT_DECAY = 0.99
 DEFAULT_EXPIRE_AGE = 2
+KMEANS_ITERS = 10
 
 
 def _normalize_rows(x: np.ndarray, eps: float = 1e-12):
@@ -48,13 +50,13 @@ class QuantizeResult:
 
     indices: np.ndarray        # [M] int64 code index per input row
     quantized: np.ndarray      # [M, dim] selected code vectors (exact copies)
+    unit_rows: np.ndarray      # [M, dim] the inputs on the unit sphere (zero rows -> e0)
     zero_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 @dataclass
 class ExpireInfo:
     replaced: np.ndarray       # indices of codes that were replaced
-    sampled_with_replacement: bool = False
 
 
 class Codebook:
@@ -97,28 +99,27 @@ class Codebook:
         return dup
 
 
-def kmeans_init(codebook: Codebook, first_batch: np.ndarray, iters: int = 10, seed: int = 0) -> Codebook:
+def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Codebook:
     """Initialize codes as L2-normalized k-means centroids of the first batch.
 
-    Lloyd iterations on the row-normalized batch, centroids seeded from
-    distinct batch rows; empty clusters are re-seeded from random batch
-    vectors. Deterministic given the seed. Mutates and returns ``codebook``.
+    ``unit_rows`` are the batch's rows as :func:`quantize` returns them
+    (already on the unit sphere; they are not normalized again).
+    ``KMEANS_ITERS`` Lloyd iterations, centroids seeded from distinct batch
+    rows; empty clusters are re-seeded from random batch rows. Deterministic
+    given the seed. Mutates and returns ``codebook``.
     """
     if codebook.initialized:
         raise DomainError("codebook is already initialized")
-    if iters < 1:
-        raise DomainError(f"kmeans iters must be >= 1, got {iters}")
-    batch = np.asarray(first_batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != codebook.dim:
-        raise ShapeError(f"kmeans batch shape {batch.shape} incompatible with code dim {codebook.dim}")
+    pts = np.asarray(unit_rows, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != codebook.dim:
+        raise ShapeError(f"kmeans batch shape {pts.shape} incompatible with code dim {codebook.dim}")
     k = codebook.n_codes
-    if batch.shape[0] < k:
-        raise DomainError(f"kmeans needs at least {k} vectors, got {batch.shape[0]}")
+    if pts.shape[0] < k:
+        raise DomainError(f"kmeans needs at least {k} vectors, got {pts.shape[0]}")
 
-    pts, _ = _normalize_rows(batch)
     rng = np.random.default_rng(seed)
     centroids = pts[rng.choice(pts.shape[0], size=k, replace=False)].copy()
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         # on the unit sphere, nearest-in-Euclidean == argmax cosine
         assign = np.argmax(pts @ centroids.T, axis=1)
         for i in range(k):
@@ -140,9 +141,11 @@ def kmeans_init(codebook: Codebook, first_batch: np.ndarray, iters: int = 10, se
 def quantize(codebook: Codebook, inputs: np.ndarray) -> QuantizeResult:
     """Assign each input row to the code with maximal cosine similarity.
 
-    Inputs are row-normalized first; ties break toward the lowest code index
-    (argmax convention); zero-norm rows are replaced by the fixed basis
-    vector e0 and reported in ``zero_rows``.
+    Inputs are row-normalized once and returned as ``unit_rows``, the
+    input of :func:`kmeans_init`, :func:`ema_update` and :func:`expire_stale`.
+    Ties break toward the lowest code index (argmax convention); zero-norm
+    rows are replaced by the fixed basis vector e0 and reported in
+    ``zero_rows``.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
@@ -153,28 +156,27 @@ def quantize(codebook: Codebook, inputs: np.ndarray) -> QuantizeResult:
     sims = normed @ codebook.codes.T
     indices = np.argmax(sims, axis=1)
     return QuantizeResult(indices=indices, quantized=codebook.codes[indices],
-                          zero_rows=zero_rows)
+                          unit_rows=normed, zero_rows=zero_rows)
 
 
-def ema_update(codebook: Codebook, inputs: np.ndarray, indices: np.ndarray,
+def ema_update(codebook: Codebook, unit_rows: np.ndarray, indices: np.ndarray,
                decay: float = DEFAULT_DECAY) -> Codebook:
     """Fold one batch into the per-code EMA and refresh assigned codes.
 
-    ``indices`` holds the code assigned to each input row, as returned by
-    :func:`quantize`. Codes with assignments are replaced by their
+    ``unit_rows`` and ``indices`` are the fields of the batch's
+    :func:`quantize` result; the rows are not normalized again. Codes with assignments are replaced by their
     re-normalized EMA sum and their age resets; unassigned codes keep their
     values and age by one.
     Mutates and returns ``codebook``.
     """
     if not 0.0 < decay < 1.0:
         raise DomainError(f"decay must be in (0, 1), got {decay}")
-    normed, _ = _normalize_rows(np.asarray(inputs, dtype=np.float64))
-    if normed.shape[0] != indices.shape[0]:
-        raise ShapeError("inputs and code indices disagree on batch size")
+    if unit_rows.shape[0] != indices.shape[0]:
+        raise ShapeError("unit rows and code indices disagree on batch size")
     k = codebook.n_codes
     counts = np.bincount(indices, minlength=k).astype(np.float64)
     sums = np.zeros_like(codebook.ema_embed_sum)
-    np.add.at(sums, indices, normed)
+    np.add.at(sums, indices, unit_rows)
 
     codebook.ema_cluster_size = decay * codebook.ema_cluster_size + (1.0 - decay) * counts
     codebook.ema_embed_sum = decay * codebook.ema_embed_sum + (1.0 - decay) * sums
@@ -190,30 +192,29 @@ def ema_update(codebook: Codebook, inputs: np.ndarray, indices: np.ndarray,
     return codebook
 
 
-def expire_stale(codebook: Codebook, current_batch: np.ndarray, age_threshold: int = DEFAULT_EXPIRE_AGE,
+def expire_stale(codebook: Codebook, unit_rows: np.ndarray, age_threshold: int = DEFAULT_EXPIRE_AGE,
                  seed: int = 0) -> ExpireInfo:
-    """Replace codes unused for ``age_threshold`` batches with batch vectors.
+    """Replace codes unused for ``age_threshold`` batches with batch rows.
 
-    Replacements are distinct normalized rows of the current batch sampled
-    uniformly (seeded); if there are more stale codes than batch rows the
-    sampling falls back to with-replacement and the result is flagged.
-    Replaced codes get age 0 and fresh EMA accumulators.
+    ``unit_rows`` are the current batch's rows as :func:`quantize` returns
+    them; they are not normalized again. Replacements are distinct rows
+    sampled uniformly (seeded); if there are more stale codes than rows the
+    sampling falls back to with-replacement. Replaced codes get age 0 and
+    fresh EMA accumulators.
     """
     if age_threshold < 1:
         raise DomainError(f"age_threshold must be >= 1, got {age_threshold}")
-    batch = np.asarray(current_batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
+    if unit_rows.ndim != 2 or unit_rows.shape[0] == 0:
         raise DomainError("expire_stale needs a non-empty [M, dim] batch")
     stale = np.flatnonzero(codebook.usage_age >= age_threshold)
     if stale.size == 0:
         return ExpireInfo(replaced=stale)
 
-    normed, _ = _normalize_rows(batch)
     rng = np.random.default_rng(seed)
-    with_replacement = stale.size > normed.shape[0]
-    picks = rng.choice(normed.shape[0], size=stale.size, replace=with_replacement)
-    codebook.codes[stale] = normed[picks]
-    codebook.ema_embed_sum[stale] = normed[picks]
+    picks = rng.choice(unit_rows.shape[0], size=stale.size,
+                       replace=stale.size > unit_rows.shape[0])
+    codebook.codes[stale] = unit_rows[picks]
+    codebook.ema_embed_sum[stale] = unit_rows[picks]
     codebook.ema_cluster_size[stale] = 1.0
     codebook.usage_age[stale] = 0
-    return ExpireInfo(replaced=stale, sampled_with_replacement=with_replacement)
+    return ExpireInfo(replaced=stale)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.ndimage import binary_fill_holes, correlate1d
 from scipy.stats import rankdata
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, FormatError, ShapeError
 from .volume import Volume
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 
 REGIONS = ("whole", "soft", "bone")
 METRICS = ("mae", "psnr", "ssim", "dsc")
+_REPORT_HEADER = ["case_id", "region", "metric", "value"]
 
 BODY_THRESHOLD_HU = -500.0
 BONE_THRESHOLD_HU = 300.0
@@ -346,19 +347,45 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
 def write_report_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["case_id", "region", "metric", "value"])
+        writer.writerow(_REPORT_HEADER)
         for row in rows:
             writer.writerow([row["case_id"], row["region"], row["metric"],
                              repr(float(row["value"]))])
 
 
 def read_report_csv(path) -> list[dict]:
+    """Read a report written by :func:`write_report_csv`.
+
+    Each row needs four fields, a known region and metric, and a value that
+    is a finite number or +inf (identical volumes have infinite PSNR);
+    anything else raises FormatError.
+    """
+    rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["case_id", "region", "metric", "value"]:
-            raise DomainError(f"{path}: unexpected report header {reader.fieldnames}")
-        return [{"case_id": r["case_id"], "region": r["region"],
-                 "metric": r["metric"], "value": float(r["value"])} for r in reader]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _REPORT_HEADER:
+            raise FormatError(f"{path}: unexpected report header {header}")
+        for fields in reader:
+            if not fields:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(fields) != len(_REPORT_HEADER):
+                raise FormatError(f"{where}: expected 4 fields, got {len(fields)}")
+            case_id, region, metric, text = fields
+            if region not in REGIONS:
+                raise FormatError(f"{where}: unknown region {region!r}")
+            if metric not in METRICS:
+                raise FormatError(f"{where}: unknown metric {metric!r}")
+            try:
+                value = float(text)
+            except ValueError:
+                raise FormatError(f"{where}: value {text!r} is not a number") from None
+            if math.isnan(value) or value == -math.inf:
+                raise FormatError(f"{where}: value must be finite or +inf, got {text!r}")
+            rows.append({"case_id": case_id, "region": region,
+                         "metric": metric, "value": value})
+    return rows
 
 
 def compare_reports(rows_a, rows_b, metric: str, region: str,

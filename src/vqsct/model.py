@@ -130,7 +130,7 @@ class ForwardResult:
     output: ag.Tensor
     commitment: ag.Tensor | None            # scalar node flowing to the encoder; None if beta == 0
     code_indices: list[np.ndarray]          # per level, spatial layout
-    latent_rows: list[np.ndarray]           # per level, [positions, codebook_dim]
+    unit_rows: list[np.ndarray]             # per level, quantize's [positions, codebook_dim] unit rows
 
 
 def value_space(ckpt: Checkpoint) -> str:
@@ -210,7 +210,7 @@ def _quantize_level(feat: ag.Tensor, level: int, params, codebook: Codebook, bet
         diff = ag.sub(normed, ag.leaf(qres.quantized))
         # mean over rows of the squared distance: elementwise mean times row width
         commit = ag.scale(ag.mean_all(ag.mul(diff, diff)), beta * dim)
-    return out, commit, qres.indices.reshape(spatial), rows_data
+    return out, commit, qres.indices.reshape(spatial), qres.unit_rows
 
 
 def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
@@ -249,12 +249,12 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     indices = []
     rows = []
     for j in range(cfg.pyramid_levels):
-        out, commit, idx, row_data = _quantize_level(
+        out, commit, idx, unit_rows = _quantize_level(
             enc_feats[cfg.depth - 1 - j], j, params, ckpt.codebooks[j], beta)
         quantized.append(out)
         commits.append(commit)
         indices.append(idx)
-        rows.append(row_data)
+        rows.append(unit_rows)
 
     d = quantized[0]
     for i in range(cfg.depth):

@@ -70,26 +70,24 @@ def restack_slices(slices, plane: str) -> np.ndarray:
     raise DomainError(f"plane must be one of {PLANES}, got {plane!r}")
 
 
-def translate_slices(ckpt: Checkpoint, slices, pad_value: float | None = None) -> list[np.ndarray]:
+def translate_slices(ckpt: Checkpoint, slices) -> list[np.ndarray]:
     """Run normalized 2D slices through a 2D checkpoint; outputs are HU.
 
-    Each slice is padded up to the next multiple of 2^depth (with the
-    normalized air value of the checkpoint's space by default), translated,
-    cropped back, and denormalized.
+    Each slice is padded up to the next multiple of 2^depth with the
+    normalized air value of the checkpoint's space, translated, cropped
+    back, and mapped to HU.
     """
     if ckpt.config.spatial_rank != 2:
         raise DomainError(
             f"translate_slices needs a 2D checkpoint, got rank {ckpt.config.spatial_rank}")
     space = value_space(ckpt)
-    if pad_value is None:
-        pad_value = _AIR[space]
     div = 2 ** ckpt.config.depth
     out = []
     for sl in slices:
         arr = np.asarray(sl, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"expected 2D slices, got shape {arr.shape}")
-        padded = pad_to_multiple(arr, div, pad_value)
+        padded = pad_to_multiple(arr, div, _AIR[space])
         pred = forward(ckpt, padded[None]).output.data[0]
         pred = pred[: arr.shape[0], : arr.shape[1]]
         out.append(normalized_to_hu(pred, space))
@@ -132,7 +130,7 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volume:
-    """3D reconstruction: tile into cubes, run each, stitch, denormalize."""
+    """3D reconstruction: tile into cubes, run each, stitch, map to HU."""
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
             f"reconstruct_cubes needs a 3D checkpoint, got rank {ckpt.config.spatial_rank}")

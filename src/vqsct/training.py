@@ -1,4 +1,4 @@
-"""Training loops, the AdamW optimizer, fold splitting, checkpoint selection.
+"""Training loops, the AdamW optimizer, checkpoint selection.
 
 Two loops share one engine: self-reconstruction pretraining on unit01 CT
 volumes (input == target) and paired PET-to-CT fine-tuning on sym11 slices
@@ -25,11 +25,9 @@ from .volume import (HU_MAX, HU_MIN, N_CUBE_SYMMETRIES, N_PLANE_SYMMETRIES,
 
 __all__ = [
     "OptimizerState",
-    "FoldPlan",
     "TrainResult",
     "init_optimizer",
     "adamw_step",
-    "make_folds",
     "pretrain_recon",
     "finetune_translate",
     "select_checkpoint",
@@ -95,54 +93,6 @@ def adamw_step(state: OptimizerState, params: dict[str, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Fold planning
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FoldPlan:
-    """Assignment of cases to folds plus the per-trial role rotation."""
-
-    case_ids: list
-    fold_of: list[int]
-    trials: list[dict]  # {"train": [fold, ...], "validation": fold, "test": fold}
-
-    def cases_in_fold(self, fold: int) -> list:
-        return [cid for cid, f in zip(self.case_ids, self.fold_of) if f == fold]
-
-    def trial_cases(self, trial: int) -> dict:
-        spec = self.trials[trial]
-        return {
-            "train": [cid for f in spec["train"] for cid in self.cases_in_fold(f)],
-            "validation": self.cases_in_fold(spec["validation"]),
-            "test": self.cases_in_fold(spec["test"]),
-        }
-
-
-def make_folds(case_ids, seed: int, n_folds: int = 5) -> FoldPlan:
-    """Seeded shuffle + round-robin assignment into ``n_folds`` folds.
-
-    Fold sizes differ by at most one; across the trials every fold serves as
-    the test fold exactly once, with the next fold as validation and the
-    remaining folds as training.
-    """
-    case_ids = list(case_ids)
-    if n_folds < 2:
-        raise DomainError(f"need at least 2 folds, got {n_folds}")
-    if len(case_ids) < n_folds:
-        raise DomainError(f"need at least {n_folds} cases, got {len(case_ids)}")
-    rng = np.random.default_rng(seed)
-    fold_of = [0] * len(case_ids)
-    for slot, idx in enumerate(rng.permutation(len(case_ids))):
-        fold_of[idx] = slot % n_folds
-    trials = []
-    for t in range(n_folds):
-        val = (t + 1) % n_folds
-        train = [f for f in range(n_folds) if f not in (t, val)]
-        trials.append({"train": train, "validation": val, "test": t})
-    return FoldPlan(case_ids, fold_of, trials)
-
-
-# ---------------------------------------------------------------------------
 # Shared training engine
 # ---------------------------------------------------------------------------
 
@@ -163,11 +113,11 @@ def _epoch_batches(n_items: int, batch_size: int, rng):
 
 
 def _collect_level_rows(ckpt: Checkpoint, items, batch) -> list[np.ndarray]:
-    """Encoder latent rows per pyramid level over a batch (for k-means init)."""
+    """Quantizer unit rows per pyramid level over a batch (for k-means init)."""
     per_level = [[] for _ in ckpt.codebooks]
     for idx in batch:
         res = forward(ckpt, items[idx])
-        for j, rows in enumerate(res.latent_rows):
+        for j, rows in enumerate(res.unit_rows):
             per_level[j].append(rows)
     return [np.concatenate(chunks, axis=0) for chunks in per_level]
 
@@ -178,7 +128,7 @@ def _ensure_codebooks_initialized(ckpt: Checkpoint, items, batch, seed: int) -> 
     level_rows = _collect_level_rows(ckpt, items, batch)
     for j, cb in enumerate(ckpt.codebooks):
         if not cb.initialized:
-            kmeans_init(cb, level_rows[j], iters=10, seed=seed + j)
+            kmeans_init(cb, level_rows[j], seed=seed + j)
 
 
 def _augmented_item(item: np.ndarray, element: int) -> np.ndarray:
@@ -230,7 +180,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
             item_losses.append(loss)
             l1_values.append(float(l1.data))
             for j in range(len(ckpt.codebooks)):
-                level_rows[j].append(res.latent_rows[j])
+                level_rows[j].append(res.unit_rows[j])
                 level_indices[j].append(res.code_indices[j].ravel())
 
         total = item_losses[0]

@@ -34,11 +34,9 @@ __all__ = [
     "read_volume",
     "write_volume",
     "normalize",
-    "denormalize",
     "hu_to_normalized",
     "normalized_to_hu",
     "activity_to_normalized",
-    "normalized_to_activity",
     "apply_cube_symmetry",
     "apply_plane_symmetry",
     "extract_cubes",
@@ -189,20 +187,13 @@ def activity_to_normalized(values: np.ndarray, reference: float, mode: str) -> n
     return lo + clamped * ((hi - lo) / reference)
 
 
-def normalized_to_activity(values: np.ndarray, reference: float, mode: str) -> np.ndarray:
-    if not np.isfinite(reference) or reference <= 0:
-        raise DomainError(f"activity reference must be positive, got {reference}")
-    lo, hi = _NORMALIZED_BOUNDS[mode]
-    clamped = np.clip(values, lo, hi)
-    return (clamped - lo) * (reference / (hi - lo))
-
-
 def normalize(volume: Volume, mode: str) -> Volume:
     """Map an HU or activity volume into unit01 or sym11.
 
     HU volumes use the fixed [-1024, 2976] window. Activity volumes use
-    [0, P99.5 of the volume]; the reference is recorded in ``meta`` under
-    ``norm_ref`` together with the source space so the map can be inverted.
+    [0, P99.5 of the volume]. ``meta`` records the source space under
+    ``norm_source`` and, for activity, the reference under ``norm_ref`` as
+    provenance; no inverse map back to activity is shipped.
     """
     if mode not in _NORMALIZED_BOUNDS:
         raise DomainError(f"normalize mode must be unit01 or sym11, got {mode!r}")
@@ -220,25 +211,6 @@ def normalize(volume: Volume, mode: str) -> Volume:
     else:
         raise DomainError(f"cannot normalize a volume already in {volume.intensity_space}")
     return Volume(out, volume.spacing_mm, mode, meta)
-
-
-def denormalize(volume: Volume, target_space: str, reference: float | None = None) -> Volume:
-    """Invert ``normalize`` back to HU or activity (exact up to clamping)."""
-    if volume.intensity_space not in _NORMALIZED_BOUNDS:
-        raise DomainError(f"cannot denormalize a volume in {volume.intensity_space}")
-    mode = volume.intensity_space
-    meta = {k: v for k, v in volume.meta.items() if k not in ("norm_source", "norm_ref")}
-    if target_space == "HU":
-        out = normalized_to_hu(volume.voxels, mode)
-    elif target_space == "activity":
-        if reference is None:
-            reference = volume.meta.get("norm_ref")
-        if reference is None:
-            raise DomainError("denormalizing to activity requires a reference value")
-        out = normalized_to_activity(volume.voxels, float(reference), mode)
-    else:
-        raise DomainError(f"denormalize target must be HU or activity, got {target_space!r}")
-    return Volume(out, volume.spacing_mm, target_space, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ def flood_fill_body(slice_hu, threshold=-500.0):
     return ~outside
 
 
+def unit(rows):
+    """Rows divided by their Euclidean norm (no zero rows expected)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def brute_force_assign(inputs, codes):
     """Nearest-code-by-cosine scan with explicit loops; ties pick lowest index."""
     normed = inputs / np.maximum(np.linalg.norm(inputs, axis=1, keepdims=True),

@@ -160,8 +160,9 @@ def test_criterion_02_quantizer_brute_force_norms_scale(capsys):
         book.initialized = True
         for _ in range(5):
             x = rng.standard_normal((12, 6))
-            ema_update(book, x, quantize(book, x).indices)
-            expire_stale(book, x)
+            res = quantize(book, x)
+            ema_update(book, res.unit_rows, res.indices)
+            expire_stale(book, res.unit_rows)
         worst_norm = max(worst_norm, float(np.max(np.abs(
             np.linalg.norm(book.codes, axis=1) - 1.0))))
 

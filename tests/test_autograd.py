@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqsct import autograd as ag
+from vqsct.codebook import _normalize_rows
 from vqsct.errors import DomainError, ShapeError
 
 
@@ -266,6 +267,30 @@ def test_l2_normalize_rows_gradient_matches_finite_differences():
     loss = ag.sum_all(ag.mul(y, ag.leaf(weight)))
     grads = ag.backward(loss, {"x": x})
     assert rel_err(grads["x"], central_diff(f, xv)) < 1e-6
+
+
+def test_l2_normalize_rows_zero_row_is_e0_with_zero_gradient():
+    # a zero row becomes the constant e0; comparing with the quantizer's
+    # normalizer checks that the two modules share one rule
+    rng = np.random.default_rng(19)
+    xv = rng.standard_normal((5, 4))
+    xv[2] = 0.0
+    weight = rng.standard_normal((5, 4))
+
+    def f(v):
+        y = ag.l2_normalize_rows(ag.leaf(v))
+        return ag.sum_all(ag.mul(y, ag.leaf(weight))).data.item()
+
+    x = ag.leaf(xv)
+    y = ag.l2_normalize_rows(x)
+    want, zero_rows = _normalize_rows(xv)
+    assert list(zero_rows) == [2]
+    assert np.array_equal(y.data[2], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(y.data[2], want[2])
+    grads = ag.backward(ag.sum_all(ag.mul(y, ag.leaf(weight))), {"x": x})
+    assert np.array_equal(grads["x"][2], np.zeros(4))
+    live = np.arange(5) != 2
+    assert rel_err(grads["x"][live], central_diff(f, xv)[live]) < 1e-6
 
 
 def test_straight_through_forward_and_bitwise_gradient():

@@ -261,6 +261,32 @@ def test_stats_identical_reports_exit_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "case_id,region,metric,value\nc0,whole,mae,abc\n",
+    "case_id,region,metric,value\nc0,whole,mae\n",
+    "case_id,region,metric,value\nc0,whole,mae,1.0,2.0\n",
+    "case_id,region,metric,value\nc0,lung,mae,1.0\n",
+    "case_id,region,metric,value\nc0,whole,rmse,1.0\n",
+    "case_id,region,metric,value\nc0,whole,mae,nan\n",
+    "case_id,region,metric,value\nc0,whole,psnr,-inf\n",
+    "case,region,metric,value\nc0,whole,mae,1.0\n",
+    ""])
+def test_malformed_report_is_rejected(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    write_report_csv(report_rows([50.0, 60.0, 55.0]), good)
+    with pytest.raises(FormatError):
+        read_report_csv(bad)
+    capsys.readouterr()
+    assert main(["stats", "--report-a", str(bad), "--report-b", str(good),
+                 "--metric", "mae", "--region", "whole",
+                 "--out", str(tmp_path / "stats.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_select_copies_lowest_mse_candidate(work, tmp_path):
     trained = tmp_path / "trained.vqck"
     assert main(["pretrain", "--volumes", *work["textures"],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_assign
+from oracles import brute_force_assign, unit
 from vqsct.codebook import (Codebook, ema_update, expire_stale, kmeans_init,
                             quantize)
 from vqsct.errors import DomainError
@@ -17,7 +17,7 @@ from vqsct.errors import DomainError
 def make_initialized(n_codes, dim, seed, batch_size=64):
     rng = np.random.default_rng(seed)
     cb = Codebook(n_codes, dim, seed=seed)
-    kmeans_init(cb, rng.standard_normal((batch_size, dim)), seed=seed)
+    kmeans_init(cb, unit(rng.standard_normal((batch_size, dim))), seed=seed)
     return cb, rng
 
 
@@ -49,10 +49,10 @@ def test_kmeans_init_sets_flag_and_unit_norms():
 def test_kmeans_init_requires_enough_rows_and_single_shot():
     cb = Codebook(8, 4, seed=0)
     with pytest.raises(DomainError):
-        kmeans_init(cb, np.random.default_rng(0).standard_normal((5, 4)))
-    kmeans_init(cb, np.random.default_rng(0).standard_normal((16, 4)))
+        kmeans_init(cb, unit(np.random.default_rng(0).standard_normal((5, 4))))
+    kmeans_init(cb, unit(np.random.default_rng(0).standard_normal((16, 4))))
     with pytest.raises(DomainError):
-        kmeans_init(cb, np.random.default_rng(1).standard_normal((16, 4)))
+        kmeans_init(cb, unit(np.random.default_rng(1).standard_normal((16, 4))))
 
 
 def test_kmeans_init_recovers_separated_clusters():
@@ -62,7 +62,7 @@ def test_kmeans_init_recovers_separated_clusters():
     batch = np.concatenate([
         c + 0.01 * rng.standard_normal((25, 4)) for c in centers])
     cb = Codebook(4, 4, seed=1)
-    kmeans_init(cb, batch, seed=1)
+    kmeans_init(cb, unit(batch), seed=1)
     assigned = quantize(cb, batch).indices
     groups = [set(assigned[i * 25:(i + 1) * 25]) for i in range(4)]
     assert all(len(g) == 1 for g in groups)
@@ -74,8 +74,8 @@ def test_kmeans_init_deterministic():
     batch = rng.standard_normal((40, 6))
     a = Codebook(5, 6, seed=2)
     b = Codebook(5, 6, seed=2)
-    kmeans_init(a, batch, seed=3)
-    kmeans_init(b, batch, seed=3)
+    kmeans_init(a, unit(batch), seed=3)
+    kmeans_init(b, unit(batch), seed=3)
     assert np.array_equal(a.codes, b.codes)
 
 
@@ -108,7 +108,7 @@ def test_quantize_scale_invariance():
 
 def test_quantize_tie_breaks_to_lowest_index():
     cb = Codebook(3, 2, seed=0)
-    kmeans_init(cb, np.random.default_rng(0).standard_normal((8, 2)))
+    kmeans_init(cb, unit(np.random.default_rng(0).standard_normal((8, 2))))
     # force two identical codes; both are equally near any input
     cb.codes = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     result = quantize(cb, np.array([[5.0, 0.1]]))
@@ -124,6 +124,9 @@ def test_quantize_flags_zero_rows():
     e0 = np.zeros(3)
     e0[0] = 1.0
     assert result.indices[0] == brute_force_assign(e0[None], cb.codes)[0]
+    # the unit rows handed to the learners: e0 for the zero row
+    assert np.array_equal(result.unit_rows[0], e0)
+    assert np.allclose(result.unit_rows[1:], unit(inputs[1:]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +165,7 @@ def test_ema_update_matches_scalar_recurrence():
         want_codes, want_size, want_sum = ema_oracle(
             cb.codes, cb.ema_cluster_size, cb.ema_embed_sum,
             inputs, result.indices, decay=0.99)
-        ema_update(cb, inputs, result.indices, decay=0.99)
+        ema_update(cb, result.unit_rows, result.indices, decay=0.99)
         assert np.allclose(cb.codes, want_codes, atol=1e-12)
         assert np.allclose(cb.ema_cluster_size, want_size, atol=1e-12)
         assert np.allclose(cb.ema_embed_sum, want_sum, atol=1e-12)
@@ -173,7 +176,8 @@ def test_ema_update_keeps_unit_norms_over_long_sequences():
     cb, _ = make_initialized(8, 6, seed=11)
     for _ in range(200):
         inputs = rng.standard_normal((16, 6))
-        ema_update(cb, inputs, quantize(cb, inputs).indices)
+        result = quantize(cb, inputs)
+        ema_update(cb, result.unit_rows, result.indices)
     assert np.allclose(np.linalg.norm(cb.codes, axis=1), 1.0, atol=1e-6)
 
 
@@ -182,7 +186,7 @@ def test_ema_update_ages_unused_codes():
     inputs = np.tile(cb.codes[0], (6, 1)) + 1e-4
     result = quantize(cb, inputs)
     used = set(result.indices)
-    ema_update(cb, inputs, result.indices)
+    ema_update(cb, result.unit_rows, result.indices)
     for j in range(4):
         assert cb.usage_age[j] == (0 if j in used else 1)
 
@@ -195,9 +199,8 @@ def test_expire_stale_replaces_old_codes_from_batch():
     cb, rng = make_initialized(5, 4, seed=13)
     cb.usage_age[:] = [0, 3, 0, 2, 5]
     batch = rng.standard_normal((10, 4))
-    info = expire_stale(cb, batch, age_threshold=2, seed=21)
+    info = expire_stale(cb, unit(batch), age_threshold=2, seed=21)
     assert sorted(info.replaced) == [1, 3, 4]
-    assert not info.sampled_with_replacement
     normed = batch / np.linalg.norm(batch, axis=1, keepdims=True)
     for j in info.replaced:
         assert any(np.allclose(cb.codes[j], row, atol=1e-12) for row in normed)
@@ -207,7 +210,7 @@ def test_expire_stale_replaces_old_codes_from_batch():
 def test_expire_stale_noop_when_all_fresh():
     cb, rng = make_initialized(5, 4, seed=14)
     before = cb.codes.copy()
-    info = expire_stale(cb, rng.standard_normal((8, 4)), age_threshold=2, seed=0)
+    info = expire_stale(cb, unit(rng.standard_normal((8, 4))), age_threshold=2, seed=0)
     assert info.replaced.size == 0
     assert np.array_equal(cb.codes, before)
 
@@ -216,9 +219,11 @@ def test_expire_stale_with_replacement_when_batch_too_small():
     cb, _ = make_initialized(6, 4, seed=15)
     cb.usage_age[:] = 10
     batch = np.random.default_rng(3).standard_normal((2, 4))
-    info = expire_stale(cb, batch, age_threshold=2, seed=5)
-    assert info.sampled_with_replacement
-    assert len(info.replaced) == 6
+    rows = unit(batch)
+    info = expire_stale(cb, rows, age_threshold=2, seed=5)
+    assert sorted(info.replaced) == list(range(6))
+    for j in info.replaced:
+        assert any(np.array_equal(cb.codes[j], row) for row in rows)
 
 
 def test_expire_stale_deterministic():
@@ -227,7 +232,7 @@ def test_expire_stale_deterministic():
         cb, rng = make_initialized(6, 4, seed=16)
         cb.usage_age[:] = [0, 5, 5, 0, 5, 5]
         batch = np.random.default_rng(9).standard_normal((12, 4))
-        expire_stale(cb, batch, age_threshold=2, seed=77)
+        expire_stale(cb, unit(batch), age_threshold=2, seed=77)
         results.append(cb.codes.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -244,14 +249,15 @@ def test_update_sequences_preserve_membership_and_norms(seed):
     dim = int(rng.integers(2, 7))
     cb = Codebook(n_codes, dim, seed=seed % 1000)
     first = rng.standard_normal((max(n_codes * 2, 8), dim))
-    kmeans_init(cb, first, seed=seed % 997)
+    kmeans_init(cb, unit(first), seed=seed % 997)
     for _ in range(5):
         batch = rng.standard_normal((max(n_codes, 4), dim))
         result = quantize(cb, batch)
         assert result.indices.min() >= 0
         assert result.indices.max() < n_codes
-        ema_update(cb, batch, result.indices)
-        expire_stale(cb, batch, age_threshold=2, seed=int(rng.integers(2**31)))
+        ema_update(cb, result.unit_rows, result.indices)
+        expire_stale(cb, result.unit_rows, age_threshold=2,
+                     seed=int(rng.integers(2**31)))
     assert np.allclose(np.linalg.norm(cb.codes, axis=1), 1.0, atol=1e-6)
 
 

@@ -9,7 +9,7 @@ import scipy.stats
 
 from oracles import (flood_fill_body, mae_loop, psnr_loop, ssim_window,
                      wilcoxon_enum)
-from vqsct.errors import DomainError, ShapeError
+from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.evaluation import (BODY_THRESHOLD_HU, body_contour, colormap_bwr,
                               compare_reports, difference_map, dsc,
                               evaluate_case, mae, psnr, read_report_csv,
@@ -449,7 +449,7 @@ def test_report_csv_round_trip(tmp_path):
 def test_report_csv_header_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("case,region,metric,value\na,whole,mae,1.0\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         read_report_csv(path)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import unit
 from vqsct import autograd as ag
 from vqsct.codebook import Codebook, kmeans_init
 from vqsct.errors import DomainError, FormatError
@@ -24,7 +25,7 @@ def small_config(rank=2, **overrides):
 def initialize_codebooks(ckpt, rng):
     for cb in ckpt.codebooks:
         if not cb.initialized:
-            kmeans_init(cb, rng.standard_normal((4 * cb.n_codes, cb.dim)),
+            kmeans_init(cb, unit(rng.standard_normal((4 * cb.n_codes, cb.dim))),
                         seed=1)
 
 
@@ -138,12 +139,11 @@ def test_quantizer_transparent_when_codebook_holds_encoder_rows():
     initialize_codebooks(ckpt, rng)
     x = rng.standard_normal((1, 8, 8))
     probe = forward(ckpt, x)
-    rows = probe.latent_rows[0]
-    normed = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    normed = probe.unit_rows[0]
 
     exact = ckpt.copy()
     cb = Codebook(len(normed), normed.shape[1], seed=0)
-    kmeans_init(cb, rng.standard_normal((2 * len(normed), normed.shape[1])))
+    kmeans_init(cb, unit(rng.standard_normal((2 * len(normed), normed.shape[1]))))
     cb.codes = normed.copy()
     exact.codebooks[0] = cb
     transparent = forward(exact, x, beta=0.25)
@@ -161,10 +161,9 @@ def test_forward_commitment_oracle():
     x = rng.standard_normal((1, 16, 16))
     with_commit = forward(ckpt, x, beta=0.25)
     per_level = []
-    for rows, idx, cb in zip(with_commit.latent_rows, with_commit.code_indices,
+    for rows, idx, cb in zip(with_commit.unit_rows, with_commit.code_indices,
                              ckpt.codebooks):
-        normed = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        diff = normed - cb.codes[idx.ravel()]
+        diff = rows - cb.codes[idx.ravel()]
         per_level.append(0.25 * np.mean(np.sum(diff ** 2, axis=1)))
     assert with_commit.commitment.data.item() == pytest.approx(
         np.mean(per_level), rel=1e-12)

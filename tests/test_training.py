@@ -1,4 +1,4 @@
-"""Optimizer recurrence, fold plans, and the two training loops."""
+"""Optimizer recurrence and the two training loops."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from vqsct.codebook import kmeans_init
 from vqsct.errors import DomainError, ShapeError, TrainingError
 from vqsct.model import ModelConfig, build_model, forward, save_checkpoint
 from vqsct.training import (adamw_step, finetune_translate, init_optimizer,
-                            make_folds, pretrain_recon, select_checkpoint)
+                            pretrain_recon, select_checkpoint)
 from vqsct.volume import Volume, normalize
 
 
@@ -88,50 +88,6 @@ def test_adamw_rejects_bad_gradients():
         adamw_step(state, params, {"p": np.ones(3)})
     with pytest.raises(TrainingError, match="p"):
         adamw_step(state, params, {"p": np.array([1.0, np.nan])})
-
-
-# ---------------------------------------------------------------------------
-# Fold plans
-# ---------------------------------------------------------------------------
-
-def test_make_folds_partitions_evenly():
-    plan = make_folds([f"c{i}" for i in range(35)], seed=4)
-    sizes = [len(plan.cases_in_fold(k)) for k in range(5)]
-    assert sizes == [7, 7, 7, 7, 7]
-    assert sorted(sum((plan.cases_in_fold(k) for k in range(5)), [])) \
-        == sorted(f"c{i}" for i in range(35))
-
-
-def test_make_folds_uneven_sizes_differ_by_at_most_one():
-    plan = make_folds([f"c{i}" for i in range(7)], seed=1)
-    sizes = sorted(len(plan.cases_in_fold(k)) for k in range(5))
-    assert sizes == [1, 1, 1, 2, 2]
-
-
-def test_make_folds_deterministic_and_seed_sensitive():
-    ids = [f"c{i}" for i in range(11)]
-    a = make_folds(ids, seed=9)
-    b = make_folds(ids, seed=9)
-    c = make_folds(ids, seed=10)
-    assert a.fold_of == b.fold_of
-    assert a.fold_of != c.fold_of
-
-
-def test_make_folds_requires_five_cases():
-    with pytest.raises(DomainError):
-        make_folds(["a", "b", "c", "d"], seed=0)
-
-
-def test_trial_roles_rotate_test_fold():
-    plan = make_folds([f"c{i}" for i in range(10)], seed=2)
-    test_folds = []
-    for trial in range(5):
-        roles = plan.trial_cases(trial)
-        train, val, test = roles["train"], roles["validation"], roles["test"]
-        assert len(train) + len(val) + len(test) == 10
-        assert not (set(train) & set(val)) and not (set(val) & set(test))
-        test_folds.append(frozenset(test))
-    assert len(set(test_folds)) == 5
 
 
 # ---------------------------------------------------------------------------

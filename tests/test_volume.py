@@ -9,10 +9,9 @@ import pytest
 from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.volume import (HU_MAX, HU_MIN, Volume, activity_to_normalized,
                           apply_cube_symmetry, apply_plane_symmetry,
-                          denormalize, extract_cubes, hu_to_normalized,
-                          normalize, normalized_to_activity, normalized_to_hu,
-                          pad_to_multiple, read_volume, stitch_cubes,
-                          write_volume)
+                          extract_cubes, hu_to_normalized, normalize,
+                          normalized_to_hu, pad_to_multiple, read_volume,
+                          stitch_cubes, write_volume)
 
 
 def random_volume(rng, dims=(6, 5, 4), space="HU"):
@@ -126,8 +125,8 @@ def test_activity_normalization_round_trip():
     vals = rng.uniform(0, 5.0, 500)
     normed = activity_to_normalized(vals, 5.0, "sym11")
     assert normed.min() >= -1.0 and normed.max() <= 1.0
-    assert np.allclose(normalized_to_activity(normed, 5.0, "sym11"), vals,
-                       atol=1e-9)
+    # the affine map onto [-1, 1], inverted by hand
+    assert np.allclose((normed + 1.0) * (5.0 / 2.0), vals, atol=1e-9)
 
 
 def test_activity_normalize_uses_percentile_reference():
@@ -137,17 +136,18 @@ def test_activity_normalize_uses_percentile_reference():
     out = normalize(vol, "unit01")
     ref = float(np.percentile(vox, 99.5))
     assert out.meta["norm_ref"] == pytest.approx(ref)
+    assert out.meta["norm_source"] == "activity"
     assert out.voxels.max() == pytest.approx(1.0)
-    back = denormalize(out, "activity")
-    assert np.allclose(back.voxels, np.clip(vox, 0, ref), atol=1e-12)
+    assert np.allclose(out.voxels * ref, np.clip(vox, 0, ref), atol=1e-12)
 
 
 def test_normalize_hu_then_denormalize_restores_clamped_hu():
     rng = np.random.default_rng(5)
     vol = random_volume(rng, (6, 6, 6), "HU")
     out = normalize(vol, "sym11")
-    back = denormalize(out, "HU")
-    assert np.allclose(back.voxels, np.clip(vol.voxels, HU_MIN, HU_MAX),
+    assert out.meta["norm_source"] == "HU" and "norm_ref" not in out.meta
+    back = normalized_to_hu(out.voxels, "sym11")
+    assert np.allclose(back, np.clip(vol.voxels, HU_MIN, HU_MAX),
                        atol=1e-9)
 
 
