@@ -13,8 +13,11 @@ Conventions:
   batch axis (a batch is a set of subgraphs sharing parameter leaves);
 * all graph arrays are float64 (gradient checks require it; bulk volume data
   may live in float32 outside the graph and is converted at the boundary);
-* convolutions are computed by direct summation over kernel offsets,
-  vectorized across channels and spatial positions via ``tensordot``;
+* the convolution forward is a polyphase flat-shift GEMM: each kernel
+  offset multiplies its weights with one contiguous slice of a flattened,
+  zero-padded polyphase grid of the input, and the offsets are added in
+  ``itertools.product`` order (see :func:`conv_forward_data`); the backward
+  sums strided-window ``tensordot`` products over the same offsets;
 * reduction order is fixed, so identical inputs give bit-identical results
   at a fixed thread count.
 """
@@ -22,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -128,6 +132,19 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     return Tensor(out, "leaky_relu", (a,), lambda g: (g * np.where(pos, 1.0, slope),))
 
 
+# conv_forward_data equals a window-by-window product byte for byte only
+# where every output meets the same BLAS kernel. OpenBLAS rounds the last
+# ``n mod 8`` (gemm) or ``n mod 4`` (gemv) columns of an ``n``-column product
+# in remainder kernels, and products with M*N*K up to 100**3 in small-matrix
+# kernels whose remainders round differently again. A block of 64 columns
+# has no remainder, and its results do not depend on the product's width.
+_GEMM_BLOCK = 64
+_SMALL_GEMM = 100 ** 3
+# Columns of the wide output per GEMM, so that the slab being accumulated
+# and the term added to it stay in cache across all kernel offsets.
+_GEMM_COLUMNS = 8192
+
+
 def _conv_geometry(x_shape, w_shape, stride, pad):
     """Validate conv operands and return (rank, out_spatial)."""
     rank = len(x_shape) - 1
@@ -153,22 +170,108 @@ def _conv_geometry(x_shape, w_shape, stride, pad):
     return rank, tuple(out)
 
 
+def _polyphase_grids(x, stride, pad, ks, grid, length):
+    """Flattened polyphase components of the zero-padded input.
+
+    Component ``r`` holds the padded input at positions ``stride*j + r`` on
+    the grid ``grid``, row-major, zero-filled to ``length`` elements; only
+    residues some kernel offset takes are built. An unpadded stride-1 input
+    that needs no zero tail is its own single component.
+    """
+    c_in, rank = x.shape[0], x.ndim - 1
+    size = math.prod(grid)
+    if stride == 1 and pad == 0 and length == size:
+        return {(0,) * rank: x.reshape(c_in, size)}
+    phases = {}
+    for r in itertools.product(*(range(min(stride, k)) for k in ks)):
+        buf = np.zeros((c_in, length), dtype=x.dtype)
+        dst, src = [slice(None)], [slice(None)]
+        for ri, d in zip(r, x.shape[1:]):
+            j0 = max(0, -(-(pad - ri) // stride))  # first grid index inside the input
+            first = stride * j0 + ri - pad
+            dst.append(slice(j0, j0 + len(range(first, d, stride))))
+            src.append(slice(first, d, stride))
+        buf[:, :size].reshape((c_in,) + grid)[tuple(dst)] = x[tuple(src)]
+        phases[r] = buf
+    return phases
+
+
 def conv_forward_data(x, w, b=None, stride=1, pad=0):
-    """Direct-summation convolution on raw arrays.
+    """Convolution on raw arrays as a polyphase flat-shift GEMM.
 
     ``x`` is ``[C_in, *S]``, ``w`` is ``[C_out, C_in, *K]``; output is
     ``[C_out, *S']`` with ``S' = floor((S + 2*pad - K)/stride) + 1``.
+
+    The zero-padded input is split into its polyphase components, one per
+    residue ``a % stride`` that a kernel offset ``a`` takes (stride 1 has
+    just the padded input). Each lies on a common grid ``Q = ceil((S +
+    2*pad)/stride)``, flattened row-major with a zero tail, so the window of
+    offset ``a`` is one contiguous slice of component ``a % stride`` that
+    starts at shift ``a // stride``. Each offset is then one GEMM
+    ``w[:, :, *a] @ slice`` into a "wide" output that keeps all ``Q[1:]``
+    columns of every grid row; the surplus columns are cropped at the end.
+    The GEMMs run over ``_GEMM_COLUMNS``-column slabs of the wide output.
+    With one input channel every term is one exact product, which ``np.dot``
+    forms faster than ``np.matmul``'s one-column GEMM.
+
+    Offsets are added one at a time, in ``itertools.product`` order, onto
+    zeros, and the bias comes last, so every output is the same sequence of
+    rounded operations as in a window-by-window sum. Each output also meets
+    the same BLAS kernel: where the wide output has no surplus columns, its
+    GEMMs are the window-by-window ones; otherwise every wide GEMM spans
+    whole ``_GEMM_BLOCK``-column blocks, and the outputs that a
+    window-by-window GEMM leaves in its remainder columns are recomputed by
+    a GEMM over their windows alone, of a width with the same remainder
+    (over the whole output when the window-by-window GEMM is above BLAS's
+    small-matrix size).
     """
     rank, out_sp = _conv_geometry(x.shape, w.shape, stride, pad)
-    if pad:
-        x = np.pad(x, [(0, 0)] + [(pad, pad)] * rank)
-    c_out = w.shape[0]
-    out = np.zeros((c_out,) + out_sp, dtype=x.dtype)
-    for off in itertools.product(*(range(k) for k in w.shape[2:])):
-        win = x[(slice(None),) + tuple(
-            slice(o, o + stride * (n - 1) + 1, stride) for o, n in zip(off, out_sp)
-        )]
-        out += np.tensordot(w[(slice(None), slice(None)) + off], win, axes=([1], [0]))
+    c_out, c_in = w.shape[:2]
+    ks = w.shape[2:]
+    grid = tuple(-(-(d + 2 * pad) // stride) for d in x.shape[1:])
+    rowstride = tuple(math.prod(grid[i + 1:]) for i in range(rank))
+    rows = out_sp[0] * rowstride[0]
+    n_out = math.prod(out_sp)
+    if rows == n_out:  # no surplus columns: one GEMM per offset, as window by window
+        redo, span, slab = 0, rows, rows
+    else:
+        if c_in == 1 or n_out % _GEMM_BLOCK == 0:
+            redo = 0  # exact one-term products, or no remainder columns
+        elif n_out * c_out * c_in <= _SMALL_GEMM:
+            redo = min(n_out, n_out % _GEMM_BLOCK + _GEMM_BLOCK)
+        else:
+            redo = n_out
+        span = 0 if redo == n_out else -(-rows // _GEMM_BLOCK) * _GEMM_BLOCK
+        slab = _GEMM_COLUMNS
+    reach = sum((k - 1) // stride * rs for k, rs in zip(ks, rowstride)) + span
+    phases = _polyphase_grids(x, stride, pad, ks, grid, max(math.prod(grid), reach))
+    offsets = []  # (weights, component, shift) per kernel offset, in summation order
+    for off in itertools.product(*(range(k) for k in ks)):
+        w_off = w[(slice(None), slice(None)) + off]
+        if c_out > 1:  # np.dot copies such a matrix, but keeps one row a strided vector
+            w_off = np.ascontiguousarray(w_off)
+        offsets.append((w_off, phases[tuple(o % stride for o in off)],
+                        sum(o // stride * rs for o, rs in zip(off, rowstride))))
+    product = np.dot if c_in == 1 else np.matmul
+
+    wide = np.zeros((c_out, max(rows, span)), dtype=x.dtype)
+    scratch = np.empty(c_out * min(span, slab), dtype=x.dtype)
+    for c0 in range(0, span, slab):
+        c1 = min(c0 + slab, span)
+        acc = wide[:, c0:c1]
+        term = scratch[:c_out * (c1 - c0)].reshape(c_out, c1 - c0)
+        for w_off, phase, shift in offsets:
+            acc += product(w_off, phase[:, shift + c0:shift + c1], out=term)
+    if redo:
+        where = sum(i * rs for i, rs in zip(
+            np.unravel_index(np.arange(n_out - redo, n_out), out_sp), rowstride))
+        fix = np.zeros((c_out, redo), dtype=x.dtype)
+        term = np.empty_like(fix)
+        for w_off, phase, shift in offsets:
+            fix += product(w_off, phase.take(shift + where, axis=1), out=term)
+        wide[:, where] = fix
+    out = np.ascontiguousarray(wide[:, :rows].reshape((c_out, out_sp[0]) + grid[1:])[
+        (slice(None), slice(None)) + tuple(slice(0, n) for n in out_sp[1:])])
     if b is not None:
         out += b.reshape((c_out,) + (1,) * rank)
     return out

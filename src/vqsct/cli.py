@@ -66,6 +66,33 @@ def _add_train_flags(parser):
                         help="apply seeded flip/transpose augmentation to samples")
 
 
+# What a --config value must be, by the argparse type of its flag. A JSON
+# bool is never a number, although Python counts it as an int.
+_CONFIG_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    None: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_config_value(path, key, value, action) -> None:
+    """Raise UsageError unless ``value`` is one the flag itself could give."""
+    if action.nargs == 0:
+        kind, ok = "true or false", isinstance(value, bool)
+    elif action.nargs == "+":
+        kind = "a list of strings"
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        kind, check = _CONFIG_TYPES[action.type]
+        ok = check(value)
+    if not ok:
+        raise UsageError(f"{path}: config value {key!r} must be {kind}, "
+                         f"got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"{path}: config value {key!r} must be one of "
+                         f"{list(action.choices)}, got {json.dumps(value)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vqsct",
                      description="Desk-scale PET-to-CT translation experiments.")
@@ -150,6 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cube-edge", type=int, default=None)
     _add_common(p)
 
+    # each command's flags by destination, against which --config values are checked
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(
+            flag_actions={a.dest: a for a in command_parser._actions})
     return parser
 
 
@@ -168,6 +199,9 @@ def _resolve(args, defaults: dict) -> dict:
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise UsageError(f"{config_path}: unknown config keys {sorted(unknown)}")
+        for key, value in file_values.items():
+            if key in args.flag_actions and not (value is None and defaults[key] is None):
+                _check_config_value(config_path, key, value, args.flag_actions[key])
         resolved.update(file_values)
     for key in defaults:
         flag_value = getattr(args, key, None)

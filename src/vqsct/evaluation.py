@@ -357,10 +357,12 @@ def read_report_csv(path) -> list[dict]:
     """Read a report written by :func:`write_report_csv`.
 
     Each row needs four fields, a known region and metric, and a value that
-    is a finite number or +inf (identical volumes have infinite PSNR);
-    anything else raises FormatError.
+    is a finite number or +inf (identical volumes have infinite PSNR), and
+    no two rows may share a (case_id, region, metric); anything else raises
+    FormatError naming the offending line.
     """
     rows = []
+    seen = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -383,6 +385,11 @@ def read_report_csv(path) -> list[dict]:
                 raise FormatError(f"{where}: value {text!r} is not a number") from None
             if math.isnan(value) or value == -math.inf:
                 raise FormatError(f"{where}: value must be finite or +inf, got {text!r}")
+            key = (case_id, region, metric)
+            if key in seen:
+                raise FormatError(f"{where}: duplicate row for {key}, "
+                                  f"first on line {seen[key]}")
+            seen[key] = reader.line_num
             rows.append({"case_id": case_id, "region": region,
                          "metric": metric, "value": value})
     return rows

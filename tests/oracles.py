@@ -11,6 +11,31 @@ from collections import deque
 import numpy as np
 
 
+def conv_window_sum(x, w, b=None, stride=1, pad=0):
+    """Convolution as a sum over kernel offsets, one window copy each.
+
+    For every offset the strided input window is copied and contracted with
+    that offset's weights by ``np.tensordot``; the terms are added onto
+    zeros in ``itertools.product`` order and the bias comes last. This is
+    the summation ``autograd.conv_forward_data`` reproduces byte for byte.
+    """
+    rank = x.ndim - 1
+    out_sp = tuple((d + 2 * pad - k) // stride + 1
+                   for d, k in zip(x.shape[1:], w.shape[2:]))
+    if pad:
+        x = np.pad(x, [(0, 0)] + [(pad, pad)] * rank)
+    c_out = w.shape[0]
+    out = np.zeros((c_out,) + out_sp, dtype=x.dtype)
+    for off in itertools.product(*(range(k) for k in w.shape[2:])):
+        win = x[(slice(None),) + tuple(slice(o, o + stride * (n - 1) + 1, stride)
+                                       for o, n in zip(off, out_sp))]
+        out += np.tensordot(w[(slice(None), slice(None)) + off], win,
+                            axes=([1], [0]))
+    if b is not None:
+        out += b.reshape((c_out,) + (1,) * rank)
+    return out
+
+
 def flood_fill_body(slice_hu, threshold=-500.0):
     """Body mask of one 2D slice via border-seeded BFS over 4-neighbours.
 

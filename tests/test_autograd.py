@@ -5,6 +5,8 @@ central finite difference, a hand-written loop, or both. Nothing in here
 reuses the library's own machinery as its reference.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from vqsct import autograd as ag
 from vqsct.codebook import _normalize_rows
 from vqsct.errors import DomainError, ShapeError
+
+from oracles import conv_window_sum
 
 
 def central_diff(f, x, eps=1e-6):
@@ -143,7 +147,7 @@ def test_leaky_relu_values_and_slope():
                                               (2, 0, 2), (1, 0, 1)])
 def test_conv_matches_loop_oracle(rank, stride, pad, ksize):
     rng = np.random.default_rng(rank * 100 + stride * 10 + pad + ksize)
-    spatial = (7,) * rank if rank == 2 else (5,) * rank
+    spatial = (7, 6) if rank == 2 else (5, 4, 6)
     xv = rng.standard_normal((2,) + spatial)
     wv = rng.standard_normal((3, 2) + (ksize,) * rank)
     bv = rng.standard_normal(3)
@@ -151,6 +155,72 @@ def test_conv_matches_loop_oracle(rank, stride, pad, ksize):
     expected = conv_loop(xv, wv, bv, stride=stride, pad=pad)
     assert out.data.shape == expected.shape
     assert np.allclose(out.data, expected, atol=1e-12)
+
+
+# Extents odd and even per axis. With stride 2, pad 1 and kernel 3, the
+# (1, 3) and (1, 3, 2) inputs leave the even-row polyphase component all
+# padding: it receives no input voxel.
+_CONV_EXTENTS = {2: [(7, 6), (6, 7), (1, 3)], 3: [(5, 4, 6), (1, 3, 2)]}
+# (C_in, C_out): a one-channel input, a one-channel output, and neither.
+_CONV_CHANNELS = [(1, 4), (3, 1), (3, 5), (1, 1)]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("ksize", [1, 2, 3])
+def test_conv_forward_bytes_match_window_sum(rank, stride, pad, ksize):
+    rng = np.random.default_rng(1000 * rank + 100 * stride + 10 * pad + ksize)
+    checked = 0
+    for spatial in _CONV_EXTENTS[rank]:
+        if any(d + 2 * pad < ksize for d in spatial):
+            continue  # no valid output position
+        for c_in, c_out in _CONV_CHANNELS:
+            x = rng.standard_normal((c_in,) + spatial)
+            w = rng.standard_normal((c_out, c_in) + (ksize,) * rank)
+            for b in (rng.standard_normal(c_out), None):
+                got = ag.conv_forward_data(x, w, b, stride, pad)
+                want = conv_window_sum(x, w, b, stride, pad)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (spatial, c_in, c_out, b is None)
+                checked += 1
+    assert checked
+
+
+# Model layers as (C_in, C_out, spatial, kernel, stride, pad): the 2D ones at
+# the extents that slices of a 110 x 90 x 74 volume, padded to 112 x 92 x 76,
+# give them (dec.0's 46 x 38 product leaves remainder columns in BLAS), the
+# 3D ones at a 32-voxel cube, and two 32-channel layers whose GEMM lies above
+# BLAS's small-matrix size, one with remainder columns.
+_MODEL_CONVS = [
+    (1, 8, (112, 92), 3, 2, 1), (8, 16, (56, 46), 3, 2, 1),
+    (16, 16, (28, 23), 1, 1, 0), (8, 16, (56, 46), 1, 1, 0),
+    (16, 8, (56, 46), 1, 1, 0), (16, 8, (46, 38), 3, 1, 1),
+    (8, 8, (92, 76), 3, 1, 1), (8, 1, (92, 76), 3, 1, 1),
+    (1, 8, (32, 32, 32), 3, 2, 1), (8, 16, (16, 16, 16), 3, 2, 1),
+    (16, 8, (16, 16, 16), 3, 1, 1), (8, 8, (32, 32, 32), 3, 1, 1),
+    (8, 1, (32, 32, 32), 3, 1, 1),
+    (32, 32, (37, 60), 3, 1, 1), (32, 32, (40, 64), 3, 1, 1),
+]
+
+
+@pytest.mark.parametrize("c_in,c_out,spatial,ksize,stride,pad", _MODEL_CONVS)
+def test_conv_forward_bytes_match_window_sum_on_model_layers(c_in, c_out, spatial,
+                                                            ksize, stride, pad):
+    rng = np.random.default_rng(sum(spatial) + c_in + c_out)
+    x = rng.standard_normal((c_in,) + spatial)
+    w = rng.standard_normal((c_out, c_in) + (ksize,) * len(spatial))
+    b = rng.standard_normal(c_out)
+    got = ag.conv_forward_data(x, w, b, stride, pad)
+    assert got.tobytes() == conv_window_sum(x, w, b, stride, pad).tobytes()
+
+
+def test_conv_data_functions_keep_their_parameter_names():
+    # the benchmark's per-layer tracer reads these arguments by position
+    assert list(inspect.signature(ag.conv_forward_data).parameters) == \
+        ["x", "w", "b", "stride", "pad"]
+    assert list(inspect.signature(ag.conv_backward_data).parameters) == \
+        ["x", "w", "gy", "stride", "pad"]
 
 
 def test_conv_identity_kernel():

@@ -123,6 +123,34 @@ def test_config_file_validation(tmp_path):
     assert main(["phantom", "--out", out, "--config", str(invalid)]) == 1
 
 
+@pytest.mark.parametrize("values", [
+    {"steps": "ten"}, {"batch_size": 2.5}, {"steps": True},
+    {"learning_rate": "x"}, {"augment": 1}, {"rank": 4}])
+def test_config_value_types_are_checked(work, tmp_path, capsys, values):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(values))
+    out = tmp_path / "never.vqck"
+    capsys.readouterr()
+    assert main(["pretrain", "--volumes", *work["textures"], "--out", str(out),
+                 "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and "Traceback" not in err
+    assert err.count("\n") == 1 and repr(next(iter(values))) in err
+    assert not out.exists()
+
+
+def test_config_values_of_the_right_type_are_accepted(tmp_path):
+    config_path = tmp_path / "ok.json"
+    config_path.write_text(json.dumps({"cases": 1, "dims": "32,32,32", "seed": 2}))
+    assert main(["phantom", "--out", str(tmp_path / "p"),
+                 "--config", str(config_path)]) == 0
+    config_path.write_text(json.dumps({"learning_rate": 1, "augment": True,
+                                       "planes": "axial", "steps": 0}))
+    assert main(["finetune", "--base", "missing.vqck", "--mode", "scratch",
+                 "--pet", "a.mvol", "--ct", "b.mvol", "--out", str(tmp_path / "f"),
+                 "--config", str(config_path)]) == 2  # types pass; the file is missing
+
+
 # ---------------------------------------------------------------------------
 # pretrain / finetune
 # ---------------------------------------------------------------------------
@@ -285,6 +313,23 @@ def test_malformed_report_is_rejected(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("vqsct: error:") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+def test_duplicate_report_row_is_rejected(tmp_path, capsys):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("case_id,region,metric,value\n"
+                   "c0,whole,mae,1.0\nc0,whole,psnr,30.0\nc0,whole,mae,5.0\n")
+    with pytest.raises(FormatError, match=r"dup\.csv:4: duplicate row .*line 2"):
+        read_report_csv(dup)
+    good = tmp_path / "good.csv"
+    write_report_csv(report_rows([50.0, 60.0, 55.0]), good)
+    capsys.readouterr()
+    assert main(["stats", "--report-a", str(good), "--report-b", str(dup),
+                 "--metric", "mae", "--region", "whole",
+                 "--out", str(tmp_path / "stats.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1
+    assert not (tmp_path / "stats.json").exists()
 
 
 def test_select_copies_lowest_mse_candidate(work, tmp_path):
