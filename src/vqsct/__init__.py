@@ -11,6 +11,7 @@ Submodules:
 * ``pipeline``   tri-planar slice translation and 3D cube reconstruction
 * ``evaluation`` masked metrics, Wilcoxon test, reports, difference maps
 * ``cli``        the ``vqsct`` command-line interface
+* ``atomic``     atomic file writes (temporary file, then ``os.replace``)
 
 Submodules load lazily so that lightweight imports (and the CLI's thread
 setup) do not pull in numpy before they need it.
@@ -24,7 +25,7 @@ from .errors import (DomainError, FormatError, ShapeError, TrainingError,
 __version__ = "0.1.0"
 
 _SUBMODULES = ("autograd", "codebook", "model", "volume", "phantom",
-               "training", "pipeline", "evaluation", "cli")
+               "training", "pipeline", "evaluation", "cli", "atomic")
 
 __all__ = ["__version__", "VqsctError", "DomainError", "ShapeError",
            "FormatError", "TrainingError", "UsageError", *_SUBMODULES]

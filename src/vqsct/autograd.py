@@ -17,7 +17,8 @@ Conventions:
   offset multiplies its weights with one contiguous slice of a flattened,
   zero-padded polyphase grid of the input, and the offsets are added in
   ``itertools.product`` order (see :func:`conv_forward_data`); the backward
-  sums strided-window ``tensordot`` products over the same offsets;
+  is its transpose on the same grids and shifts (see
+  :func:`conv_backward_data`);
 * reduction order is fixed, so identical inputs give bit-identical results
   at a fixed thread count.
 """
@@ -170,6 +171,22 @@ def _conv_geometry(x_shape, w_shape, stride, pad):
     return rank, tuple(out)
 
 
+def _phase_slices(r, extents, stride, pad):
+    """Where polyphase component ``r`` meets the input, as (grid, input) slices.
+
+    Grid index ``j`` of component ``r`` holds padded position ``stride*j +
+    r``; the returned slices pair the grid indices that fall inside the input
+    with the input positions they hold, axis by axis.
+    """
+    dst, src = [slice(None)], [slice(None)]
+    for ri, d in zip(r, extents):
+        j0 = max(0, -(-(pad - ri) // stride))  # first grid index inside the input
+        first = stride * j0 + ri - pad
+        dst.append(slice(j0, j0 + len(range(first, d, stride))))
+        src.append(slice(first, d, stride))
+    return tuple(dst), tuple(src)
+
+
 def _polyphase_grids(x, stride, pad, ks, grid, length):
     """Flattened polyphase components of the zero-padded input.
 
@@ -185,13 +202,8 @@ def _polyphase_grids(x, stride, pad, ks, grid, length):
     phases = {}
     for r in itertools.product(*(range(min(stride, k)) for k in ks)):
         buf = np.zeros((c_in, length), dtype=x.dtype)
-        dst, src = [slice(None)], [slice(None)]
-        for ri, d in zip(r, x.shape[1:]):
-            j0 = max(0, -(-(pad - ri) // stride))  # first grid index inside the input
-            first = stride * j0 + ri - pad
-            dst.append(slice(j0, j0 + len(range(first, d, stride))))
-            src.append(slice(first, d, stride))
-        buf[:, :size].reshape((c_in,) + grid)[tuple(dst)] = x[tuple(src)]
+        dst, src = _phase_slices(r, x.shape[1:], stride, pad)
+        buf[:, :size].reshape((c_in,) + grid)[dst] = x[src]
         phases[r] = buf
     return phases
 
@@ -282,23 +294,68 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
 
     Returns ``(grad_x, grad_w, grad_b)``; ``grad_b`` is the spatial sum of
     ``gy`` (callers without bias ignore it).
+
+    This is the transpose of the forward's flat-shift GEMM, on the same
+    polyphase grids and per-offset shifts. ``gy`` is laid out like the
+    forward's wide output, with zeros in the surplus columns, after ``lead
+    = max(shift)`` zero columns. The weight gradient of offset ``a`` is then
+    one GEMM, ``gwide @ slice.T``, with the forward's slice of component ``a
+    % stride``. The gradient of each polyphase component is gathered from
+    ``gy``: every offset of that residue adds ``w[:, :, *a].T @`` one
+    contiguous slice of the padded ``gy`` that starts at ``lead - shift``,
+    in ``itertools.product`` order, onto zeros, over ``_GEMM_COLUMNS``-column
+    slabs; each component is then scattered back into the input's positions
+    (with stride 1 the one component is the padded input, and ``grad_x`` is a
+    view of its interior). With one output channel every term is one exact
+    product, formed by a broadcast multiply rather than a one-column GEMM.
     """
     rank, out_sp = _conv_geometry(x.shape, w.shape, stride, pad)
-    if gy.shape != (w.shape[0],) + out_sp:
-        raise ShapeError(f"conv backward: upstream shape {gy.shape} != output shape {(w.shape[0],) + out_sp}")
-    xp = np.pad(x, [(0, 0)] + [(pad, pad)] * rank) if pad else x
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
-    spatial_axes = tuple(range(1, rank + 1))
-    for off in itertools.product(*(range(k) for k in w.shape[2:])):
-        sl = (slice(None),) + tuple(
-            slice(o, o + stride * (n - 1) + 1, stride) for o, n in zip(off, out_sp)
-        )
-        win = xp[sl]
-        gw[(slice(None), slice(None)) + off] = np.tensordot(gy, win, axes=(spatial_axes, spatial_axes))
-        gxp[sl] += np.tensordot(w[(slice(None), slice(None)) + off], gy, axes=([0], [0]))
-    gx = gxp[(slice(None),) + tuple(slice(pad, pad + d) for d in x.shape[1:])] if pad else gxp
-    gb = gy.sum(axis=spatial_axes)
+    c_out, c_in = w.shape[:2]
+    if gy.shape != (c_out,) + out_sp:
+        raise ShapeError(f"conv backward: upstream shape {gy.shape} != output shape {(c_out,) + out_sp}")
+    ks = w.shape[2:]
+    grid = tuple(-(-(d + 2 * pad) // stride) for d in x.shape[1:])
+    rowstride = tuple(math.prod(grid[i + 1:]) for i in range(rank))
+    size = math.prod(grid)
+    rows = out_sp[0] * rowstride[0]
+    offsets = [(off, tuple(o % stride for o in off), sum(o // stride * rs for o, rs in zip(off, rowstride)))
+               for off in itertools.product(*(range(k) for k in ks))]
+    lead = max(shift for _, _, shift in offsets)
+
+    if out_sp == grid:  # no shifts and no surplus columns: gy is its own wide layout
+        gbuf = np.ascontiguousarray(gy).reshape(c_out, size)
+    else:
+        gbuf = np.zeros((c_out, lead + size), dtype=gy.dtype)
+        gbuf[:, lead:lead + rows].reshape((c_out, out_sp[0]) + grid[1:])[
+            (slice(None), slice(None)) + tuple(slice(0, n) for n in out_sp[1:])] = gy
+    gwide = gbuf[:, lead:lead + rows]
+    phases = _polyphase_grids(x, stride, pad, ks, grid, max(size, lead + rows))
+
+    gw = np.empty_like(w)
+    for off, r, shift in offsets:
+        gw[(slice(None), slice(None)) + off] = gwide @ phases[r][:, shift:shift + rows].T
+
+    product = np.multiply if c_out == 1 else np.matmul  # [C_in, 1] * [1, n] broadcasts
+    slab = min(_GEMM_COLUMNS, size)
+    acc = np.empty((c_in, size), dtype=x.dtype)
+    gx = None if stride == 1 else np.zeros_like(x)
+    scratch = np.empty(c_in * slab, dtype=x.dtype)
+    for r in phases:
+        terms = [(np.ascontiguousarray(w[(slice(None), slice(None)) + off].T), lead - shift)
+                 for off, residue, shift in offsets if residue == r]
+        acc.fill(0.0)
+        for c0 in range(0, size, slab):
+            c1 = min(c0 + slab, size)
+            part = acc[:, c0:c1]
+            term = scratch[:c_in * (c1 - c0)].reshape(c_in, c1 - c0)
+            for w_t, start in terms:
+                part += product(w_t, gbuf[:, start + c0:start + c1], out=term)
+        dst, src = _phase_slices(r, x.shape[1:], stride, pad)
+        if stride == 1:  # one component covers the whole input: no scatter
+            gx = acc.reshape((c_in,) + grid)[dst]
+        else:
+            gx[src] = acc.reshape((c_in,) + grid)[dst]
+    gb = gy.sum(axis=tuple(range(1, rank + 1)))
     return gx, gw, gb
 
 
@@ -422,9 +479,7 @@ def backward(loss: Tensor, wrt: dict) -> dict:
             if id(parent) not in needed:
                 continue
             acc = grads.get(id(parent))
-            if acc is None:
-                grads[id(parent)] = np.zeros_like(parent.data) + pg
-            else:
-                acc += pg
+            # never in place: a vjp may hand one array to several parents
+            grads[id(parent)] = pg if acc is None else acc + pg
     return {name: found[id(t)] if id(t) in found else np.zeros_like(t.data)
             for name, t in wrt.items()}

@@ -21,6 +21,7 @@ import os
 import shutil
 import sys
 
+from .atomic import atomic_open
 from .errors import (DomainError, FormatError, ShapeError, TrainingError,
                      UsageError, VqsctError)
 
@@ -213,7 +214,7 @@ def _resolve(args, defaults: dict) -> dict:
 def _write_resolved(command: str, resolved: dict, path) -> None:
     record = {"command": command}
     record.update(resolved)
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(record, fh, separators=(",", ":"))
         fh.write("\n")
 
@@ -229,7 +230,7 @@ def _parse_triple(text, kind, cast):
 
 
 def _write_history(result, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write("step,l1,total\n")
         for i, (l1, total) in enumerate(zip(result.l1_history, result.loss_history), 1):
             fh.write(f"{i},{l1!r},{total!r}\n")
@@ -260,7 +261,7 @@ def _cmd_phantom(args) -> int:
         write_volume(pet, os.path.join(args.out, f"case_{i:03d}_pet.mvol"))
         record = {"case": i, "seed": [resolved["seed"], i],
                   "geometry": truth.geometry, "label_counts": truth.label_counts()}
-        with open(os.path.join(args.out, f"case_{i:03d}_truth.json"), "w") as fh:
+        with atomic_open(os.path.join(args.out, f"case_{i:03d}_truth.json"), "w") as fh:
             json.dump(record, fh, separators=(",", ":"))
             fh.write("\n")
     _write_resolved("phantom", resolved, os.path.join(args.out, "phantom.config.json"))
@@ -425,7 +426,7 @@ def _cmd_stats(args) -> int:
         resolved["metric"], resolved["region"],
         label_a=resolved["label_a"], label_b=resolved["label_b"],
         alpha=resolved["alpha"])
-    with open(args.out, "w") as fh:
+    with atomic_open(args.out, "w") as fh:
         json.dump(result, fh, separators=(",", ":"))
         fh.write("\n")
     _write_resolved("stats", resolved, f"{args.out}.config.json")
@@ -446,10 +447,11 @@ def _cmd_select(args) -> int:
     volumes = [read_volume(p) for p in resolved["volumes"]]
     best = select_checkpoint(candidates, volumes, cube_edge=resolved["cube_edge"])
     index = next(i for i, c in enumerate(candidates) if c is best)
-    shutil.copyfile(resolved["candidates"][index], args.out)
+    with open(resolved["candidates"][index], "rb") as src, atomic_open(args.out, "wb") as fh:
+        shutil.copyfileobj(src, fh)
     record = {"selected_index": index,
               "selected_path": resolved["candidates"][index]}
-    with open(f"{args.out}.selection.json", "w") as fh:
+    with atomic_open(f"{args.out}.selection.json", "w") as fh:
         json.dump(record, fh, separators=(",", ":"))
         fh.write("\n")
     _write_resolved("select", resolved, f"{args.out}.config.json")

@@ -175,8 +175,8 @@ def ema_update(codebook: Codebook, unit_rows: np.ndarray, indices: np.ndarray,
         raise ShapeError("unit rows and code indices disagree on batch size")
     k = codebook.n_codes
     counts = np.bincount(indices, minlength=k).astype(np.float64)
-    sums = np.zeros_like(codebook.ema_embed_sum)
-    np.add.at(sums, indices, unit_rows)
+    # per-column bincount adds the rows in input order onto zeros, as np.add.at would
+    sums = np.stack([np.bincount(indices, weights=col, minlength=k) for col in unit_rows.T], axis=1)
 
     codebook.ema_cluster_size = decay * codebook.ema_cluster_size + (1.0 - decay) * counts
     codebook.ema_embed_sum = decay * codebook.ema_embed_sum + (1.0 - decay) * sums

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.ndimage import binary_fill_holes, correlate1d
 from scipy.stats import rankdata
 
+from .atomic import atomic_open
 from .errors import DomainError, FormatError, ShapeError
 from .volume import Volume
 
@@ -281,7 +282,7 @@ def write_ppm(rgb: np.ndarray, path) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise ShapeError(f"PPM image must be uint8 [H, W, 3], got {rgb.dtype} {rgb.shape}")
     h, w = rgb.shape[:2]
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
 
@@ -345,7 +346,7 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
 
 
 def write_report_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_REPORT_HEADER)
         for row in rows:

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import autograd as ag
+from .atomic import atomic_open
 from .codebook import Codebook, quantize
 from .errors import DomainError, FormatError, ShapeError
 
@@ -351,7 +352,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "manifest": manifest,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)

@@ -21,6 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DomainError, FormatError, ShapeError
 
 __all__ = [
@@ -109,7 +110,7 @@ def write_volume(volume: Volume, path) -> None:
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     payload = volume.voxels.astype("<f4").ravel(order="F").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)

@@ -36,6 +36,31 @@ def conv_window_sum(x, w, b=None, stride=1, pad=0):
     return out
 
 
+def conv_window_grads(x, w, gy, stride=1, pad=0):
+    """Gradients of a convolution, one strided input window per kernel offset.
+
+    For every offset the weight gradient is ``np.tensordot`` of ``gy`` with
+    the copied input window, and the input gradient adds the offset's
+    weights contracted with ``gy`` into that window of a padded buffer.
+    Returns ``(grad_x, grad_w, grad_b)`` like ``autograd.conv_backward_data``.
+    """
+    rank = x.ndim - 1
+    out_sp = gy.shape[1:]
+    xp = np.pad(x, [(0, 0)] + [(pad, pad)] * rank) if pad else x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    spatial_axes = tuple(range(1, rank + 1))
+    for off in itertools.product(*(range(k) for k in w.shape[2:])):
+        sl = (slice(None),) + tuple(slice(o, o + stride * (n - 1) + 1, stride)
+                                    for o, n in zip(off, out_sp))
+        gw[(slice(None), slice(None)) + off] = np.tensordot(
+            gy, xp[sl], axes=(spatial_axes, spatial_axes))
+        gxp[sl] += np.tensordot(w[(slice(None), slice(None)) + off], gy,
+                                axes=([0], [0]))
+    gx = gxp[(slice(None),) + tuple(slice(pad, pad + d) for d in x.shape[1:])] if pad else gxp
+    return gx, gw, gy.sum(axis=spatial_axes)
+
+
 def flood_fill_body(slice_hu, threshold=-500.0):
     """Body mask of one 2D slice via border-seeded BFS over 4-neighbours.
 

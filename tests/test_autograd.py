@@ -16,7 +16,7 @@ from vqsct import autograd as ag
 from vqsct.codebook import _normalize_rows
 from vqsct.errors import DomainError, ShapeError
 
-from oracles import conv_window_sum
+from oracles import conv_window_grads, conv_window_sum
 
 
 def central_diff(f, x, eps=1e-6):
@@ -213,6 +213,47 @@ def test_conv_forward_bytes_match_window_sum_on_model_layers(c_in, c_out, spatia
     b = rng.standard_normal(c_out)
     got = ag.conv_forward_data(x, w, b, stride, pad)
     assert got.tobytes() == conv_window_sum(x, w, b, stride, pad).tobytes()
+
+
+def _assert_conv_grads_match(got, want):
+    """grad_b bitwise; grad_x and grad_w to 1e-12 relative to the largest entry."""
+    assert got[2].tobytes() == want[2].tobytes()
+    for g, r in zip(got[:2], want[:2]):
+        assert g.shape == r.shape
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r)))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("ksize", [1, 2, 3])
+def test_conv_backward_matches_window_grads(rank, stride, pad, ksize):
+    rng = np.random.default_rng(2000 * rank + 100 * stride + 10 * pad + ksize)
+    checked = 0
+    for spatial in _CONV_EXTENTS[rank]:
+        if any(d + 2 * pad < ksize for d in spatial):
+            continue  # no valid output position
+        out_sp = tuple((d + 2 * pad - ksize) // stride + 1 for d in spatial)
+        for c_in, c_out in _CONV_CHANNELS:
+            x = rng.standard_normal((c_in,) + spatial)
+            w = rng.standard_normal((c_out, c_in) + (ksize,) * rank)
+            gy = rng.standard_normal((c_out,) + out_sp)
+            _assert_conv_grads_match(ag.conv_backward_data(x, w, gy, stride, pad),
+                                     conv_window_grads(x, w, gy, stride, pad))
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("c_in,c_out,spatial,ksize,stride,pad", _MODEL_CONVS)
+def test_conv_backward_matches_window_grads_on_model_layers(c_in, c_out, spatial,
+                                                           ksize, stride, pad):
+    rng = np.random.default_rng(sum(spatial) + c_in + c_out + 1)
+    x = rng.standard_normal((c_in,) + spatial)
+    w = rng.standard_normal((c_out, c_in) + (ksize,) * len(spatial))
+    out_sp = tuple((d + 2 * pad - ksize) // stride + 1 for d in spatial)
+    gy = rng.standard_normal((c_out,) + out_sp)
+    _assert_conv_grads_match(ag.conv_backward_data(x, w, gy, stride, pad),
+                             conv_window_grads(x, w, gy, stride, pad))
 
 
 def test_conv_data_functions_keep_their_parameter_names():
@@ -418,6 +459,28 @@ def test_diamond_graph_accumulates_once():
     loss = ag.sum_all(ag.add(ag.mul(x, x), ag.scale(x, 3.0)))
     grads = ag.backward(loss, {"x": x})
     assert np.allclose(grads["x"], 2 * xv + 3.0)
+
+
+def test_shared_vjp_array_reaches_two_parents_with_other_paths():
+    # add's vjp hands one array to both of its parents, and here each parent
+    # also gets a gradient from another path: summing into that array in
+    # place would change the other parent's gradient too
+    rng = np.random.default_rng(5)
+    xv = rng.standard_normal(6)
+    cv = rng.standard_normal(6)
+
+    def run(v):
+        x = ag.leaf(v)
+        h = ag.leaky_relu(x)
+        k = ag.mul(x, x)
+        s = ag.add(ag.add(h, h), k)
+        loss = ag.add(ag.sum_all(ag.mul(s, ag.leaf(cv))), ag.sum_all(ag.mul(h, k)))
+        return x, loss
+
+    x, loss = run(xv)
+    grads = ag.backward(loss, {"x": x})
+    fd = central_diff(lambda v: run(v)[1].data.item(), xv)
+    assert rel_err(grads["x"], fd) < 1e-6
 
 
 def test_backward_returns_zeros_for_unreachable_leaves():

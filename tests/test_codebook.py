@@ -171,6 +171,19 @@ def test_ema_update_matches_scalar_recurrence():
         assert np.allclose(cb.ema_embed_sum, want_sum, atol=1e-12)
 
 
+def test_ema_update_sums_bitwise_equal_add_at():
+    # np.add.at adds the rows in input order onto zeros; so must ema_update
+    rng = np.random.default_rng(6)
+    cb, _ = make_initialized(32, 16, seed=14)
+    rows = unit(rng.standard_normal((9216, 16)))
+    indices = quantize(cb, rows).indices
+    sums = np.zeros((32, 16))
+    np.add.at(sums, indices, rows)
+    want = 0.99 * cb.ema_embed_sum + (1.0 - 0.99) * sums
+    ema_update(cb, rows, indices, decay=0.99)
+    assert cb.ema_embed_sum.tobytes() == want.tobytes()
+
+
 def test_ema_update_keeps_unit_norms_over_long_sequences():
     rng = np.random.default_rng(5)
     cb, _ = make_initialized(8, 6, seed=11)
