@@ -147,7 +147,15 @@ _GEMM_COLUMNS = 8192
 
 
 def _conv_geometry(x_shape, w_shape, stride, pad):
-    """Validate conv operands and return (rank, out_spatial)."""
+    """Validate conv operands and return the flat-shift layout of both passes.
+
+    Returns ``(out_sp, grid, rowstride, rows, offsets)``: the output extents
+    ``S'``, the polyphase grid ``Q = ceil((S + 2*pad)/stride)``, its row-major
+    strides, the ``out_sp[0]`` grid rows' length of the wide output, and per
+    kernel offset ``a``, in ``itertools.product`` order, ``(a, a % stride,
+    shift)``: the component that holds the offset's window, and where in it
+    the window starts.
+    """
     rank = len(x_shape) - 1
     if rank not in (2, 3):
         raise ShapeError(f"conv: spatial rank must be 2 or 3, got {rank}")
@@ -168,7 +176,13 @@ def _conv_geometry(x_shape, w_shape, stride, pad):
         if o <= 0:
             raise DomainError(f"conv: non-positive output extent for input {d}, kernel {k}, stride {stride}, pad {pad}")
         out.append(o)
-    return rank, tuple(out)
+    out_sp = tuple(out)
+    grid = tuple(-(-(d + 2 * pad) // stride) for d in x_shape[1:])
+    rowstride = tuple(math.prod(grid[i + 1:]) for i in range(rank))
+    offsets = [(off, tuple(o % stride for o in off),
+                sum(o // stride * rs for o, rs in zip(off, rowstride)))
+               for off in itertools.product(*(range(k) for k in w_shape[2:]))]
+    return out_sp, grid, rowstride, out_sp[0] * rowstride[0], offsets
 
 
 def _phase_slices(r, extents, stride, pad):
@@ -237,12 +251,8 @@ def conv_forward_data(x, w, b=None, stride=1, pad=0):
     (over the whole output when the window-by-window GEMM is above BLAS's
     small-matrix size).
     """
-    rank, out_sp = _conv_geometry(x.shape, w.shape, stride, pad)
+    out_sp, grid, rowstride, rows, geometry = _conv_geometry(x.shape, w.shape, stride, pad)
     c_out, c_in = w.shape[:2]
-    ks = w.shape[2:]
-    grid = tuple(-(-(d + 2 * pad) // stride) for d in x.shape[1:])
-    rowstride = tuple(math.prod(grid[i + 1:]) for i in range(rank))
-    rows = out_sp[0] * rowstride[0]
     n_out = math.prod(out_sp)
     if rows == n_out:  # no surplus columns: one GEMM per offset, as window by window
         redo, span, slab = 0, rows, rows
@@ -255,15 +265,14 @@ def conv_forward_data(x, w, b=None, stride=1, pad=0):
             redo = n_out
         span = 0 if redo == n_out else -(-rows // _GEMM_BLOCK) * _GEMM_BLOCK
         slab = _GEMM_COLUMNS
-    reach = sum((k - 1) // stride * rs for k, rs in zip(ks, rowstride)) + span
-    phases = _polyphase_grids(x, stride, pad, ks, grid, max(math.prod(grid), reach))
+    reach = geometry[-1][2] + span  # the last offset shifts furthest
+    phases = _polyphase_grids(x, stride, pad, w.shape[2:], grid, max(math.prod(grid), reach))
     offsets = []  # (weights, component, shift) per kernel offset, in summation order
-    for off in itertools.product(*(range(k) for k in ks)):
+    for off, residue, shift in geometry:
         w_off = w[(slice(None), slice(None)) + off]
         if c_out > 1:  # np.dot copies such a matrix, but keeps one row a strided vector
             w_off = np.ascontiguousarray(w_off)
-        offsets.append((w_off, phases[tuple(o % stride for o in off)],
-                        sum(o // stride * rs for o, rs in zip(off, rowstride))))
+        offsets.append((w_off, phases[residue], shift))
     product = np.dot if c_in == 1 else np.matmul
 
     wide = np.zeros((c_out, max(rows, span)), dtype=x.dtype)
@@ -285,7 +294,7 @@ def conv_forward_data(x, w, b=None, stride=1, pad=0):
     out = np.ascontiguousarray(wide[:, :rows].reshape((c_out, out_sp[0]) + grid[1:])[
         (slice(None), slice(None)) + tuple(slice(0, n) for n in out_sp[1:])])
     if b is not None:
-        out += b.reshape((c_out,) + (1,) * rank)
+        out += b.reshape((c_out,) + (1,) * len(out_sp))
     return out
 
 
@@ -309,18 +318,12 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
     view of its interior). With one output channel every term is one exact
     product, formed by a broadcast multiply rather than a one-column GEMM.
     """
-    rank, out_sp = _conv_geometry(x.shape, w.shape, stride, pad)
+    out_sp, grid, _, rows, offsets = _conv_geometry(x.shape, w.shape, stride, pad)
     c_out, c_in = w.shape[:2]
     if gy.shape != (c_out,) + out_sp:
         raise ShapeError(f"conv backward: upstream shape {gy.shape} != output shape {(c_out,) + out_sp}")
-    ks = w.shape[2:]
-    grid = tuple(-(-(d + 2 * pad) // stride) for d in x.shape[1:])
-    rowstride = tuple(math.prod(grid[i + 1:]) for i in range(rank))
     size = math.prod(grid)
-    rows = out_sp[0] * rowstride[0]
-    offsets = [(off, tuple(o % stride for o in off), sum(o // stride * rs for o, rs in zip(off, rowstride)))
-               for off in itertools.product(*(range(k) for k in ks))]
-    lead = max(shift for _, _, shift in offsets)
+    lead = offsets[-1][2]  # the last offset shifts furthest
 
     if out_sp == grid:  # no shifts and no surplus columns: gy is its own wide layout
         gbuf = np.ascontiguousarray(gy).reshape(c_out, size)
@@ -329,7 +332,7 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
         gbuf[:, lead:lead + rows].reshape((c_out, out_sp[0]) + grid[1:])[
             (slice(None), slice(None)) + tuple(slice(0, n) for n in out_sp[1:])] = gy
     gwide = gbuf[:, lead:lead + rows]
-    phases = _polyphase_grids(x, stride, pad, ks, grid, max(size, lead + rows))
+    phases = _polyphase_grids(x, stride, pad, w.shape[2:], grid, max(size, lead + rows))
 
     gw = np.empty_like(w)
     for off, r, shift in offsets:
@@ -355,7 +358,7 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
             gx = acc.reshape((c_in,) + grid)[dst]
         else:
             gx[src] = acc.reshape((c_in,) + grid)[dst]
-    gb = gy.sum(axis=tuple(range(1, rank + 1)))
+    gb = gy.sum(axis=tuple(range(1, gy.ndim)))
     return gx, gw, gb
 
 

@@ -63,11 +63,9 @@ _SSIM_C2 = (0.03 * 4000.0) ** 2
 
 @dataclass
 class BodyMask:
-    """Boolean body-contour grid plus how it was derived."""
+    """Boolean body-contour grid."""
 
     mask: np.ndarray
-    threshold_hu: float = BODY_THRESHOLD_HU
-    fill_method: str = "axial-slice-4-connectivity"
 
 
 def _voxels(v) -> np.ndarray:

@@ -95,7 +95,6 @@ class FreezeMask:
 
     encoder_trainable: bool = True
     codebook_trainable: bool = True
-    decoder_trainable: bool = True
 
 
 def mask_for_mode(mode: str, freeze_codebook_with_encoder: bool = True) -> FreezeMask:
@@ -105,9 +104,9 @@ def mask_for_mode(mode: str, freeze_codebook_with_encoder: bool = True) -> Freez
     default; pass ``freeze_codebook_with_encoder=False`` to keep it learning.
     """
     if mode == "scratch" or mode == "no-frozen":
-        return FreezeMask(True, True, True)
+        return FreezeMask(True, True)
     if mode == "enc-frozen":
-        return FreezeMask(False, not freeze_codebook_with_encoder, True)
+        return FreezeMask(False, not freeze_codebook_with_encoder)
     raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
 
 
@@ -280,17 +279,15 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
 def apply_freeze(ckpt: Checkpoint, mask: FreezeMask) -> list[str]:
     """Sorted names of the parameters an optimizer may update under ``mask``.
 
-    Encoder-side (``enc.*`` and the into-codebook projections) and
-    decoder-side (``dec.*`` and the from-codebook projections) groups follow
-    their flags; codebook EMA updates are gated separately by
-    ``mask.codebook_trainable``.
+    Decoder-side parameters (``dec.*`` and the from-codebook projections)
+    are always trainable; encoder-side ones (``enc.*`` and the into-codebook
+    projections) follow ``mask.encoder_trainable``. Codebook EMA updates are
+    gated separately by ``mask.codebook_trainable``.
     """
     names = []
     for name in ckpt.params:
         enc_side = name.startswith("enc.") or ".in." in name
-        if enc_side and mask.encoder_trainable:
-            names.append(name)
-        elif not enc_side and mask.decoder_trainable:
+        if mask.encoder_trainable or not enc_side:
             names.append(name)
     return sorted(names)
 

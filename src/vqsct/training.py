@@ -38,12 +38,14 @@ __all__ = [
 # AdamW
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.01
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -69,7 +71,7 @@ def adamw_step(state: OptimizerState, params: dict[str, np.ndarray],
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name in sorted(state.m):
@@ -88,7 +90,7 @@ def adamw_step(state: OptimizerState, params: dict[str, np.ndarray],
         m_hat = m / bc1
         v_hat = v / bc2
         params[name] -= state.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + state.epsilon)
+            m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
             + state.weight_decay * params[name])
 
 
@@ -143,6 +145,12 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                 beta: float, expire_age: int, decay: float,
                 weight_decay: float, augment: bool = False) -> TrainResult:
     """The shared optimization loop over paired (input, target) items."""
+    if batch_size < 1:
+        raise DomainError(f"batch size must be >= 1, got {batch_size}")
+    if not 0.0 < learning_rate < np.inf:
+        raise DomainError(f"learning rate must be finite and > 0, got {learning_rate}")
+    if not 0.0 <= weight_decay < np.inf:
+        raise DomainError(f"weight decay must be finite and >= 0, got {weight_decay}")
     n = len(inputs)
     data_rng = np.random.default_rng([seed, 0])
     expire_rng = np.random.default_rng([seed, 1])
@@ -261,7 +269,7 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     ckpt = build_model(config)
     result = _train_loop(
         ckpt, items, items, steps, seed,
-        mask=FreezeMask(True, True, True), learning_rate=learning_rate,
+        mask=FreezeMask(True, True), learning_rate=learning_rate,
         batch_size=batch_size, beta=beta, expire_age=expire_age, decay=decay,
         weight_decay=weight_decay, augment=augment)
     result.checkpoint.provenance = "pretrained"

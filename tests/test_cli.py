@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, config merging, emitted artifacts."""
 
+import contextlib
+import io
 import json
 import os
 import struct
@@ -8,10 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vqsct.cli import main
+from vqsct.cli import build_parser, main
 from vqsct.errors import FormatError
-from vqsct.evaluation import read_report_csv, write_report_csv
+from vqsct.evaluation import (BONE_THRESHOLD_HU, read_report_csv,
+                              write_report_csv)
 from vqsct.model import (ModelConfig, build_model, load_checkpoint,
                          save_checkpoint)
 from vqsct.phantom import generate_texture_volume
@@ -44,8 +49,14 @@ def work(tmp_path_factory):
                  "--pet", str(phantom_dir / "case_000_pet.mvol"),
                  "--ct", str(phantom_dir / "case_000_ct.mvol"),
                  "--steps", "2", "--batch-size", "4", "--out", str(fin)]) == 0
+
+    pre3d = root / "pre3d.vqck"
+    assert main(["pretrain", "--volumes", textures[0], "--out", str(pre3d),
+                 "--rank", "3", "--depth", "2", "--base-channels", "4",
+                 "--codebook-size", "8", "--codebook-dim", "6", "--cube-edge", "8",
+                 "--steps", "1", "--batch-size", "2", "--learning-rate", "1e-3"]) == 0
     return {"root": root, "phantom": phantom_dir, "textures": textures,
-            "pre": str(pre), "fin": str(fin)}
+            "pre": str(pre), "fin": str(fin), "pre3d": str(pre3d)}
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +106,9 @@ def test_usage_errors_exit_1(tmp_path):
     assert main(["phantom", "--out", str(tmp_path / "x"), "--nope"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["--threads", "0", "phantom", "--out", str(tmp_path / "y")]) == 1
+    # only the commands that draw random numbers take a seed
+    assert main(["reconstruct", "--ckpt", "a.vqck", "--ct", "b.mvol",
+                 "--out", str(tmp_path / "z"), "--seed", "1"]) == 1
 
 
 def test_config_file_merge_and_flag_precedence(tmp_path):
@@ -110,8 +124,14 @@ def test_config_file_merge_and_flag_precedence(tmp_path):
     assert resolved["dims"] == "32,32,32" and resolved["seed"] == 9
 
 
-def test_config_file_validation(tmp_path):
+def test_config_file_validation(work, tmp_path, capsys):
     out = str(tmp_path / "x")
+    capsys.readouterr()
+    assert main(["phantom", "--out", out, "--config",
+                 str(work["root"] / "pre.vqck.config.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1
+    assert '"pretrain"' in err and not os.path.exists(out)
     bad_key = tmp_path / "bad_key.json"
     bad_key.write_text(json.dumps({"volume_count": 3}))
     assert main(["phantom", "--out", out, "--config", str(bad_key)]) == 1
@@ -120,6 +140,10 @@ def test_config_file_validation(tmp_path):
     assert main(["phantom", "--out", out, "--config", str(not_dict)]) == 1
     invalid = tmp_path / "invalid.json"
     invalid.write_text("{nope")
+    assert main(["phantom", "--out", out, "--config", str(invalid)]) == 1
+    invalid.write_bytes(b'{"seed": "\xff"}')
+    assert main(["phantom", "--out", out, "--config", str(invalid)]) == 1
+    invalid.write_text("[" * 100000 + "]" * 100000)
     assert main(["phantom", "--out", out, "--config", str(invalid)]) == 1
 
 
@@ -149,6 +173,122 @@ def test_config_values_of_the_right_type_are_accepted(tmp_path):
     assert main(["finetune", "--base", "missing.vqck", "--mode", "scratch",
                  "--pet", "a.mvol", "--ct", "b.mvol", "--out", str(tmp_path / "f"),
                  "--config", str(config_path)]) == 2  # types pass; the file is missing
+
+
+def _write_reports(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_report_csv(report_rows([50.0, 60.0, 55.0, 70.0, 65.0, 58.0]), a)
+    write_report_csv(report_rows([55.0, 66.0, 60.0, 77.0, 71.0, 64.0]), b)
+    return str(a), str(b)
+
+
+def _replay_case(command, work, tmp_path):
+    """(required flags, other flags) of a run of ``command`` off the defaults."""
+    d = work["phantom"]
+    train = ["--steps", "2", "--batch-size", "4", "--learning-rate", "1e-3",
+             "--beta", "0", "--augment", "--seed", "4"]
+    if command == "phantom":
+        return [], ["--cases", "1", "--dims", "32,32,40", "--spacing", "2,1.5,1.5",
+                    "--seed", "5"]
+    if command == "pretrain":
+        return (["--volumes", *work["textures"]],
+                ["--depth", "2", "--base-channels", "4", "--codebook-size", "8",
+                 "--codebook-dim", "6", "--pyramid-levels", "2", *train])
+    if command == "finetune":
+        return (["--base", work["pre"], "--mode", "enc-frozen",
+                 "--pet", str(d / "case_000_pet.mvol"), "--ct", str(d / "case_000_ct.mvol")],
+                ["--planes", "axial,sagittal", "--train-codebook", *train])
+    if command == "translate":
+        return ["--ckpt", work["fin"], "--pet", str(d / "case_001_pet.mvol")], ["--dump-planes"]
+    if command == "reconstruct":
+        return ["--ckpt", work["pre3d"], "--ct", work["textures"][1]], ["--edge", "8"]
+    if command == "evaluate":
+        return (["--pred", str(d / "case_001_ct.mvol"), "--gt", str(d / "case_000_ct.mvol")],
+                ["--case-id", "c7", "--bone-hu", "250", "--diff-cap", "100",
+                 "--diff-dir", str(tmp_path / "maps")])
+    if command == "stats":
+        a, b = _write_reports(tmp_path)
+        return (["--report-a", a, "--report-b", b, "--metric", "mae", "--region", "whole"],
+                ["--label-a", "left", "--label-b", "right", "--alpha", "0.1"])
+    return (["--candidates", work["pre"], work["pre3d"], "--volumes", *work["textures"]],
+            ["--cube-edge", "8"])
+
+
+@pytest.mark.parametrize("command", ["phantom", "pretrain", "finetune", "translate",
+                                     "reconstruct", "evaluate", "stats", "select"])
+def test_written_record_replays_the_run(work, tmp_path, command):
+    required, options = _replay_case(command, work, tmp_path)
+    first, again = tmp_path / "first", tmp_path / "again"
+
+    def record(out):
+        return out / "phantom.config.json" if command == "phantom" else \
+            tmp_path / f"{out.name}.config.json"
+
+    def primary(out):
+        return out / "case_000_ct.mvol" if command == "phantom" else out
+
+    assert main([command, *required, "--out", str(first), *options]) == 0
+    # the record alone brings back every option but the required ones
+    assert main([command, *required, "--out", str(again),
+                 "--config", str(record(first))]) == 0
+    assert primary(again).read_bytes() == primary(first).read_bytes()
+    assert json.loads(record(again).read_text()) == \
+        {**json.loads(record(first).read_text()), "out": str(again)}
+    if command == "translate":  # a config that sets dump_planes is honoured
+        for plane in ("axial", "coronal", "sagittal"):
+            assert (tmp_path / f"again.{plane}").read_bytes() == \
+                (tmp_path / f"first.{plane}").read_bytes()
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                         max_size=3)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["stats", "mae", "whole", "bone"]),
+    _json_containers, max_leaves=6)
+# every command's keys, so most are unknown to stats; and keys no command has
+_CONFIG_KEYS = st.sampled_from(sorted(
+    {a.dest for p in build_parser().commands.values() for a in p._actions}
+    | {"command", "threads"})) | st.text(max_size=6)
+
+
+@given(st.dictionaries(_CONFIG_KEYS, _JSON_VALUES, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_any_config_object_exits_cleanly(tmp_path_factory, values):
+    d = tmp_path_factory.mktemp("fuzz")
+    a, b = _write_reports(d)
+    config_path = d / "config.json"
+    config_path.write_text(json.dumps(values))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["stats", "--report-a", a, "--report-b", b, "--metric", "mae",
+                     "--region", "whole", "--out", str(d / "s.json"),
+                     "--config", str(config_path)])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("vqsct: error:")
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("flag", [
+    "--batch-size=0", "--batch-size=-3", "--learning-rate=nan",
+    "--learning-rate=-1e-3", "--weight-decay=-0.01"])
+def test_out_of_range_training_values_exit_1(work, tmp_path, flag):
+    # in a subprocess with a timeout, so a batch size that makes the batch
+    # stream loop forever fails the test instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = tmp_path / "never.vqck"
+    proc = subprocess.run([sys.executable, "-m", "vqsct.cli", "pretrain",
+                           "--volumes", work["textures"][0], "--out", str(out),
+                           "--depth", "2", "--steps", "1", flag],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("vqsct: error:") and proc.stderr.count("\n") == 1
+    assert flag[2:].split("=")[0].replace("-", " ") in proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +351,8 @@ def test_translate_outputs_hu_volume(work, tmp_path):
 
 
 def test_reconstruct_3d_cube_path(work, tmp_path):
-    pre3d = tmp_path / "pre3d.vqck"
-    assert main(["pretrain", "--volumes", work["textures"][0],
-                 "--out", str(pre3d), "--rank", "3", "--depth", "2",
-                 "--base-channels", "4", "--codebook-size", "8",
-                 "--codebook-dim", "6", "--cube-edge", "8",
-                 "--steps", "1", "--batch-size", "2",
-                 "--learning-rate", "1e-3"]) == 0
     out = tmp_path / "recon.mvol"
-    assert main(["reconstruct", "--ckpt", str(pre3d),
+    assert main(["reconstruct", "--ckpt", work["pre3d"],
                  "--ct", work["textures"][1], "--out", str(out),
                  "--edge", "8"]) == 0
     recon = read_volume(out)
@@ -254,6 +387,9 @@ def test_evaluate_default_case_id(work, tmp_path):
     assert main(["evaluate", "--pred", ct, "--gt", ct, "--out", str(out)]) == 0
     rows = read_report_csv(out)
     assert rows[0]["case_id"] == "case_000_ct"
+    record = json.loads((tmp_path / "r.csv.config.json").read_text())
+    assert record["case_id"] == "case_000_ct"
+    assert record["bone_hu"] == BONE_THRESHOLD_HU
 
 
 def report_rows(values, region="whole", metric="mae"):
@@ -444,21 +580,6 @@ def test_malformed_volume_header_is_rejected(work, tmp_path, capsys, changes):
     err = capsys.readouterr().err
     assert err.startswith("vqsct: error:") and "Traceback" not in err
     assert err.count("\n") == 1
-
-
-def test_finetune_no_commitment_equals_beta_zero(work, tmp_path):
-    d = work["phantom"]
-    outputs = []
-    for name, extra in (("off", ["--no-commitment"]), ("zero", ["--beta", "0"])):
-        out = tmp_path / f"{name}.vqck"
-        assert main(["finetune", "--base", work["pre"], "--mode", "no-frozen",
-                     "--pet", str(d / "case_000_pet.mvol"),
-                     "--ct", str(d / "case_000_ct.mvol"), "--planes", "axial",
-                     "--steps", "2", "--batch-size", "4", "--out", str(out),
-                     *extra]) == 0
-        outputs.append((out.read_bytes(),
-                        (tmp_path / f"{name}.vqck.history.csv").read_bytes()))
-    assert outputs[0] == outputs[1]
 
 
 def test_threads_flag_sets_environment(tmp_path):

@@ -230,12 +230,12 @@ def test_backward_skips_conv_vjps_of_frozen_encoder(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_mask_for_mode_matrix():
-    assert dataclasses.astuple(mask_for_mode("scratch")) == (True, True, True)
-    assert dataclasses.astuple(mask_for_mode("no-frozen")) == (True, True, True)
-    assert dataclasses.astuple(mask_for_mode("enc-frozen")) == (False, False, True)
+    assert dataclasses.astuple(mask_for_mode("scratch")) == (True, True)
+    assert dataclasses.astuple(mask_for_mode("no-frozen")) == (True, True)
+    assert dataclasses.astuple(mask_for_mode("enc-frozen")) == (False, False)
     assert dataclasses.astuple(
         mask_for_mode("enc-frozen", freeze_codebook_with_encoder=False)) \
-        == (False, True, True)
+        == (False, True)
     with pytest.raises(DomainError):
         mask_for_mode("half-frozen")
 

@@ -127,6 +127,17 @@ def test_pretrain_requires_unit01_volumes():
         pretrain_recon(small_config(), [bad], steps=1, seed=0)
 
 
+# a negative batch size could hang this process; test_cli checks it time-bounded
+@pytest.mark.parametrize("kwargs", [
+    {"batch_size": 0}, {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")}, {"learning_rate": 0.0},
+    {"learning_rate": -1e-3}, {"weight_decay": -0.01},
+    {"weight_decay": float("nan")}, {"weight_decay": float("inf")}])
+def test_out_of_range_training_values_are_rejected(kwargs):
+    with pytest.raises(DomainError, match=next(iter(kwargs)).replace("_", " ")):
+        pretrain_recon(small_config(), texture_volumes(1), steps=1, seed=0, **kwargs)
+
+
 def test_pretrain_deterministic_checkpoint_bytes(tmp_path):
     vols = texture_volumes(3)
     paths = []
