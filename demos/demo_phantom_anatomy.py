@@ -25,15 +25,14 @@ for value, name in enumerate(LABEL_NAMES):
 # The body contour thresholds at -500 HU and fills enclosed holes slice by
 # slice, so the lungs (air-like HU, but inside the torso) stay part of the
 # body while the air around the phantom does not.
-body = body_contour(ct)
-inside = body.mask
+inside = body_contour(ct)
 lungs = truth.labels == 1
 print(f"\nbody contour covers {inside.mean():.1%} of the grid")
 print(f"lung voxels inside the contour: {inside[lungs].mean():.1%}")
 print(f"corner air inside the contour: {inside[:4, :4, :4].mean():.1%}")
 
 # Within the body, a single HU threshold separates soft tissue from bone.
-regions = region_masks(ct, body)
+regions = region_masks(ct)
 for name in ("whole", "soft", "bone"):
     frac = regions[name].sum() / regions["whole"].sum()
     print(f"region {name:<5}: {frac:.1%} of the body")

@@ -56,8 +56,8 @@ synthetic = translate_volume(fin.checkpoint, normalize(held_pet, "sym11"))
 
 # Stage 4: score inside the body contour of the true CT.
 body = body_contour(held_ct)
-model_mae = mae(synthetic.fused, held_ct, body.mask)
-water = float(np.abs(np.clip(held_ct.voxels, -1024, 2976))[body.mask].mean())
+model_mae = mae(synthetic.fused, held_ct, body)
+water = float(np.abs(np.clip(held_ct.voxels, -1024, 2976))[body].mean())
 print(f"\nheld-out whole-body MAE: model {model_mae:.0f} HU"
       f" vs constant-water {water:.0f} HU")
 

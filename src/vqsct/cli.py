@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 
@@ -38,7 +39,15 @@ _NOT_RECORDED = ("threads", "command", "config")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so exit codes stay ours."""
+    """argparse that raises instead of exiting, so exit codes stay ours.
+
+    An argument that starts with a minus sign and a digit, such as ``-1e-3``,
+    is a negative number, not an option (the rule of CPython 3.13's argparse).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise UsageError(message)

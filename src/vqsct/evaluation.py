@@ -1,9 +1,10 @@
 """Masked evaluation: body contour, regional metrics, paired statistics.
 
-Metrics are computed inside a body-contour mask derived from the
+Metrics are computed inside boolean masks: the body contour of the
 ground-truth CT (threshold HU > -500, then slice-wise hole filling), split
-into whole / soft / bone regions at a configurable HU boundary. The paired
-Wilcoxon signed-rank test is exact (full distribution over sign
+into whole / soft / bone regions at a configurable HU boundary. A case is
+evaluated with one partition per volume and one SSIM map per slice. The
+paired Wilcoxon signed-rank test is exact (full distribution over sign
 assignments) up to n = 25 and uses the tie-corrected normal approximation
 with continuity correction beyond. Difference maps are emitted as binary
 PPM images under a blue-white-red colormap.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_fill_holes, correlate1d
@@ -25,7 +25,6 @@ from .errors import DomainError, FormatError, ShapeError
 from .volume import Volume
 
 __all__ = [
-    "BodyMask",
     "REGIONS",
     "BODY_THRESHOLD_HU",
     "BONE_THRESHOLD_HU",
@@ -61,48 +60,33 @@ _SSIM_C1 = (0.01 * 4000.0) ** 2
 _SSIM_C2 = (0.03 * 4000.0) ** 2
 
 
-@dataclass
-class BodyMask:
-    """Boolean body-contour grid."""
-
-    mask: np.ndarray
-
-
 def _voxels(v) -> np.ndarray:
     return v.voxels if isinstance(v, Volume) else np.asarray(v, dtype=np.float64)
 
 
-def _mask_array(mask) -> np.ndarray:
-    m = mask.mask if isinstance(mask, BodyMask) else np.asarray(mask)
-    return m.astype(bool)
-
-
-def body_contour(ct: Volume) -> BodyMask:
-    """Threshold HU > -500, then fill enclosed holes per axial slice.
+def body_contour(ct: Volume) -> np.ndarray:
+    """Boolean body mask: threshold HU > -500, then fill holes per axial slice.
 
     A background voxel becomes foreground when it is not 4-connected to the
     border of its slice, so air cavities inside the body (lungs, bowel gas)
-    are included while exterior air stays out.
+    are included while exterior air stays out. ``ct`` is an HU volume or a
+    bare array of HU values.
     """
     if isinstance(ct, Volume) and ct.intensity_space != "HU":
         raise DomainError(f"body contour needs an HU volume, got {ct.intensity_space}")
-    vox = _voxels(ct)
-    raw = vox > BODY_THRESHOLD_HU
+    raw = _voxels(ct) > BODY_THRESHOLD_HU
     filled = np.empty_like(raw)
     for z in range(raw.shape[2]):
         filled[:, :, z] = binary_fill_holes(raw[:, :, z])
-    return BodyMask(filled)
+    return filled
 
 
-def region_masks(ct: Volume, body: BodyMask, bone_threshold_hu: float = BONE_THRESHOLD_HU) -> dict:
-    """Partition the body mask into soft and bone at an HU boundary."""
+def region_masks(ct: Volume, bone_threshold_hu: float = BONE_THRESHOLD_HU) -> dict:
+    """Body contour of ``ct`` (``whole``), split into ``soft`` and ``bone`` at an HU boundary."""
     vox = _voxels(ct)
-    whole = _mask_array(body)
-    if whole.shape != vox.shape:
-        raise ShapeError(f"mask shape {whole.shape} != volume shape {vox.shape}")
-    bone = whole & (vox >= bone_threshold_hu)
-    soft = whole & (vox < bone_threshold_hu)
-    return {"whole": whole, "soft": soft, "bone": bone}
+    whole = body_contour(ct)
+    return {"whole": whole, "soft": whole & (vox < bone_threshold_hu),
+            "bone": whole & (vox >= bone_threshold_hu)}
 
 
 def _check_aligned(pred, gt, mask=None):
@@ -112,7 +96,7 @@ def _check_aligned(pred, gt, mask=None):
         raise ShapeError(f"volume shapes differ: {p.shape} vs {g.shape}")
     if mask is None:
         return p, g, None
-    m = _mask_array(mask)
+    m = np.asarray(mask, dtype=bool)
     if m.shape != p.shape:
         raise ShapeError(f"mask shape {m.shape} != volume shape {p.shape}")
     if not m.any():
@@ -150,26 +134,18 @@ def _window_mean(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out[half:-half, half:-half]
 
 
-def ssim(pred, gt, mask) -> float:
-    """Masked mean structural similarity over axial slices.
-
-    Local SSIM uses an 11x11 Gaussian window (sigma 1.5) with the stabilizers
-    C1 = (0.01 * 4000)^2 and C2 = (0.03 * 4000)^2, evaluated at window
-    centers whose full window fits in the slice. Slice means over masked
-    centers are combined weighted by their masked-center counts.
-    """
-    p, g, m = _check_aligned(pred, gt, mask)
+def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
+    """Masked mean SSIM for each of ``masks``, from one SSIM map per slice."""
     half = _SSIM_WINDOW // 2
     if p.shape[0] < _SSIM_WINDOW or p.shape[1] < _SSIM_WINDOW:
         raise DomainError(
             f"in-plane extents {p.shape[:2]} are smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
     kernel = _gaussian_kernel_1d()
-    weighted = 0.0
-    weight = 0
+    weighted = [0.0] * len(masks)
+    weight = [0] * len(masks)
     for z in range(p.shape[2]):
-        centers = m[half:-half, half:-half, z]
-        count = int(centers.sum())
-        if count == 0:
+        centers = [m[half:-half, half:-half, z] for m in masks]
+        if not any(c.any() for c in centers):
             continue
         x = p[:, :, z]
         y = g[:, :, z]
@@ -180,11 +156,29 @@ def ssim(pred, gt, mask) -> float:
         cov = _window_mean(x * y, kernel) - mu_x * mu_y
         s = ((2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
              / ((mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)))
-        weighted += float(s[centers].sum())
-        weight += count
-    if weight == 0:
+        for i, c in enumerate(centers):
+            weighted[i] += float(s[c].sum())  # adds 0.0 for a slice outside mask i
+            weight[i] += int(c.sum())
+    if 0 in weight:
         raise DomainError("mask contains no full-window centers")
-    return weighted / weight
+    return [w / n for w, n in zip(weighted, weight)]
+
+
+def ssim(pred, gt, mask) -> float:
+    """Masked mean structural similarity over axial slices.
+
+    Local SSIM uses an 11x11 Gaussian window (sigma 1.5) with the stabilizers
+    C1 = (0.01 * 4000)^2 and C2 = (0.03 * 4000)^2, evaluated at window
+    centers whose full window fits in the slice. Slice means over masked
+    centers are combined weighted by their masked-center counts.
+    """
+    p, g, m = _check_aligned(pred, gt, mask)
+    return _ssim_means(p, g, [m])[0]
+
+
+def _dice(a: np.ndarray, b: np.ndarray) -> float:
+    total = int(a.sum()) + int(b.sum())
+    return 2.0 * int((a & b).sum()) / total if total else 1.0
 
 
 def dsc(pred_ct, gt_ct, region: str, bone_threshold_hu: float = BONE_THRESHOLD_HU) -> float:
@@ -195,16 +189,9 @@ def dsc(pred_ct, gt_ct, region: str, bone_threshold_hu: float = BONE_THRESHOLD_H
     """
     if region not in REGIONS:
         raise DomainError(f"region must be one of {REGIONS}, got {region!r}")
-    p, g, _ = _check_aligned(pred_ct, gt_ct)
-    masks = []
-    for vox in (pred_ct, gt_ct):
-        body = body_contour(vox if isinstance(vox, Volume) else Volume(_voxels(vox)))
-        masks.append(region_masks(vox, body, bone_threshold_hu)[region])
-    a, b = masks
-    total = int(a.sum()) + int(b.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * int((a & b).sum()) / total
+    _check_aligned(pred_ct, gt_ct)
+    return _dice(region_masks(pred_ct, bone_threshold_hu)[region],
+                 region_masks(gt_ct, bone_threshold_hu)[region])
 
 
 # ---------------------------------------------------------------------------
@@ -318,33 +305,30 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
     """All four metrics over the three regions for one predicted/true pair.
 
     MAE, PSNR and SSIM use region masks derived from the ground truth; DSC
-    compares the masks derived independently from each volume. Returns CSV
-    row dicts (case_id, region, metric, value).
+    compares the masks derived independently from each volume. Each value
+    equals what :func:`mae`, :func:`psnr`, :func:`ssim` or :func:`dsc`
+    returns for its region. Returns CSV row dicts (case_id, region, metric,
+    value).
     """
     for vol in (pred, gt):
         if vol.intensity_space != "HU":
             raise DomainError(f"evaluation needs HU volumes, got {vol.intensity_space}")
     if pred.dims != gt.dims:
         raise ShapeError(f"volume dims differ: {pred.dims} vs {gt.dims}")
-    body = body_contour(gt)
-    regions = region_masks(gt, body, bone_threshold_hu)
-    rows = []
-    for region in REGIONS:
-        m = regions[region]
-        values = {
-            "mae": mae(pred, gt, m),
-            "psnr": psnr(pred, gt, m),
-            "ssim": ssim(pred, gt, m),
-            "dsc": dsc(pred, gt, region, bone_threshold_hu),
-        }
-        for metric in METRICS:
-            rows.append({"case_id": str(case_id), "region": region,
-                         "metric": metric, "value": float(values[metric])})
-    return rows
+    truth = region_masks(gt, bone_threshold_hu)
+    derived = region_masks(pred, bone_threshold_hu)
+    masks = [truth[region] for region in REGIONS]
+    values = {"mae": [mae(pred, gt, m) for m in masks],
+              "psnr": [psnr(pred, gt, m) for m in masks],
+              "ssim": _ssim_means(pred.voxels, gt.voxels, masks),
+              "dsc": [_dice(derived[region], truth[region]) for region in REGIONS]}
+    return [{"case_id": str(case_id), "region": region, "metric": metric,
+             "value": float(values[metric][i])}
+            for i, region in enumerate(REGIONS) for metric in METRICS]
 
 
 def write_report_csv(rows, path) -> None:
-    with atomic_open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_REPORT_HEADER)
         for row in rows:
@@ -358,39 +342,43 @@ def read_report_csv(path) -> list[dict]:
     Each row needs four fields, a known region and metric, and a value that
     is a finite number or +inf (identical volumes have infinite PSNR), and
     no two rows may share a (case_id, region, metric); anything else raises
-    FormatError naming the offending line.
+    FormatError naming the offending line, as does text that is not UTF-8 CSV.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lines = [(reader.line_num, fields) for fields in reader]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: unreadable report ({exc})") from None
+    header = lines[0][1] if lines else None
+    if header != _REPORT_HEADER:
+        raise FormatError(f"{path}: unexpected report header {header}")
     rows = []
     seen = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _REPORT_HEADER:
-            raise FormatError(f"{path}: unexpected report header {header}")
-        for fields in reader:
-            if not fields:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(fields) != len(_REPORT_HEADER):
-                raise FormatError(f"{where}: expected 4 fields, got {len(fields)}")
-            case_id, region, metric, text = fields
-            if region not in REGIONS:
-                raise FormatError(f"{where}: unknown region {region!r}")
-            if metric not in METRICS:
-                raise FormatError(f"{where}: unknown metric {metric!r}")
-            try:
-                value = float(text)
-            except ValueError:
-                raise FormatError(f"{where}: value {text!r} is not a number") from None
-            if math.isnan(value) or value == -math.inf:
-                raise FormatError(f"{where}: value must be finite or +inf, got {text!r}")
-            key = (case_id, region, metric)
-            if key in seen:
-                raise FormatError(f"{where}: duplicate row for {key}, "
-                                  f"first on line {seen[key]}")
-            seen[key] = reader.line_num
-            rows.append({"case_id": case_id, "region": region,
-                         "metric": metric, "value": value})
+    for line_num, fields in lines[1:]:
+        if not fields:
+            continue
+        where = f"{path}:{line_num}"
+        if len(fields) != len(_REPORT_HEADER):
+            raise FormatError(f"{where}: expected 4 fields, got {len(fields)}")
+        case_id, region, metric, text = fields
+        if region not in REGIONS:
+            raise FormatError(f"{where}: unknown region {region!r}")
+        if metric not in METRICS:
+            raise FormatError(f"{where}: unknown metric {metric!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            raise FormatError(f"{where}: value {text!r} is not a number") from None
+        if math.isnan(value) or value == -math.inf:
+            raise FormatError(f"{where}: value must be finite or +inf, got {text!r}")
+        key = (case_id, region, metric)
+        if key in seen:
+            raise FormatError(f"{where}: duplicate row for {key}, "
+                              f"first on line {seen[key]}")
+        seen[key] = line_num
+        rows.append({"case_id": case_id, "region": region,
+                     "metric": metric, "value": value})
     return rows
 
 

@@ -296,6 +296,14 @@ def apply_freeze(ckpt: Checkpoint, mask: FreezeMask) -> list[str]:
 # VQCK serialization
 # ---------------------------------------------------------------------------
 
+_MAX_AGE = np.iinfo(np.int64).max
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (booleans excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _block_order(params: dict, n_levels: int):
     names = sorted(params)
     for j in range(n_levels):
@@ -360,11 +368,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a VQCK file, checking it against the architecture in its header.
 
-    The manifest must list exactly the blocks of that architecture, with
+    The config values and the step are JSON integers, the step >= 0. The
+    manifest must list exactly the blocks of that architecture, with
     their shapes, back to back in file order; the payload must end with the
     last block and hold only finite values; there must be one codebook
-    record per pyramid level with one usage age per code. Any mismatch
-    raises :class:`FormatError`.
+    record per pyramid level with one non-negative integer usage age per
+    code. Any mismatch raises :class:`FormatError`.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -377,16 +386,20 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[start:end].decode("utf-8"))
-        config = ModelConfig(**header["config"]).validate()
+        config = ModelConfig(**header["config"])
+        for name, value in asdict(config).items():
+            if not _is_int(value):
+                raise DomainError(f"config {name} must be an integer, got {value!r}")
+        config.validate()
         provenance = header["provenance"]
-        step = int(header["step"])
+        step = header["step"]
         manifest = header["manifest"]
-        ages = [np.asarray(meta["usage_age"], dtype=np.int64)
-                for meta in header["codebooks"]]
+        ages = [meta["usage_age"] for meta in header["codebooks"]]
         flags = [meta["initialized"] for meta in header["codebooks"]]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError, OverflowError, DomainError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:  # DomainError is a ValueError
         raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
+    if not _is_int(step) or step < 0:
+        raise FormatError(f"{path}: step must be a non-negative integer, got {step!r}")
     if provenance not in PROVENANCE_TAGS:
         raise FormatError(f"{path}: unknown provenance tag {provenance!r}")
 
@@ -404,9 +417,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: {len(ages)} codebook records for "
                           f"{config.pyramid_levels} pyramid levels")
     for j, (age, flag) in enumerate(zip(ages, flags)):
-        if age.shape != (config.codebook_size,) or not isinstance(flag, bool):
+        if (not isinstance(age, list) or len(age) != config.codebook_size
+                or not all(_is_int(a) and 0 <= a <= _MAX_AGE for a in age)
+                or not isinstance(flag, bool)):
             raise FormatError(f"{path}: codebook {j} record needs a boolean flag "
-                              f"and {config.codebook_size} usage ages")
+                              f"and {config.codebook_size} non-negative integer usage ages")
 
     blocks = {}
     offset = 0
@@ -421,7 +436,7 @@ def load_checkpoint(path) -> Checkpoint:
         cb.codes = blocks[f"codebook{j}.codes"]
         cb.ema_embed_sum = blocks[f"codebook{j}.ema_embed_sum"]
         cb.ema_cluster_size = blocks[f"codebook{j}.ema_cluster_size"]
-        cb.usage_age = age
+        cb.usage_age = np.asarray(age, dtype=np.int64)
         cb.initialized = flag
         codebooks.append(cb)
     return Checkpoint(config, params, codebooks, step=step, provenance=provenance)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .model import Checkpoint, forward, value_space
-from .volume import Volume, extract_cubes, normalized_to_hu, pad_to_multiple, stitch_cubes
+from .volume import (NORMALIZED_AIR, Volume, extract_cubes, normalized_to_hu,
+                     pad_to_multiple, stitch_cubes)
 
 __all__ = [
     "PLANES",
@@ -32,9 +33,6 @@ __all__ = [
 ]
 
 PLANES = ("axial", "coronal", "sagittal")
-
-# pad value representing air in each normalized space
-_AIR = {"unit01": 0.0, "sym11": -1.0}
 
 
 @dataclass
@@ -87,7 +85,7 @@ def translate_slices(ckpt: Checkpoint, slices) -> list[np.ndarray]:
         arr = np.asarray(sl, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"expected 2D slices, got shape {arr.shape}")
-        padded = pad_to_multiple(arr, div, _AIR[space])
+        padded = pad_to_multiple(arr, div, NORMALIZED_AIR[space])
         pred = forward(ckpt, padded[None]).output.data[0]
         pred = pred[: arr.shape[0], : arr.shape[1]]
         out.append(normalized_to_hu(pred, space))
@@ -141,7 +139,7 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volum
     div = 2 ** ckpt.config.depth
     if edge % div:
         raise DomainError(f"cube edge {edge} must be divisible by {div}")
-    tiles = extract_cubes(volume, edge, pad_value=_AIR[space])
+    tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
     done = [(forward(ckpt, cube[None]).output.data[0], origin)
             for cube, origin in tiles]
     stitched = stitch_cubes(done, volume.dims)

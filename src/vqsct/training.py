@@ -20,8 +20,8 @@ from .errors import DomainError, ShapeError, TrainingError
 from .model import (Checkpoint, FreezeMask, ModelConfig, apply_freeze, build_model,
                     forward, mask_for_mode, param_tensors, reinitialized, value_space)
 from .volume import (HU_MAX, HU_MIN, N_CUBE_SYMMETRIES, N_PLANE_SYMMETRIES,
-                     Volume, apply_cube_symmetry, apply_plane_symmetry,
-                     extract_cubes, normalize, pad_to_multiple)
+                     NORMALIZED_AIR, Volume, apply_cube_symmetry,
+                     apply_plane_symmetry, extract_cubes, normalize, pad_to_multiple)
 
 __all__ = [
     "OptimizerState",
@@ -255,15 +255,16 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
                 f"pretraining volumes must be unit01, got {vol.intensity_space}")
 
     div = 2 ** config.depth
+    air = NORMALIZED_AIR["unit01"]
     items = []
     if config.spatial_rank == 2:
         for vol in volumes:
-            items.extend(_volume_slices(vol, 0.0, div))
+            items.extend(_volume_slices(vol, air, div))
     else:
         if cube_edge % div:
             raise DomainError(f"cube edge {cube_edge} must be divisible by {div}")
         for vol in volumes:
-            for cube, _ in extract_cubes(vol, cube_edge):
+            for cube, _ in extract_cubes(vol, cube_edge, air):
                 items.append(cube[None])
 
     ckpt = build_model(config)
@@ -308,8 +309,9 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
 
     ckpt = reinitialized(base, seed) if mode == "scratch" else base.copy()
     div = 2 ** ckpt.config.depth
-    inputs = [pad_to_multiple(p, div, -1.0)[None] for p in pet_slices]
-    targets = [pad_to_multiple(c, div, -1.0)[None] for c in ct_slices]
+    air = NORMALIZED_AIR["sym11"]
+    inputs = [pad_to_multiple(p, div, air)[None] for p in pet_slices]
+    targets = [pad_to_multiple(c, div, air)[None] for c in ct_slices]
 
     result = _train_loop(
         ckpt, inputs, targets, steps, seed,

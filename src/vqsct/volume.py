@@ -30,6 +30,7 @@ __all__ = [
     "HU_MAX",
     "HU_RANGE",
     "INTENSITY_SPACES",
+    "NORMALIZED_AIR",
     "PET_REFERENCE_PERCENTILE",
     "N_CUBE_SYMMETRIES",
     "read_volume",
@@ -56,6 +57,10 @@ PET_REFERENCE_PERCENTILE = 99.5
 INTENSITY_SPACES = ("HU", "activity", "unit01", "sym11")
 
 _NORMALIZED_BOUNDS = {"unit01": (0.0, 1.0), "sym11": (-1.0, 1.0)}
+
+# Pad value of each normalized space: the low end of its interval, which
+# is air (the HU_MIN clamp) for CT and zero activity for PET.
+NORMALIZED_AIR = {mode: lo for mode, (lo, _) in _NORMALIZED_BOUNDS.items()}
 
 
 @dataclass
@@ -136,7 +141,7 @@ def read_volume(path) -> Volume:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad text or JSON, or nested too deep
         raise FormatError(f"{path}: invalid header JSON ({exc})") from None
     required = ("dims", "spacing_mm", "intensity_space")
     if not isinstance(header, dict) or any(k not in header for k in required):
@@ -157,7 +162,7 @@ def read_volume(path) -> Volume:
     voxels = np.frombuffer(payload, dtype="<f4").reshape(dims, order="F")
     try:
         return Volume(voxels.astype(np.float64), spacing, space, meta)
-    except (DomainError, ShapeError) as exc:
+    except (DomainError, ShapeError, OverflowError) as exc:  # or a spacing beyond float range
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -272,10 +277,11 @@ def pad_to_multiple(values: np.ndarray, multiple: int, pad_value: float = 0.0) -
     return np.pad(arr, pads, mode="constant", constant_values=pad_value)
 
 
-def extract_cubes(volume: Volume, edge: int, pad_value: float = 0.0):
+def extract_cubes(volume: Volume, edge: int, pad_value: float):
     """Tile a volume into non-overlapping edge^3 cubes, padding the high sides.
 
-    The pad value defaults to 0.0, which is air for unit01-normalized CT.
+    ``pad_value`` fills the high sides: ``NORMALIZED_AIR[space]`` for a
+    normalized volume.
     Returns a list of (cube, origin) pairs; origins index the padded grid so
     ``stitch_cubes`` can reassemble the volume exactly.
     """

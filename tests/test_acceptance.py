@@ -237,7 +237,7 @@ def test_criterion_04_hole_fill_matches_flood_fill(capsys, phantom_cohort):
         density = rng.uniform(0.25, 0.75)
         sl = np.where(rng.random((h, w)) < density, 50.0, -1000.0)
         vol = Volume(sl[:, :, None], (1, 1, 1), "HU", {})
-        if not np.array_equal(body_contour(vol).mask[:, :, 0],
+        if not np.array_equal(body_contour(vol)[:, :, 0],
                               flood_fill_body(sl)):
             bad_random += 1
 
@@ -245,7 +245,7 @@ def test_criterion_04_hole_fill_matches_flood_fill(capsys, phantom_cohort):
     lungs_out = 0
     air_in = 0
     for ct, _, truth in phantom_cohort:
-        mask = body_contour(ct).mask
+        mask = body_contour(ct)
         for z in range(mask.shape[2]):
             if not np.array_equal(mask[:, :, z],
                                   flood_fill_body(ct.voxels[:, :, z])):
@@ -287,8 +287,8 @@ def test_criterion_05_metric_properties(capsys):
             abs(mae(g + c, g, m) - abs(c)) / max(abs(c), 1e-6),
             mae(g, g, m))
         body = body_contour(Volume(g, (1, 1, 1), "HU", {}))
-        if body.mask.any():
-            regions = region_masks(g, body)
+        if body.any():
+            regions = region_masks(g)
             assert np.array_equal(regions["soft"] | regions["bone"],
                                   regions["whole"])
             assert not (regions["soft"] & regions["bone"]).any()
@@ -578,7 +578,7 @@ def test_criterion_09_end_to_end_quality_and_time(capsys, e2e_first):
 
     gt = read_volume(e2e_first["gt"])
     body = body_contour(gt)
-    water = float(np.abs(np.clip(gt.voxels, HU_MIN, HU_MAX))[body.mask].mean())
+    water = float(np.abs(np.clip(gt.voxels, HU_MIN, HU_MAX))[body].mean())
 
     maes = {}
     for mode in MODES:

@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,7 +277,8 @@ def test_any_config_object_exits_cleanly(tmp_path_factory, values):
 
 @pytest.mark.parametrize("flag", [
     "--batch-size=0", "--batch-size=-3", "--learning-rate=nan",
-    "--learning-rate=-1e-3", "--weight-decay=-0.01"])
+    "--learning-rate=-1e-3", "--weight-decay=-0.01",
+    "--learning-rate -1e-3", "--weight-decay -1e-2"])
 def test_out_of_range_training_values_exit_1(work, tmp_path, flag):
     # in a subprocess with a timeout, so a batch size that makes the batch
     # stream loop forever fails the test instead of hanging the suite
@@ -283,11 +286,11 @@ def test_out_of_range_training_values_exit_1(work, tmp_path, flag):
     out = tmp_path / "never.vqck"
     proc = subprocess.run([sys.executable, "-m", "vqsct.cli", "pretrain",
                            "--volumes", work["textures"][0], "--out", str(out),
-                           "--depth", "2", "--steps", "1", flag],
+                           "--depth", "2", "--steps", "1", *flag.split(" ")],
                           capture_output=True, env=env, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("vqsct: error:") and proc.stderr.count("\n") == 1
-    assert flag[2:].split("=")[0].replace("-", " ") in proc.stderr
+    assert re.split("[= ]", flag[2:])[0].replace("-", " ") in proc.stderr
     assert not out.exists()
 
 
@@ -434,10 +437,13 @@ def test_stats_identical_reports_exit_1(tmp_path):
     "case_id,region,metric,value\nc0,whole,mae,nan\n",
     "case_id,region,metric,value\nc0,whole,psnr,-inf\n",
     "case,region,metric,value\nc0,whole,mae,1.0\n",
-    ""])
+    "",
+    pytest.param(b"case_id,region,metric,value\nc\xff,whole,mae,1.0\n", id="not-utf8"),
+    pytest.param("case_id,region,metric,value\n" + "c" * 131073 + ",whole,mae,1.0\n",
+                 id="long-field")])
 def test_malformed_report_is_rejected(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     good = tmp_path / "good.csv"
     write_report_csv(report_rows([50.0, 60.0, 55.0]), good)
     with pytest.raises(FormatError):
@@ -536,9 +542,35 @@ def _keep(ckpt):
     pass
 
 
+def _text_step(ckpt):
+    ckpt.step = "7"
+
+
+def _fractional_step(ckpt):
+    ckpt.step = 7.9
+
+
+def _negative_step(ckpt):
+    ckpt.step = -3
+
+
+def _fractional_usage_age(ckpt):
+    ckpt.codebooks[0].usage_age = ckpt.codebooks[0].usage_age + 1.7
+
+
+def _text_seed(ckpt):
+    ckpt.config = replace(ckpt.config, seed="x")
+
+
+def _float_codebook_size(ckpt):
+    ckpt.config = replace(ckpt.config, codebook_size=8.0)
+
+
 @pytest.mark.parametrize("mutate,junk", [
     (_drop_param, b""), (_drop_codebook, b""), (_long_usage_age, b""),
-    (_wrong_block_shape, b""), (_non_finite, b""), (_keep, b"\x00" * 8)])
+    (_wrong_block_shape, b""), (_non_finite, b""), (_keep, b"\x00" * 8),
+    (_text_step, b""), (_fractional_step, b""), (_negative_step, b""),
+    (_fractional_usage_age, b""), (_text_seed, b""), (_float_codebook_size, b"")])
 def test_malformed_checkpoint_is_rejected(work, tmp_path, capsys, mutate, junk):
     ckpt = build_model(ModelConfig(depth=2, base_channels=4, codebook_size=8,
                                    codebook_dim=6, pyramid_levels=2))
@@ -555,13 +587,14 @@ def test_malformed_checkpoint_is_rejected(work, tmp_path, capsys, mutate, junk):
                  "--out", str(tmp_path / "o.mvol")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("vqsct: error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("changes", [
     {"meta": [1, 2]}, {"meta": "xy"},
     {"spacing_mm": ["nan", 1, 1]}, {"spacing_mm": [float("nan"), 1, 1]},
     {"spacing_mm": [1, float("inf"), 1]}, {"spacing_mm": "111"},
-    {"dims": [8.7, 8, 8]}, {"dims": [True, 8, 64]}])
+    {"dims": [8.7, 8, 8]}, {"dims": [True, 8, 64]}, {"spacing_mm": [10**400, 1, 1]}])
 def test_malformed_volume_header_is_rejected(work, tmp_path, capsys, changes):
     # an 8x8x8 payload, so each dims mutation still matches its byte count
     path = tmp_path / "bad.mvol"

@@ -1,8 +1,5 @@
 """Cosine codebook checks against brute-force and scalar-loop oracles."""
 
-import runpy
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,9 +269,3 @@ def test_update_sequences_preserve_membership_and_norms(seed):
         expire_stale(cb, result.unit_rows, age_threshold=2,
                      seed=int(rng.integers(2**31)))
     assert np.allclose(np.linalg.norm(cb.codes, axis=1), 1.0, atol=1e-6)
-
-
-def test_codebook_demo_runs(capsys):
-    demo = Path(__file__).resolve().parents[1] / "demos" / "demo_codebook_quantization.py"
-    runpy.run_path(str(demo), run_name="__main__")
-    assert "commitment penalty:" in capsys.readouterr().out

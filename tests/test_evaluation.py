@@ -9,6 +9,7 @@ import scipy.stats
 
 from oracles import (flood_fill_body, mae_loop, psnr_loop, ssim_window,
                      wilcoxon_enum)
+from vqsct import evaluation
 from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.evaluation import (BODY_THRESHOLD_HU, body_contour, colormap_bwr,
                               compare_reports, difference_map, dsc,
@@ -52,7 +53,7 @@ def test_body_contour_matches_flood_fill_oracle():
     rng = np.random.default_rng(0)
     for sl in random_hu_slices(200, rng):
         vol = hu_volume(sl[:, :, None])
-        got = body_contour(vol).mask[:, :, 0]
+        got = body_contour(vol)[:, :, 0]
         assert np.array_equal(got, flood_fill_body(sl))
 
 
@@ -60,12 +61,12 @@ def test_body_contour_fills_enclosed_cavity_only():
     sl = np.full((9, 9), -1000.0)
     sl[2:7, 2:7] = 100.0
     sl[4, 4] = -1000.0  # enclosed air pocket
-    ring = body_contour(hu_volume(sl[:, :, None])).mask[:, :, 0]
+    ring = body_contour(hu_volume(sl[:, :, None]))[:, :, 0]
     assert ring[4, 4]  # pocket filled
     assert not ring[0, 0]  # exterior stays out
 
     sl[4, 0:4] = -1000.0  # cut a channel from the pocket to the border
-    open_shape = body_contour(hu_volume(sl[:, :, None])).mask[:, :, 0]
+    open_shape = body_contour(hu_volume(sl[:, :, None]))[:, :, 0]
     assert not open_shape[4, 4]  # now reachable from outside
 
 
@@ -77,7 +78,7 @@ def test_body_contour_diagonal_gap_blocks_background():
     sl[2, 2] = -1000.0
     sl[1, 1] = -1000.0
     sl[0, 0] = -1000.0
-    mask = body_contour(hu_volume(sl[:, :, None])).mask[:, :, 0]
+    mask = body_contour(hu_volume(sl[:, :, None]))[:, :, 0]
     assert mask[3, 3] and mask[2, 2] and mask[1, 1]
     assert not mask[0, 0]  # touches the border, so it is outside air
     assert np.array_equal(mask, flood_fill_body(sl))
@@ -85,13 +86,13 @@ def test_body_contour_diagonal_gap_blocks_background():
 
 def test_body_contour_threshold_is_strict():
     sl = np.full((5, 5), BODY_THRESHOLD_HU)
-    assert not body_contour(hu_volume(sl[:, :, None])).mask.any()
+    assert not body_contour(hu_volume(sl[:, :, None])).any()
     sl2 = np.full((5, 5), BODY_THRESHOLD_HU + 1e-9)
-    assert body_contour(hu_volume(sl2[:, :, None])).mask.all()
+    assert body_contour(hu_volume(sl2[:, :, None])).all()
 
 
 def test_body_contour_on_phantom_keeps_lungs_excludes_air(phantom):
-    mask = body_contour(phantom.ct).mask
+    mask = body_contour(phantom.ct)
     assert mask[phantom.labels == LABEL_LUNG].all()  # lungs inside the contour
     corners = [(s1, s2, s3)
                for s1 in (slice(0, 2), slice(-2, None))
@@ -111,18 +112,11 @@ def test_body_contour_requires_hu():
 
 
 def test_region_masks_partition_body(phantom):
-    body = body_contour(phantom.ct)
-    regions = region_masks(phantom.ct, body)
+    regions = region_masks(phantom.ct)
+    assert np.array_equal(regions["whole"], body_contour(phantom.ct))
     assert np.array_equal(regions["soft"] | regions["bone"], regions["whole"])
     assert not (regions["soft"] & regions["bone"]).any()
     assert regions["bone"].sum() > 0 and regions["soft"].sum() > 0
-
-
-def test_region_masks_shape_check(phantom):
-    body = body_contour(phantom.ct)
-    small = hu_volume(np.zeros((4, 4, 4)))
-    with pytest.raises(ShapeError):
-        region_masks(small, body)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +224,7 @@ def test_dsc_symmetric_and_matches_formula(phantom):
         assert ab == ba
         masks = []
         for vol in (pred, phantom.ct):
-            masks.append(region_masks(vol, body_contour(vol))[region])
+            masks.append(region_masks(vol)[region])
         a, b = masks
         want = 2.0 * (a & b).sum() / (a.sum() + b.sum())
         assert ab == pytest.approx(want, rel=1e-12)
@@ -395,10 +389,29 @@ def test_save_difference_maps_writes_ordered_files(tmp_path):
 # Case evaluation and reports
 # ---------------------------------------------------------------------------
 
-def test_evaluate_case_rows(phantom):
+def test_evaluate_case_rows(phantom, monkeypatch):
     rng = np.random.default_rng(14)
     pred = hu_volume(phantom.ct.voxels + rng.normal(0, 40, phantom.ct.dims))
+    calls = {"body_contour": 0, "_window_mean": 0}
+
+    def counting(name):
+        original = getattr(evaluation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, wrapper)
+
+    for name in calls:
+        counting(name)
     rows = evaluate_case(pred, phantom.ct, case_id="c0")
+    monkeypatch.undo()
+    regions = region_masks(phantom.ct)
+    # one contour per volume, and five window means per slice that holds
+    # a full-window center of any region (the whole region covers the others)
+    centered = regions["whole"][5:-5, 5:-5, :].any(axis=(0, 1)).sum()
+    assert calls == {"body_contour": 2, "_window_mean": 5 * int(centered)}
+
     assert len(rows) == 12
     assert [(r["region"], r["metric"]) for r in rows] == [
         (region, metric)
@@ -406,12 +419,12 @@ def test_evaluate_case_rows(phantom):
         for metric in ("mae", "psnr", "ssim", "dsc")]
     assert all(r["case_id"] == "c0" for r in rows)
     by_key = {(r["region"], r["metric"]): r["value"] for r in rows}
-    body = body_contour(phantom.ct)
-    regions = region_masks(phantom.ct, body)
-    assert by_key[("whole", "mae")] == pytest.approx(
-        mae(pred, phantom.ct, regions["whole"]), rel=1e-12)
-    assert by_key[("bone", "psnr")] == pytest.approx(
-        psnr(pred, phantom.ct, regions["bone"]), rel=1e-12)
+    for region in ("whole", "soft", "bone"):
+        m = regions[region]
+        assert by_key[(region, "mae")] == mae(pred, phantom.ct, m)
+        assert by_key[(region, "psnr")] == psnr(pred, phantom.ct, m)
+        assert by_key[(region, "ssim")] == ssim(pred, phantom.ct, m)
+        assert by_key[(region, "dsc")] == dsc(pred, phantom.ct, region)
 
 
 def test_evaluate_case_perfect_prediction(phantom):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from vqsct.errors import DomainError, FormatError, ShapeError
-from vqsct.volume import (HU_MAX, HU_MIN, Volume, activity_to_normalized,
+from vqsct.volume import (HU_MAX, HU_MIN, NORMALIZED_AIR, Volume,
+                          activity_to_normalized,
                           apply_cube_symmetry, apply_plane_symmetry,
                           extract_cubes, hu_to_normalized, normalize,
                           normalized_to_hu, pad_to_multiple, read_volume,
@@ -99,6 +100,13 @@ def test_hu_normalization_hits_contract_anchors():
     vals = np.array([-1024.0, 976.0, 2976.0])
     assert np.allclose(hu_to_normalized(vals, "unit01"), [0.0, 0.5, 1.0])
     assert np.allclose(hu_to_normalized(vals, "sym11"), [-1.0, 0.0, 1.0])
+
+
+def test_normalized_air_is_clamped_air_and_zero_activity():
+    for mode in ("unit01", "sym11"):
+        assert NORMALIZED_AIR[mode] == hu_to_normalized(np.array([-3000.0]), mode)[0]
+        assert NORMALIZED_AIR[mode] == activity_to_normalized(np.array([0.0]), 5.0, mode)[0]
+    assert NORMALIZED_AIR == {"unit01": 0.0, "sym11": -1.0}
 
 
 def test_hu_normalization_clamps_out_of_range():
@@ -220,7 +228,7 @@ def test_extract_then_stitch_recovers_volume():
 
 def test_extract_cubes_origins_tile_the_grid():
     vol = Volume(np.zeros((16, 16, 16)), (1, 1, 1), "unit01", {})
-    tiles = extract_cubes(vol, edge=8)
+    tiles = extract_cubes(vol, edge=8, pad_value=0.0)
     origins = sorted(origin for _, origin in tiles)
     expected = sorted((x, y, z) for x in (0, 8) for y in (0, 8) for z in (0, 8))
     assert origins == expected
@@ -229,4 +237,4 @@ def test_extract_cubes_origins_tile_the_grid():
 def test_extract_cubes_rejects_tiny_edge():
     vol = Volume(np.zeros((16, 16, 16)), (1, 1, 1), "unit01", {})
     with pytest.raises(DomainError):
-        extract_cubes(vol, edge=4)
+        extract_cubes(vol, edge=4, pad_value=0.0)
