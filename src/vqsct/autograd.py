@@ -11,8 +11,10 @@ Conventions:
 
 * feature maps are ``[channels, *spatial]`` with spatial rank 2 or 3 and no
   batch axis (a batch is a set of subgraphs sharing parameter leaves);
-* all graph arrays are float64 (gradient checks require it; bulk volume data
-  may live in float32 outside the graph and is converted at the boundary);
+* a graph runs in the dtype of its leaves, and every op returns, and every
+  vjp passes back, its parent's dtype: :func:`leaf` defaults to float64,
+  which the gradient checks need, and production graphs are float32 over
+  float32 casts of float64 master weights (see ``model.forward``);
 * the convolution forward is a polyphase flat-shift GEMM: each kernel
   offset multiplies its weights with one contiguous slice of a flattened,
   zero-padded polyphase grid of the input, and the offsets are added in
@@ -130,7 +132,7 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
         raise DomainError(f"leaky_relu slope must be in [0, 1), got {slope}")
     pos = a.data >= 0  # x == 0 takes the positive branch
     out = np.where(pos, a.data, slope * a.data)
-    return Tensor(out, "leaky_relu", (a,), lambda g: (g * np.where(pos, 1.0, slope),))
+    return Tensor(out, "leaky_relu", (a,), lambda g: (np.where(pos, g, slope * g),))
 
 
 # conv_forward_data equals a window-by-window product byte for byte only
@@ -139,6 +141,8 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
 # in remainder kernels, and products with M*N*K up to 100**3 in small-matrix
 # kernels whose remainders round differently again. A block of 64 columns
 # has no remainder, and its results do not depend on the product's width.
+# These are the float64 (dgemm) periods; sgemm's differ, so float32 convs
+# skip the remainder recompute, which buys them no byte identity.
 _GEMM_BLOCK = 64
 _SMALL_GEMM = 100 ** 3
 # Columns of the wide output per GEMM, so that the slab being accumulated
@@ -249,7 +253,8 @@ def conv_forward_data(x, w, b=None, stride=1, pad=0):
     window-by-window GEMM leaves in its remainder columns are recomputed by
     a GEMM over their windows alone, of a width with the same remainder
     (over the whole output when the window-by-window GEMM is above BLAS's
-    small-matrix size).
+    small-matrix size). That recompute targets float64's kernels; a float32
+    conv keeps the order of operations but not this kernel match.
     """
     out_sp, grid, rowstride, rows, geometry = _conv_geometry(x.shape, w.shape, stride, pad)
     c_out, c_in = w.shape[:2]
@@ -257,8 +262,8 @@ def conv_forward_data(x, w, b=None, stride=1, pad=0):
     if rows == n_out:  # no surplus columns: one GEMM per offset, as window by window
         redo, span, slab = 0, rows, rows
     else:
-        if c_in == 1 or n_out % _GEMM_BLOCK == 0:
-            redo = 0  # exact one-term products, or no remainder columns
+        if c_in == 1 or n_out % _GEMM_BLOCK == 0 or x.dtype != np.float64:
+            redo = 0  # exact one-term products, no remainder columns, or no dgemm to match
         elif n_out * c_out * c_in <= _SMALL_GEMM:
             redo = min(n_out, n_out % _GEMM_BLOCK + _GEMM_BLOCK)
         else:
@@ -387,6 +392,11 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         for d in x.data.shape[1:]:
             shape.extend((d, factor))
         folded = g.reshape(shape)
+        if rank == 2 and factor == 2:
+            # numpy's bytes for the reduction below, in this order, without
+            # its slow walk over two strided axes
+            return ((folded[:, :, 0, :, 0] + folded[:, :, 0, :, 1])
+                    + (folded[:, :, 1, :, 0] + folded[:, :, 1, :, 1]),)
         return (folded.sum(axis=tuple(range(2, 2 * rank + 1, 2))),)
 
     return Tensor(y, "upsample", (x,), vjp)

@@ -302,7 +302,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    from .model import load_checkpoint, save_checkpoint
+    from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
     from .pipeline import PLANES, slice_volume
     from .training import finetune_translate
     from .volume import normalize, read_volume
@@ -323,9 +323,9 @@ def _cmd_finetune(args) -> int:
         if pet.dims != ct.dims:
             raise DomainError(f"paired volumes disagree on dims: "
                               f"{pet_path} {pet.dims} vs {ct_path} {ct.dims}")
-        for plane in planes:
-            pet_slices.extend(slice_volume(pet, plane))
-            ct_slices.extend(slice_volume(ct, plane))
+        for plane in planes:  # held in the graph's dtype: the largest data a run keeps
+            pet_slices.extend(sl.astype(GRAPH_DTYPE) for sl in slice_volume(pet, plane))
+            ct_slices.extend(sl.astype(GRAPH_DTYPE) for sl in slice_volume(ct, plane))
 
     result = finetune_translate(
         base, args.mode, pet_slices, ct_slices, args.steps, args.seed,

@@ -340,7 +340,8 @@ def read_report_csv(path) -> list[dict]:
     """Read a report written by :func:`write_report_csv`.
 
     Each row needs four fields, a known region and metric, and a value that
-    is a finite number or +inf (identical volumes have infinite PSNR), and
+    is a finite number or +inf (identical volumes have infinite PSNR) in the
+    text the writer gives it, the ``repr`` of a float, and
     no two rows may share a (case_id, region, metric); anything else raises
     FormatError naming the offending line, as does text that is not UTF-8 CSV.
     """
@@ -370,6 +371,8 @@ def read_report_csv(path) -> list[dict]:
             value = float(text)
         except ValueError:
             raise FormatError(f"{where}: value {text!r} is not a number") from None
+        if repr(value) != text:
+            raise FormatError(f"{where}: value {text!r} is not a float repr ({value!r})")
         if math.isnan(value) or value == -math.inf:
             raise FormatError(f"{where}: value must be finite or +inf, got {text!r}")
         key = (case_id, region, metric)

@@ -35,6 +35,7 @@ __all__ = [
     "ForwardResult",
     "PROVENANCE_TAGS",
     "MODES",
+    "GRAPH_DTYPE",
     "build_model",
     "param_tensors",
     "forward",
@@ -52,6 +53,10 @@ MODES = ("scratch", "no-frozen", "enc-frozen")
 
 LEAKY_SLOPE = 0.1
 CHANNEL_CAP_FACTOR = 8
+# Training and inference build their graphs in this dtype, over casts of the
+# float64 master weights (mixed precision; the optimizer state, codebooks and
+# gradient checks stay float64).
+GRAPH_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -184,9 +189,13 @@ def build_model(config: ModelConfig) -> Checkpoint:
     return Checkpoint(config, params, codebooks, step=0, provenance="scratch")
 
 
-def param_tensors(ckpt: Checkpoint) -> dict[str, ag.Tensor]:
-    """Graph leaves over the checkpoint parameters, shared across a batch."""
-    return {name: ag.leaf(arr) for name, arr in ckpt.params.items()}
+def param_tensors(ckpt: Checkpoint, dtype=np.float64) -> dict[str, ag.Tensor]:
+    """Graph leaves over the checkpoint parameters, shared across a batch.
+
+    The leaves are ``dtype`` casts of the float64 master weights; build them
+    once per step or command, in the dtype of the inputs they will meet.
+    """
+    return {name: ag.leaf(arr, dtype) for name, arr in ckpt.params.items()}
 
 
 def _quantize_level(feat: ag.Tensor, level: int, params, codebook: Codebook, beta: float):
@@ -207,7 +216,7 @@ def _quantize_level(feat: ag.Tensor, level: int, params, codebook: Codebook, bet
     if beta > 0:
         rows_t = ag.moveaxis(ag.reshape(proj, (dim, rows_data.shape[0])), 0, 1)
         normed = ag.l2_normalize_rows(rows_t)
-        diff = ag.sub(normed, ag.leaf(qres.quantized))
+        diff = ag.sub(normed, ag.leaf(qres.quantized, proj.data.dtype))
         # mean over rows of the squared distance: elementwise mean times row width
         commit = ag.scale(ag.mean_all(ag.mul(diff, diff)), beta * dim)
     return out, commit, qres.indices.reshape(spatial), qres.unit_rows
@@ -222,9 +231,16 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     accumulate gradients across several inputs in one backward pass. The
     commitment term, weighted by ``beta``, is part of the graph only when
     ``beta > 0``; inference leaves it out.
+
+    The graph runs in the input's dtype: a float32 input stays float32, and
+    any other becomes float64. Training and inference feed ``GRAPH_DTYPE``
+    (float32), so the production graph is float32 over float32 casts of the
+    float64 master weights in ``ckpt.params``; ``params``, if given, should
+    be in the input's dtype. The quantizer assigns codes in float64 either way.
     """
     cfg = ckpt.config
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x)
+    arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)
     if arr.ndim != cfg.spatial_rank + 1 or arr.shape[0] != 1:
         raise ShapeError(
             f"input must be [1, *spatial] with rank {cfg.spatial_rank}, got {arr.shape}")
@@ -234,9 +250,9 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     if not beta >= 0.0:
         raise DomainError(f"commitment weight beta must be >= 0, got {beta}")
     if params is None:
-        params = param_tensors(ckpt)
+        params = param_tensors(ckpt, arr.dtype)
 
-    h = ag.leaf(arr)
+    h = ag.leaf(arr, arr.dtype)
     enc_feats = []
     for i in range(cfg.depth):
         h = ag.leaky_relu(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .model import Checkpoint, forward, value_space
+from .model import GRAPH_DTYPE, Checkpoint, forward, param_tensors, value_space
 from .volume import (NORMALIZED_AIR, Volume, extract_cubes, normalized_to_hu,
                      pad_to_multiple, stitch_cubes)
 
@@ -72,22 +72,23 @@ def translate_slices(ckpt: Checkpoint, slices) -> list[np.ndarray]:
     """Run normalized 2D slices through a 2D checkpoint; outputs are HU.
 
     Each slice is padded up to the next multiple of 2^depth with the
-    normalized air value of the checkpoint's space, translated, cropped
-    back, and mapped to HU.
+    normalized air value of the checkpoint's space, translated in
+    ``GRAPH_DTYPE``, cropped back, and mapped to HU in float64.
     """
     if ckpt.config.spatial_rank != 2:
         raise DomainError(
             f"translate_slices needs a 2D checkpoint, got rank {ckpt.config.spatial_rank}")
     space = value_space(ckpt)
     div = 2 ** ckpt.config.depth
+    params = param_tensors(ckpt, GRAPH_DTYPE)
     out = []
     for sl in slices:
-        arr = np.asarray(sl, dtype=np.float64)
+        arr = np.asarray(sl, dtype=GRAPH_DTYPE)
         if arr.ndim != 2:
             raise ShapeError(f"expected 2D slices, got shape {arr.shape}")
         padded = pad_to_multiple(arr, div, NORMALIZED_AIR[space])
-        pred = forward(ckpt, padded[None]).output.data[0]
-        pred = pred[: arr.shape[0], : arr.shape[1]]
+        pred = forward(ckpt, padded[None], params).output.data[0]
+        pred = pred[: arr.shape[0], : arr.shape[1]].astype(np.float64)
         out.append(normalized_to_hu(pred, space))
     return out
 
@@ -128,7 +129,7 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volume:
-    """3D reconstruction: tile into cubes, run each, stitch, map to HU."""
+    """3D reconstruction: tile into cubes, run each in ``GRAPH_DTYPE``, stitch, map to HU."""
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
             f"reconstruct_cubes needs a 3D checkpoint, got rank {ckpt.config.spatial_rank}")
@@ -140,7 +141,8 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volum
     if edge % div:
         raise DomainError(f"cube edge {edge} must be divisible by {div}")
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
-    done = [(forward(ckpt, cube[None]).output.data[0], origin)
+    params = param_tensors(ckpt, GRAPH_DTYPE)
+    done = [(forward(ckpt, cube[None].astype(GRAPH_DTYPE), params).output.data[0], origin)
             for cube, origin in tiles]
     stitched = stitch_cubes(done, volume.dims)
     return Volume(normalized_to_hu(stitched, space), volume.spacing_mm, "HU")

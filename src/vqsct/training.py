@@ -17,8 +17,9 @@ import numpy as np
 from . import autograd as ag
 from .codebook import ema_update, expire_stale, kmeans_init
 from .errors import DomainError, ShapeError, TrainingError
-from .model import (Checkpoint, FreezeMask, ModelConfig, apply_freeze, build_model,
-                    forward, mask_for_mode, param_tensors, reinitialized, value_space)
+from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_freeze,
+                    build_model, forward, mask_for_mode, param_tensors, reinitialized,
+                    value_space)
 from .volume import (HU_MAX, HU_MIN, N_CUBE_SYMMETRIES, N_PLANE_SYMMETRIES,
                      NORMALIZED_AIR, Volume, apply_cube_symmetry,
                      apply_plane_symmetry, extract_cubes, normalize, pad_to_multiple)
@@ -75,7 +76,7 @@ def adamw_step(state: OptimizerState, params: dict[str, np.ndarray],
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name in sorted(state.m):
-        g = grads[name]
+        g = np.asarray(grads[name], dtype=np.float64)  # the moments stay float64
         if g.shape != params[name].shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape "
                              f"{params[name].shape} for {name!r}")
@@ -144,13 +145,22 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                 mask: FreezeMask, learning_rate: float, batch_size: int,
                 beta: float, expire_age: int, decay: float,
                 weight_decay: float, augment: bool = False) -> TrainResult:
-    """The shared optimization loop over paired (input, target) items."""
+    """The shared optimization loop over paired (input, target) items.
+
+    The items are cast to ``GRAPH_DTYPE`` once, so every forward (k-means
+    initialization included), backward and loss runs in float32 against
+    float32 casts of the float64 master weights, which AdamW updates in
+    float64.
+    """
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
     if not 0.0 < learning_rate < np.inf:
         raise DomainError(f"learning rate must be finite and > 0, got {learning_rate}")
     if not 0.0 <= weight_decay < np.inf:
         raise DomainError(f"weight decay must be finite and >= 0, got {weight_decay}")
+    shared = targets is inputs
+    inputs = [np.asarray(item, dtype=GRAPH_DTYPE) for item in inputs]
+    targets = inputs if shared else [np.asarray(item, dtype=GRAPH_DTYPE) for item in targets]
     n = len(inputs)
     data_rng = np.random.default_rng([seed, 0])
     expire_rng = np.random.default_rng([seed, 1])
@@ -167,7 +177,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
 
     batch = first_batch
     for _ in range(steps):
-        params = param_tensors(ckpt)
+        params = param_tensors(ckpt, GRAPH_DTYPE)
         item_losses = []
         l1_values = []
         level_rows = [[] for _ in ckpt.codebooks]
@@ -183,7 +193,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                 tgt = inp if targets[idx] is inputs[idx] else _augmented_item(
                     tgt, element)
             res = forward(ckpt, inp, params, beta=beta)
-            l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(tgt))))
+            l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(tgt, GRAPH_DTYPE))))
             loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
             item_losses.append(loss)
             l1_values.append(float(l1.data))
@@ -291,13 +301,13 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     checkpoint, ``enc-frozen`` freezes the encoder (and by default the
     codebook). With ``augment`` each sampled pair passes through one shared
     seeded grid symmetry. The result is tagged ``finetuned`` (sym11 value
-    space).
+    space). The slices are taken in ``GRAPH_DTYPE``.
     """
     mask = mask_for_mode(mode, freeze_codebook_with_encoder)
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
-    pet_slices = [np.asarray(s, dtype=np.float64) for s in pet_slices]
-    ct_slices = [np.asarray(s, dtype=np.float64) for s in ct_slices]
+    pet_slices = [np.asarray(s, dtype=GRAPH_DTYPE) for s in pet_slices]
+    ct_slices = [np.asarray(s, dtype=GRAPH_DTYPE) for s in ct_slices]
     if len(pet_slices) != len(ct_slices):
         raise DomainError(
             f"unpaired slices: {len(pet_slices)} PET vs {len(ct_slices)} CT")

@@ -267,10 +267,15 @@ def apply_plane_symmetry(values: np.ndarray, element: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pad_to_multiple(values: np.ndarray, multiple: int, pad_value: float = 0.0) -> np.ndarray:
-    """Pad each axis at the high end up to the next multiple of ``multiple``."""
+    """Pad each axis at the high end up to the next multiple of ``multiple``.
+
+    A float32 input (the model graph's dtype) stays float32; any other input
+    becomes float64.
+    """
     if multiple < 1:
         raise DomainError(f"multiple must be >= 1, got {multiple}")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)
     pads = [(0, (-n) % multiple) for n in arr.shape]
     if not any(hi for _, hi in pads):
         return arr

@@ -136,6 +136,10 @@ def test_leaky_relu_values_and_slope():
     grads = ag.backward(loss, {"x": x})
     # the kink at exactly zero takes the positive branch
     assert np.array_equal(grads["x"], np.array([0.1, 0.1, 1.0, 1.0]))
+    # any upstream gradient: the bytes of g * where(x >= 0, 1, slope)
+    g = np.random.default_rng(15).standard_normal(4)
+    (got,) = y.vjp(g)
+    assert got.tobytes() == (g * np.where(x.data >= 0, 1.0, 0.1)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +260,40 @@ def test_conv_backward_matches_window_grads_on_model_layers(c_in, c_out, spatial
                              conv_window_grads(x, w, gy, stride, pad))
 
 
+# (rank, kernel, stride, pad) of every conv the model runs.
+_FLOAT32_CONVS = [(rank, ksize, stride, pad) for rank in (2, 3)
+                  for ksize, stride, pad in [(1, 1, 0), (3, 1, 1), (3, 2, 1)]]
+_FLOAT32_EXTENTS = {2: (40, 34), 3: (12, 10, 8)}
+
+
+def _assert_float32_close(got, want, magnitude):
+    """A float32 result within 1e-5 of its float64 oracle, per entry relative to
+    ``magnitude``, the same sum over the terms' absolute values."""
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-5 * magnitude)
+
+
+@pytest.mark.parametrize("rank,ksize,stride,pad", _FLOAT32_CONVS)
+def test_float32_conv_matches_float64_oracle(rank, ksize, stride, pad):
+    rng = np.random.default_rng(3000 + 100 * rank + 10 * stride + ksize)
+    spatial = _FLOAT32_EXTENTS[rank]
+    for c_in, c_out in _CONV_CHANNELS + [(8, 16), (16, 8)]:
+        x = rng.standard_normal((c_in,) + spatial).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in) + (ksize,) * rank).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        out_sp = tuple((d + 2 * pad - ksize) // stride + 1 for d in spatial)
+        gy = rng.standard_normal((c_out,) + out_sp).astype(np.float32)
+        x64, w64, b64, gy64 = (a.astype(np.float64) for a in (x, w, b, gy))
+        _assert_float32_close(ag.conv_forward_data(x, w, b, stride, pad),
+                              conv_window_sum(x64, w64, b64, stride, pad),
+                              conv_window_sum(abs(x64), abs(w64), abs(b64), stride, pad))
+        for got, want, magnitude in zip(
+                ag.conv_backward_data(x, w, gy, stride, pad),
+                conv_window_grads(x64, w64, gy64, stride, pad),
+                conv_window_grads(abs(x64), abs(w64), abs(gy64), stride, pad)):
+            _assert_float32_close(got, want, magnitude)
+
+
 def test_conv_data_functions_keep_their_parameter_names():
     # the benchmark's per-layer tracer reads these arguments by position
     assert list(inspect.signature(ag.conv_forward_data).parameters) == \
@@ -353,6 +391,21 @@ def test_upsample_gradient_is_block_sum(rank):
     assert np.allclose(grads["x"], expected)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_2d_gradient_equals_numpy_reduction_bytes(dtype):
+    # the decoder's upsampling inputs at 96 x 96 slices and at the padded
+    # 112 x 92 slices of a 110 x 90 x 74 volume
+    rng = np.random.default_rng(13)
+    for shape in [(16, 24, 24), (8, 48, 48), (16, 28, 23), (8, 56, 46), (16, 14, 12)]:
+        for _ in range(5):
+            up = ag.upsample_nearest(ag.leaf(rng.standard_normal(shape), dtype), 2)
+            g = rng.standard_normal(up.data.shape).astype(dtype)
+            (got,) = up.vjp(g)
+            c, h, w = shape
+            want = g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), shape
+
+
 # ---------------------------------------------------------------------------
 # Row normalization and the straight-through copy
 # ---------------------------------------------------------------------------
@@ -429,6 +482,42 @@ def test_straight_through_bitwise_property(rows, cols, seed):
     loss = ag.sum_all(ag.mul(ag.straight_through(x, q), ag.leaf(w)))
     grads = ag.backward(loss, {"x": x})
     assert np.array_equal(grads["x"], w)
+
+
+# ---------------------------------------------------------------------------
+# Graph dtype
+# ---------------------------------------------------------------------------
+
+def _every_op(rng, dtype):
+    """One node of each op, over fresh leaves of ``dtype``."""
+    def lf(*shape):
+        return ag.leaf(rng.standard_normal(shape), dtype)
+
+    a, b = lf(3, 4), lf(3, 4)
+    x2, w2, b2 = lf(2, 6, 5), lf(3, 2, 3, 3), lf(3)
+    x3, w3 = lf(2, 4, 5, 3), lf(3, 2, 3, 3, 3)
+    return [
+        ag.add(a, b), ag.sub(a, b), ag.mul(a, b), ag.scale(a, 0.3),
+        ag.sum_all(a), ag.mean_all(a), ag.abs_val(a), ag.leaky_relu(a, 0.1),
+        ag.conv(x2, w2, b2, stride=1, pad=1), ag.conv(x2, w2, stride=2, pad=1),
+        ag.conv(x3, w3, stride=1, pad=1), ag.conv(x3, w3, stride=2, pad=1),
+        ag.upsample_nearest(x2, 2), ag.upsample_nearest(x3, 2),
+        ag.l2_normalize_rows(a), ag.straight_through(a, rng.standard_normal((3, 4))),
+        ag.reshape(a, (4, 3)), ag.moveaxis(x2, 0, 2),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_op_keeps_its_parents_dtype(dtype):
+    rng = np.random.default_rng(14)
+    for node in _every_op(rng, dtype):
+        assert node.data.dtype == dtype, node.op
+        g = rng.standard_normal(node.data.shape).astype(dtype)
+        grads = node.vjp(g)
+        assert len(grads) == len(node.parents), node.op
+        for parent, grad in zip(node.parents, grads):
+            assert grad.dtype == parent.data.dtype == dtype, node.op
+            assert grad.shape == parent.data.shape, node.op
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,8 @@ def test_stats_identical_reports_exit_1(tmp_path):
     "case_id,region,metric,value\nc0,whole,rmse,1.0\n",
     "case_id,region,metric,value\nc0,whole,mae,nan\n",
     "case_id,region,metric,value\nc0,whole,psnr,-inf\n",
+    "case_id,region,metric,value\nc0,whole,psnr,1e999\n",
+    "case_id,region,metric,value\nc0,whole,mae, 1_0 \n",
     "case,region,metric,value\nc0,whole,mae,1.0\n",
     "",
     pytest.param(b"case_id,region,metric,value\nc\xff,whole,mae,1.0\n", id="not-utf8"),

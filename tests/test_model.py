@@ -188,6 +188,43 @@ def test_forward_accepts_external_param_tensors():
     assert any(np.abs(g).sum() > 0 for g in grads.values())
 
 
+@pytest.mark.parametrize("rank,shape", [(2, (1, 16, 16)), (3, (1, 8, 8, 8))])
+def test_float32_forward_and_commitment_match_float64(rank, shape):
+    rng = np.random.default_rng(11)
+    ckpt = build_model(small_config(rank=rank, pyramid_levels=2))
+    initialize_codebooks(ckpt, rng)
+    x = rng.standard_normal(shape)
+    p64, p32 = param_tensors(ckpt), param_tensors(ckpt, np.float32)
+    want = forward(ckpt, x, p64, beta=0.25)
+    got = forward(ckpt, x.astype(np.float32), p32, beta=0.25)
+    for a, b in zip(want.code_indices, got.code_indices):
+        assert np.array_equal(a, b)
+    assert got.output.data.dtype == got.commitment.data.dtype == np.float32
+    np.testing.assert_allclose(got.output.data, want.output.data, rtol=0,
+                               atol=1e-5 * np.max(np.abs(want.output.data)))
+    assert got.commitment.data.item() == pytest.approx(want.commitment.data.item(), rel=1e-5)
+
+    def loss(result):
+        return ag.add(ag.mean_all(ag.abs_val(result.output)), result.commitment)
+
+    g64, g32 = ag.backward(loss(want), p64), ag.backward(loss(got), p32)
+    for name in ckpt.params:
+        assert g32[name].dtype == np.float32, name
+        np.testing.assert_allclose(g32[name], g64[name], rtol=0,
+                                   atol=1e-5 * np.max(np.abs(g64[name])), err_msg=name)
+
+
+def test_forward_graph_dtype_follows_input():
+    rng = np.random.default_rng(12)
+    ckpt = build_model(small_config())
+    initialize_codebooks(ckpt, rng)
+    x = rng.standard_normal((1, 8, 8))
+    assert forward(ckpt, x.astype(np.float32)).output.data.dtype == np.float32
+    for other in (x, x.astype(np.float16), np.zeros((1, 8, 8), dtype=np.int64)):
+        assert forward(ckpt, other).output.data.dtype == np.float64
+    assert all(p.dtype == np.float64 for p in ckpt.params.values())
+
+
 def _two_level_loss(seed):
     rng = np.random.default_rng(seed)
     ckpt = build_model(small_config(pyramid_levels=2))

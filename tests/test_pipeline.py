@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from vqsct import autograd as ag
+from vqsct import pipeline
 from vqsct.errors import DomainError, ShapeError
-from vqsct.model import ModelConfig, build_model
+from vqsct.model import ModelConfig, build_model, param_tensors
 from vqsct.pipeline import (fuse_median, reconstruct_cubes, restack_slices,
                             slice_volume, translate_slices, translate_volume)
 from vqsct.training import pretrain_recon
@@ -188,6 +190,30 @@ def test_reconstruct_cubes_shapes_and_space():
     out = reconstruct_cubes(ckpt, vol, edge=8)
     assert out.dims == vol.dims
     assert out.intensity_space == "HU"
+
+
+def test_inference_builds_float32_leaves_once_per_command(monkeypatch):
+    leaf_dtypes, conv_dtypes = [], set()
+    real_fwd = ag.conv_forward_data
+
+    def counting(ckpt, dtype=np.float64):
+        leaf_dtypes.append(dtype)
+        return param_tensors(ckpt, dtype)
+
+    def fwd(x, w, b=None, stride=1, pad=0):
+        conv_dtypes.update(a.dtype for a in (x, w, b) if a is not None)
+        return real_fwd(x, w, b, stride, pad)
+
+    monkeypatch.setattr(pipeline, "param_tensors", counting)
+    monkeypatch.setattr(ag, "conv_forward_data", fwd)
+    rng = np.random.default_rng(11)
+    slices = translate_slices(trained_2d(steps=0), [rng.uniform(0, 1, (10, 7))] * 3)
+    cubes = reconstruct_cubes(trained_3d(steps=0),
+                              Volume(rng.uniform(0, 1, (20, 18, 10)), (1, 1, 1), "unit01", {}),
+                              edge=8)
+    assert leaf_dtypes == [np.float32, np.float32]
+    assert conv_dtypes == {np.dtype(np.float32)}
+    assert all(s.dtype == np.float64 for s in slices) and cubes.voxels.dtype == np.float64
 
 
 def test_reconstruct_cubes_validates_edge_and_rank():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vqsct import autograd as ag
 from vqsct.codebook import kmeans_init
 from vqsct.errors import DomainError, ShapeError, TrainingError
 from vqsct.model import ModelConfig, build_model, forward, save_checkpoint
@@ -90,6 +91,22 @@ def test_adamw_rejects_bad_gradients():
         adamw_step(state, params, {"p": np.array([1.0, np.nan])})
 
 
+def test_adamw_keeps_float64_state_under_float32_gradients():
+    rng = np.random.default_rng(1)
+    params = {"p": rng.standard_normal(4)}
+    state = init_optimizer(params, ["p"], learning_rate=1e-2)
+    want = params["p"].copy()
+    m, v = np.zeros(4), np.zeros(4)
+    for step in range(1, 4):
+        g = rng.standard_normal(4).astype(np.float32)
+        adamw_step(state, params, {"p": g})
+        want, m, v = adamw_oracle(want, g.astype(np.float64), m, v, step, 1e-2,
+                                  0.9, 0.999, 1e-8, 0.01)
+    for arr in (params["p"], state.m["p"], state.v["p"]):
+        assert arr.dtype == np.float64
+    assert np.allclose(params["p"], want, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Pre-training loop
 # ---------------------------------------------------------------------------
@@ -148,6 +165,32 @@ def test_pretrain_deterministic_checkpoint_bytes(tmp_path):
         save_checkpoint(result.checkpoint, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_training_runs_every_conv_in_float32(monkeypatch, rank):
+    # through the module globals that autograd.conv calls: the k-means
+    # forward, each step's forwards (commitment branch included) and backward
+    operands = {"forward": [], "backward": []}
+    real_fwd, real_bwd = ag.conv_forward_data, ag.conv_backward_data
+
+    def fwd(x, w, b=None, stride=1, pad=0):
+        operands["forward"].append({a.dtype for a in (x, w, b) if a is not None})
+        return real_fwd(x, w, b, stride, pad)
+
+    def bwd(x, w, gy, stride=1, pad=0):
+        operands["backward"].append({x.dtype, w.dtype, gy.dtype})
+        return real_bwd(x, w, gy, stride, pad)
+
+    monkeypatch.setattr(ag, "conv_forward_data", fwd)
+    monkeypatch.setattr(ag, "conv_backward_data", bwd)
+    result = pretrain_recon(small_config(rank=rank, pyramid_levels=2),
+                            texture_volumes(1, dims=(16, 16, 16)), steps=2, seed=0,
+                            learning_rate=1e-3, batch_size=2, beta=0.25, cube_edge=8)
+    for calls in operands.values():
+        assert calls and all(kinds == {np.dtype(np.float32)} for kinds in calls)
+    assert all(p.dtype == np.float64 for p in result.checkpoint.params.values())
+    assert all(cb.codes.dtype == np.float64 for cb in result.checkpoint.codebooks)
 
 
 def test_pretrain_3d_uses_cube_tiles():
