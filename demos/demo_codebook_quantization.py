@@ -62,6 +62,6 @@ print()
 for step in range(4):
     result = quantize(book, batch(clusters=2))
     ema_update(book, result.unit_rows, result.indices)
-    info = expire_stale(book, result.unit_rows)
-    replaced = info.replaced.tolist() if info.replaced.size else "none"
+    stale = expire_stale(book, result.unit_rows)
+    replaced = stale.tolist() if stale.size else "none"
     print(f"batch {step}: ages {book.usage_age.tolist()}, replaced {replaced}")

@@ -49,10 +49,7 @@ __all__ = [
     "conv_forward_data",
     "conv_backward_data",
     "upsample_nearest",
-    "l2_normalize_rows",
     "straight_through",
-    "reshape",
-    "moveaxis",
     "backward",
 ]
 
@@ -402,46 +399,12 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     return Tensor(y, "upsample", (x,), vjp)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize each row of an ``[M, d]`` matrix onto the unit sphere.
-
-    Rows with norm below ``eps`` map to the basis vector e0, the rule of
-    ``codebook.quantize``; e0 is a constant, so such rows pass zero gradient.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows expects a 2-d matrix, got shape {x.data.shape}")
-    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
-    denom = np.maximum(norms, eps)
-    y = x.data / denom
-    zero = norms[:, 0] < eps
-    y[zero] = 0.0
-    y[zero, 0] = 1.0
-
-    def vjp(g):
-        inner = (y * g).sum(axis=1, keepdims=True)
-        gx = (g - y * inner) / denom
-        gx[zero] = 0.0
-        return (gx,)
-
-    return Tensor(y, "l2norm", (x,), vjp)
-
-
 def straight_through(x: Tensor, quantized) -> Tensor:
     """Forward the quantized values, pass gradients through unchanged."""
     q = np.asarray(quantized, dtype=x.data.dtype)
     if q.shape != x.data.shape:
         raise ShapeError(f"straight_through: quantized shape {q.shape} != input shape {x.data.shape}")
     return Tensor(q.copy(), "straight_through", (x,), lambda g: (g,))
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    return Tensor(x.data.reshape(shape), "reshape", (x,), lambda g: (g.reshape(x.data.shape),))
-
-
-def moveaxis(x: Tensor, source: int, dest: int) -> Tensor:
-    y = np.moveaxis(x.data, source, dest).copy()
-    return Tensor(y, "moveaxis", (x,), lambda g: (np.moveaxis(g, dest, source).copy(),))
 
 
 def _toposort(root: Tensor):

@@ -372,6 +372,8 @@ def _cmd_evaluate(args) -> int:
                              write_report_csv)
     from .volume import read_volume
 
+    if not 0.0 < args.diff_cap < float("inf"):
+        raise UsageError(f"--diff-cap must be finite and > 0, got {args.diff_cap}")
     if args.case_id is None:
         args.case_id = os.path.splitext(os.path.basename(args.pred))[0]
     pred = read_volume(args.pred)

@@ -2,16 +2,17 @@
 
 Codes live on the unit sphere; assignment maximizes cosine similarity
 (ties break toward the lowest index, zero-norm inputs are mapped to a fixed
-basis vector and flagged). :func:`quantize` is the one place that normalizes
-input rows: it returns them as ``unit_rows``. The codebook is learned without
-gradients from those unit rows: k-means initialization on the first batch,
-an exponential moving average of the assigned vectors per code, and
-expiration of codes that go unused for several consecutive batches.
+basis vector and flagged). :func:`quantize` is the one normalizer of input
+rows: it returns them as ``unit_rows`` with the norms it divided by, which
+the model's commitment term reads. The codebook is learned without gradients
+from those unit rows: k-means initialization on the first batch, an
+exponential moving average of the assigned vectors per code, and expiration
+of codes that go unused for several consecutive batches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import DomainError, ShapeError
 __all__ = [
     "Codebook",
     "QuantizeResult",
-    "ExpireInfo",
     "kmeans_init",
     "quantize",
     "ema_update",
@@ -33,15 +33,16 @@ KMEANS_ITERS = 10
 
 
 def _normalize_rows(x: np.ndarray, eps: float = 1e-12):
-    """Return (unit rows, zero-row indices); zero rows become basis vector e0."""
+    """Return (unit rows, zero-row indices, max(norm, eps) divisors); zero rows become e0."""
     x = np.asarray(x, dtype=np.float64)
     norms = np.sqrt((x * x).sum(axis=1))
     zero = np.flatnonzero(norms < eps)
-    out = x / np.maximum(norms, eps)[:, None]
+    divisors = np.maximum(norms, eps)
+    out = x / divisors[:, None]
     if zero.size:
         out[zero] = 0.0
         out[zero, 0] = 1.0
-    return out, zero
+    return out, zero, divisors
 
 
 @dataclass
@@ -51,12 +52,8 @@ class QuantizeResult:
     indices: np.ndarray        # [M] int64 code index per input row
     quantized: np.ndarray      # [M, dim] selected code vectors (exact copies)
     unit_rows: np.ndarray      # [M, dim] the inputs on the unit sphere (zero rows -> e0)
-    zero_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-
-@dataclass
-class ExpireInfo:
-    replaced: np.ndarray       # indices of codes that were replaced
+    norms: np.ndarray          # [M] what each input row was divided by (at least eps)
+    zero_rows: np.ndarray      # indices of the rows that became e0
 
 
 class Codebook:
@@ -74,7 +71,7 @@ class Codebook:
         if dim < 1:
             raise DomainError(f"code dimension must be positive, got {dim}")
         rng = np.random.default_rng(seed)
-        codes, _ = _normalize_rows(rng.standard_normal((n_codes, dim)))
+        codes = _normalize_rows(rng.standard_normal((n_codes, dim)))[0]
         self.codes = codes
         self.usage_age = np.zeros(n_codes, dtype=np.int64)
         self.ema_cluster_size = np.ones(n_codes, dtype=np.float64)
@@ -128,7 +125,7 @@ def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Cod
                 centroids[i] = pts[rng.integers(pts.shape[0])]
             else:
                 centroids[i] = members.mean(axis=0)
-        centroids, _ = _normalize_rows(centroids)
+        centroids = _normalize_rows(centroids)[0]
 
     codebook.codes = centroids
     codebook.ema_embed_sum = centroids.copy()
@@ -142,9 +139,10 @@ def quantize(codebook: Codebook, inputs: np.ndarray) -> QuantizeResult:
     """Assign each input row to the code with maximal cosine similarity.
 
     Inputs are row-normalized once and returned as ``unit_rows``, the
-    input of :func:`kmeans_init`, :func:`ema_update` and :func:`expire_stale`.
-    Ties break toward the lowest code index (argmax convention); zero-norm
-    rows are replaced by the fixed basis vector e0 and reported in
+    input of :func:`kmeans_init`, :func:`ema_update` and :func:`expire_stale`
+    and of the model's commitment term, with the ``norms`` they were divided
+    by. Ties break toward the lowest code index (argmax convention);
+    zero-norm rows are replaced by the fixed basis vector e0 and reported in
     ``zero_rows``.
     """
     x = np.asarray(inputs, dtype=np.float64)
@@ -152,11 +150,11 @@ def quantize(codebook: Codebook, inputs: np.ndarray) -> QuantizeResult:
         raise ShapeError(f"quantize expects [M, dim] inputs, got shape {x.shape}")
     if x.shape[1] != codebook.dim:
         raise ShapeError(f"input dim {x.shape[1]} != code dim {codebook.dim}")
-    normed, zero_rows = _normalize_rows(x)
+    normed, zero_rows, norms = _normalize_rows(x)
     sims = normed @ codebook.codes.T
     indices = np.argmax(sims, axis=1)
     return QuantizeResult(indices=indices, quantized=codebook.codes[indices],
-                          unit_rows=normed, zero_rows=zero_rows)
+                          unit_rows=normed, norms=norms, zero_rows=zero_rows)
 
 
 def ema_update(codebook: Codebook, unit_rows: np.ndarray, indices: np.ndarray,
@@ -183,7 +181,7 @@ def ema_update(codebook: Codebook, unit_rows: np.ndarray, indices: np.ndarray,
 
     assigned = counts > 0
     prev = codebook.codes[assigned]
-    new_codes, degenerate = _normalize_rows(codebook.ema_embed_sum[assigned])
+    new_codes, degenerate, _ = _normalize_rows(codebook.ema_embed_sum[assigned])
     if degenerate.size:  # EMA sum collapsed to zero; keep the previous code
         new_codes[degenerate] = prev[degenerate]
     codebook.codes[assigned] = new_codes
@@ -193,14 +191,14 @@ def ema_update(codebook: Codebook, unit_rows: np.ndarray, indices: np.ndarray,
 
 
 def expire_stale(codebook: Codebook, unit_rows: np.ndarray, age_threshold: int = DEFAULT_EXPIRE_AGE,
-                 seed: int = 0) -> ExpireInfo:
+                 seed: int = 0) -> np.ndarray:
     """Replace codes unused for ``age_threshold`` batches with batch rows.
 
     ``unit_rows`` are the current batch's rows as :func:`quantize` returns
     them; they are not normalized again. Replacements are distinct rows
     sampled uniformly (seeded); if there are more stale codes than rows the
     sampling falls back to with-replacement. Replaced codes get age 0 and
-    fresh EMA accumulators.
+    fresh EMA accumulators. Returns the indices of the replaced codes.
     """
     if age_threshold < 1:
         raise DomainError(f"age_threshold must be >= 1, got {age_threshold}")
@@ -208,7 +206,7 @@ def expire_stale(codebook: Codebook, unit_rows: np.ndarray, age_threshold: int =
         raise DomainError("expire_stale needs a non-empty [M, dim] batch")
     stale = np.flatnonzero(codebook.usage_age >= age_threshold)
     if stale.size == 0:
-        return ExpireInfo(replaced=stale)
+        return stale
 
     rng = np.random.default_rng(seed)
     picks = rng.choice(unit_rows.shape[0], size=stale.size,
@@ -217,4 +215,4 @@ def expire_stale(codebook: Codebook, unit_rows: np.ndarray, age_threshold: int =
     codebook.ema_embed_sum[stale] = unit_rows[picks]
     codebook.ema_cluster_size[stale] = 1.0
     codebook.usage_age[stale] = 0
-    return ExpireInfo(replaced=stale)
+    return stale

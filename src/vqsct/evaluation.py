@@ -253,8 +253,8 @@ def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
 
 def colormap_bwr(values: np.ndarray, cap: float) -> np.ndarray:
     """Map signed values onto blue(-cap) / white(0) / red(+cap) RGB."""
-    if cap <= 0:
-        raise DomainError(f"colormap cap must be positive, got {cap}")
+    if not 0.0 < cap < np.inf:
+        raise DomainError(f"colormap cap must be finite and > 0, got {cap}")
     t = np.clip(np.asarray(values, dtype=np.float64) / cap, -1.0, 1.0)
     r = np.where(t >= 0, 255.0, 255.0 * (1.0 + t))
     g = 255.0 * (1.0 - np.abs(t))
@@ -392,8 +392,10 @@ def compare_reports(rows_a, rows_b, metric: str, region: str,
 
     Cases are paired by case_id (the intersection, sorted); the JSON-ready
     result records the comparison, the number of nonzero differences, W,
-    the two-sided p, and significance at ``alpha``.
+    the two-sided p, and significance at ``alpha``, which must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     def pick(rows):
         return {r["case_id"]: r["value"] for r in rows
                 if r["metric"] == metric and r["region"] == region}

@@ -133,7 +133,7 @@ class Checkpoint:
 @dataclass
 class ForwardResult:
     output: ag.Tensor
-    commitment: ag.Tensor | None            # scalar node flowing to the encoder; None if beta == 0
+    commitment: ag.Tensor | None            # one scalar node over the level projections; None if beta == 0
     code_indices: list[np.ndarray]          # per level, spatial layout
     unit_rows: list[np.ndarray]             # per level, quantize's [positions, codebook_dim] unit rows
 
@@ -198,28 +198,47 @@ def param_tensors(ckpt: Checkpoint, dtype=np.float64) -> dict[str, ag.Tensor]:
     return {name: ag.leaf(arr, dtype) for name, arr in ckpt.params.items()}
 
 
-def _quantize_level(feat: ag.Tensor, level: int, params, codebook: Codebook, beta: float):
-    """Project, snap to codes, project back; returns the graph pieces.
+def _quantize_level(feat: ag.Tensor, level: int, params, codebook: Codebook):
+    """Project, snap to codes, project back.
 
-    The commitment node is built only for ``beta > 0`` (else it is None).
+    Returns ``(out, proj, qres)``: the back-projection, the ``vq{level}.in``
+    projection whose rows were quantized, and the quantizer's result.
     """
     proj = ag.conv(feat, params[f"vq{level}.in.w"], params[f"vq{level}.in.b"])
     dim = proj.data.shape[0]
-    spatial = proj.data.shape[1:]
-    rows_data = proj.data.reshape(dim, -1).T
-    qres = quantize(codebook, rows_data)
-    qmap = qres.quantized.T.reshape((dim,) + spatial)
-    st = ag.straight_through(proj, qmap)
+    qres = quantize(codebook, proj.data.reshape(dim, -1).T)
+    st = ag.straight_through(proj, qres.quantized.T.reshape(proj.data.shape))
     out = ag.conv(st, params[f"vq{level}.out.w"], params[f"vq{level}.out.b"])
+    return out, proj, qres
 
-    commit = None
-    if beta > 0:
-        rows_t = ag.moveaxis(ag.reshape(proj, (dim, rows_data.shape[0])), 0, 1)
-        normed = ag.l2_normalize_rows(rows_t)
-        diff = ag.sub(normed, ag.leaf(qres.quantized, proj.data.dtype))
-        # mean over rows of the squared distance: elementwise mean times row width
-        commit = ag.scale(ag.mean_all(ag.mul(diff, diff)), beta * dim)
-    return out, commit, qres.indices.reshape(spatial), qres.unit_rows
+
+def _commitment(levels, beta: float) -> ag.Tensor:
+    """One node for the commitment term over all ``(proj, qres)`` levels.
+
+    Its value is ``beta / L * sum_levels mean_rows |u - q|^2`` over
+    quantize's float64 unit rows ``u`` and their codes ``q``, stored in the
+    projections' dtype. Each row's gradient goes back through the
+    normalization ``u = z / norm``: ``(g_u - u (u . g_u)) / norm`` with
+    ``g_u = 2 beta / (L M) g (u - q)``; a zero row became the constant e0
+    and gets zero gradient.
+    """
+    weight = beta / len(levels)
+    value = weight * sum(np.mean(np.sum((qres.unit_rows - qres.quantized) ** 2, axis=1))
+                         for _, qres in levels)
+    projs = tuple(proj for proj, _ in levels)
+
+    def vjp(g):
+        grads = []
+        for proj, qres in levels:
+            u = qres.unit_rows
+            g_u = (2.0 * weight / u.shape[0] * float(g)) * (u - qres.quantized)
+            g_z = (g_u - u * np.sum(u * g_u, axis=1, keepdims=True)) / qres.norms[:, None]
+            g_z[qres.zero_rows] = 0.0
+            grads.append(np.ascontiguousarray(g_z.T.reshape(proj.data.shape),
+                                              dtype=proj.data.dtype))
+        return grads
+
+    return ag.Tensor(np.asarray(value, dtype=projs[0].data.dtype), "commitment", projs, vjp)
 
 
 def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
@@ -229,14 +248,16 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     ``x`` is ``[1, *spatial]`` with every spatial extent divisible by
     2^depth. Pass a shared ``params`` dict (from :func:`param_tensors`) to
     accumulate gradients across several inputs in one backward pass. The
-    commitment term, weighted by ``beta``, is part of the graph only when
-    ``beta > 0``; inference leaves it out.
+    commitment term, weighted by ``beta``, is one graph node whose parents
+    are the level projections (see :func:`_commitment`); it is built only
+    when ``beta > 0``, so inference leaves it out.
 
     The graph runs in the input's dtype: a float32 input stays float32, and
     any other becomes float64. Training and inference feed ``GRAPH_DTYPE``
     (float32), so the production graph is float32 over float32 casts of the
     float64 master weights in ``ckpt.params``; ``params``, if given, should
-    be in the input's dtype. The quantizer assigns codes in float64 either way.
+    be in the input's dtype. The quantizer assigns codes, and the commitment
+    is computed, in float64 either way.
     """
     cfg = ckpt.config
     arr = np.asarray(x)
@@ -260,17 +281,12 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
             LEAKY_SLOPE)
         enc_feats.append(h)
 
-    quantized = []
-    commits = []
-    indices = []
-    rows = []
+    quantized, levels = [], []
     for j in range(cfg.pyramid_levels):
-        out, commit, idx, unit_rows = _quantize_level(
-            enc_feats[cfg.depth - 1 - j], j, params, ckpt.codebooks[j], beta)
+        out, proj, qres = _quantize_level(enc_feats[cfg.depth - 1 - j], j, params,
+                                          ckpt.codebooks[j])
         quantized.append(out)
-        commits.append(commit)
-        indices.append(idx)
-        rows.append(unit_rows)
+        levels.append((proj, qres))
 
     d = quantized[0]
     for i in range(cfg.depth):
@@ -282,14 +298,9 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
             d = ag.add(d, quantized[skip_level])
     out = ag.conv(d, params["dec.final.w"], params["dec.final.b"], pad=1)
 
-    total_commit = commits[0]
-    if total_commit is not None:
-        for c in commits[1:]:
-            total_commit = ag.add(total_commit, c)
-        if len(commits) > 1:
-            total_commit = ag.scale(total_commit, 1.0 / len(commits))
-
-    return ForwardResult(out, total_commit, indices, rows)
+    return ForwardResult(out, _commitment(levels, beta) if beta > 0 else None,
+                         [qres.indices.reshape(proj.data.shape[1:]) for proj, qres in levels],
+                         [qres.unit_rows for _, qres in levels])
 
 
 def apply_freeze(ckpt: Checkpoint, mask: FreezeMask) -> list[str]:

@@ -158,6 +158,12 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
         raise DomainError(f"learning rate must be finite and > 0, got {learning_rate}")
     if not 0.0 <= weight_decay < np.inf:
         raise DomainError(f"weight decay must be finite and >= 0, got {weight_decay}")
+    if not 0.0 <= beta < np.inf:
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
+    if not 0.0 < decay < 1.0:
+        raise DomainError(f"decay must be in (0, 1), got {decay}")
+    if expire_age < 1:
+        raise DomainError(f"expire age must be >= 1, got {expire_age}")
     shared = targets is inputs
     inputs = [np.asarray(item, dtype=GRAPH_DTYPE) for item in inputs]
     targets = inputs if shared else [np.asarray(item, dtype=GRAPH_DTYPE) for item in targets]

@@ -278,20 +278,37 @@ def test_any_config_object_exits_cleanly(tmp_path_factory, values):
 @pytest.mark.parametrize("flag", [
     "--batch-size=0", "--batch-size=-3", "--learning-rate=nan",
     "--learning-rate=-1e-3", "--weight-decay=-0.01",
-    "--learning-rate -1e-3", "--weight-decay -1e-2"])
+    "--learning-rate -1e-3", "--weight-decay -1e-2",
+    "--beta=-0.25", "--beta=nan", "--beta -1e-3", "--decay=7", "--decay=0",
+    "--decay=nan", "--expire-age=0", "--expire-age -4"])
 def test_out_of_range_training_values_exit_1(work, tmp_path, flag):
     # in a subprocess with a timeout, so a batch size that makes the batch
-    # stream loop forever fails the test instead of hanging the suite
+    # stream loop forever fails the test instead of hanging the suite; with
+    # zero steps, so a value must be rejected before any training work
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = tmp_path / "never.vqck"
     proc = subprocess.run([sys.executable, "-m", "vqsct.cli", "pretrain",
                            "--volumes", work["textures"][0], "--out", str(out),
-                           "--depth", "2", "--steps", "1", *flag.split(" ")],
+                           "--depth", "2", "--steps", "0", *flag.split(" ")],
                           capture_output=True, env=env, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("vqsct: error:") and proc.stderr.count("\n") == 1
     assert re.split("[= ]", flag[2:])[0].replace("-", " ") in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--decay=7", "--expire-age=0"])
+def test_enc_frozen_finetune_rejects_unused_codebook_values(work, tmp_path, capsys, flag):
+    # enc-frozen freezes the codebook, so no EMA or expiry would ever see them
+    d = work["phantom"]
+    out = tmp_path / "never.vqck"
+    assert main(["finetune", "--base", work["pre"], "--mode", "enc-frozen",
+                 "--pet", str(d / "case_000_pet.mvol"), "--ct", str(d / "case_000_ct.mvol"),
+                 "--steps", "1", "--batch-size", "2", "--out", str(out), flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1
+    assert flag[2:].split("=")[0].replace("-", " ") in err
+    assert not out.exists() and not (tmp_path / "never.vqck.config.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +401,17 @@ def test_evaluate_perfect_prediction(work, tmp_path):
     assert len(os.listdir(diff_dir)) == 32
 
 
+@pytest.mark.parametrize("cap", ["0", "-5", "nan", "inf"])
+def test_evaluate_rejects_bad_diff_cap_before_writing(work, tmp_path, capsys, cap):
+    ct = str(work["phantom"] / "case_000_ct.mvol")
+    assert main(["evaluate", "--pred", ct, "--gt", ct, "--out", str(tmp_path / "r.csv"),
+                 "--diff-dir", str(tmp_path / "maps"), f"--diff-cap={cap}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1
+    assert "--diff-cap" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_evaluate_default_case_id(work, tmp_path):
     ct = str(work["phantom"] / "case_000_ct.mvol")
     out = tmp_path / "r.csv"
@@ -413,6 +441,21 @@ def test_stats_compares_reports(tmp_path):
     assert result["comparison"] == "left vs right"
     assert result["n"] == 6 and result["W"] == 0.0
     assert 0.0 < result["p_two_sided"] < 1.0
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])
+def test_stats_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_report_csv(report_rows([50.0, 60.0, 55.0, 70.0, 65.0, 58.0]), a)
+    write_report_csv(report_rows([55.0, 66.0, 60.0, 77.0, 71.0, 64.0]), b)
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--report-a", str(a), "--report-b", str(b),
+                 "--metric", "mae", "--region", "whole", "--out", str(out),
+                 f"--alpha={alpha}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1 and "alpha" in err
+    assert not out.exists()
 
 
 def test_stats_identical_reports_exit_1(tmp_path):

@@ -124,6 +124,10 @@ def test_quantize_flags_zero_rows():
     # the unit rows handed to the learners: e0 for the zero row
     assert np.array_equal(result.unit_rows[0], e0)
     assert np.allclose(result.unit_rows[1:], unit(inputs[1:]), atol=1e-12)
+    # every unit row has norm 1, and the norms are what the rows were divided by
+    assert np.allclose(np.linalg.norm(result.unit_rows, axis=1), 1.0, atol=1e-12)
+    assert result.norms[0] == 1e-12
+    assert result.norms[1] == pytest.approx(np.sqrt(14.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +213,10 @@ def test_expire_stale_replaces_old_codes_from_batch():
     cb, rng = make_initialized(5, 4, seed=13)
     cb.usage_age[:] = [0, 3, 0, 2, 5]
     batch = rng.standard_normal((10, 4))
-    info = expire_stale(cb, unit(batch), age_threshold=2, seed=21)
-    assert sorted(info.replaced) == [1, 3, 4]
+    replaced = expire_stale(cb, unit(batch), age_threshold=2, seed=21)
+    assert sorted(replaced) == [1, 3, 4]
     normed = batch / np.linalg.norm(batch, axis=1, keepdims=True)
-    for j in info.replaced:
+    for j in replaced:
         assert any(np.allclose(cb.codes[j], row, atol=1e-12) for row in normed)
         assert cb.usage_age[j] == 0
 
@@ -220,8 +224,8 @@ def test_expire_stale_replaces_old_codes_from_batch():
 def test_expire_stale_noop_when_all_fresh():
     cb, rng = make_initialized(5, 4, seed=14)
     before = cb.codes.copy()
-    info = expire_stale(cb, unit(rng.standard_normal((8, 4))), age_threshold=2, seed=0)
-    assert info.replaced.size == 0
+    replaced = expire_stale(cb, unit(rng.standard_normal((8, 4))), age_threshold=2, seed=0)
+    assert replaced.size == 0
     assert np.array_equal(cb.codes, before)
 
 
@@ -230,9 +234,9 @@ def test_expire_stale_with_replacement_when_batch_too_small():
     cb.usage_age[:] = 10
     batch = np.random.default_rng(3).standard_normal((2, 4))
     rows = unit(batch)
-    info = expire_stale(cb, rows, age_threshold=2, seed=5)
-    assert sorted(info.replaced) == list(range(6))
-    for j in info.replaced:
+    replaced = expire_stale(cb, rows, age_threshold=2, seed=5)
+    assert sorted(replaced) == list(range(6))
+    for j in replaced:
         assert any(np.array_equal(cb.codes[j], row) for row in rows)
 
 

@@ -340,8 +340,9 @@ def test_colormap_endpoints():
     assert tuple(rgb[4]) == (128, 128, 255)
     assert tuple(rgb[5]) == (255, 0, 0)  # clamped
     assert tuple(rgb[6]) == (0, 0, 255)
-    with pytest.raises(DomainError):
-        colormap_bwr(vals, 0.0)
+    for bad in (0.0, -cap, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="cap"):
+            colormap_bwr(vals, bad)
 
 
 def test_write_ppm_round_trip(tmp_path):

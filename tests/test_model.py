@@ -7,10 +7,10 @@ import pytest
 
 from oracles import unit
 from vqsct import autograd as ag
-from vqsct.codebook import Codebook, kmeans_init
+from vqsct.codebook import Codebook, kmeans_init, quantize
 from vqsct.errors import DomainError, FormatError
-from vqsct.model import (Checkpoint, ModelConfig, apply_freeze, build_model,
-                         forward, load_checkpoint, mask_for_mode,
+from vqsct.model import (Checkpoint, ModelConfig, _commitment, apply_freeze,
+                         build_model, forward, load_checkpoint, mask_for_mode,
                          param_tensors, reinitialized, save_checkpoint,
                          value_space)
 
@@ -173,6 +173,88 @@ def test_forward_commitment_oracle():
     assert plain.output.data.tobytes() == with_commit.output.data.tobytes()
     with pytest.raises(DomainError):
         forward(ckpt, x, beta=-0.25)
+
+
+def test_commitment_is_one_node_over_the_level_projections():
+    rng = np.random.default_rng(8)
+    ckpt = build_model(small_config(pyramid_levels=2))
+    initialize_codebooks(ckpt, rng)
+    params = param_tensors(ckpt)
+    x = rng.standard_normal((1, 16, 16))
+    result = forward(ckpt, x, params, beta=0.25)
+    node = result.commitment
+    assert node.op == "commitment" and len(node.parents) == 2
+    for j, proj in enumerate(node.parents):
+        assert proj.op == "conv" and proj.parents[1] is params[f"vq{j}.in.w"]
+    # every other node of the commitment's graph is also in the output's
+    output_nodes = {id(n) for n in ag._toposort(result.output)}
+    assert [n for n in ag._toposort(node) if id(n) not in output_nodes] == [node]
+    assert forward(ckpt, x, params).commitment is None
+
+
+def test_commitment_gradient_matches_finite_differences():
+    # float64, two pyramid levels, a few entries of every encoder-side
+    # parameter; the perturbations must not move any row to another code
+    rng = np.random.default_rng(9)
+    ckpt = build_model(small_config(pyramid_levels=2))
+    initialize_codebooks(ckpt, rng)
+    x = rng.standard_normal((1, 16, 16))
+    params = param_tensors(ckpt)
+    base = forward(ckpt, x, params, beta=0.25)
+    grads = ag.backward(base.commitment, params)
+
+    def commitment(name, idx, value):
+        trial = ckpt.copy()
+        trial.params[name][idx] = value
+        res = forward(trial, x, beta=0.25)
+        for got, want in zip(res.code_indices, base.code_indices):
+            assert np.array_equal(got, want)
+        return res.commitment.data.item()
+
+    eps, worst = 1e-5, 0.0
+    for name in apply_freeze(ckpt, mask_for_mode("scratch")):
+        if not (name.startswith("enc.") or ".in." in name):
+            assert not grads[name].any(), name  # the decoder side gets none
+            continue
+        value = ckpt.params[name]
+        for flat in rng.choice(value.size, size=min(3, value.size), replace=False):
+            idx = np.unravel_index(flat, value.shape)
+            fd = (commitment(name, idx, value[idx] + eps)
+                  - commitment(name, idx, value[idx] - eps)) / (2 * eps)
+            got = grads[name][idx]
+            worst = max(worst, abs(got - fd) / max(abs(got), abs(fd), 1e-6))
+    assert worst <= 1e-4
+
+
+def test_commitment_passes_no_gradient_to_a_zero_row():
+    # the zero row quantizes as the constant e0; the other rows' gradients
+    # match central differences with their codes held
+    rng = np.random.default_rng(10)
+    cb = Codebook(8, 6, seed=0)
+    kmeans_init(cb, unit(rng.standard_normal((32, 6))), seed=1)
+    zv = rng.standard_normal((6, 4, 4))
+    zv[:, 1, 2] = 0.0
+    qres = quantize(cb, zv.reshape(6, -1).T)
+    assert list(qres.zero_rows) == [6]
+    z = ag.leaf(zv)
+    grad = ag.backward(_commitment([(z, qres)], 0.25), {"z": z})["z"]
+    assert grad.shape == zv.shape and grad.dtype == zv.dtype
+    assert not grad[:, 1, 2].any()
+
+    def value(v):
+        res = quantize(cb, v.reshape(6, -1).T)
+        assert np.array_equal(res.indices, qres.indices)
+        return _commitment([(ag.leaf(v), res)], 0.25).data.item()
+
+    eps = 1e-6
+    for idx in np.ndindex(zv.shape):
+        if idx[1:] == (1, 2):
+            continue
+        up, dn = zv.copy(), zv.copy()
+        up[idx] += eps
+        dn[idx] -= eps
+        fd = (value(up) - value(dn)) / (2 * eps)
+        assert abs(grad[idx] - fd) <= 1e-6 * max(abs(fd), 1e-3), idx
 
 
 def test_forward_accepts_external_param_tensors():

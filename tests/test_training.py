@@ -149,10 +149,15 @@ def test_pretrain_requires_unit01_volumes():
     {"batch_size": 0}, {"learning_rate": float("nan")},
     {"learning_rate": float("inf")}, {"learning_rate": 0.0},
     {"learning_rate": -1e-3}, {"weight_decay": -0.01},
-    {"weight_decay": float("nan")}, {"weight_decay": float("inf")}])
+    {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+    {"beta": -0.25}, {"beta": float("nan")}, {"beta": float("inf")},
+    {"decay": 0.0}, {"decay": 1.0}, {"decay": 7.0}, {"decay": float("nan")},
+    {"expire_age": 0}, {"expire_age": -4}])
 def test_out_of_range_training_values_are_rejected(kwargs):
+    # with zero steps: each value is checked before any training work, also
+    # where the loop would never reach the code that uses it
     with pytest.raises(DomainError, match=next(iter(kwargs)).replace("_", " ")):
-        pretrain_recon(small_config(), texture_volumes(1), steps=1, seed=0, **kwargs)
+        pretrain_recon(small_config(), texture_volumes(1), steps=0, seed=0, **kwargs)
 
 
 def test_pretrain_deterministic_checkpoint_bytes(tmp_path):
