@@ -21,12 +21,16 @@ Conventions:
   ``itertools.product`` order (see :func:`conv_forward_data`); the backward
   is its transpose on the same grids and shifts (see
   :func:`conv_backward_data`);
+* a decoder stage, nearest 2x upsampling and a 3-tap conv, is one node
+  (:func:`upsample_conv`): one conv with 2-tap sub-pixel kernels on the
+  low-resolution map, one output phase per channel block;
 * reduction order is fixed, so identical inputs give bit-identical results
   at a fixed thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -48,7 +52,7 @@ __all__ = [
     "conv",
     "conv_forward_data",
     "conv_backward_data",
-    "upsample_nearest",
+    "upsample_conv",
     "straight_through",
     "backward",
 ]
@@ -127,9 +131,11 @@ def abs_val(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     if not 0.0 <= slope < 1.0:
         raise DomainError(f"leaky_relu slope must be in [0, 1), got {slope}")
-    pos = a.data >= 0  # x == 0 takes the positive branch
-    out = np.where(pos, a.data, slope * a.data)
-    return Tensor(out, "leaky_relu", (a,), lambda g: (np.where(pos, g, slope * g),))
+    # with slope < 1, max(x, slope*x) is x for x >= 0 (both zeros keep x's
+    # sign) and slope*x below: the bytes of where(x >= 0, x, slope*x)
+    out = a.data * slope
+    np.maximum(a.data, out, out=out)
+    return Tensor(out, "leaky_relu", (a,), lambda g: (np.where(a.data >= 0, g, slope * g),))
 
 
 # conv_forward_data equals a window-by-window product byte for byte only
@@ -147,6 +153,7 @@ _SMALL_GEMM = 100 ** 3
 _GEMM_COLUMNS = 8192
 
 
+@functools.lru_cache(maxsize=1024)
 def _conv_geometry(x_shape, w_shape, stride, pad):
     """Validate conv operands and return the flat-shift layout of both passes.
 
@@ -155,7 +162,8 @@ def _conv_geometry(x_shape, w_shape, stride, pad):
     strides, the ``out_sp[0]`` grid rows' length of the wide output, and per
     kernel offset ``a``, in ``itertools.product`` order, ``(a, a % stride,
     shift)``: the component that holds the offset's window, and where in it
-    the window starts.
+    the window starts. The result depends on the shapes alone, so it is
+    cached on them; every part of it is a tuple, which callers cannot alter.
     """
     rank = len(x_shape) - 1
     if rank not in (2, 3):
@@ -180,9 +188,9 @@ def _conv_geometry(x_shape, w_shape, stride, pad):
     out_sp = tuple(out)
     grid = tuple(-(-(d + 2 * pad) // stride) for d in x_shape[1:])
     rowstride = tuple(math.prod(grid[i + 1:]) for i in range(rank))
-    offsets = [(off, tuple(o % stride for o in off),
-                sum(o // stride * rs for o, rs in zip(off, rowstride)))
-               for off in itertools.product(*(range(k) for k in w_shape[2:]))]
+    offsets = tuple((off, tuple(o % stride for o in off),
+                     sum(o // stride * rs for o, rs in zip(off, rowstride)))
+                    for off in itertools.product(*(range(k) for k in w_shape[2:])))
     return out_sp, grid, rowstride, out_sp[0] * rowstride[0], offsets
 
 
@@ -374,29 +382,75 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: in
     return Tensor(y, "conv", parents, vjp)
 
 
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Replicate each voxel ``factor`` times along every spatial axis."""
-    if factor < 1:
-        raise DomainError(f"upsample factor must be >= 1, got {factor}")
-    rank = x.data.ndim - 1
-    y = x.data
-    for ax in range(1, rank + 1):
-        y = np.repeat(y, factor, axis=ax)
+def _phase_kernels(w):
+    """Collapse ``[C_out, C_in, 3, ...]`` taps into the sub-pixel kernels.
+
+    Along each spatial axis, output phase 0 of a nearest 2x upsampling
+    followed by a pad-1 conv sees taps ``(w0, w1 + w2)`` on the
+    low-resolution input, and phase 1 sees ``(w0 + w1, w2)``. Returns
+    ``[2^rank * C_out, C_in, 2, ...]``; output channel ``p * C_out + c``
+    holds phase ``p`` (row-major over the axes' phases) of channel ``c``.
+    """
+    rank = w.ndim - 2
+    k = w[None]  # [phases, C_out, C_in, *taps]
+    for ax in range(3, 3 + rank):
+        t0, t1, t2 = np.split(k, 3, axis=ax)
+        k = np.stack((np.concatenate((t0, t1 + t2), axis=ax),
+                      np.concatenate((t0 + t1, t2), axis=ax)), axis=1)
+        k = k.reshape((-1,) + k.shape[2:])
+    return k.reshape((-1,) + w.shape[1:2] + (2,) * rank)
+
+
+def _phase_kernel_grads(gk, w_shape):
+    """Adjoint of :func:`_phase_kernels`: ``[2^rank * C_out, C_in, 2, ...]``
+    kernel gradients back to ``w_shape``, the last axis's phases first."""
+    rank = len(w_shape) - 2
+    k = gk.reshape((-1,) + tuple(w_shape[:2]) + (2,) * rank)
+    for ax in range(2 + rank, 2, -1):
+        k = k.reshape((-1, 2) + k.shape[1:])
+        (p0a, p0b), (p1a, p1b) = (np.split(k[:, p], 2, axis=ax) for p in (0, 1))
+        k = np.concatenate((p0a + p1a, p0b + p1a, p0b + p1b), axis=ax)
+    return k.reshape(w_shape)
+
+
+def upsample_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Nearest 2x upsampling followed by a 3-tap, pad-1 conv, as one node.
+
+    Equal in real arithmetic to repeating every voxel twice along each
+    spatial axis and convolving with ``w`` (``[C_out, C_in, 3, ...]``), but
+    run on the low-resolution map: one stride-1, pad-1 conv with the
+    2-tap sub-pixel kernels of :func:`_phase_kernels` gives each output
+    phase ``p`` over ``n + 1`` positions per axis; the crop ``[p:p + n]``
+    fills ``out[:, p::2]``, and the bias is added last. The vjp scatters the
+    upstream phases back into that layout and runs one conv backward;
+    the kernel gradient goes back through the tap sums.
+    """
+    if any(k != 3 for k in w.data.shape[2:]):
+        raise DomainError(f"upsample_conv: kernel extents must be 3, got {w.data.shape[2:]}")
+    sp = x.data.shape[1:]
+    c_out = w.data.shape[0]
+    phases = tuple(itertools.product((0, 1), repeat=len(sp)))
+    crops = [(slice(None),) + tuple(slice(p, p + n) for p, n in zip(phase, sp))
+             for phase in phases]
+    strided = [(slice(None),) + tuple(slice(p, None, 2) for p in phase) for phase in phases]
+    phase_shape = (len(phases), c_out) + tuple(n + 1 for n in sp)
+    kernels = _phase_kernels(w.data)
+    by_phase = conv_forward_data(x.data, kernels, None, 1, 1).reshape(phase_shape)
+    y = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=by_phase.dtype)
+    for i in range(len(phases)):
+        y[strided[i]] = by_phase[i][crops[i]]
+    if b is not None:
+        y += b.data.reshape((c_out,) + (1,) * len(sp))
+    parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        # fold each spatial axis into (extent, factor) blocks and sum the factor axes
-        shape = [x.data.shape[0]]
-        for d in x.data.shape[1:]:
-            shape.extend((d, factor))
-        folded = g.reshape(shape)
-        if rank == 2 and factor == 2:
-            # numpy's bytes for the reduction below, in this order, without
-            # its slow walk over two strided axes
-            return ((folded[:, :, 0, :, 0] + folded[:, :, 0, :, 1])
-                    + (folded[:, :, 1, :, 0] + folded[:, :, 1, :, 1]),)
-        return (folded.sum(axis=tuple(range(2, 2 * rank + 1, 2))),)
-
-    return Tensor(y, "upsample", (x,), vjp)
+        g_phase = np.zeros(phase_shape, dtype=g.dtype)
+        for i in range(len(phases)):
+            g_phase[i][crops[i]] = g[strided[i]]
+        gx, gk, _ = conv_backward_data(x.data, kernels, g_phase.reshape((-1,) + g_phase.shape[2:]), 1, 1)
+        grads = (gx, _phase_kernel_grads(gk, w.data.shape), g.sum(axis=tuple(range(1, g.ndim))))
+        return grads[:len(parents)]
+    return Tensor(y, "upsample_conv", parents, vjp)
 
 
 def straight_through(x: Tensor, quantized) -> Tensor:

@@ -2,12 +2,14 @@
 
 The encoder is ``depth`` stages of stride-2 convolution with channels
 doubling from ``base_channels`` (capped at 8x) under a leaky-ReLU. The
-decoder mirrors it with nearest-neighbor upsampling and a final linear
-convolution. Each quantized pyramid level projects its feature map to the
-code dimension with a 1x1 convolution, snaps every spatial vector to the
-nearest codebook entry on the unit sphere, and projects back; level 0 is
-the bottleneck, further levels are quantized skip connections into the
-decoder at matching resolutions.
+decoder mirrors it: each stage is a nearest-neighbor 2x upsampling and a
+3x3(x3) convolution, run as one sub-pixel node on the low-resolution map
+(``autograd.upsample_conv``), under a leaky-ReLU; a final linear
+convolution gives the output. Each quantized pyramid level projects its
+feature map to the code dimension with a 1x1 convolution, snaps every
+spatial vector to the nearest codebook entry on the unit sphere, and
+projects back; level 0 is the bottleneck, further levels are quantized
+skip connections into the decoder at matching resolutions.
 
 Checkpoints serialize to the VQCK format: magic ``VQCK0001``, a 4-byte
 little-endian header length, a JSON header (config, provenance, step,
@@ -290,9 +292,8 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
 
     d = quantized[0]
     for i in range(cfg.depth):
-        d = ag.upsample_nearest(d, 2)
         d = ag.leaky_relu(
-            ag.conv(d, params[f"dec.{i}.w"], params[f"dec.{i}.b"], pad=1), LEAKY_SLOPE)
+            ag.upsample_conv(d, params[f"dec.{i}.w"], params[f"dec.{i}.b"]), LEAKY_SLOPE)
         skip_level = i + 1
         if skip_level < cfg.pyramid_levels:
             d = ag.add(d, quantized[skip_level])

@@ -61,6 +61,29 @@ def conv_window_grads(x, w, gy, stride=1, pad=0):
     return gx, gw, gy.sum(axis=spatial_axes)
 
 
+def _repeat2(x):
+    """Nearest 2x upsampling: every voxel repeated twice along each spatial axis."""
+    for axis in range(1, x.ndim):
+        x = np.repeat(x, 2, axis=axis)
+    return x
+
+
+def upsample_conv_ref(x, w, b=None):
+    """Nearest 2x upsampling by ``np.repeat``, then a pad-1 window-sum conv."""
+    return conv_window_sum(_repeat2(x), w, b, stride=1, pad=1)
+
+
+def upsample_conv_ref_grads(x, w, gy):
+    """Gradients of :func:`upsample_conv_ref`: the window-by-window conv
+    gradients on the upsampled map, and the input gradient summed over each
+    2^rank block. Returns ``(grad_x, grad_w, grad_b)``."""
+    gu, gw, gb = conv_window_grads(_repeat2(x), w, gy, stride=1, pad=1)
+    shape = [gu.shape[0]]
+    for d in x.shape[1:]:
+        shape.extend((d, 2))
+    return gu.reshape(shape).sum(axis=tuple(range(2, 2 * x.ndim, 2))), gw, gb
+
+
 def flood_fill_body(slice_hu, threshold=-500.0):
     """Body mask of one 2D slice via border-seeded BFS over 4-neighbours.
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from vqsct import autograd as ag
 from vqsct.errors import DomainError, ShapeError
 
-from oracles import conv_window_grads, conv_window_sum
+from oracles import (conv_window_grads, conv_window_sum, upsample_conv_ref,
+                     upsample_conv_ref_grads)
 
 
 def central_diff(f, x, eps=1e-6):
@@ -139,6 +140,24 @@ def test_leaky_relu_values_and_slope():
     g = np.random.default_rng(15).standard_normal(4)
     (got,) = y.vjp(g)
     assert got.tobytes() == (g * np.where(x.data >= 0, 1.0, 0.1)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.1])
+def test_leaky_relu_bytes_match_where_form(dtype, slope):
+    # signed zeros and subnormals on both sides of the kink
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 17 * tiny, -17 * tiny,
+                        np.finfo(dtype).tiny, -np.finfo(dtype).tiny, 1.5, -1.5], dtype=dtype)
+    rng = np.random.default_rng(16)
+    xv = np.concatenate((special, rng.standard_normal(52).astype(dtype))).reshape(4, 16)
+    y = ag.leaky_relu(ag.leaf(xv, dtype), slope)
+    assert y.data.dtype == dtype
+    assert y.data.tobytes() == np.where(xv >= 0, xv, slope * xv).tobytes()
+    g = rng.permutation(np.concatenate((special, rng.standard_normal(52).astype(dtype)))).reshape(4, 16)
+    (got,) = y.vjp(g)
+    assert got.dtype == dtype
+    assert got.tobytes() == np.where(xv >= 0, g, slope * g).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +345,27 @@ def test_conv_rejects_bad_stride_and_kernel():
         ag.conv(x, ag.leaf(np.zeros((1, 2, 3, 3))))
 
 
+def test_conv_geometry_errors_raise_on_every_call():
+    # the geometry is cached on its shapes; a rejected geometry must raise
+    # again on every call, not be served from the cache
+    bad = [((1, 8, 8), (1, 1, 3, 3), 3, 0, DomainError),       # stride
+           ((1, 8, 8), (1, 1, 4, 4), 1, 0, DomainError),       # even kernel
+           ((1, 8, 8), (1, 1, 3, 3), 1, -1, DomainError),      # negative pad
+           ((1, 2, 8), (1, 1, 3, 3), 1, 0, DomainError),       # no output
+           ((1, 8, 8), (1, 2, 3, 3), 1, 0, ShapeError),        # channels
+           ((1, 8), (1, 1, 3), 1, 0, ShapeError),              # rank 1
+           ((1, 8, 8), (1, 1, 3, 3, 3), 1, 0, ShapeError)]     # kernel rank
+    for x_shape, w_shape, stride, pad, error in bad:
+        x, w = np.zeros(x_shape), np.zeros(w_shape)
+        for _ in range(3):
+            with pytest.raises(error):
+                ag.conv_forward_data(x, w, None, stride, pad)
+    geometry = ag._conv_geometry((2, 6, 5), (3, 2, 3, 3), 2, 1)
+    assert geometry is ag._conv_geometry((2, 6, 5), (3, 2, 3, 3), 2, 1)
+    assert isinstance(geometry, tuple) and isinstance(geometry[-1], tuple)
+    assert all(isinstance(entry, tuple) for entry in geometry[-1])
+
+
 @pytest.mark.parametrize("rank,stride,pad", [(2, 1, 1), (2, 2, 1), (3, 2, 1)])
 def test_conv_gradients_match_finite_differences(rank, stride, pad):
     rng = np.random.default_rng(rank * 7 + stride)
@@ -354,21 +394,22 @@ def test_conv_gradients_match_finite_differences(rank, stride, pad):
 
 
 # ---------------------------------------------------------------------------
-# Upsampling
+# Upsample-and-convolve
 # ---------------------------------------------------------------------------
 
+def _center_tap(c, rank):
+    """A ``[c, c, 3, ...]`` kernel that passes each channel's centre voxel."""
+    w = np.zeros((c, c) + (3,) * rank)
+    w[(np.arange(c), np.arange(c)) + (1,) * rank] = 1.0
+    return w
+
+
 def test_upsample_nearest_repeats_values():
+    # with only the centre tap the node is nearest upsampling, exactly
     xv = np.arange(4.0).reshape(1, 2, 2)
-    out = ag.upsample_nearest(ag.leaf(xv), 2)
+    out = ag.upsample_conv(ag.leaf(xv), ag.leaf(_center_tap(1, 2)))
     expected = xv.repeat(2, axis=1).repeat(2, axis=2)
     assert np.array_equal(out.data, expected)
-
-
-def test_upsample_factor_one_is_identity():
-    rng = np.random.default_rng(5)
-    xv = rng.standard_normal((3, 4, 4))
-    out = ag.upsample_nearest(ag.leaf(xv), 1)
-    assert np.array_equal(out.data, xv)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -376,7 +417,7 @@ def test_upsample_gradient_is_block_sum(rank):
     rng = np.random.default_rng(6 + rank)
     xv = rng.standard_normal((2,) + (3,) * rank)
     x = ag.leaf(xv)
-    up = ag.upsample_nearest(x, 2)
+    up = ag.upsample_conv(x, ag.leaf(_center_tap(2, rank)))
     weight = rng.standard_normal(up.data.shape)
     loss = ag.sum_all(ag.mul(up, ag.leaf(weight)))
     grads = ag.backward(loss, {"x": x})
@@ -390,19 +431,66 @@ def test_upsample_gradient_is_block_sum(rank):
     assert np.allclose(grads["x"], expected)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_upsample_2d_gradient_equals_numpy_reduction_bytes(dtype):
-    # the decoder's upsampling inputs at 96 x 96 slices and at the padded
-    # 112 x 92 slices of a 110 x 90 x 74 volume
-    rng = np.random.default_rng(13)
-    for shape in [(16, 24, 24), (8, 48, 48), (16, 28, 23), (8, 56, 46), (16, 14, 12)]:
-        for _ in range(5):
-            up = ag.upsample_nearest(ag.leaf(rng.standard_normal(shape), dtype), 2)
-            g = rng.standard_normal(up.data.shape).astype(dtype)
-            (got,) = up.vjp(g)
-            c, h, w = shape
-            want = g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))
-            assert got.dtype == dtype and got.tobytes() == want.tobytes(), shape
+# the decoder's stage inputs: 96 x 96 slices, the padded 112 x 92 slices of
+# a 110 x 90 x 74 volume, and 32^3 cubes
+_UPSAMPLE_CONV_CASES = [((16, 24, 24), 8), ((8, 48, 48), 8), ((16, 28, 23), 8),
+                        ((8, 56, 46), 8), ((16, 8, 8, 8), 8), ((8, 16, 16, 16), 8),
+                        ((8, 48, 48), 1), ((8, 16, 16, 16), 1)]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_upsample_conv_matches_repeat_then_conv_oracle(dtype, tol):
+    """Forward and all three gradients, each within ``tol`` of the float64
+    oracle relative to the same sum over the terms' absolute values."""
+    rng = np.random.default_rng(17)
+    for shape, c_out in _UPSAMPLE_CONV_CASES:
+        rank = len(shape) - 1
+        xv = rng.standard_normal(shape).astype(dtype)
+        wv = rng.standard_normal((c_out, shape[0]) + (3,) * rank).astype(dtype)
+        bv = rng.standard_normal(c_out).astype(dtype)
+        x, w, b = ag.leaf(xv, dtype), ag.leaf(wv, dtype), ag.leaf(bv, dtype)
+        y = ag.upsample_conv(x, w, b)
+        gy = rng.standard_normal(y.data.shape).astype(dtype)
+        x64, w64, b64, gy64 = (a.astype(np.float64) for a in (xv, wv, bv, gy))
+        pairs = [(y.data, upsample_conv_ref(x64, w64, b64),
+                  upsample_conv_ref(abs(x64), abs(w64), abs(b64)))]
+        pairs += zip(y.vjp(gy), upsample_conv_ref_grads(x64, w64, gy64),
+                     upsample_conv_ref_grads(abs(x64), abs(w64), abs(gy64)))
+        for got, want, magnitude in pairs:
+            assert got.dtype == dtype and got.shape == want.shape, shape
+            assert np.all(np.abs(got - want) <= tol * magnitude), shape
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_upsample_conv_gradients_match_finite_differences(rank):
+    rng = np.random.default_rng(18 + rank)
+    spatial = (3, 4) if rank == 2 else (2, 3, 2)
+    xv = rng.standard_normal((2,) + spatial)
+    wv = 0.5 * rng.standard_normal((3, 2) + (3,) * rank)
+    bv = 0.5 * rng.standard_normal(3)
+
+    def run(x, w, b):
+        out = ag.upsample_conv(ag.leaf(x), ag.leaf(w), ag.leaf(b))
+        return ag.sum_all(ag.mul(out, out))
+
+    x, w, b = ag.leaf(xv), ag.leaf(wv), ag.leaf(bv)
+    out = ag.upsample_conv(x, w, b)
+    grads = ag.backward(ag.sum_all(ag.mul(out, out)), {"x": x, "w": w, "b": b})
+    fd_x = central_diff(lambda v: run(v, wv, bv).data.item(), xv, eps=1e-5)
+    fd_w = central_diff(lambda v: run(xv, v, bv).data.item(), wv, eps=1e-5)
+    fd_b = central_diff(lambda v: run(xv, wv, v).data.item(), bv, eps=1e-5)
+    assert rel_err(grads["x"], fd_x, floor=1e-3) < 1e-6
+    assert rel_err(grads["w"], fd_w, floor=1e-3) < 1e-6
+    assert rel_err(grads["b"], fd_b, floor=1e-3) < 1e-6
+
+
+def test_upsample_conv_rejects_other_kernel_extents():
+    x = ag.leaf(np.zeros((2, 4, 4)))
+    for ks in [(1, 1), (5, 5), (3, 1), (2, 2)]:
+        with pytest.raises(DomainError):
+            ag.upsample_conv(x, ag.leaf(np.zeros((2, 2) + ks)))
+    with pytest.raises(ShapeError):
+        ag.upsample_conv(x, ag.leaf(np.zeros((2, 3, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +541,7 @@ def _every_op(rng, dtype):
         ag.sum_all(a), ag.mean_all(a), ag.abs_val(a), ag.leaky_relu(a, 0.1),
         ag.conv(x2, w2, b2, stride=1, pad=1), ag.conv(x2, w2, stride=2, pad=1),
         ag.conv(x3, w3, stride=1, pad=1), ag.conv(x3, w3, stride=2, pad=1),
-        ag.upsample_nearest(x2, 2), ag.upsample_nearest(x3, 2),
+        ag.upsample_conv(x2, w2, b2), ag.upsample_conv(x3, w3),
         ag.straight_through(a, rng.standard_normal((3, 4))),
     ]
 
@@ -534,7 +622,7 @@ def test_deep_chain_does_not_hit_recursion_limit():
 # ---------------------------------------------------------------------------
 
 def build_random_net(rng, rank):
-    """A small conv -> lrelu -> upsample -> conv net with random geometry."""
+    """A small conv -> lrelu -> upsample_conv net with random geometry."""
     side = int(rng.integers(6, 9))
     spatial = (side,) * rank
     c_mid = int(rng.integers(2, 4))
@@ -549,8 +637,7 @@ def build_random_net(rng, rank):
     def forward(leaves):
         h = ag.conv(ag.leaf(xv), leaves["w1"], leaves["b1"], stride=2, pad=1)
         h = ag.leaky_relu(h)
-        h = ag.upsample_nearest(h, 2)
-        h = ag.conv(h, leaves["w2"], leaves["b2"], stride=1, pad=1)
+        h = ag.upsample_conv(h, leaves["w2"], leaves["b2"])
         return ag.mean_all(ag.abs_val(h))
 
     return params, forward
