@@ -45,7 +45,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "sum_all",
     "mean_all",
     "abs_val",
     "leaky_relu",
@@ -112,10 +111,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return Tensor(a.data * c, "scale", (a,), lambda g: (g * c,))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return Tensor(np.asarray(a.data.sum()), "sum", (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def mean_all(a: Tensor) -> Tensor:

@@ -1,13 +1,15 @@
 """Masked evaluation: body contour, regional metrics, paired statistics.
 
 Metrics are computed inside boolean masks: the body contour of the
-ground-truth CT (threshold HU > -500, then slice-wise hole filling), split
-into whole / soft / bone regions at a configurable HU boundary. A case is
-evaluated with one partition per volume and one SSIM map per slice. The
-paired Wilcoxon signed-rank test is exact (full distribution over sign
-assignments) up to n = 25 and uses the tie-corrected normal approximation
-with continuity correction beyond. Difference maps are emitted as binary
-PPM images under a blue-white-red colormap.
+ground-truth CT (threshold HU > -500, then slice-wise hole filling by a
+flood from each slice's border), split into whole / soft / bone regions at
+a configurable HU boundary. A case is evaluated with one partition per
+volume and one SSIM map per case, whose Gaussian window means are taken
+over all axial slices at once. The paired Wilcoxon signed-rank test is
+exact (full distribution over sign assignments) up to n = 25 and uses the
+tie-corrected normal approximation with continuity correction beyond.
+Difference maps are emitted as binary PPM images under a blue-white-red
+colormap. Everything here is plain numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 import os
 
 import numpy as np
-from scipy.ndimage import binary_fill_holes, correlate1d
-from scipy.stats import rankdata
 
 from .atomic import atomic_open
 from .errors import DomainError, FormatError, ShapeError
@@ -64,6 +64,19 @@ def _voxels(v) -> np.ndarray:
     return v.voxels if isinstance(v, Volume) else np.asarray(v, dtype=np.float64)
 
 
+def _run_ids(free: np.ndarray, axis: int):
+    """Label each run of ``free`` voxels along ``axis``; 0 marks a blocked voxel.
+
+    Returns the labels, indexed like ``free``, and the number of runs.
+    """
+    lines = np.moveaxis(free, axis, -1)
+    starts = lines.copy()
+    starts[..., 1:] &= ~lines[..., :-1]
+    ids = np.cumsum(starts).reshape(lines.shape)
+    ids[~lines] = 0
+    return np.ascontiguousarray(np.moveaxis(ids, -1, axis)), int(ids.max(initial=0))
+
+
 def body_contour(ct: Volume) -> np.ndarray:
     """Boolean body mask: threshold HU > -500, then fill holes per axial slice.
 
@@ -71,14 +84,31 @@ def body_contour(ct: Volume) -> np.ndarray:
     border of its slice, so air cavities inside the body (lungs, bowel gas)
     are included while exterior air stays out. ``ct`` is an HU volume or a
     bare array of HU values.
+
+    The flood from the border runs on all slices at once: sweeps along x
+    and y alternate, and each marks every run of background voxels along
+    its axis that holds a reached voxel, until two sweeps in a row reach
+    nothing new.
     """
     if isinstance(ct, Volume) and ct.intensity_space != "HU":
         raise DomainError(f"body contour needs an HU volume, got {ct.intensity_space}")
-    raw = _voxels(ct) > BODY_THRESHOLD_HU
-    filled = np.empty_like(raw)
-    for z in range(raw.shape[2]):
-        filled[:, :, z] = binary_fill_holes(raw[:, :, z])
-    return filled
+    free = ~(_voxels(ct) > BODY_THRESHOLD_HU)
+    reach = free.copy()
+    reach[1:-1, 1:-1] = False  # the flood starts from each slice's border
+    runs = [_run_ids(free, 0), _run_ids(free, 1)]
+    reached = int(np.count_nonzero(reach))
+    quiet = 0
+    sweep = 0
+    while quiet < 2:
+        ids, n_runs = runs[sweep % 2]
+        hit = np.zeros(n_runs + 1, dtype=bool)
+        hit[ids[reach]] = True
+        reach = hit[ids]
+        count = int(np.count_nonzero(reach))
+        quiet = quiet + 1 if count == reached else 0
+        reached = count
+        sweep += 1
+    return ~reach
 
 
 def region_masks(ct: Volume, bone_threshold_hu: float = BONE_THRESHOLD_HU) -> dict:
@@ -127,41 +157,56 @@ def _gaussian_kernel_1d():
 
 
 def _window_mean(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Gaussian-window means at every full-window center of a 2D array."""
+    """Gaussian-window means at every full-window center of each axial slice.
+
+    ``a`` is [X, Y, Z]; the window spans axes 0 and 1. Along each axis in
+    turn, a center gets its middle tap plus the taps at +-j summed pairwise,
+    for j from the half-width down to 1. Every value depends on its own
+    slice alone, and report bytes depend on this order.
+    """
     half = len(kernel) // 2
-    out = correlate1d(a, kernel, axis=0, mode="constant")
-    out = correlate1d(out, kernel, axis=1, mode="constant")
-    return out[half:-half, half:-half]
+    for axis in (0, 1):
+        n = a.shape[axis] - 2 * half
+
+        def window(start, a=a, axis=axis):
+            return a[(slice(None),) * axis + (slice(start, start + n),)]
+
+        out = window(half) * kernel[half]
+        pair = np.empty_like(out)
+        for j in range(half, 0, -1):
+            np.add(window(half - j), window(half + j), out=pair)
+            pair *= kernel[half - j]
+            out += pair
+        a = out
+    return a
 
 
 def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
-    """Masked mean SSIM for each of ``masks``, from one SSIM map per slice."""
+    """Masked mean SSIM for each of ``masks``, from one SSIM map per case."""
     half = _SSIM_WINDOW // 2
     if p.shape[0] < _SSIM_WINDOW or p.shape[1] < _SSIM_WINDOW:
         raise DomainError(
             f"in-plane extents {p.shape[:2]} are smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
-    kernel = _gaussian_kernel_1d()
-    weighted = [0.0] * len(masks)
-    weight = [0] * len(masks)
-    for z in range(p.shape[2]):
-        centers = [m[half:-half, half:-half, z] for m in masks]
-        if not any(c.any() for c in centers):
-            continue
-        x = p[:, :, z]
-        y = g[:, :, z]
-        mu_x = _window_mean(x, kernel)
-        mu_y = _window_mean(y, kernel)
-        var_x = _window_mean(x * x, kernel) - mu_x * mu_x
-        var_y = _window_mean(y * y, kernel) - mu_y * mu_y
-        cov = _window_mean(x * y, kernel) - mu_x * mu_y
-        s = ((2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-             / ((mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)))
-        for i, c in enumerate(centers):
-            weighted[i] += float(s[c].sum())  # adds 0.0 for a slice outside mask i
-            weight[i] += int(c.sum())
-    if 0 in weight:
+    centers = [m[half:-half, half:-half] for m in masks]
+    weights = [int(np.count_nonzero(c)) for c in centers]
+    if 0 in weights:
         raise DomainError("mask contains no full-window centers")
-    return [w / n for w, n in zip(weighted, weight)]
+    kernel = _gaussian_kernel_1d()
+    mu_x = _window_mean(p, kernel)
+    mu_y = _window_mean(g, kernel)
+    var_x = _window_mean(p * p, kernel) - mu_x * mu_x
+    var_y = _window_mean(g * g, kernel) - mu_y * mu_y
+    cov = _window_mean(p * g, kernel) - mu_x * mu_y
+    s = ((2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+         / ((mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)))
+    means = []
+    for c, weight in zip(centers, weights):
+        weighted = 0.0
+        for z in range(p.shape[2]):
+            # one masked sum per slice, added in slice order
+            weighted += float(s[:, :, z][c[:, :, z]].sum())
+        means.append(weighted / weight)
+    return means
 
 
 def ssim(pred, gt, mask) -> float:
@@ -198,6 +243,17 @@ def dsc(pred_ct, gt_ct, region: str, bone_threshold_hu: float = BONE_THRESHOLD_H
 # Wilcoxon signed-rank test
 # ---------------------------------------------------------------------------
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a``, each tie group sharing the mean of its ranks."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
     """Two-sided paired Wilcoxon signed-rank test.
 
@@ -219,7 +275,7 @@ def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
     n = diffs.size
     if n < 5:
         raise DomainError(f"need at least 5 nonzero differences, got {n}")
-    ranks = rankdata(np.abs(diffs))
+    ranks = _average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     w = min(w_plus, w_minus)

@@ -10,6 +10,8 @@ from collections import deque
 
 import numpy as np
 
+from vqsct import autograd as ag
+
 
 def conv_window_sum(x, w, b=None, stride=1, pad=0):
     """Convolution as a sum over kernel offsets, one window copy each.
@@ -82,6 +84,16 @@ def upsample_conv_ref_grads(x, w, gy):
     for d in x.shape[1:]:
         shape.extend((d, 2))
     return gu.reshape(shape).sum(axis=tuple(range(2, 2 * x.ndim, 2))), gw, gb
+
+
+def sum_all(a):
+    """Scalar loss node: the sum of every element of ``a``.
+
+    Its vjp hands the upstream scalar to every element, so the gradient of a
+    test loss built on it is the plain derivative of the summed expression.
+    """
+    return ag.Tensor(np.asarray(a.data.sum()), "sum", (a,),
+                     lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def flood_fill_body(slice_hu, threshold=-500.0):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from vqsct import autograd as ag
 from vqsct.errors import DomainError, ShapeError
 
-from oracles import (conv_window_grads, conv_window_sum, upsample_conv_ref,
-                     upsample_conv_ref_grads)
+from oracles import (conv_window_grads, conv_window_sum, sum_all,
+                     upsample_conv_ref, upsample_conv_ref_grads)
 
 
 def central_diff(f, x, eps=1e-6):
@@ -85,7 +85,7 @@ def test_add_mul_values_and_grads():
     xv = rng.standard_normal((4, 5))
     yv = rng.standard_normal((4, 5))
     x, y = ag.leaf(xv), ag.leaf(yv)
-    loss = ag.sum_all(ag.mul(ag.add(x, y), y))
+    loss = sum_all(ag.mul(ag.add(x, y), y))
     grads = ag.backward(loss, {"x": x, "y": y})
     assert np.allclose(grads["x"], yv)
     assert np.allclose(grads["y"], xv + 2 * yv)
@@ -98,11 +98,11 @@ def test_sub_matches_finite_difference():
 
     def f(v):
         d = ag.sub(ag.leaf(v), ag.leaf(yv))
-        return ag.sum_all(ag.mul(d, d)).data.item()
+        return sum_all(ag.mul(d, d)).data.item()
 
     x = ag.leaf(xv)
     d = ag.sub(x, ag.leaf(yv))
-    loss = ag.sum_all(ag.mul(d, d))
+    loss = sum_all(ag.mul(d, d))
     grads = ag.backward(loss, {"x": x})
     assert rel_err(grads["x"], central_diff(f, xv)) < 1e-7
 
@@ -123,7 +123,7 @@ def test_scale_and_mean():
 
 def test_abs_gradient_is_sign_with_zero_at_zero():
     x = ag.leaf(np.array([-2.0, 0.0, 3.0]))
-    loss = ag.sum_all(ag.abs_val(x))
+    loss = sum_all(ag.abs_val(x))
     grads = ag.backward(loss, {"x": x})
     assert np.array_equal(grads["x"], np.array([-1.0, 0.0, 1.0]))
 
@@ -132,7 +132,7 @@ def test_leaky_relu_values_and_slope():
     x = ag.leaf(np.array([-10.0, -1.0, 0.0, 2.0]))
     y = ag.leaky_relu(x, slope=0.1)
     assert np.allclose(y.data, [-1.0, -0.1, 0.0, 2.0])
-    loss = ag.sum_all(y)
+    loss = sum_all(y)
     grads = ag.backward(loss, {"x": x})
     # the kink at exactly zero takes the positive branch
     assert np.array_equal(grads["x"], np.array([0.1, 0.1, 1.0, 1.0]))
@@ -376,11 +376,11 @@ def test_conv_gradients_match_finite_differences(rank, stride, pad):
 
     def run(x, w, b):
         out = ag.conv(ag.leaf(x), ag.leaf(w), ag.leaf(b), stride=stride, pad=pad)
-        return ag.sum_all(ag.mul(out, out))
+        return sum_all(ag.mul(out, out))
 
     x, w, b = ag.leaf(xv), ag.leaf(wv), ag.leaf(bv)
     out = ag.conv(x, w, b, stride=stride, pad=pad)
-    loss = ag.sum_all(ag.mul(out, out))
+    loss = sum_all(ag.mul(out, out))
     grads = ag.backward(loss, {"x": x, "w": w, "b": b})
 
     # eps 1e-5 keeps float64 roundoff in the difference quotient below the
@@ -419,7 +419,7 @@ def test_upsample_gradient_is_block_sum(rank):
     x = ag.leaf(xv)
     up = ag.upsample_conv(x, ag.leaf(_center_tap(2, rank)))
     weight = rng.standard_normal(up.data.shape)
-    loss = ag.sum_all(ag.mul(up, ag.leaf(weight)))
+    loss = sum_all(ag.mul(up, ag.leaf(weight)))
     grads = ag.backward(loss, {"x": x})
     # each input cell receives the sum of the weights over its 2^rank block
     expected = weight.copy()
@@ -471,11 +471,11 @@ def test_upsample_conv_gradients_match_finite_differences(rank):
 
     def run(x, w, b):
         out = ag.upsample_conv(ag.leaf(x), ag.leaf(w), ag.leaf(b))
-        return ag.sum_all(ag.mul(out, out))
+        return sum_all(ag.mul(out, out))
 
     x, w, b = ag.leaf(xv), ag.leaf(wv), ag.leaf(bv)
     out = ag.upsample_conv(x, w, b)
-    grads = ag.backward(ag.sum_all(ag.mul(out, out)), {"x": x, "w": w, "b": b})
+    grads = ag.backward(sum_all(ag.mul(out, out)), {"x": x, "w": w, "b": b})
     fd_x = central_diff(lambda v: run(v, wv, bv).data.item(), xv, eps=1e-5)
     fd_w = central_diff(lambda v: run(xv, v, bv).data.item(), wv, eps=1e-5)
     fd_b = central_diff(lambda v: run(xv, wv, v).data.item(), bv, eps=1e-5)
@@ -505,7 +505,7 @@ def test_straight_through_forward_and_bitwise_gradient():
     x = ag.leaf(xv)
     out = ag.straight_through(x, qv)
     assert np.array_equal(out.data, qv)
-    loss = ag.sum_all(ag.mul(out, ag.leaf(weight)))
+    loss = sum_all(ag.mul(out, ag.leaf(weight)))
     grads = ag.backward(loss, {"x": x})
     # the copy gradient must be bit-for-bit the downstream gradient
     assert np.array_equal(grads["x"], weight)
@@ -519,7 +519,7 @@ def test_straight_through_bitwise_property(rows, cols, seed):
     x = ag.leaf(rng.standard_normal((rows, cols)))
     q = rng.standard_normal((rows, cols))
     w = rng.standard_normal((rows, cols))
-    loss = ag.sum_all(ag.mul(ag.straight_through(x, q), ag.leaf(w)))
+    loss = sum_all(ag.mul(ag.straight_through(x, q), ag.leaf(w)))
     grads = ag.backward(loss, {"x": x})
     assert np.array_equal(grads["x"], w)
 
@@ -538,7 +538,7 @@ def _every_op(rng, dtype):
     x3, w3 = lf(2, 4, 5, 3), lf(3, 2, 3, 3, 3)
     return [
         ag.add(a, b), ag.sub(a, b), ag.mul(a, b), ag.scale(a, 0.3),
-        ag.sum_all(a), ag.mean_all(a), ag.abs_val(a), ag.leaky_relu(a, 0.1),
+        ag.mean_all(a), ag.abs_val(a), ag.leaky_relu(a, 0.1),
         ag.conv(x2, w2, b2, stride=1, pad=1), ag.conv(x2, w2, stride=2, pad=1),
         ag.conv(x3, w3, stride=1, pad=1), ag.conv(x3, w3, stride=2, pad=1),
         ag.upsample_conv(x2, w2, b2), ag.upsample_conv(x3, w3),
@@ -573,7 +573,7 @@ def test_diamond_graph_accumulates_once():
     # x feeds two branches that rejoin; d(loss)/dx = 2x + 3
     xv = np.array([1.5, -2.0])
     x = ag.leaf(xv)
-    loss = ag.sum_all(ag.add(ag.mul(x, x), ag.scale(x, 3.0)))
+    loss = sum_all(ag.add(ag.mul(x, x), ag.scale(x, 3.0)))
     grads = ag.backward(loss, {"x": x})
     assert np.allclose(grads["x"], 2 * xv + 3.0)
 
@@ -591,7 +591,7 @@ def test_shared_vjp_array_reaches_two_parents_with_other_paths():
         h = ag.leaky_relu(x)
         k = ag.mul(x, x)
         s = ag.add(ag.add(h, h), k)
-        loss = ag.add(ag.sum_all(ag.mul(s, ag.leaf(cv))), ag.sum_all(ag.mul(h, k)))
+        loss = ag.add(sum_all(ag.mul(s, ag.leaf(cv))), sum_all(ag.mul(h, k)))
         return x, loss
 
     x, loss = run(xv)
@@ -603,7 +603,7 @@ def test_shared_vjp_array_reaches_two_parents_with_other_paths():
 def test_backward_returns_zeros_for_unreachable_leaves():
     x = ag.leaf(np.ones(3))
     orphan = ag.leaf(np.ones(4))
-    loss = ag.sum_all(x)
+    loss = sum_all(x)
     grads = ag.backward(loss, {"x": x, "orphan": orphan})
     assert np.array_equal(grads["orphan"], np.zeros(4))
 
@@ -613,7 +613,7 @@ def test_deep_chain_does_not_hit_recursion_limit():
     node = x
     for _ in range(5000):
         node = ag.scale(node, 1.0)
-    grads = ag.backward(ag.sum_all(node), {"x": x})
+    grads = ag.backward(sum_all(node), {"x": x})
     assert np.allclose(grads["x"], 1.0)
 
 

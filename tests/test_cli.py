@@ -689,3 +689,44 @@ def test_subprocess_exit_codes(tmp_path):
                          capture_output=True, env=env)
     assert bad.returncode == 1
     assert b"error" in bad.stderr
+
+
+_IMPORT_EVERYTHING_AND_RUN = """
+import importlib, json, os, pkgutil, sys
+import vqsct
+from vqsct.cli import main
+from vqsct.evaluation import write_report_csv
+
+for info in pkgutil.iter_modules(vqsct.__path__):
+    importlib.import_module("vqsct." + info.name)
+work = sys.argv[1]
+cases = os.path.join(work, "cases")
+assert main(["phantom", "--out", cases, "--cases", "2", "--dims", "32,32,32",
+             "--seed", "5"]) == 0
+assert main(["evaluate", "--pred", os.path.join(cases, "case_001_ct.mvol"),
+             "--gt", os.path.join(cases, "case_000_ct.mvol"),
+             "--out", os.path.join(work, "report.csv"),
+             "--diff-dir", os.path.join(work, "maps")]) == 0
+for name, shift in (("a", 0.0), ("b", 1.5)):
+    write_report_csv([{"case_id": f"c{i}", "region": "whole", "metric": "mae",
+                       "value": 10.0 + i * i + shift * (i % 3)} for i in range(9)],
+                     os.path.join(work, name + ".csv"))
+assert main(["stats", "--report-a", os.path.join(work, "a.csv"),
+             "--report-b", os.path.join(work, "b.csv"), "--metric", "mae",
+             "--region", "whole", "--out", os.path.join(work, "stats.json")]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # every module, and phantom, evaluate and stats end to end, in a fresh
+    # interpreter: the runtime needs numpy alone
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_EVERYTHING_AND_RUN,
+                           str(tmp_path)],
+                          capture_output=True, env=env, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "maps" / "slice_000.ppm").exists()
+    assert json.loads((tmp_path / "stats.json").read_text())["n"] == 6

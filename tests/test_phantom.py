@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
+from vqsct import phantom
 from vqsct.errors import DomainError
 from vqsct.phantom import (LABEL_AIR, LABEL_BONE, LABEL_LUNG, LABEL_SOFT,
                            generate_phantom_pair, generate_texture_volume)
@@ -120,3 +122,26 @@ def test_texture_volume_range_and_determinism():
     assert a.intensity_space == "HU"
     with pytest.raises(DomainError):
         generate_texture_volume((8, 24, 24), seed=0)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0, 8.0])
+def test_gaussian_filter_matches_scipy_bytes(sigma):
+    # sigma 8 has radius 32, longer than every extent here
+    rng = np.random.default_rng(31)
+    for shape in [(16, 16, 16), (24, 20, 18), (5, 7, 9), (1, 12, 3), (33, 2, 6)]:
+        a = rng.standard_normal(shape)
+        got = phantom._gaussian_filter(a, sigma)
+        assert got.tobytes() == gaussian_filter(a, sigma).tobytes(), shape
+
+
+def test_phantoms_match_a_scipy_filtered_build(monkeypatch):
+    ours = [generate_phantom_pair((40, 34, 36), seed=7),
+            generate_texture_volume((20, 17, 16), seed=8)]
+    monkeypatch.setattr(phantom, "_gaussian_filter", gaussian_filter)
+    theirs = [generate_phantom_pair((40, 34, 36), seed=7),
+              generate_texture_volume((20, 17, 16), seed=8)]
+    (ct_a, pet_a, _), tex_a = ours
+    (ct_b, pet_b, _), tex_b = theirs
+    assert ct_a.voxels.tobytes() == ct_b.voxels.tobytes()
+    assert pet_a.voxels.tobytes() == pet_b.voxels.tobytes()
+    assert tex_a.voxels.tobytes() == tex_b.voxels.tobytes()
