@@ -10,7 +10,8 @@ to the loss, and drops each intermediate gradient once it has been passed on.
 Conventions:
 
 * feature maps are ``[channels, *spatial]`` with spatial rank 2 or 3 and no
-  batch axis (a batch is a set of subgraphs sharing parameter leaves);
+  batch axis: a graph holds one input, and training sums the gradients of
+  one graph per batch item;
 * a graph runs in the dtype of its leaves, and every op returns, and every
   vjp passes back, its parent's dtype: :func:`leaf` defaults to float64,
   which the gradient checks need, and production graphs are float32 over

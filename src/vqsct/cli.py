@@ -368,21 +368,24 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .evaluation import (body_contour, evaluate_case, save_difference_maps,
+    from .evaluation import (evaluate_case, region_masks, save_difference_maps,
                              write_report_csv)
     from .volume import read_volume
 
     if not 0.0 < args.diff_cap < float("inf"):
         raise UsageError(f"--diff-cap must be finite and > 0, got {args.diff_cap}")
+    if not abs(args.bone_hu) < float("inf"):
+        raise UsageError(f"--bone-hu must be finite, got {args.bone_hu}")
     if args.case_id is None:
         args.case_id = os.path.splitext(os.path.basename(args.pred))[0]
     pred = read_volume(args.pred)
     gt = read_volume(args.gt)
+    truth = region_masks(gt, args.bone_hu)
     rows = evaluate_case(pred, gt, case_id=args.case_id,
-                         bone_threshold_hu=args.bone_hu)
+                         bone_threshold_hu=args.bone_hu, truth=truth)
     write_report_csv(rows, args.out)
     if args.diff_dir:
-        save_difference_maps(pred, gt, body_contour(gt), args.diff_dir, cap=args.diff_cap)
+        save_difference_maps(pred, gt, truth["whole"], args.diff_dir, cap=args.diff_cap)
     _write_record(args, f"{args.out}.config.json")
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import DomainError, FormatError, ShapeError
-from .volume import Volume
+from .volume import Volume, correlate_valid
 
 __all__ = [
     "REGIONS",
@@ -113,6 +113,8 @@ def body_contour(ct: Volume) -> np.ndarray:
 
 def region_masks(ct: Volume, bone_threshold_hu: float = BONE_THRESHOLD_HU) -> dict:
     """Body contour of ``ct`` (``whole``), split into ``soft`` and ``bone`` at an HU boundary."""
+    if not abs(bone_threshold_hu) < np.inf:
+        raise DomainError(f"bone threshold must be finite, got {bone_threshold_hu}")
     vox = _voxels(ct)
     whole = body_contour(ct)
     return {"whole": whole, "soft": whole & (vox < bone_threshold_hu),
@@ -159,26 +161,12 @@ def _gaussian_kernel_1d():
 def _window_mean(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Gaussian-window means at every full-window center of each axial slice.
 
-    ``a`` is [X, Y, Z]; the window spans axes 0 and 1. Along each axis in
-    turn, a center gets its middle tap plus the taps at +-j summed pairwise,
-    for j from the half-width down to 1. Every value depends on its own
-    slice alone, and report bytes depend on this order.
+    ``a`` is [X, Y, Z]; the window spans axes 0 and 1, filtered in turn by
+    :func:`volume.correlate_valid` (taps summed pairwise from the outside
+    in). Every value depends on its own slice alone, and report bytes
+    depend on this order.
     """
-    half = len(kernel) // 2
-    for axis in (0, 1):
-        n = a.shape[axis] - 2 * half
-
-        def window(start, a=a, axis=axis):
-            return a[(slice(None),) * axis + (slice(start, start + n),)]
-
-        out = window(half) * kernel[half]
-        pair = np.empty_like(out)
-        for j in range(half, 0, -1):
-            np.add(window(half - j), window(half + j), out=pair)
-            pair *= kernel[half - j]
-            out += pair
-        a = out
-    return a
+    return correlate_valid(correlate_valid(a, kernel, 0), kernel, 1)
 
 
 def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
@@ -357,21 +345,25 @@ def save_difference_maps(pred, gt, mask, out_dir, cap: float = 200.0) -> list[st
 # ---------------------------------------------------------------------------
 
 def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
-                  bone_threshold_hu: float = BONE_THRESHOLD_HU) -> list[dict]:
+                  bone_threshold_hu: float = BONE_THRESHOLD_HU, *,
+                  truth: dict | None = None) -> list[dict]:
     """All four metrics over the three regions for one predicted/true pair.
 
     MAE, PSNR and SSIM use region masks derived from the ground truth; DSC
     compares the masks derived independently from each volume. Each value
     equals what :func:`mae`, :func:`psnr`, :func:`ssim` or :func:`dsc`
-    returns for its region. Returns CSV row dicts (case_id, region, metric,
-    value).
+    returns for its region. A caller that also needs the ground truth's
+    masks passes ``truth = region_masks(gt, bone_threshold_hu)``, so the
+    body contour is built once. Returns CSV row dicts (case_id, region,
+    metric, value).
     """
     for vol in (pred, gt):
         if vol.intensity_space != "HU":
             raise DomainError(f"evaluation needs HU volumes, got {vol.intensity_space}")
     if pred.dims != gt.dims:
         raise ShapeError(f"volume dims differ: {pred.dims} vs {gt.dims}")
-    truth = region_masks(gt, bone_threshold_hu)
+    if truth is None:
+        truth = region_masks(gt, bone_threshold_hu)
     derived = region_masks(pred, bone_threshold_hu)
     masks = [truth[region] for region in REGIONS]
     values = {"mae": [mae(pred, gt, m) for m in masks],

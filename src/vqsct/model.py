@@ -192,10 +192,11 @@ def build_model(config: ModelConfig) -> Checkpoint:
 
 
 def param_tensors(ckpt: Checkpoint, dtype=np.float64) -> dict[str, ag.Tensor]:
-    """Graph leaves over the checkpoint parameters, shared across a batch.
+    """Graph leaves over the checkpoint parameters.
 
     The leaves are ``dtype`` casts of the float64 master weights; build them
-    once per step or command, in the dtype of the inputs they will meet.
+    once per training step or command, in the dtype of the inputs they will
+    meet, and pass them to every :func:`forward` of that step or command.
     """
     return {name: ag.leaf(arr, dtype) for name, arr in ckpt.params.items()}
 
@@ -248,8 +249,9 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     """Run the full encoder/quantizer/decoder graph on one input.
 
     ``x`` is ``[1, *spatial]`` with every spatial extent divisible by
-    2^depth. Pass a shared ``params`` dict (from :func:`param_tensors`) to
-    accumulate gradients across several inputs in one backward pass. The
+    2^depth. Pass ``params`` (from :func:`param_tensors`) to reuse one set
+    of leaves across several inputs; each call builds a graph of its own
+    input over them, which a backward differentiates alone. The
     commitment term, weighted by ``beta``, is one graph node whose parents
     are the level projections (see :func:`_commitment`); it is built only
     when ``beta > 0``, so inference leaves it out.

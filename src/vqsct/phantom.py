@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .volume import Volume
+from .volume import Volume, correlate_valid
 
 __all__ = [
     "LABEL_AIR",
@@ -79,9 +79,10 @@ def _ellipsoid_q(u, v, w, center, semi):
 def _gaussian_filter(a: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with mirrored borders (``d c b a | a b c d``).
 
-    The kernel has radius ``int(4 sigma + 0.5)``. Along each axis in turn,
-    each output is its middle tap plus the taps at +-j summed pairwise, for
-    j from the radius down to 1. Phantom bytes depend on this order.
+    The kernel has radius ``int(4 sigma + 0.5)``. Each axis in turn is
+    padded by the radius and filtered by :func:`volume.correlate_valid`
+    (taps summed pairwise from the outside in); phantom bytes depend on
+    that order.
     """
     radius = int(4.0 * sigma + 0.5)
     x = np.arange(-radius, radius + 1)
@@ -89,20 +90,9 @@ def _gaussian_filter(a: np.ndarray, sigma: float) -> np.ndarray:
     kernel = kernel / kernel.sum()
     out = np.asarray(a, dtype=np.float64)
     for axis in range(out.ndim):
-        n = out.shape[axis]
         pads = [(0, 0)] * out.ndim
         pads[axis] = (radius, radius)
-        padded = np.pad(out, pads, mode="symmetric")
-
-        def window(start):
-            return padded[(slice(None),) * axis + (slice(start, start + n),)]
-
-        out = window(radius) * kernel[radius]
-        pair = np.empty_like(out)
-        for j in range(radius, 0, -1):
-            np.add(window(radius - j), window(radius + j), out=pair)
-            pair *= kernel[radius - j]
-            out += pair
+        out = correlate_valid(np.pad(out, pads, mode="symmetric"), kernel, axis)
     return out
 
 

@@ -151,6 +151,13 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     initialization included), backward and loss runs in float32 against
     float32 casts of the float64 master weights, which AdamW updates in
     float64.
+
+    Each step builds the parameter leaves once. Every batch item then runs
+    its own graph: forward, loss (L1, plus the commitment when ``beta > 0``)
+    and a backward of ``loss / B`` over the trainable leaves, after which
+    the graph is released. The step adds the items' gradients in item
+    order, item 0 first, and logs ``(loss_0 + loss_1 + ...) / B`` summed in
+    that order, so each step holds one item graph at a time.
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
@@ -184,7 +191,10 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     batch = first_batch
     for _ in range(steps):
         params = param_tensors(ckpt, GRAPH_DTYPE)
-        item_losses = []
+        wrt = {name: params[name] for name in trainable}
+        weight = 1.0 / len(batch)
+        grads = None
+        total = None
         l1_values = []
         level_rows = [[] for _ in ckpt.codebooks]
         level_indices = [[] for _ in ckpt.codebooks]
@@ -201,20 +211,21 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
             res = forward(ckpt, inp, params, beta=beta)
             l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(tgt, GRAPH_DTYPE))))
             loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
-            item_losses.append(loss)
+            item_grads = ag.backward(ag.scale(loss, weight), wrt)
+            if grads is None:
+                grads, total = item_grads, loss.data
+            else:
+                grads = {name: grads[name] + g for name, g in item_grads.items()}
+                total = total + loss.data
             l1_values.append(float(l1.data))
             for j in range(len(ckpt.codebooks)):
                 level_rows[j].append(res.unit_rows[j])
                 level_indices[j].append(res.code_indices[j].ravel())
+            del res, l1, loss  # free this item's graph before the next forward
 
-        total = item_losses[0]
-        for extra in item_losses[1:]:
-            total = ag.add(total, extra)
-        total = ag.scale(total, 1.0 / len(item_losses))
-        if not np.isfinite(total.data):
-            raise TrainingError(f"training diverged: loss {float(total.data)}")
-
-        grads = ag.backward(total, {name: params[name] for name in trainable})
+        total = total * weight
+        if not np.isfinite(total):
+            raise TrainingError(f"training diverged: loss {float(total)}")
         adamw_step(state, ckpt.params, grads)
 
         if mask.codebook_trainable:
@@ -226,7 +237,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                              seed=int(expire_rng.integers(2 ** 31)))
 
         l1_history.append(float(np.mean(l1_values)))
-        loss_history.append(float(total.data))
+        loss_history.append(float(total))
         ckpt.step += 1
         batch = next(batches)
 

@@ -1,4 +1,4 @@
-"""Volumes: container type, MVOL file I/O, intensity maps, tiling.
+"""Volumes: container type, MVOL file I/O, intensity maps, filtering, tiling.
 
 A ``Volume`` wraps a 3D scalar grid indexed ``[x, y, z]`` with voxel spacing
 in millimetres and a declared intensity space:
@@ -44,6 +44,7 @@ __all__ = [
     "extract_cubes",
     "stitch_cubes",
     "pad_to_multiple",
+    "correlate_valid",
 ]
 
 MAGIC = b"MVOL0001"
@@ -260,6 +261,34 @@ def apply_plane_symmetry(values: np.ndarray, element: int) -> np.ndarray:
         if element & (1 << axis):
             out = np.flip(out, axis=axis)
     return out.copy()
+
+
+# ---------------------------------------------------------------------------
+# Filtering
+# ---------------------------------------------------------------------------
+
+def correlate_valid(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``a`` with a symmetric odd-length ``kernel`` along ``axis``.
+
+    Only centers whose full window fits are kept ("valid"), so the axis
+    shrinks by ``len(kernel) - 1``. Each output is its middle tap plus the
+    taps at +-j summed pairwise, ``(a[i - j] + a[i + j]) * kernel[r - j]``,
+    added for j from the half-width ``r`` down to 1; the phantom and
+    evaluation bytes depend on this order.
+    """
+    half = len(kernel) // 2
+    n = a.shape[axis] - 2 * half
+
+    def window(start):
+        return a[(slice(None),) * axis + (slice(start, start + n),)]
+
+    out = window(half) * kernel[half]
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(window(half - j), window(half + j), out=pair)
+        pair *= kernel[half - j]
+        out += pair
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,48 @@ def test_evaluate_rejects_bad_diff_cap_before_writing(work, tmp_path, capsys, ca
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("bone", ["nan", "inf", "-inf"])
+def test_evaluate_rejects_non_finite_bone_hu_before_reading(tmp_path, capsys, bone):
+    # the volumes do not exist: reading them would exit 2
+    missing = str(tmp_path / "missing.mvol")
+    assert main(["evaluate", "--pred", missing, "--gt", missing,
+                 "--out", str(tmp_path / "r.csv"), f"--bone-hu={bone}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1
+    assert "--bone-hu" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_evaluate_diff_dir_builds_the_truth_contour_once(work, tmp_path, monkeypatch):
+    from vqsct import evaluation
+
+    ct = str(work["phantom"] / "case_000_ct.mvol")
+    other = str(work["phantom"] / "case_001_ct.mvol")
+    gt, pred = read_volume(ct), read_volume(other)
+    want_rows = evaluation.evaluate_case(pred, gt, case_id="c1", bone_threshold_hu=250.0)
+    evaluation.save_difference_maps(pred, gt, evaluation.body_contour(gt),
+                                    tmp_path / "want", cap=100.0)
+    write_report_csv(want_rows, tmp_path / "want.csv")
+
+    calls = []
+    real = evaluation.body_contour
+
+    def counting(ct_volume):
+        calls.append(ct_volume)
+        return real(ct_volume)
+
+    monkeypatch.setattr(evaluation, "body_contour", counting)
+    assert main(["evaluate", "--pred", other, "--gt", ct, "--out", str(tmp_path / "r.csv"),
+                 "--case-id", "c1", "--bone-hu", "250", "--diff-dir",
+                 str(tmp_path / "maps"), "--diff-cap", "100"]) == 0
+    assert len(calls) == 2  # the ground truth's, shared with the maps, and the prediction's
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    names = sorted(os.listdir(tmp_path / "want"))
+    assert sorted(os.listdir(tmp_path / "maps")) == names and len(names) == 32
+    for name in names:
+        assert (tmp_path / "maps" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
 def test_evaluate_default_case_id(work, tmp_path):
     ct = str(work["phantom"] / "case_000_ct.mvol")
     out = tmp_path / "r.csv"

@@ -163,6 +163,14 @@ def test_region_masks_partition_body(phantom):
     assert regions["bone"].sum() > 0 and regions["soft"].sum() > 0
 
 
+@pytest.mark.parametrize("bone", [np.nan, np.inf, -np.inf])
+def test_non_finite_bone_threshold_is_rejected(phantom, bone):
+    with pytest.raises(DomainError, match="bone threshold"):
+        region_masks(phantom.ct, bone)
+    with pytest.raises(DomainError, match="bone threshold"):
+        evaluate_case(phantom.ct, phantom.ct, bone_threshold_hu=bone)
+
+
 # ---------------------------------------------------------------------------
 # MAE / PSNR / SSIM
 # ---------------------------------------------------------------------------

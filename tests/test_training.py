@@ -1,12 +1,15 @@
 """Optimizer recurrence and the two training loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vqsct import autograd as ag
+from vqsct import training
 from vqsct.codebook import kmeans_init
 from vqsct.errors import DomainError, ShapeError, TrainingError
-from vqsct.model import ModelConfig, build_model, forward, save_checkpoint
+from vqsct.model import ModelConfig, build_model, forward, param_tensors, save_checkpoint
 from vqsct.training import (adamw_step, finetune_translate, init_optimizer,
                             pretrain_recon, select_checkpoint)
 from vqsct.volume import Volume, normalize
@@ -317,6 +320,110 @@ def test_finetune_loss_histories_have_step_length():
     # commitment adds on top of the bare L1
     assert all(t >= l - 1e-12 for l, t in zip(result.l1_history,
                                               result.loss_history))
+
+
+# ---------------------------------------------------------------------------
+# One graph per batch item
+# ---------------------------------------------------------------------------
+
+def joint_batch_backward(calls, target_of):
+    """Oracle: one backward over the whole batch as a single graph.
+
+    Every recorded item forward is rebuilt on one shared set of float32
+    parameter leaves; the item losses are joined by an ``add`` chain, item 0
+    first, and scaled by 1/B. Returns the loss node and the leaves.
+    """
+    ckpt = calls[0][0]
+    params = param_tensors(ckpt, np.float32)
+    losses = []
+    for _, x, beta in calls:
+        res = forward(ckpt, x, params, beta=beta)
+        l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(target_of(x), np.float32))))
+        losses.append(l1 if res.commitment is None else ag.add(l1, res.commitment))
+    total = losses[0]
+    for extra in losses[1:]:
+        total = ag.add(total, extra)
+    return ag.scale(total, 1.0 / len(losses)), params
+
+
+@pytest.mark.parametrize("rank,beta,batch,mode", [
+    (2, 0.25, 3, "pretrain"), (2, 0.0, 5, "pretrain"), (3, 0.25, 3, "pretrain"),
+    (3, 0.0, 2, "pretrain"), (2, 0.25, 3, "enc-frozen"), (2, 0.0, 6, "enc-frozen")])
+def test_step_gradients_equal_the_joint_batch_graph_bytes(monkeypatch, rank, beta, batch, mode):
+    # the step's summed per-item gradients, and its logged loss, against one
+    # backward over a batch-wide graph of the same step
+    calls, steps = [], []
+
+    def recording_forward(ckpt, x, params=None, beta=0.0):
+        if params is not None:  # a training item, not a k-means initialization forward
+            calls.append((ckpt, x, beta))
+        return forward(ckpt, x, params, beta=beta)
+
+    def checking_adamw_step(state, params, grads):
+        total, leaves = joint_batch_backward(calls, target_of)
+        want = ag.backward(total, {name: leaves[name] for name in state.m})
+        assert sorted(grads) == sorted(want)
+        for name, g in want.items():
+            assert grads[name].dtype == g.dtype == np.float32
+            assert grads[name].tobytes() == g.tobytes(), name
+        steps.append((len(calls), float(total.data), sorted(grads)))
+        calls.clear()
+        adamw_step(state, params, grads)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(training, "adamw_step", checking_adamw_step)
+    config = small_config(rank=rank, pyramid_levels=2)
+    if mode == "pretrain":
+        def target_of(x):
+            return x
+        result = pretrain_recon(config, texture_volumes(1, dims=(16, 16, 16)), steps=2,
+                                seed=1, learning_rate=1e-3, batch_size=batch, beta=beta,
+                                cube_edge=8, augment=True)
+    else:
+        base = pretrain_recon(config, texture_volumes(1, dims=(16, 16, 16)), steps=0,
+                              seed=1).checkpoint
+        pets, cts = paired_slices(batch + 1)
+        pairs = {np.asarray(p, np.float32)[None].tobytes(): np.asarray(c, np.float32)[None]
+                 for p, c in zip(pets, cts)}
+
+        def target_of(x):
+            return pairs[x.tobytes()]
+        result = finetune_translate(base, mode, pets, cts, steps=2, seed=1,
+                                    learning_rate=1e-3, batch_size=batch, beta=beta)
+    assert [n for n, _, _ in steps] == [batch, batch]
+    assert [loss for _, loss, _ in steps] == result.loss_history
+    trainable = steps[0][2]
+    assert any(name.startswith("enc.") for name in trainable) == (mode == "pretrain")
+
+
+def test_non_finite_step_loss_stops_before_the_update(monkeypatch):
+    # a float32 output near its range: each item's mean L1 overflows to inf
+    base = pretrained_base()
+    base.params["dec.final.b"] = np.full_like(base.params["dec.final.b"], 3e38)
+    updates = []
+    monkeypatch.setattr(training, "adamw_step", lambda *args: updates.append(args))
+    pets, cts = paired_slices(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="training diverged: loss inf"):
+            finetune_translate(base, "no-frozen", pets, cts, steps=1, seed=0,
+                               batch_size=3, beta=0.0)
+    assert updates == []
+
+
+def test_step_memory_does_not_grow_by_an_item_graph_per_item():
+    # 64x64 slices through depth 2 with 2 quantized levels: an item graph
+    # holds about 1.1 MB, while what a step keeps per item for the codebook
+    # update (its float64 unit rows and code indices) is about 70 kB
+    vols = texture_volumes(1, dims=(64, 64, 16))
+    config = small_config(pyramid_levels=2)
+    peaks = {}
+    for batch in (2, 16):
+        tracemalloc.start()
+        pretrain_recon(config, vols, steps=2, seed=0, learning_rate=1e-3,
+                       batch_size=batch)
+        peaks[batch] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[16] < 4 * peaks[2], peaks
 
 
 # ---------------------------------------------------------------------------
