@@ -21,10 +21,14 @@ Conventions:
   zero-padded polyphase grid of the input, and the offsets are added in
   ``itertools.product`` order (see :func:`conv_forward_data`); the backward
   is its transpose on the same grids and shifts (see
-  :func:`conv_backward_data`);
+  :func:`conv_backward_data`). Everything that depends on shapes alone
+  (output extents, grid slices, shifts) is planned once per shape and
+  cached, and each call lays its weights out once, one matrix per offset;
 * a decoder stage, nearest 2x upsampling and a 3-tap conv, is one node
   (:func:`upsample_conv`): one conv with 2-tap sub-pixel kernels on the
-  low-resolution map, one output phase per channel block;
+  low-resolution map, one output phase per channel block. The kernels are
+  a node of their own (:func:`phase_kernels`), so a step or command that
+  shares one weight across many graphs collapses it once;
 * reduction order is fixed, so identical inputs give bit-identical results
   at a fixed thread count.
 """
@@ -44,7 +48,6 @@ __all__ = [
     "leaf",
     "add",
     "sub",
-    "mul",
     "scale",
     "mean_all",
     "abs_val",
@@ -52,6 +55,7 @@ __all__ = [
     "conv",
     "conv_forward_data",
     "conv_backward_data",
+    "phase_kernels",
     "upsample_conv",
     "straight_through",
     "backward",
@@ -104,11 +108,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    return Tensor(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return Tensor(a.data * c, "scale", (a,), lambda g: (g * c,))
@@ -131,7 +130,10 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     # sign) and slope*x below: the bytes of where(x >= 0, x, slope*x)
     out = a.data * slope
     np.maximum(a.data, out, out=out)
-    return Tensor(out, "leaky_relu", (a,), lambda g: (np.where(a.data >= 0, g, slope * g),))
+    # g * 1 is g and g * slope is slope * g, both in the graph's dtype: the
+    # bytes of where(x >= 0, g, slope * g) without its per-element branch
+    return Tensor(out, "leaky_relu", (a,),
+                  lambda g: (g * np.maximum(a.data >= 0, a.data.dtype.type(slope)),))
 
 
 # conv_forward_data equals a window-by-window product byte for byte only
@@ -151,15 +153,19 @@ _GEMM_COLUMNS = 8192
 
 @functools.lru_cache(maxsize=1024)
 def _conv_geometry(x_shape, w_shape, stride, pad):
-    """Validate conv operands and return the flat-shift layout of both passes.
+    """Validate conv operands and return the flat-shift plan of both passes.
 
-    Returns ``(out_sp, grid, rowstride, rows, offsets)``: the output extents
-    ``S'``, the polyphase grid ``Q = ceil((S + 2*pad)/stride)``, its row-major
-    strides, the ``out_sp[0]`` grid rows' length of the wide output, and per
-    kernel offset ``a``, in ``itertools.product`` order, ``(a, a % stride,
-    shift)``: the component that holds the offset's window, and where in it
-    the window starts. The result depends on the shapes alone, so it is
-    cached on them; every part of it is a tuple, which callers cannot alter.
+    Returns ``(out_sp, grid, rowstride, rows, phases, offsets)``: the output
+    extents ``S'``, the polyphase grid ``Q = ceil((S + 2*pad)/stride)``, its
+    row-major strides, the ``out_sp[0]`` grid rows' length of the wide
+    output; per polyphase component that some kernel offset takes, ``(r,
+    dst, src, taps)``: its residue, the slices of :func:`_phase_slices`, and
+    ``(a, lead - shift)`` for each offset it holds, where ``lead`` is the
+    largest shift (the backward's gather start); and per kernel offset ``a``,
+    in ``itertools.product`` order, ``(a, a % stride, shift)``: the
+    component that holds the offset's window, and where in it the window
+    starts. The result depends on the shapes alone, so it is cached on them;
+    every part of it is a tuple, which callers cannot alter.
     """
     rank = len(x_shape) - 1
     if rank not in (2, 3):
@@ -187,7 +193,11 @@ def _conv_geometry(x_shape, w_shape, stride, pad):
     offsets = tuple((off, tuple(o % stride for o in off),
                      sum(o // stride * rs for o, rs in zip(off, rowstride)))
                     for off in itertools.product(*(range(k) for k in w_shape[2:])))
-    return out_sp, grid, rowstride, out_sp[0] * rowstride[0], offsets
+    lead = offsets[-1][2]  # the last offset shifts furthest
+    phases = tuple((r,) + _phase_slices(r, x_shape[1:], stride, pad)
+                   + (tuple((off, lead - shift) for off, residue, shift in offsets if residue == r),)
+                   for r in itertools.product(*(range(min(stride, k)) for k in w_shape[2:])))
+    return out_sp, grid, rowstride, out_sp[0] * rowstride[0], phases, offsets
 
 
 def _phase_slices(r, extents, stride, pad):
@@ -206,25 +216,25 @@ def _phase_slices(r, extents, stride, pad):
     return tuple(dst), tuple(src)
 
 
-def _polyphase_grids(x, stride, pad, ks, grid, length):
+def _polyphase_grids(x, stride, pad, phases, grid, length):
     """Flattened polyphase components of the zero-padded input.
 
     Component ``r`` holds the padded input at positions ``stride*j + r`` on
     the grid ``grid``, row-major, zero-filled to ``length`` elements; only
-    residues some kernel offset takes are built. An unpadded stride-1 input
-    that needs no zero tail is its own single component.
+    the residues of ``phases`` (from :func:`_conv_geometry`) are built. An
+    unpadded stride-1 input that needs no zero tail is its own single
+    component.
     """
-    c_in, rank = x.shape[0], x.ndim - 1
+    c_in = x.shape[0]
     size = math.prod(grid)
     if stride == 1 and pad == 0 and length == size:
-        return {(0,) * rank: x.reshape(c_in, size)}
-    phases = {}
-    for r in itertools.product(*(range(min(stride, k)) for k in ks)):
+        return {phases[0][0]: x.reshape(c_in, size)}
+    components = {}
+    for r, dst, src, _ in phases:
         buf = np.zeros((c_in, length), dtype=x.dtype)
-        dst, src = _phase_slices(r, x.shape[1:], stride, pad)
         buf[:, :size].reshape((c_in,) + grid)[dst] = x[src]
-        phases[r] = buf
-    return phases
+        components[r] = buf
+    return components
 
 
 def conv_forward_data(x, w, b=None, stride=1, pad=0):
@@ -257,7 +267,7 @@ def conv_forward_data(x, w, b=None, stride=1, pad=0):
     small-matrix size). That recompute targets float64's kernels; a float32
     conv keeps the order of operations but not this kernel match.
     """
-    out_sp, grid, rowstride, rows, geometry = _conv_geometry(x.shape, w.shape, stride, pad)
+    out_sp, grid, rowstride, rows, plan, geometry = _conv_geometry(x.shape, w.shape, stride, pad)
     c_out, c_in = w.shape[:2]
     n_out = math.prod(out_sp)
     if rows == n_out:  # no surplus columns: one GEMM per offset, as window by window
@@ -272,13 +282,12 @@ def conv_forward_data(x, w, b=None, stride=1, pad=0):
         span = 0 if redo == n_out else -(-rows // _GEMM_BLOCK) * _GEMM_BLOCK
         slab = _GEMM_COLUMNS
     reach = geometry[-1][2] + span  # the last offset shifts furthest
-    phases = _polyphase_grids(x, stride, pad, w.shape[2:], grid, max(math.prod(grid), reach))
-    offsets = []  # (weights, component, shift) per kernel offset, in summation order
-    for off, residue, shift in geometry:
-        w_off = w[(slice(None), slice(None)) + off]
-        if c_out > 1:  # np.dot copies such a matrix, but keeps one row a strided vector
-            w_off = np.ascontiguousarray(w_off)
-        offsets.append((w_off, phases[residue], shift))
+    phases = _polyphase_grids(x, stride, pad, plan, grid, max(math.prod(grid), reach))
+    w_k = w.transpose(tuple(range(2, w.ndim)) + (0, 1))  # [*K, C_out, C_in]: w_k[a] is w[:, :, *a]
+    if c_out > 1:  # np.dot copies such a matrix, but keeps one row a strided vector
+        w_k = np.ascontiguousarray(w_k)
+    # (weights, component, shift) per kernel offset, in summation order
+    offsets = [(w_k[off], phases[residue], shift) for off, residue, shift in geometry]
     product = np.dot if c_in == 1 else np.matmul
 
     wide = np.zeros((c_out, max(rows, span)), dtype=x.dtype)
@@ -324,7 +333,7 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
     view of its interior). With one output channel every term is one exact
     product, formed by a broadcast multiply rather than a one-column GEMM.
     """
-    out_sp, grid, _, rows, offsets = _conv_geometry(x.shape, w.shape, stride, pad)
+    out_sp, grid, _, rows, plan, offsets = _conv_geometry(x.shape, w.shape, stride, pad)
     c_out, c_in = w.shape[:2]
     if gy.shape != (c_out,) + out_sp:
         raise ShapeError(f"conv backward: upstream shape {gy.shape} != output shape {(c_out,) + out_sp}")
@@ -338,7 +347,7 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
         gbuf[:, lead:lead + rows].reshape((c_out, out_sp[0]) + grid[1:])[
             (slice(None), slice(None)) + tuple(slice(0, n) for n in out_sp[1:])] = gy
     gwide = gbuf[:, lead:lead + rows]
-    phases = _polyphase_grids(x, stride, pad, w.shape[2:], grid, max(size, lead + rows))
+    phases = _polyphase_grids(x, stride, pad, plan, grid, max(size, lead + rows))
 
     gw = np.empty_like(w)
     for off, r, shift in offsets:
@@ -349,17 +358,17 @@ def conv_backward_data(x, w, gy, stride=1, pad=0):
     acc = np.empty((c_in, size), dtype=x.dtype)
     gx = None if stride == 1 else np.zeros_like(x)
     scratch = np.empty(c_in * slab, dtype=x.dtype)
-    for r in phases:
-        terms = [(np.ascontiguousarray(w[(slice(None), slice(None)) + off].T), lead - shift)
-                 for off, residue, shift in offsets if residue == r]
+    # [*K, C_in, C_out]: w_t[a] is w[:, :, *a].T
+    w_t = np.ascontiguousarray(w.transpose(tuple(range(2, w.ndim)) + (1, 0)))
+    for _, dst, src, taps in plan:
+        terms = [(w_t[off], start) for off, start in taps]
         acc.fill(0.0)
         for c0 in range(0, size, slab):
             c1 = min(c0 + slab, size)
             part = acc[:, c0:c1]
             term = scratch[:c_in * (c1 - c0)].reshape(c_in, c1 - c0)
-            for w_t, start in terms:
-                part += product(w_t, gbuf[:, start + c0:start + c1], out=term)
-        dst, src = _phase_slices(r, x.shape[1:], stride, pad)
+            for w_a, start in terms:
+                part += product(w_a, gbuf[:, start + c0:start + c1], out=term)
         if stride == 1:  # one component covers the whole input: no scatter
             gx = acc.reshape((c_in,) + grid)[dst]
         else:
@@ -378,74 +387,108 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: in
     return Tensor(y, "conv", parents, vjp)
 
 
+def _tap(a, axis, i):
+    """Entry ``i`` of ``a`` along ``axis``, as a view that keeps the axis."""
+    return a[(slice(None),) * axis + (slice(i, i + 1),)]
+
+
 def _phase_kernels(w):
     """Collapse ``[C_out, C_in, 3, ...]`` taps into the sub-pixel kernels.
 
     Along each spatial axis, output phase 0 of a nearest 2x upsampling
     followed by a pad-1 conv sees taps ``(w0, w1 + w2)`` on the
-    low-resolution input, and phase 1 sees ``(w0 + w1, w2)``. Returns
+    low-resolution input, and phase 1 sees ``(w0 + w1, w2)``; the axes are
+    collapsed in order, each on the previous axis's result. Returns
     ``[2^rank * C_out, C_in, 2, ...]``; output channel ``p * C_out + c``
     holds phase ``p`` (row-major over the axes' phases) of channel ``c``.
     """
     rank = w.ndim - 2
     k = w[None]  # [phases, C_out, C_in, *taps]
     for ax in range(3, 3 + rank):
-        t0, t1, t2 = np.split(k, 3, axis=ax)
-        k = np.stack((np.concatenate((t0, t1 + t2), axis=ax),
-                      np.concatenate((t0 + t1, t2), axis=ax)), axis=1)
-        k = k.reshape((-1,) + k.shape[2:])
+        t0, t1, t2 = (_tap(k, ax, i) for i in range(3))
+        out = np.empty((k.shape[0], 2) + k.shape[1:ax] + (2,) + k.shape[ax + 1:], dtype=k.dtype)
+        phase0, phase1 = out[:, 0], out[:, 1]  # each laid out like k, with 2 taps
+        _tap(phase0, ax, 0)[...] = t0
+        np.add(t1, t2, out=_tap(phase0, ax, 1))
+        np.add(t0, t1, out=_tap(phase1, ax, 0))
+        _tap(phase1, ax, 1)[...] = t2
+        k = out.reshape((-1,) + out.shape[2:])
     return k.reshape((-1,) + w.shape[1:2] + (2,) * rank)
 
 
 def _phase_kernel_grads(gk, w_shape):
     """Adjoint of :func:`_phase_kernels`: ``[2^rank * C_out, C_in, 2, ...]``
-    kernel gradients back to ``w_shape``, the last axis's phases first."""
+    kernel gradients back to ``w_shape``, the last axis's phases first.
+
+    Along an axis, with ``a`` and ``b`` a phase's first and second tap, the
+    taps' gradients are ``(a0 + a1, b0 + a1, b0 + b1)``.
+    """
     rank = len(w_shape) - 2
     k = gk.reshape((-1,) + tuple(w_shape[:2]) + (2,) * rank)
     for ax in range(2 + rank, 2, -1):
         k = k.reshape((-1, 2) + k.shape[1:])
-        (p0a, p0b), (p1a, p1b) = (np.split(k[:, p], 2, axis=ax) for p in (0, 1))
-        k = np.concatenate((p0a + p1a, p0b + p1a, p0b + p1b), axis=ax)
+        (a0, b0), (a1, b1) = ((_tap(p, ax, 0), _tap(p, ax, 1)) for p in (k[:, 0], k[:, 1]))
+        out = np.empty(a0.shape[:ax] + (3,) + a0.shape[ax + 1:], dtype=k.dtype)
+        np.add(a0, a1, out=_tap(out, ax, 0))
+        np.add(b0, a1, out=_tap(out, ax, 1))
+        np.add(b0, b1, out=_tap(out, ax, 2))
+        k = out
     return k.reshape(w_shape)
 
 
-def upsample_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def phase_kernels(w: Tensor) -> Tensor:
+    """The sub-pixel kernels of a ``[C_out, C_in, 3, ...]`` weight, as one node.
+
+    Its value is :func:`_phase_kernels` of ``w`` and its vjp the tap sums of
+    :func:`_phase_kernel_grads`. Build it once per weight and pass it to
+    every :func:`upsample_conv` over that weight: a backward then runs the
+    tap sums once, on the kernel gradient of its own graph.
+    """
+    w_shape = w.data.shape
+    if any(k != 3 for k in w_shape[2:]):
+        raise DomainError(f"phase_kernels: kernel extents must be 3, got {w_shape[2:]}")
+    return Tensor(_phase_kernels(w.data), "phase_kernels", (w,),
+                  lambda g: (_phase_kernel_grads(g, w_shape),))
+
+
+def upsample_conv(x: Tensor, k: Tensor, b: Tensor | None = None) -> Tensor:
     """Nearest 2x upsampling followed by a 3-tap, pad-1 conv, as one node.
 
-    Equal in real arithmetic to repeating every voxel twice along each
-    spatial axis and convolving with ``w`` (``[C_out, C_in, 3, ...]``), but
-    run on the low-resolution map: one stride-1, pad-1 conv with the
-    2-tap sub-pixel kernels of :func:`_phase_kernels` gives each output
-    phase ``p`` over ``n + 1`` positions per axis; the crop ``[p:p + n]``
-    fills ``out[:, p::2]``, and the bias is added last. The vjp scatters the
-    upstream phases back into that layout and runs one conv backward;
-    the kernel gradient goes back through the tap sums.
+    ``k`` holds the sub-pixel kernels of the conv's ``[C_out, C_in, 3,
+    ...]`` weight ``w``, from :func:`phase_kernels`. The node equals in real
+    arithmetic repeating every voxel twice along each spatial axis and
+    convolving with ``w``, but runs on the low-resolution map: one stride-1,
+    pad-1 conv with the 2-tap kernels gives each output phase ``p`` over
+    ``n + 1`` positions per axis; the crop ``[p:p + n]`` fills ``out[:,
+    p::2]``, and the bias is added last. The vjp scatters the upstream
+    phases back into that layout and runs one conv backward, which gives
+    ``k`` its gradient; ``phase_kernels`` takes it back through the tap sums
+    to ``w``.
     """
-    if any(k != 3 for k in w.data.shape[2:]):
-        raise DomainError(f"upsample_conv: kernel extents must be 3, got {w.data.shape[2:]}")
     sp = x.data.shape[1:]
-    c_out = w.data.shape[0]
+    if k.data.shape[2:] != (2,) * len(sp) or k.data.shape[0] % 2 ** len(sp):
+        raise ShapeError(f"upsample_conv: {k.data.shape} are not sub-pixel kernels "
+                         f"for a rank-{len(sp)} input")
+    c_out = k.data.shape[0] // 2 ** len(sp)
     phases = tuple(itertools.product((0, 1), repeat=len(sp)))
     crops = [(slice(None),) + tuple(slice(p, p + n) for p, n in zip(phase, sp))
              for phase in phases]
     strided = [(slice(None),) + tuple(slice(p, None, 2) for p in phase) for phase in phases]
     phase_shape = (len(phases), c_out) + tuple(n + 1 for n in sp)
-    kernels = _phase_kernels(w.data)
-    by_phase = conv_forward_data(x.data, kernels, None, 1, 1).reshape(phase_shape)
+    by_phase = conv_forward_data(x.data, k.data, None, 1, 1).reshape(phase_shape)
     y = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=by_phase.dtype)
     for i in range(len(phases)):
         y[strided[i]] = by_phase[i][crops[i]]
     if b is not None:
         y += b.data.reshape((c_out,) + (1,) * len(sp))
-    parents = (x, w) if b is None else (x, w, b)
+    parents = (x, k) if b is None else (x, k, b)
 
     def vjp(g):
         g_phase = np.zeros(phase_shape, dtype=g.dtype)
         for i in range(len(phases)):
             g_phase[i][crops[i]] = g[strided[i]]
-        gx, gk, _ = conv_backward_data(x.data, kernels, g_phase.reshape((-1,) + g_phase.shape[2:]), 1, 1)
-        grads = (gx, _phase_kernel_grads(gk, w.data.shape), g.sum(axis=tuple(range(1, g.ndim))))
-        return grads[:len(parents)]
+        gx, gk, _ = conv_backward_data(x.data, k.data, g_phase.reshape((-1,) + g_phase.shape[2:]), 1, 1)
+        return (gx, gk, g.sum(axis=tuple(range(1, g.ndim))))[:len(parents)]
     return Tensor(y, "upsample_conv", parents, vjp)
 
 
@@ -458,6 +501,13 @@ def straight_through(x: Tensor, quantized) -> Tensor:
 
 
 def _toposort(root: Tensor):
+    """Every node the root depends on, parents before children.
+
+    A depth-first walk from the root that pushes each node's unseen parents
+    in order, so the last parent is expanded first. The order fixes the
+    order in which :func:`backward` adds up the gradients of a node used
+    more than once.
+    """
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
@@ -465,12 +515,12 @@ def _toposort(root: Tensor):
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -481,31 +531,34 @@ def backward(loss: Tensor, wrt: dict) -> dict:
     Only nodes with a requested tensor among their ancestors (or that are one)
     are differentiated; gradients flowing into any other parent are
     discarded, and each intermediate gradient is released once its vjp has
-    run. A requested tensor the loss does not depend on gets zeros.
+    run. A requested tensor the loss does not depend on gets zeros. Nodes
+    key the bookkeeping by identity (``Tensor`` defines no equality).
     """
     if loss.data.size != 1:
         raise DomainError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     order = _toposort(loss)
-    targets = {id(t) for t in wrt.values()}
+    targets = set(wrt.values())
     needed = set(targets)
     for node in order:  # parents come before children
-        if any(id(p) in needed for p in node.parents):
-            needed.add(id(node))
-    grads = {id(loss): np.ones_like(loss.data)} if id(loss) in needed else {}
+        for p in node.parents:
+            if p in needed:
+                needed.add(node)
+                break
+    grads = {loss: np.ones_like(loss.data)} if loss in needed else {}
     found = {}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        if id(node) in targets:
-            found[id(node)] = g
+        if node in targets:
+            found[node] = g
         if node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if id(parent) not in needed:
+            if parent not in needed:
                 continue
-            acc = grads.get(id(parent))
+            acc = grads.get(parent)
             # never in place: a vjp may hand one array to several parents
-            grads[id(parent)] = pg if acc is None else acc + pg
-    return {name: found[id(t)] if id(t) in found else np.zeros_like(t.data)
+            grads[parent] = pg if acc is None else acc + pg
+    return {name: found[t] if t in found else np.zeros_like(t.data)
             for name, t in wrt.items()}

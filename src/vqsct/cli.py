@@ -1,8 +1,8 @@
 """The ``vqsct`` command line: reproducible experiments over the library.
 
 Subcommands: phantom, pretrain, finetune, reconstruct, translate, evaluate,
-stats, select. Exit codes: 0 success, 1 usage or domain errors, 2 I/O
-failures.
+stats, select. Exit codes: 0 success, 1 usage or domain errors or running
+out of memory, 2 I/O failures.
 
 ``--config FILE`` takes a JSON object of option values keyed by destination
 (``batch_size`` for ``--batch-size``). Each is checked against its flag and
@@ -454,6 +454,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (UsageError, DomainError, ShapeError, FormatError, TrainingError) as exc:
         print(f"vqsct: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"vqsct: error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"vqsct: i/o error: {exc}", file=sys.stderr)

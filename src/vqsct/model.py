@@ -40,6 +40,8 @@ __all__ = [
     "GRAPH_DTYPE",
     "build_model",
     "param_tensors",
+    "with_sub_pixel_kernels",
+    "encode",
     "forward",
     "apply_freeze",
     "mask_for_mode",
@@ -201,6 +203,18 @@ def param_tensors(ckpt: Checkpoint, dtype=np.float64) -> dict[str, ag.Tensor]:
     return {name: ag.leaf(arr, dtype) for name, arr in ckpt.params.items()}
 
 
+def with_sub_pixel_kernels(ckpt: Checkpoint, params: dict[str, ag.Tensor]) -> dict[str, ag.Tensor]:
+    """``params`` plus one ``ag.phase_kernels`` node per decoder stage.
+
+    Stage ``i``'s node is keyed ``dec.{i}.k``. Passing the result to every
+    :func:`forward` of a training step or command collapses each decoder
+    weight into its sub-pixel kernels once, not once per input.
+    """
+    kernels = {f"dec.{i}.k": ag.phase_kernels(params[f"dec.{i}.w"])
+               for i in range(ckpt.config.depth)}
+    return {**params, **kernels}
+
+
 def _quantize_level(feat: ag.Tensor, level: int, params, codebook: Codebook):
     """Project, snap to codes, project back.
 
@@ -244,14 +258,52 @@ def _commitment(levels, beta: float) -> ag.Tensor:
     return ag.Tensor(np.asarray(value, dtype=projs[0].data.dtype), "commitment", projs, vjp)
 
 
+def _graph_input(cfg: ModelConfig, x) -> np.ndarray:
+    """``x`` as a checked ``[1, *spatial]`` float32 (if float32) or float64 array."""
+    arr = np.asarray(x)
+    arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)
+    if arr.ndim != cfg.spatial_rank + 1 or arr.shape[0] != 1:
+        raise ShapeError(
+            f"input must be [1, *spatial] with rank {cfg.spatial_rank}, got {arr.shape}")
+    div = 2 ** cfg.depth
+    if any(d % div for d in arr.shape[1:]):
+        raise DomainError(f"spatial extents {arr.shape[1:]} must be divisible by {div}")
+    return arr
+
+
+def encode(ckpt: Checkpoint, x, params: dict[str, ag.Tensor]):
+    """Run the encoder and every quantizer level on one input.
+
+    ``x`` is as for :func:`forward` and ``params`` the leaves of
+    :func:`param_tensors`, in the input's dtype. Returns per pyramid level
+    ``(out, proj, qres)``: the back-projection the decoder reads, the
+    ``vq{level}.in`` projection whose rows were quantized, and the
+    quantizer's result (its ``unit_rows`` are what k-means initialization
+    reads).
+    """
+    cfg = ckpt.config
+    arr = _graph_input(cfg, x)
+    h = ag.leaf(arr, arr.dtype)
+    enc_feats = []
+    for i in range(cfg.depth):
+        h = ag.leaky_relu(
+            ag.conv(h, params[f"enc.{i}.w"], params[f"enc.{i}.b"], stride=2, pad=1),
+            LEAKY_SLOPE)
+        enc_feats.append(h)
+    return [_quantize_level(enc_feats[cfg.depth - 1 - j], j, params, ckpt.codebooks[j])
+            for j in range(cfg.pyramid_levels)]
+
+
 def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
             beta: float = 0.0) -> ForwardResult:
     """Run the full encoder/quantizer/decoder graph on one input.
 
     ``x`` is ``[1, *spatial]`` with every spatial extent divisible by
-    2^depth. Pass ``params`` (from :func:`param_tensors`) to reuse one set
-    of leaves across several inputs; each call builds a graph of its own
-    input over them, which a backward differentiates alone. The
+    2^depth. Pass ``params`` (from :func:`param_tensors`, best extended by
+    :func:`with_sub_pixel_kernels`) to reuse one set of leaves and decoder
+    kernels across several inputs; each call builds a graph of its own
+    input over them, which a backward differentiates alone. Without the
+    kernels, each call collapses the decoder weights itself. The
     commitment term, weighted by ``beta``, is one graph node whose parents
     are the level projections (see :func:`_commitment`); it is built only
     when ``beta > 0``, so inference leaves it out.
@@ -264,46 +316,28 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     is computed, in float64 either way.
     """
     cfg = ckpt.config
-    arr = np.asarray(x)
-    arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)
-    if arr.ndim != cfg.spatial_rank + 1 or arr.shape[0] != 1:
-        raise ShapeError(
-            f"input must be [1, *spatial] with rank {cfg.spatial_rank}, got {arr.shape}")
-    div = 2 ** cfg.depth
-    if any(d % div for d in arr.shape[1:]):
-        raise DomainError(f"spatial extents {arr.shape[1:]} must be divisible by {div}")
+    arr = _graph_input(cfg, x)
     if not beta >= 0.0:
         raise DomainError(f"commitment weight beta must be >= 0, got {beta}")
     if params is None:
         params = param_tensors(ckpt, arr.dtype)
+    if "dec.0.k" not in params:
+        params = with_sub_pixel_kernels(ckpt, params)
 
-    h = ag.leaf(arr, arr.dtype)
-    enc_feats = []
-    for i in range(cfg.depth):
-        h = ag.leaky_relu(
-            ag.conv(h, params[f"enc.{i}.w"], params[f"enc.{i}.b"], stride=2, pad=1),
-            LEAKY_SLOPE)
-        enc_feats.append(h)
-
-    quantized, levels = [], []
-    for j in range(cfg.pyramid_levels):
-        out, proj, qres = _quantize_level(enc_feats[cfg.depth - 1 - j], j, params,
-                                          ckpt.codebooks[j])
-        quantized.append(out)
-        levels.append((proj, qres))
-
-    d = quantized[0]
+    levels = encode(ckpt, arr, params)
+    d = levels[0][0]
     for i in range(cfg.depth):
         d = ag.leaky_relu(
-            ag.upsample_conv(d, params[f"dec.{i}.w"], params[f"dec.{i}.b"]), LEAKY_SLOPE)
+            ag.upsample_conv(d, params[f"dec.{i}.k"], params[f"dec.{i}.b"]), LEAKY_SLOPE)
         skip_level = i + 1
         if skip_level < cfg.pyramid_levels:
-            d = ag.add(d, quantized[skip_level])
+            d = ag.add(d, levels[skip_level][0])
     out = ag.conv(d, params["dec.final.w"], params["dec.final.b"], pad=1)
 
-    return ForwardResult(out, _commitment(levels, beta) if beta > 0 else None,
-                         [qres.indices.reshape(proj.data.shape[1:]) for proj, qres in levels],
-                         [qres.unit_rows for _, qres in levels])
+    projections = [(proj, qres) for _, proj, qres in levels]
+    return ForwardResult(out, _commitment(projections, beta) if beta > 0 else None,
+                         [qres.indices.reshape(proj.data.shape[1:]) for proj, qres in projections],
+                         [qres.unit_rows for _, qres in projections])
 
 
 def apply_freeze(ckpt: Checkpoint, mask: FreezeMask) -> list[str]:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .model import GRAPH_DTYPE, Checkpoint, forward, param_tensors, value_space
+from .model import (GRAPH_DTYPE, Checkpoint, forward, param_tensors, value_space,
+                    with_sub_pixel_kernels)
 from .volume import (NORMALIZED_AIR, Volume, extract_cubes, normalized_to_hu,
                      pad_to_multiple, stitch_cubes)
 
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 PLANES = ("axial", "coronal", "sagittal")
+# The axis each plane's slices are taken along.
+_PLANE_AXIS = {"axial": 2, "coronal": 1, "sagittal": 0}
 
 
 @dataclass
@@ -45,27 +48,20 @@ class TriplanarResult:
     fused: Volume
 
 
+def _plane_axis(plane: str) -> int:
+    if plane not in _PLANE_AXIS:
+        raise DomainError(f"plane must be one of {PLANES}, got {plane!r}")
+    return _PLANE_AXIS[plane]
+
+
 def slice_volume(volume: Volume, plane: str) -> list[np.ndarray]:
     """Split a volume into ordered 2D slices along one plane."""
-    vox = volume.voxels
-    if plane == "axial":
-        return [vox[:, :, z].copy() for z in range(vox.shape[2])]
-    if plane == "coronal":
-        return [vox[:, y, :].copy() for y in range(vox.shape[1])]
-    if plane == "sagittal":
-        return [vox[x, :, :].copy() for x in range(vox.shape[0])]
-    raise DomainError(f"plane must be one of {PLANES}, got {plane!r}")
+    return [sl.copy() for sl in np.moveaxis(volume.voxels, _plane_axis(plane), 0)]
 
 
 def restack_slices(slices, plane: str) -> np.ndarray:
     """Inverse of slice_volume: rebuild the 3D grid from ordered slices."""
-    if plane == "axial":
-        return np.stack(slices, axis=2)
-    if plane == "coronal":
-        return np.stack(slices, axis=1)
-    if plane == "sagittal":
-        return np.stack(slices, axis=0)
-    raise DomainError(f"plane must be one of {PLANES}, got {plane!r}")
+    return np.stack(slices, axis=_plane_axis(plane))
 
 
 def translate_slices(ckpt: Checkpoint, slices) -> list[np.ndarray]:
@@ -73,14 +69,16 @@ def translate_slices(ckpt: Checkpoint, slices) -> list[np.ndarray]:
 
     Each slice is padded up to the next multiple of 2^depth with the
     normalized air value of the checkpoint's space, translated in
-    ``GRAPH_DTYPE``, cropped back, and mapped to HU in float64.
+    ``GRAPH_DTYPE``, cropped back, and mapped to HU in float64. The
+    parameter leaves and the decoder's sub-pixel kernels are built once per
+    call.
     """
     if ckpt.config.spatial_rank != 2:
         raise DomainError(
             f"translate_slices needs a 2D checkpoint, got rank {ckpt.config.spatial_rank}")
     space = value_space(ckpt)
     div = 2 ** ckpt.config.depth
-    params = param_tensors(ckpt, GRAPH_DTYPE)
+    params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
     out = []
     for sl in slices:
         arr = np.asarray(sl, dtype=GRAPH_DTYPE)
@@ -113,19 +111,22 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
     The input must already be normalized into the checkpoint's value space
     (sym11 for fine-tuned translation models, unit01 for pretrained
     reconstruction models); the four returned volumes are HU.
+
+    Each plane's translated slices are stacked straight into one float64
+    ``[3, *dims]`` array, whose voxelwise median (the bytes of
+    :func:`fuse_median`) is the fused volume; the three plane volumes are
+    views of that array.
     """
     space = value_space(ckpt)
     if volume.intensity_space != space:
         raise DomainError(
             f"checkpoint expects {space} input, volume is {volume.intensity_space}")
-    per_plane = {}
-    for plane in PLANES:
-        translated = translate_slices(ckpt, slice_volume(volume, plane))
-        per_plane[plane] = Volume(restack_slices(translated, plane),
-                                  volume.spacing_mm, "HU")
-    fused = fuse_median(per_plane["axial"], per_plane["coronal"], per_plane["sagittal"])
-    return TriplanarResult(per_plane["axial"], per_plane["coronal"],
-                           per_plane["sagittal"], fused)
+    stack = np.empty((len(PLANES),) + volume.dims)
+    for plane, out in zip(PLANES, stack):
+        np.stack(translate_slices(ckpt, slice_volume(volume, plane)),
+                 axis=_plane_axis(plane), out=out)
+    fused = Volume(np.median(stack, axis=0), volume.spacing_mm, "HU")
+    return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in stack), fused)
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volume:
@@ -141,7 +142,7 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volum
     if edge % div:
         raise DomainError(f"cube edge {edge} must be divisible by {div}")
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
-    params = param_tensors(ckpt, GRAPH_DTYPE)
+    params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
     done = [(forward(ckpt, cube[None].astype(GRAPH_DTYPE), params).output.data[0], origin)
             for cube, origin in tiles]
     stitched = stitch_cubes(done, volume.dims)

@@ -18,8 +18,8 @@ from . import autograd as ag
 from .codebook import ema_update, expire_stale, kmeans_init
 from .errors import DomainError, ShapeError, TrainingError
 from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_freeze,
-                    build_model, forward, mask_for_mode, param_tensors, reinitialized,
-                    value_space)
+                    build_model, encode, forward, mask_for_mode, param_tensors,
+                    reinitialized, value_space, with_sub_pixel_kernels)
 from .volume import (HU_MAX, HU_MIN, N_CUBE_SYMMETRIES, N_PLANE_SYMMETRIES,
                      NORMALIZED_AIR, Volume, apply_cube_symmetry,
                      apply_plane_symmetry, extract_cubes, normalize, pad_to_multiple)
@@ -116,12 +116,16 @@ def _epoch_batches(n_items: int, batch_size: int, rng):
 
 
 def _collect_level_rows(ckpt: Checkpoint, items, batch) -> list[np.ndarray]:
-    """Quantizer unit rows per pyramid level over a batch (for k-means init)."""
+    """Quantizer unit rows per pyramid level over a batch (for k-means init).
+
+    One set of ``GRAPH_DTYPE`` leaves serves the whole batch, and each item
+    runs only the encoder and the quantizer levels.
+    """
+    params = param_tensors(ckpt, GRAPH_DTYPE)
     per_level = [[] for _ in ckpt.codebooks]
     for idx in batch:
-        res = forward(ckpt, items[idx])
-        for j, rows in enumerate(res.unit_rows):
-            per_level[j].append(rows)
+        for j, (_, _, qres) in enumerate(encode(ckpt, items[idx], params)):
+            per_level[j].append(qres.unit_rows)
     return [np.concatenate(chunks, axis=0) for chunks in per_level]
 
 
@@ -152,7 +156,8 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     float32 casts of the float64 master weights, which AdamW updates in
     float64.
 
-    Each step builds the parameter leaves once. Every batch item then runs
+    Each step builds the parameter leaves, and the decoder's sub-pixel
+    kernels over them, once. Every batch item then runs
     its own graph: forward, loss (L1, plus the commitment when ``beta > 0``)
     and a backward of ``loss / B`` over the trainable leaves, after which
     the graph is released. The step adds the items' gradients in item
@@ -190,7 +195,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
 
     batch = first_batch
     for _ in range(steps):
-        params = param_tensors(ckpt, GRAPH_DTYPE)
+        params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
         wrt = {name: params[name] for name in trainable}
         weight = 1.0 / len(batch)
         grads = None

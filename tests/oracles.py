@@ -11,6 +11,7 @@ from collections import deque
 import numpy as np
 
 from vqsct import autograd as ag
+from vqsct.errors import ShapeError
 
 
 def conv_window_sum(x, w, b=None, stride=1, pad=0):
@@ -84,6 +85,48 @@ def upsample_conv_ref_grads(x, w, gy):
     for d in x.shape[1:]:
         shape.extend((d, 2))
     return gu.reshape(shape).sum(axis=tuple(range(2, 2 * x.ndim, 2))), gw, gb
+
+
+def phase_kernels_split(w):
+    """Sub-pixel kernels of ``[C_out, C_in, 3, ...]`` taps by split and concatenate.
+
+    Axis by axis, phase 0 takes taps ``(w0, w1 + w2)`` and phase 1 takes
+    ``(w0 + w1, w2)``; the phases are stacked ahead of the output channels,
+    row-major over the axes. The sums are those ``autograd.phase_kernels``
+    forms, in the same order.
+    """
+    rank = w.ndim - 2
+    k = w[None]
+    for ax in range(3, 3 + rank):
+        t0, t1, t2 = np.split(k, 3, axis=ax)
+        k = np.stack((np.concatenate((t0, t1 + t2), axis=ax),
+                      np.concatenate((t0 + t1, t2), axis=ax)), axis=1)
+        k = k.reshape((-1,) + k.shape[2:])
+    return k.reshape((-1,) + w.shape[1:2] + (2,) * rank)
+
+
+def phase_kernel_grads_split(gk, w_shape):
+    """Adjoint of :func:`phase_kernels_split` by split and concatenate, the
+    last axis's phases first: ``w0 = p0a + p1a``, ``w1 = p0b + p1a``,
+    ``w2 = p0b + p1b`` with ``p0a`` phase 0's first tap."""
+    rank = len(w_shape) - 2
+    k = gk.reshape((-1,) + tuple(w_shape[:2]) + (2,) * rank)
+    for ax in range(2 + rank, 2, -1):
+        k = k.reshape((-1, 2) + k.shape[1:])
+        (p0a, p0b), (p1a, p1b) = (np.split(k[:, p], 2, axis=ax) for p in (0, 1))
+        k = np.concatenate((p0a + p1a, p0b + p1a, p0b + p1b), axis=ax)
+    return k.reshape(w_shape)
+
+
+def mul(a, b):
+    """Elementwise product node of two same-shape tensors.
+
+    Each factor's gradient is the upstream gradient times the other factor,
+    so a test loss such as ``sum_all(mul(out, out))`` has a plain derivative.
+    """
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
+    return ag.Tensor(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def sum_all(a):

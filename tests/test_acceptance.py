@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import (brute_force_assign, flood_fill_body, mae_loop,
+from oracles import (brute_force_assign, flood_fill_body, mae_loop, mul,
                      psnr_loop, ssim_window, wilcoxon_enum)
 import vqsct
 from vqsct import autograd as ag
@@ -86,7 +86,7 @@ def _random_net(rng, rank):
                         stride=stride, pad=pad)
             h = ag.leaky_relu(h)
         h = ag.conv(h, leaves["wf"], leaves["bf"])
-        return ag.mean_all(ag.mul(h, h))
+        return ag.mean_all(mul(h, h))
 
     return params, forward
 
@@ -204,10 +204,10 @@ def test_criterion_03_straight_through_bitwise(capsys):
 
         x1 = ag.leaf(xv)
         st = ag.straight_through(x1, qv)
-        g1 = ag.backward(ag.mean_all(ag.mul(st, ag.leaf(mv))), {"x": x1})["x"]
+        g1 = ag.backward(ag.mean_all(mul(st, ag.leaf(mv))), {"x": x1})["x"]
 
         x2 = ag.leaf(xv)
-        g2 = ag.backward(ag.mean_all(ag.mul(x2, ag.leaf(mv))), {"x": x2})["x"]
+        g2 = ag.backward(ag.mean_all(mul(x2, ag.leaf(mv))), {"x": x2})["x"]
 
         if not np.array_equal(st.data, qv):
             bad += 1

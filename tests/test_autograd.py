@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from vqsct import autograd as ag
 from vqsct.errors import DomainError, ShapeError
 
-from oracles import (conv_window_grads, conv_window_sum, sum_all,
-                     upsample_conv_ref, upsample_conv_ref_grads)
+from oracles import (conv_window_grads, conv_window_sum, mul, phase_kernel_grads_split,
+                     phase_kernels_split, sum_all, upsample_conv_ref,
+                     upsample_conv_ref_grads)
 
 
 def central_diff(f, x, eps=1e-6):
@@ -85,7 +86,7 @@ def test_add_mul_values_and_grads():
     xv = rng.standard_normal((4, 5))
     yv = rng.standard_normal((4, 5))
     x, y = ag.leaf(xv), ag.leaf(yv)
-    loss = sum_all(ag.mul(ag.add(x, y), y))
+    loss = sum_all(mul(ag.add(x, y), y))
     grads = ag.backward(loss, {"x": x, "y": y})
     assert np.allclose(grads["x"], yv)
     assert np.allclose(grads["y"], xv + 2 * yv)
@@ -98,16 +99,16 @@ def test_sub_matches_finite_difference():
 
     def f(v):
         d = ag.sub(ag.leaf(v), ag.leaf(yv))
-        return sum_all(ag.mul(d, d)).data.item()
+        return sum_all(mul(d, d)).data.item()
 
     x = ag.leaf(xv)
     d = ag.sub(x, ag.leaf(yv))
-    loss = sum_all(ag.mul(d, d))
+    loss = sum_all(mul(d, d))
     grads = ag.backward(loss, {"x": x})
     assert rel_err(grads["x"], central_diff(f, xv)) < 1e-7
 
 
-@pytest.mark.parametrize("op", [ag.add, ag.sub, ag.mul])
+@pytest.mark.parametrize("op", [ag.add, ag.sub, mul])
 def test_elementwise_ops_reject_shape_mismatch(op):
     with pytest.raises(ShapeError):
         op(ag.leaf(np.zeros((2, 3))), ag.leaf(np.zeros((3, 2))))
@@ -158,6 +159,20 @@ def test_leaky_relu_bytes_match_where_form(dtype, slope):
     (got,) = y.vjp(g)
     assert got.dtype == dtype
     assert got.tobytes() == np.where(xv >= 0, g, slope * g).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.1])
+def test_leaky_relu_vjp_bytes_match_where_form_on_non_finite_values(dtype, slope):
+    # every pairing of signed zeros, infinities and NaNs in x and g: g * 1 is
+    # g, and g * slope is the where form's slope * g in the same dtype
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5], dtype=dtype)
+    xv, g = (a.ravel() for a in np.meshgrid(special, special, indexing="ij"))
+    with np.errstate(invalid="ignore"):
+        (got,) = ag.leaky_relu(ag.Tensor(xv), slope).vjp(g)
+        want = np.where(xv >= 0, g, slope * g)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +391,11 @@ def test_conv_gradients_match_finite_differences(rank, stride, pad):
 
     def run(x, w, b):
         out = ag.conv(ag.leaf(x), ag.leaf(w), ag.leaf(b), stride=stride, pad=pad)
-        return sum_all(ag.mul(out, out))
+        return sum_all(mul(out, out))
 
     x, w, b = ag.leaf(xv), ag.leaf(wv), ag.leaf(bv)
     out = ag.conv(x, w, b, stride=stride, pad=pad)
-    loss = sum_all(ag.mul(out, out))
+    loss = sum_all(mul(out, out))
     grads = ag.backward(loss, {"x": x, "w": w, "b": b})
 
     # eps 1e-5 keeps float64 roundoff in the difference quotient below the
@@ -407,7 +422,7 @@ def _center_tap(c, rank):
 def test_upsample_nearest_repeats_values():
     # with only the centre tap the node is nearest upsampling, exactly
     xv = np.arange(4.0).reshape(1, 2, 2)
-    out = ag.upsample_conv(ag.leaf(xv), ag.leaf(_center_tap(1, 2)))
+    out = ag.upsample_conv(ag.leaf(xv), ag.phase_kernels(ag.leaf(_center_tap(1, 2))))
     expected = xv.repeat(2, axis=1).repeat(2, axis=2)
     assert np.array_equal(out.data, expected)
 
@@ -417,9 +432,9 @@ def test_upsample_gradient_is_block_sum(rank):
     rng = np.random.default_rng(6 + rank)
     xv = rng.standard_normal((2,) + (3,) * rank)
     x = ag.leaf(xv)
-    up = ag.upsample_conv(x, ag.leaf(_center_tap(2, rank)))
+    up = ag.upsample_conv(x, ag.phase_kernels(ag.leaf(_center_tap(2, rank))))
     weight = rng.standard_normal(up.data.shape)
-    loss = sum_all(ag.mul(up, ag.leaf(weight)))
+    loss = sum_all(mul(up, ag.leaf(weight)))
     grads = ag.backward(loss, {"x": x})
     # each input cell receives the sum of the weights over its 2^rank block
     expected = weight.copy()
@@ -449,12 +464,14 @@ def test_upsample_conv_matches_repeat_then_conv_oracle(dtype, tol):
         wv = rng.standard_normal((c_out, shape[0]) + (3,) * rank).astype(dtype)
         bv = rng.standard_normal(c_out).astype(dtype)
         x, w, b = ag.leaf(xv, dtype), ag.leaf(wv, dtype), ag.leaf(bv, dtype)
-        y = ag.upsample_conv(x, w, b)
+        k = ag.phase_kernels(w)
+        y = ag.upsample_conv(x, k, b)
         gy = rng.standard_normal(y.data.shape).astype(dtype)
         x64, w64, b64, gy64 = (a.astype(np.float64) for a in (xv, wv, bv, gy))
         pairs = [(y.data, upsample_conv_ref(x64, w64, b64),
                   upsample_conv_ref(abs(x64), abs(w64), abs(b64)))]
-        pairs += zip(y.vjp(gy), upsample_conv_ref_grads(x64, w64, gy64),
+        gx, gk, gb = y.vjp(gy)
+        pairs += zip((gx, k.vjp(gk)[0], gb), upsample_conv_ref_grads(x64, w64, gy64),
                      upsample_conv_ref_grads(abs(x64), abs(w64), abs(gy64)))
         for got, want, magnitude in pairs:
             assert got.dtype == dtype and got.shape == want.shape, shape
@@ -470,12 +487,12 @@ def test_upsample_conv_gradients_match_finite_differences(rank):
     bv = 0.5 * rng.standard_normal(3)
 
     def run(x, w, b):
-        out = ag.upsample_conv(ag.leaf(x), ag.leaf(w), ag.leaf(b))
-        return sum_all(ag.mul(out, out))
+        out = ag.upsample_conv(ag.leaf(x), ag.phase_kernels(ag.leaf(w)), ag.leaf(b))
+        return sum_all(mul(out, out))
 
     x, w, b = ag.leaf(xv), ag.leaf(wv), ag.leaf(bv)
-    out = ag.upsample_conv(x, w, b)
-    grads = ag.backward(sum_all(ag.mul(out, out)), {"x": x, "w": w, "b": b})
+    out = ag.upsample_conv(x, ag.phase_kernels(w), b)
+    grads = ag.backward(sum_all(mul(out, out)), {"x": x, "w": w, "b": b})
     fd_x = central_diff(lambda v: run(v, wv, bv).data.item(), xv, eps=1e-5)
     fd_w = central_diff(lambda v: run(xv, v, bv).data.item(), wv, eps=1e-5)
     fd_b = central_diff(lambda v: run(xv, wv, v).data.item(), bv, eps=1e-5)
@@ -488,9 +505,30 @@ def test_upsample_conv_rejects_other_kernel_extents():
     x = ag.leaf(np.zeros((2, 4, 4)))
     for ks in [(1, 1), (5, 5), (3, 1), (2, 2)]:
         with pytest.raises(DomainError):
-            ag.upsample_conv(x, ag.leaf(np.zeros((2, 2) + ks)))
+            ag.upsample_conv(x, ag.phase_kernels(ag.leaf(np.zeros((2, 2) + ks))))
     with pytest.raises(ShapeError):
-        ag.upsample_conv(x, ag.leaf(np.zeros((2, 3, 3, 3))))
+        ag.upsample_conv(x, ag.phase_kernels(ag.leaf(np.zeros((2, 3, 3, 3)))))
+    # a 3-tap weight, or the kernels of a rank-3 weight, are no rank-2 kernels
+    for k in (ag.leaf(np.zeros((2, 2, 3, 3))), ag.phase_kernels(ag.leaf(np.zeros((1, 2, 3, 3, 3))))):
+        with pytest.raises(ShapeError):
+            ag.upsample_conv(x, k)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phase_kernels_and_their_vjp_match_the_split_oracles_bitwise(rank, dtype):
+    rng = np.random.default_rng(40 + rank)
+    for c_out, c_in in [(1, 1), (3, 2), (8, 16)]:
+        w = ag.leaf(rng.standard_normal((c_out, c_in) + (3,) * rank), dtype)
+        k = ag.phase_kernels(w)
+        want = phase_kernels_split(w.data)
+        assert k.data.dtype == dtype and k.data.shape == want.shape
+        assert k.data.tobytes() == want.tobytes()
+        gk = rng.standard_normal(k.data.shape).astype(dtype)
+        (gw,) = k.vjp(gk)
+        want = phase_kernel_grads_split(gk, w.data.shape)
+        assert gw.dtype == dtype and gw.shape == w.data.shape
+        assert gw.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +543,7 @@ def test_straight_through_forward_and_bitwise_gradient():
     x = ag.leaf(xv)
     out = ag.straight_through(x, qv)
     assert np.array_equal(out.data, qv)
-    loss = sum_all(ag.mul(out, ag.leaf(weight)))
+    loss = sum_all(mul(out, ag.leaf(weight)))
     grads = ag.backward(loss, {"x": x})
     # the copy gradient must be bit-for-bit the downstream gradient
     assert np.array_equal(grads["x"], weight)
@@ -519,7 +557,7 @@ def test_straight_through_bitwise_property(rows, cols, seed):
     x = ag.leaf(rng.standard_normal((rows, cols)))
     q = rng.standard_normal((rows, cols))
     w = rng.standard_normal((rows, cols))
-    loss = sum_all(ag.mul(ag.straight_through(x, q), ag.leaf(w)))
+    loss = sum_all(mul(ag.straight_through(x, q), ag.leaf(w)))
     grads = ag.backward(loss, {"x": x})
     assert np.array_equal(grads["x"], w)
 
@@ -537,11 +575,12 @@ def _every_op(rng, dtype):
     x2, w2, b2 = lf(2, 6, 5), lf(3, 2, 3, 3), lf(3)
     x3, w3 = lf(2, 4, 5, 3), lf(3, 2, 3, 3, 3)
     return [
-        ag.add(a, b), ag.sub(a, b), ag.mul(a, b), ag.scale(a, 0.3),
+        ag.add(a, b), ag.sub(a, b), mul(a, b), ag.scale(a, 0.3),
         ag.mean_all(a), ag.abs_val(a), ag.leaky_relu(a, 0.1),
         ag.conv(x2, w2, b2, stride=1, pad=1), ag.conv(x2, w2, stride=2, pad=1),
         ag.conv(x3, w3, stride=1, pad=1), ag.conv(x3, w3, stride=2, pad=1),
-        ag.upsample_conv(x2, w2, b2), ag.upsample_conv(x3, w3),
+        ag.phase_kernels(w2), ag.phase_kernels(w3),
+        ag.upsample_conv(x2, ag.phase_kernels(w2), b2), ag.upsample_conv(x3, ag.phase_kernels(w3)),
         ag.straight_through(a, rng.standard_normal((3, 4))),
     ]
 
@@ -573,7 +612,7 @@ def test_diamond_graph_accumulates_once():
     # x feeds two branches that rejoin; d(loss)/dx = 2x + 3
     xv = np.array([1.5, -2.0])
     x = ag.leaf(xv)
-    loss = sum_all(ag.add(ag.mul(x, x), ag.scale(x, 3.0)))
+    loss = sum_all(ag.add(mul(x, x), ag.scale(x, 3.0)))
     grads = ag.backward(loss, {"x": x})
     assert np.allclose(grads["x"], 2 * xv + 3.0)
 
@@ -589,9 +628,9 @@ def test_shared_vjp_array_reaches_two_parents_with_other_paths():
     def run(v):
         x = ag.leaf(v)
         h = ag.leaky_relu(x)
-        k = ag.mul(x, x)
+        k = mul(x, x)
         s = ag.add(ag.add(h, h), k)
-        loss = ag.add(sum_all(ag.mul(s, ag.leaf(cv))), sum_all(ag.mul(h, k)))
+        loss = ag.add(sum_all(mul(s, ag.leaf(cv))), sum_all(mul(h, k)))
         return x, loss
 
     x, loss = run(xv)
@@ -637,7 +676,7 @@ def build_random_net(rng, rank):
     def forward(leaves):
         h = ag.conv(ag.leaf(xv), leaves["w1"], leaves["b1"], stride=2, pad=1)
         h = ag.leaky_relu(h)
-        h = ag.upsample_conv(h, leaves["w2"], leaves["b2"])
+        h = ag.upsample_conv(h, ag.phase_kernels(leaves["w2"]), leaves["b2"])
         return ag.mean_all(ag.abs_val(h))
 
     return params, forward

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vqsct import cli
 from vqsct.cli import build_parser, main
 from vqsct.errors import FormatError
 from vqsct.evaluation import (BONE_THRESHOLD_HU, read_report_csv,
@@ -422,6 +423,21 @@ def test_evaluate_rejects_non_finite_bone_hu_before_reading(tmp_path, capsys, bo
     assert err.startswith("vqsct: error:") and err.count("\n") == 1
     assert "--bone-hu" in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError(
+    "Unable to allocate 7.28 PiB for an array with shape (100000, 100000, 100000) "
+    "and data type float64")])
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    # a handler that runs out of memory, never a real allocation
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "phantom", exhausted)
+    assert main(["phantom", "--out", str(tmp_path / "cases")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error: out of memory") and err.count("\n") == 1
+    assert str(exc) in err
 
 
 def test_evaluate_diff_dir_builds_the_truth_contour_once(work, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Slicing, median fusion, tri-planar translation, and cube reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from vqsct import autograd as ag
 from vqsct import pipeline
 from vqsct.errors import DomainError, ShapeError
 from vqsct.model import ModelConfig, build_model, param_tensors
-from vqsct.pipeline import (fuse_median, reconstruct_cubes, restack_slices,
+from vqsct.pipeline import (PLANES, fuse_median, reconstruct_cubes, restack_slices,
                             slice_volume, translate_slices, translate_volume)
 from vqsct.training import pretrain_recon
 from vqsct.volume import HU_MAX, HU_MIN, Volume, normalize
@@ -168,6 +170,52 @@ def test_translate_volume_fused_is_per_voxel_median():
     stack = np.stack([result.axial.voxels, result.coronal.voxels,
                       result.sagittal.voxels])
     assert np.array_equal(result.fused.voxels, np.median(stack, axis=0))
+
+
+def test_translate_volume_matches_the_per_plane_path_bytes():
+    # the planes stacked in place, and their median, against restacked
+    # per-plane volumes and fuse_median
+    ckpt = trained_2d(steps=5)
+    vol = Volume(np.random.default_rng(9).uniform(0, 1, (12, 10, 9)), (1, 1, 2), "unit01", {})
+    result = translate_volume(ckpt, vol)
+    planes = [Volume(restack_slices(translate_slices(ckpt, slice_volume(vol, plane)), plane),
+                     vol.spacing_mm, "HU") for plane in PLANES]
+    for got, want in zip((result.axial, result.coronal, result.sagittal), planes):
+        assert got.voxels.tobytes() == want.voxels.tobytes()
+        assert got.spacing_mm == want.spacing_mm and got.intensity_space == "HU"
+    fused = fuse_median(*planes)
+    assert result.fused.voxels.tobytes() == fused.voxels.tobytes()
+    assert result.fused.spacing_mm == fused.spacing_mm and result.fused.meta == fused.meta
+
+
+def test_translate_volume_peak_memory_is_at_most_nine_input_volumes():
+    # a 96^3 input: its float64 bytes against the traced peak (about 8.1x;
+    # 12.1x with a plane volume per plane, their np.stack and median's copy)
+    ckpt = trained_2d(steps=0)
+    vol = Volume(np.random.default_rng(12).uniform(0, 1, (96, 96, 96)), (1, 1, 1),
+                 "unit01", {})
+    tracemalloc.start()
+    try:
+        translate_volume(ckpt, vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * vol.voxels.nbytes, peak / vol.voxels.nbytes
+
+
+def test_translate_slices_collapses_each_decoder_weight_once(monkeypatch):
+    ckpt = trained_2d(steps=0)
+    collapsed = []
+    real = ag._phase_kernels
+
+    def counting(w):
+        collapsed.append(w.shape)
+        return real(w)
+
+    monkeypatch.setattr(ag, "_phase_kernels", counting)
+    rng = np.random.default_rng(13)
+    translate_slices(ckpt, [rng.uniform(0, 1, (10, 7)) for _ in range(4)])
+    assert collapsed == [ckpt.params[f"dec.{i}.w"].shape for i in range(ckpt.config.depth)]
 
 
 # ---------------------------------------------------------------------------

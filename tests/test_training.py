@@ -132,6 +132,59 @@ def test_pretrain_zero_steps_initializes_codebook_only():
         assert np.array_equal(ckpt.params[name], base.params[name])
 
 
+def test_kmeans_init_builds_one_set_of_leaves_and_runs_no_decoder(monkeypatch):
+    leaf_dtypes, convs = [], []
+    real_fwd = ag.conv_forward_data
+
+    def counting(ckpt, dtype=np.float64):
+        leaf_dtypes.append(dtype)
+        return param_tensors(ckpt, dtype)
+
+    def fwd(x, w, b=None, stride=1, pad=0):
+        convs.append((stride, pad))
+        return real_fwd(x, w, b, stride, pad)
+
+    monkeypatch.setattr(training, "param_tensors", counting)
+    monkeypatch.setattr(ag, "conv_forward_data", fwd)
+    config = small_config(pyramid_levels=2)
+    pretrain_recon(config, texture_volumes(1, dims=(16, 16, 16)), steps=0, seed=0,
+                   batch_size=16)
+    assert leaf_dtypes == [np.float32]
+    # per item: the stride-2 encoder convs and each level's two 1x1
+    # projections; every decoder conv is a stride-1, pad-1 one
+    assert sorted(set(convs)) == [(1, 0), (2, 1)]
+    assert len(convs) == 16 * (config.depth + 2 * config.pyramid_levels)
+
+
+def test_kmeans_rows_are_the_full_forward_unit_rows():
+    ckpt = build_model(small_config(pyramid_levels=2))
+    rng = np.random.default_rng(4)
+    items = [rng.uniform(0, 1, (1, 16, 16)).astype(np.float32) for _ in range(5)]
+    batch = np.array([3, 0, 4])
+    level_rows = training._collect_level_rows(ckpt, items, batch)
+    assert len(level_rows) == 2
+    for j, rows in enumerate(level_rows):
+        want = np.concatenate([forward(ckpt, items[i]).unit_rows[j] for i in batch])
+        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
+
+def test_each_step_collapses_each_decoder_weight_once(monkeypatch):
+    # once per step, not once per batch item, and never for k-means init
+    collapsed = []
+    real = ag._phase_kernels
+
+    def counting(w):
+        collapsed.append(w.shape)
+        return real(w)
+
+    monkeypatch.setattr(ag, "_phase_kernels", counting)
+    config = small_config(pyramid_levels=2)
+    decoder = [build_model(config).params[f"dec.{i}.w"].shape for i in range(config.depth)]
+    pretrain_recon(config, texture_volumes(1, dims=(16, 16, 16)), steps=3, seed=0,
+                   learning_rate=1e-3, batch_size=4)
+    assert collapsed == decoder * 3
+
+
 def test_pretrain_reduces_training_loss():
     vols = texture_volumes(8)
     result = pretrain_recon(small_config(), vols, steps=200, seed=3,
