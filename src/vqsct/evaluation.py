@@ -4,10 +4,12 @@ Metrics are computed inside boolean masks: the body contour of the
 ground-truth CT (threshold HU > -500, then slice-wise hole filling by a
 flood from each slice's border), split into whole / soft / bone regions at
 a configurable HU boundary. A case is evaluated with one partition per
-volume and one SSIM map per case, whose Gaussian window means are taken
-over all axial slices at once. The paired Wilcoxon signed-rank test is
-exact (full distribution over sign assignments) up to n = 25 and uses the
-tie-corrected normal approximation with continuity correction beyond.
+volume; its SSIM map is formed one z-slab of axial slices at a time (each
+SSIM value depends on its own slice alone), so the working memory of a
+case is a few masks plus one slab's window means. The paired Wilcoxon
+signed-rank test is exact (full distribution over sign assignments) up to
+n = 25 and uses the tie-corrected normal approximation with continuity
+correction beyond.
 Difference maps are emitted as binary PPM images under a blue-white-red
 colormap. Everything here is plain numpy.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import DomainError, FormatError, ShapeError
-from .volume import Volume, correlate_valid
+from .volume import SLAB, Volume, correlate_valid
 
 __all__ = [
     "REGIONS",
@@ -72,7 +74,9 @@ def _run_ids(free: np.ndarray, axis: int):
     lines = np.moveaxis(free, axis, -1)
     starts = lines.copy()
     starts[..., 1:] &= ~lines[..., :-1]
-    ids = np.cumsum(starts).reshape(lines.shape)
+    # int32 labels hold any count of runs up to one per voxel
+    ids = np.cumsum(starts, dtype=np.int32 if free.size < 2 ** 31 else np.int64)
+    ids = ids.reshape(lines.shape)
     ids[~lines] = 0
     return np.ascontiguousarray(np.moveaxis(ids, -1, axis)), int(ids.max(initial=0))
 
@@ -136,19 +140,32 @@ def _check_aligned(pred, gt, mask=None):
     return p, g, m
 
 
+def _masked_diff(p: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``p[m] - g[m]``, formed in place in the copy ``p[m]``."""
+    d = p[m]
+    d -= g[m]
+    return d
+
+
+def _mae(d: np.ndarray) -> float:
+    return float(np.abs(d).mean())
+
+
+def _psnr(d: np.ndarray, peak: float = PSNR_PEAK) -> float:
+    mse = float((d ** 2).mean())
+    if mse == 0.0:
+        return float("inf")
+    return float(10.0 * np.log10(peak * peak / mse))
+
+
 def mae(pred, gt, mask) -> float:
     """Mean absolute error over masked voxels, in HU."""
-    p, g, m = _check_aligned(pred, gt, mask)
-    return float(np.abs(p[m] - g[m]).mean())
+    return _mae(_masked_diff(*_check_aligned(pred, gt, mask)))
 
 
 def psnr(pred, gt, mask, peak: float = PSNR_PEAK) -> float:
     """10*log10(peak^2 / masked MSE); identical volumes give +inf."""
-    p, g, m = _check_aligned(pred, gt, mask)
-    mse = float(((p[m] - g[m]) ** 2).mean())
-    if mse == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(peak * peak / mse))
+    return _psnr(_masked_diff(*_check_aligned(pred, gt, mask)), peak)
 
 
 def _gaussian_kernel_1d():
@@ -169,8 +186,25 @@ def _window_mean(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return correlate_valid(correlate_valid(a, kernel, 0), kernel, 1)
 
 
+def _ssim_map(p: np.ndarray, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Local SSIM at every full-window center of each axial slice of ``p`` and ``g``."""
+    mu_x = _window_mean(p, kernel)
+    mu_y = _window_mean(g, kernel)
+    var_x = _window_mean(p * p, kernel) - mu_x * mu_x
+    var_y = _window_mean(g * g, kernel) - mu_y * mu_y
+    cov = _window_mean(p * g, kernel) - mu_x * mu_y
+    return ((2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+            / ((mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)))
+
+
 def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
-    """Masked mean SSIM for each of ``masks``, from one SSIM map per case."""
+    """Masked mean SSIM for each of ``masks``, one z-slab of the SSIM map at a time.
+
+    The five window means and the SSIM map are formed for ``SLAB`` axial
+    slices at a time, so a case holds one slab's maps, never the whole
+    case's. Each mask's masked sums are added one slice at a time, in slice
+    order, so the result does not depend on the slab size.
+    """
     half = _SSIM_WINDOW // 2
     if p.shape[0] < _SSIM_WINDOW or p.shape[1] < _SSIM_WINDOW:
         raise DomainError(
@@ -180,21 +214,17 @@ def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
     if 0 in weights:
         raise DomainError("mask contains no full-window centers")
     kernel = _gaussian_kernel_1d()
-    mu_x = _window_mean(p, kernel)
-    mu_y = _window_mean(g, kernel)
-    var_x = _window_mean(p * p, kernel) - mu_x * mu_x
-    var_y = _window_mean(g * g, kernel) - mu_y * mu_y
-    cov = _window_mean(p * g, kernel) - mu_x * mu_y
-    s = ((2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-         / ((mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)))
-    means = []
-    for c, weight in zip(centers, weights):
-        weighted = 0.0
-        for z in range(p.shape[2]):
-            # one masked sum per slice, added in slice order
-            weighted += float(s[:, :, z][c[:, :, z]].sum())
-        means.append(weighted / weight)
-    return means
+    weighted = [0.0] * len(masks)
+    for z0 in range(0, p.shape[2], SLAB):
+        zs = slice(z0, z0 + SLAB)
+        # contiguous copies: numpy runs the window sums far slower on strided slabs
+        s = _ssim_map(np.ascontiguousarray(p[:, :, zs]), np.ascontiguousarray(g[:, :, zs]),
+                      kernel)
+        for k, c in enumerate(centers):
+            for z in range(s.shape[2]):
+                # one masked sum per slice, added in slice order
+                weighted[k] += float(s[:, :, z][c[:, :, z0 + z]].sum())
+    return [w / weight for w, weight in zip(weighted, weights)]
 
 
 def ssim(pred, gt, mask) -> float:
@@ -366,10 +396,13 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
         truth = region_masks(gt, bone_threshold_hu)
     derived = region_masks(pred, bone_threshold_hu)
     masks = [truth[region] for region in REGIONS]
-    values = {"mae": [mae(pred, gt, m) for m in masks],
-              "psnr": [psnr(pred, gt, m) for m in masks],
-              "ssim": _ssim_means(pred.voxels, gt.voxels, masks),
-              "dsc": [_dice(derived[region], truth[region]) for region in REGIONS]}
+    values = {"mae": [], "psnr": []}
+    for m in masks:  # one masked difference per region for MAE and PSNR
+        d = _masked_diff(*_check_aligned(pred, gt, m))
+        values["mae"].append(_mae(d))
+        values["psnr"].append(_psnr(d))
+    values["ssim"] = _ssim_means(pred.voxels, gt.voxels, masks)
+    values["dsc"] = [_dice(derived[region], truth[region]) for region in REGIONS]
     return [{"case_id": str(case_id), "region": region, "metric": metric,
              "value": float(values[metric][i])}
             for i, region in enumerate(REGIONS) for metric in METRICS]

@@ -89,6 +89,19 @@ class ModelConfig:
                 f"pyramid_levels must be in [1, depth={self.depth}], got {self.pyramid_levels}")
         return self
 
+    def check_extents(self, extents, what: str) -> None:
+        """Raise DomainError if 2^depth exceeds the smallest of ``extents``.
+
+        A rank-2 command pads each slice up to a multiple of 2^depth; it
+        checks the slices' in-plane extents here before padding any, so an
+        oversized depth fails with one line instead of allocating.
+        """
+        smallest = min(extents)
+        if self.depth >= int(smallest).bit_length():  # 2^depth > smallest
+            raise DomainError(
+                f"depth {self.depth} pads {what} to multiples of 2^{self.depth}, "
+                f"above their smallest in-plane extent {smallest}")
+
     def channels(self) -> list[int]:
         """Channel count entering stage boundaries: index 0 is the input."""
         out = [1]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .model import (GRAPH_DTYPE, Checkpoint, forward, param_tensors, value_space,
                     with_sub_pixel_kernels)
-from .volume import (NORMALIZED_AIR, Volume, extract_cubes, normalized_to_hu,
+from .volume import (NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu,
                      pad_to_multiple, stitch_cubes)
 
 __all__ = [
@@ -64,30 +64,52 @@ def restack_slices(slices, plane: str) -> np.ndarray:
     return np.stack(slices, axis=_plane_axis(plane))
 
 
-def translate_slices(ckpt: Checkpoint, slices) -> list[np.ndarray]:
-    """Run normalized 2D slices through a 2D checkpoint; outputs are HU.
-
-    Each slice is padded up to the next multiple of 2^depth with the
-    normalized air value of the checkpoint's space, translated in
-    ``GRAPH_DTYPE``, cropped back, and mapped to HU in float64. The
-    parameter leaves and the decoder's sub-pixel kernels are built once per
-    call.
-    """
+def _check_planar(ckpt: Checkpoint, extents, what: str) -> None:
+    """A 2D checkpoint whose 2^depth fits the in-plane ``extents``."""
     if ckpt.config.spatial_rank != 2:
         raise DomainError(
-            f"translate_slices needs a 2D checkpoint, got rank {ckpt.config.spatial_rank}")
+            f"tri-planar translation needs a 2D checkpoint, got rank {ckpt.config.spatial_rank}")
+    ckpt.config.check_extents(extents, what)
+
+
+def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
+    """Run normalized 2D slices through a 2D checkpoint into ``out``, in HU.
+
+    ``out`` is a float64 ``[n, *shape]`` array for ``n`` slices of one
+    2D ``shape``, such as a view of a volume along its plane's axis; it is
+    returned. Each slice is padded up to the next multiple of 2^depth with
+    the normalized air value of the checkpoint's space, translated in
+    ``GRAPH_DTYPE``, cropped back, and mapped to HU in float64 straight into
+    ``out[i]``. The parameter leaves and the decoder's sub-pixel kernels are
+    built once per call.
+    """
+    shape = out.shape[1:]
+    if (out.ndim != 3 or len(slices) != len(out)
+            or any(np.shape(sl) != shape for sl in slices)):
+        raise ShapeError(f"output {out.shape} does not hold {len(slices)} 2D slices "
+                         f"of its trailing shape")
+    _check_planar(ckpt, shape, "slices")
     space = value_space(ckpt)
     div = 2 ** ckpt.config.depth
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
-    out = []
-    for sl in slices:
-        arr = np.asarray(sl, dtype=GRAPH_DTYPE)
-        if arr.ndim != 2:
-            raise ShapeError(f"expected 2D slices, got shape {arr.shape}")
-        padded = pad_to_multiple(arr, div, NORMALIZED_AIR[space])
+    for sl, dest in zip(slices, out):
+        padded = pad_to_multiple(np.asarray(sl, dtype=GRAPH_DTYPE), div, NORMALIZED_AIR[space])
         pred = forward(ckpt, padded[None], params).output.data[0]
-        pred = pred[: arr.shape[0], : arr.shape[1]].astype(np.float64)
-        out.append(normalized_to_hu(pred, space))
+        dest[...] = normalized_to_hu(pred[: shape[0], : shape[1]].astype(np.float64), space)
+    return out
+
+
+def _median_slabs(planes, out: np.ndarray) -> np.ndarray:
+    """Voxelwise median of three aligned arrays, into ``out`` one x-slab at a time.
+
+    Each slab of ``SLAB`` x-planes of the three is stacked and handed to
+    ``np.median``, whose values do not depend on the other slabs, so the
+    bytes are those of ``np.median`` over the whole stack while no
+    whole-volume copy is made.
+    """
+    for x in range(0, out.shape[0], SLAB):
+        slab = np.stack([p[x:x + SLAB] for p in planes])
+        np.median(slab, axis=0, out=out[x:x + SLAB], overwrite_input=True)
     return out
 
 
@@ -101,7 +123,7 @@ def fuse_median(a: Volume, b: Volume, c: Volume) -> Volume:
                 f"volume spacings differ: {a.spacing_mm} vs {other.spacing_mm}")
         if other.intensity_space != a.intensity_space:
             raise DomainError("cannot fuse volumes in different intensity spaces")
-    fused = np.median(np.stack([a.voxels, b.voxels, c.voxels]), axis=0)
+    fused = _median_slabs((a.voxels, b.voxels, c.voxels), np.empty(a.dims))
     return Volume(fused, a.spacing_mm, a.intensity_space, dict(a.meta))
 
 
@@ -112,20 +134,24 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
     (sym11 for fine-tuned translation models, unit01 for pretrained
     reconstruction models); the four returned volumes are HU.
 
-    Each plane's translated slices are stacked straight into one float64
-    ``[3, *dims]`` array, whose voxelwise median (the bytes of
-    :func:`fuse_median`) is the fused volume; the three plane volumes are
-    views of that array.
+    Each plane's slices are views of the input, and each translated slice
+    is written straight into its place in one float64 ``[3, *dims]``
+    array; the three plane volumes are views of that array. The fused
+    volume is its voxelwise median, taken one slab at a time by the same
+    code as :func:`fuse_median`. Besides the input, the working memory is
+    about four volumes of float64.
     """
     space = value_space(ckpt)
     if volume.intensity_space != space:
         raise DomainError(
             f"checkpoint expects {space} input, volume is {volume.intensity_space}")
+    # every axis lies in the slice plane of two of the three planes
+    _check_planar(ckpt, volume.dims, "the volume's slices")
     stack = np.empty((len(PLANES),) + volume.dims)
     for plane, out in zip(PLANES, stack):
-        np.stack(translate_slices(ckpt, slice_volume(volume, plane)),
-                 axis=_plane_axis(plane), out=out)
-    fused = Volume(np.median(stack, axis=0), volume.spacing_mm, "HU")
+        axis = _plane_axis(plane)
+        translate_slices(ckpt, np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
+    fused = Volume(_median_slabs(stack, np.empty(volume.dims)), volume.spacing_mm, "HU")
     return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in stack), fused)
 
 

@@ -286,6 +286,8 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
             raise DomainError(
                 f"pretraining volumes must be unit01, got {vol.intensity_space}")
 
+    if config.spatial_rank == 2:
+        config.check_extents([n for vol in volumes for n in vol.dims[:2]], "axial slices")
     div = 2 ** config.depth
     air = NORMALIZED_AIR["unit01"]
     items = []
@@ -338,6 +340,7 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     for p, c in zip(pet_slices, ct_slices):
         if p.shape != c.shape:
             raise ShapeError(f"slice pair shapes differ: {p.shape} vs {c.shape}")
+    base.config.check_extents([n for p in pet_slices for n in p.shape], "slices")
 
     ckpt = reinitialized(base, seed) if mode == "scratch" else base.copy()
     div = 2 ** ckpt.config.depth

@@ -33,6 +33,7 @@ __all__ = [
     "NORMALIZED_AIR",
     "PET_REFERENCE_PERCENTILE",
     "N_CUBE_SYMMETRIES",
+    "SLAB",
     "read_volume",
     "write_volume",
     "normalize",
@@ -62,6 +63,11 @@ _NORMALIZED_BOUNDS = {"unit01": (0.0, 1.0), "sym11": (-1.0, 1.0)}
 # Pad value of each normalized space: the low end of its interval, which
 # is air (the HU_MIN clamp) for CT and zero activity for PET.
 NORMALIZED_AIR = {mode: lo for mode, (lo, _) in _NORMALIZED_BOUNDS.items()}
+
+# Planes per slab in the whole-volume passes that run one slab at a time
+# (writing a volume, fusing the planes, SSIM), so that their working memory
+# is a slab's, not a volume's.
+SLAB = 8
 
 
 @dataclass
@@ -106,7 +112,9 @@ def write_volume(volume: Volume, path) -> None:
     """Write a volume as MVOL: magic, u32 header length, JSON header, f32 voxels.
 
     Voxels are stored little-endian float32 with x varying fastest. A volume
-    read back from disk re-serializes to the identical byte stream.
+    read back from disk re-serializes to the identical byte stream. The
+    payload is converted and written ``SLAB`` z-planes at a time: each
+    z-slab is one contiguous run of the file.
     """
     header = {
         "dims": list(volume.dims),
@@ -115,12 +123,13 @@ def write_volume(volume: Volume, path) -> None:
         "meta": volume.meta,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload = volume.voxels.astype("<f4").ravel(order="F").tobytes()
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
+        for z in range(0, volume.dims[2], SLAB):
+            slab = volume.voxels[:, :, z:z + SLAB]
+            fh.write(slab.astype("<f4", order="F").tobytes(order="F"))
 
 
 def _is_triple(value, types) -> bool:

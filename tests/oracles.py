@@ -279,3 +279,31 @@ def ssim_window(x, y, ci, cj, window=11, sigma=1.5, c1=(0.01 * 4000.0) ** 2,
     cov = (kern * wx * wy).sum() - mx * my
     return ((2.0 * mx * my + c1) * (2.0 * cov + c2)
             / ((mx * mx + my * my + c1) * (vx + vy + c2)))
+
+
+def ssim_means_whole_case(p, g, masks):
+    """Masked mean SSIM per mask from one SSIM map of the whole case.
+
+    The five Gaussian window means span all axial slices at once, and each
+    mask's masked sums are added slice by slice in slice order: the form
+    ``evaluation._ssim_means`` takes one z-slab at a time, byte for byte.
+    """
+    from vqsct.evaluation import (_SSIM_C1, _SSIM_C2, _SSIM_WINDOW,
+                                  _gaussian_kernel_1d, _window_mean)
+    half = _SSIM_WINDOW // 2
+    kernel = _gaussian_kernel_1d()
+    mu_x = _window_mean(p, kernel)
+    mu_y = _window_mean(g, kernel)
+    var_x = _window_mean(p * p, kernel) - mu_x * mu_x
+    var_y = _window_mean(g * g, kernel) - mu_y * mu_y
+    cov = _window_mean(p * g, kernel) - mu_x * mu_y
+    s = ((2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+         / ((mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)))
+    means = []
+    for m in masks:
+        c = m[half:-half, half:-half]
+        weighted = 0.0
+        for z in range(p.shape[2]):
+            weighted += float(s[:, :, z][c[:, :, z]].sum())
+        means.append(weighted / int(np.count_nonzero(c)))
+    return means

@@ -440,6 +440,39 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, exc)
     assert str(exc) in err
 
 
+def test_oversized_depth_exits_1_before_any_slice_is_padded(work, tmp_path, capsys,
+                                                           monkeypatch):
+    # 2^depth above the smallest in-plane extent, from the --depth flag or a
+    # checkpoint header: one line and exit 1, and no slice is ever padded
+    from vqsct import pipeline, training, volume
+
+    def no_padding(*args, **kwargs):
+        raise AssertionError("a slice was padded")
+
+    for module in (volume, training, pipeline):
+        monkeypatch.setattr(module, "pad_to_multiple", no_padding)
+    deep = tmp_path / "deep.vqck"  # 2^6 = 64 > the 32^3 phantom cases
+    save_checkpoint(build_model(ModelConfig(depth=6, base_channels=1, codebook_size=2,
+                                            codebook_dim=1)), deep)
+    pet = str(work["phantom"] / "case_000_pet.mvol")
+    ct = str(work["phantom"] / "case_000_ct.mvol")
+    out = tmp_path / "out"
+    commands = [
+        ["pretrain", "--volumes", *work["textures"], "--out", str(out), "--rank", "2",
+         "--depth", "12", "--pyramid-levels", "1"],
+        ["finetune", "--base", str(deep), "--mode", "no-frozen", "--pet", pet, "--ct", ct,
+         "--out", str(out)],
+        ["translate", "--ckpt", str(deep), "--pet", pet, "--out", str(out)],
+        ["select", "--candidates", str(deep), "--volumes", ct, "--out", str(out)],
+    ]
+    for argv in commands:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("vqsct: error: depth ") and err.count("\n") == 1, err
+        assert "smallest in-plane extent" in err
+    assert sorted(os.listdir(tmp_path)) == ["deep.vqck"]
+
+
 def test_evaluate_diff_dir_builds_the_truth_contour_once(work, tmp_path, monkeypatch):
     from vqsct import evaluation
 

@@ -2,14 +2,15 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.ndimage import binary_fill_holes, correlate1d
 
-from oracles import (flood_fill_body, mae_loop, psnr_loop, ssim_window,
-                     wilcoxon_enum)
+from oracles import (flood_fill_body, mae_loop, psnr_loop, ssim_means_whole_case,
+                     ssim_window, wilcoxon_enum)
 from vqsct import evaluation
 from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.evaluation import (BODY_THRESHOLD_HU, body_contour, colormap_bwr,
@@ -19,7 +20,7 @@ from vqsct.evaluation import (BODY_THRESHOLD_HU, body_contour, colormap_bwr,
                               wilcoxon_signed_rank, write_ppm,
                               write_report_csv)
 from vqsct.phantom import LABEL_LUNG, generate_phantom_pair
-from vqsct.volume import Volume
+from vqsct.volume import SLAB, Volume
 
 
 class _Phantom:
@@ -147,6 +148,13 @@ def test_body_contour_on_phantom_keeps_lungs_excludes_air(phantom):
     for z in range(mask.shape[2]):
         assert np.array_equal(mask[:, :, z],
                               flood_fill_body(phantom.ct.voxels[:, :, z]))
+
+
+def test_run_ids_label_runs_in_int32():
+    free = np.array([[[True, True, False, True]], [[False, True, True, True]]])
+    ids, n_runs = evaluation._run_ids(free, 2)
+    assert ids.dtype == np.int32 and n_runs == 3
+    assert ids.tolist() == [[[1, 1, 0, 2]], [[0, 3, 3, 3]]]
 
 
 def test_body_contour_requires_hu():
@@ -298,6 +306,19 @@ def test_ssim_means_keep_per_slice_bytes(phantom):
             total += float(s[:, :, z][centers[:, :, z]].sum())
         want.append(total / int(centers.sum()))
     assert [repr(v) for v in evaluation._ssim_means(p, g, masks)] == [repr(v) for v in want]
+
+
+@pytest.mark.parametrize("crop", [(slice(None),) * 3,
+                                  (slice(0, 40), slice(5, 42), slice(3, 24))])
+def test_ssim_means_equal_the_whole_case_map(phantom, crop):
+    # the z-slab pass against one SSIM map of the whole case; 48 z-planes are
+    # whole slabs, the 21 of the crop are not
+    rng = np.random.default_rng(24)
+    g = np.ascontiguousarray(phantom.ct.voxels[crop])
+    p = g + rng.normal(0, 60, g.shape)
+    masks = [region_masks(g)[r] for r in ("whole", "soft", "bone")]
+    assert [repr(v) for v in evaluation._ssim_means(p, g, masks)] == [
+        repr(v) for v in ssim_means_whole_case(p, g, masks)]
 
 
 def test_ssim_rejects_small_slices_and_border_masks():
@@ -520,8 +541,9 @@ def test_evaluate_case_rows(phantom, monkeypatch):
     rows = evaluate_case(pred, phantom.ct, case_id="c0")
     monkeypatch.undo()
     regions = region_masks(phantom.ct)
-    # one contour per volume, and five window means per case
-    assert calls == {"body_contour": 2, "_window_mean": 5}
+    # one contour per volume, and five window means per z-slab (48 = 6 slabs of 8)
+    assert SLAB == 8
+    assert calls == {"body_contour": 2, "_window_mean": 30}
 
     assert len(rows) == 12
     assert [(r["region"], r["metric"]) for r in rows] == [
@@ -536,6 +558,21 @@ def test_evaluate_case_rows(phantom, monkeypatch):
         assert by_key[(region, "psnr")] == psnr(pred, phantom.ct, m)
         assert by_key[(region, "ssim")] == ssim(pred, phantom.ct, m)
         assert by_key[(region, "dsc")] == dsc(pred, phantom.ct, region)
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_evaluate_case_peak_memory_is_at_most_three_input_volumes(n):
+    # the traced peak against one input's float64 bytes (about 2.3x; 7.5x with
+    # the five window means and the SSIM map of the whole case)
+    ct, _, _ = generate_phantom_pair((n, n, n), seed=11)
+    pred = hu_volume(ct.voxels + np.random.default_rng(14).normal(0, 40, ct.dims))
+    tracemalloc.start()
+    try:
+        evaluate_case(pred, ct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ct.voxels.nbytes, peak / ct.voxels.nbytes
 
 
 def test_evaluate_case_perfect_prediction(phantom):

@@ -12,7 +12,7 @@ from vqsct.model import ModelConfig, build_model, param_tensors
 from vqsct.pipeline import (PLANES, fuse_median, reconstruct_cubes, restack_slices,
                             slice_volume, translate_slices, translate_volume)
 from vqsct.training import pretrain_recon
-from vqsct.volume import HU_MAX, HU_MIN, Volume, normalize
+from vqsct.volume import HU_MAX, HU_MIN, SLAB, Volume, normalize
 
 
 def small_config(rank=2, **overrides):
@@ -101,6 +101,38 @@ def test_fuse_median_permutation_invariant_and_idempotent():
     assert np.array_equal(same.voxels, vols[0].voxels)
 
 
+@pytest.mark.parametrize("nx", [2 * SLAB, 2 * SLAB + 3])
+def test_slab_median_is_the_whole_stack_median_with_signed_zeros(nx):
+    # x extents that are and are not whole slabs; a third of the voxels draw
+    # their three values from +-0.0 and +-0.5 (np.median gives +0.0 where a
+    # min/max median-of-three can give -0.0)
+    rng = np.random.default_rng(15)
+    stack = rng.uniform(-1, 1, (3, nx, 6, 5))
+    zeros = rng.random((nx, 6, 5)) < 0.3
+    stack[:, zeros] = rng.choice([0.0, -0.0, 0.5, -0.5], size=(3, int(zeros.sum())))
+    got = pipeline._median_slabs(stack, np.empty(stack.shape[1:]))
+    want = np.median(stack, axis=0)
+    assert (np.signbit(stack) & (stack == 0.0)).any() and (want == 0.0).any()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fuse_median_and_translate_volume_share_the_slab_median(monkeypatch):
+    calls = []
+    real = pipeline._median_slabs
+
+    def counting(planes, out):
+        calls.append(out.shape)
+        return real(planes, out)
+
+    monkeypatch.setattr(pipeline, "_median_slabs", counting)
+    rng = np.random.default_rng(16)
+    vols = [Volume(rng.uniform(0, 1, (9, 4, 3)), (1, 1, 1), "HU", {}) for _ in range(3)]
+    fuse_median(*vols)
+    translate_volume(trained_2d(steps=0),
+                     Volume(rng.uniform(0, 1, (8, 6, 5)), (1, 1, 1), "unit01", {}))
+    assert calls == [(9, 4, 3), (8, 6, 5)]
+
+
 def test_fuse_median_validates_alignment():
     rng = np.random.default_rng(5)
     a = Volume(rng.uniform(0, 1, (4, 4, 4)), (1, 1, 1), "HU", {})
@@ -128,9 +160,41 @@ def test_translate_slices_pads_and_crops_odd_sizes():
     ckpt = trained_2d(steps=5)
     rng = np.random.default_rng(6)
     slices = [rng.uniform(0, 1, (10, 7)) for _ in range(3)]
-    outs = translate_slices(ckpt, slices)
+    outs = translate_slices(ckpt, slices, np.empty((3, 10, 7)))
     assert all(o.shape == (10, 7) for o in outs)
     assert all(np.isfinite(o).all() for o in outs)
+
+
+def test_translate_slices_writes_views_into_a_view():
+    # slices and output both views along a volume's z axis, against copies
+    ckpt = trained_2d(steps=0)
+    rng = np.random.default_rng(17)
+    vox = rng.uniform(0, 1, (10, 7, 4))
+    hu = np.full((10, 7, 4), np.nan)
+    out = np.moveaxis(hu, 2, 0)
+    assert translate_slices(ckpt, np.moveaxis(vox, 2, 0), out) is out
+    want = translate_slices(ckpt, [vox[:, :, z].copy() for z in range(4)], np.empty((4, 10, 7)))
+    assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        translate_slices(ckpt, [vox[:, :, 0]] * 4, np.empty((3, 10, 7)))
+    with pytest.raises(ShapeError):
+        translate_slices(ckpt, [vox[:, :, 0], vox[:, :6, 1]], np.empty((2, 10, 7)))
+
+
+def test_translate_slices_checks_depth_against_the_smallest_extent(monkeypatch):
+    # 2^depth = 4: an extent of 4 is padded, one of 3 is refused before any
+    # slice is padded
+    ckpt = build_model(small_config())
+    translate_slices(ckpt, [np.zeros((4, 9))], np.empty((1, 4, 9)))
+
+    def no_padding(*args, **kwargs):
+        raise AssertionError("a slice was padded")
+
+    monkeypatch.setattr(pipeline, "pad_to_multiple", no_padding)
+    with pytest.raises(DomainError, match="depth 2"):
+        translate_slices(ckpt, [np.zeros((9, 3))] * 2, np.empty((2, 9, 3)))
+    with pytest.raises(DomainError, match="depth 2"):
+        translate_volume(ckpt, Volume(np.zeros((9, 8, 3)), (1, 1, 1), "sym11", {}))
 
 
 def test_translate_volume_requires_matching_space():
@@ -178,8 +242,11 @@ def test_translate_volume_matches_the_per_plane_path_bytes():
     ckpt = trained_2d(steps=5)
     vol = Volume(np.random.default_rng(9).uniform(0, 1, (12, 10, 9)), (1, 1, 2), "unit01", {})
     result = translate_volume(ckpt, vol)
-    planes = [Volume(restack_slices(translate_slices(ckpt, slice_volume(vol, plane)), plane),
-                     vol.spacing_mm, "HU") for plane in PLANES]
+    planes = []
+    for plane in PLANES:
+        slices = slice_volume(vol, plane)
+        hu = translate_slices(ckpt, slices, np.empty((len(slices),) + slices[0].shape))
+        planes.append(Volume(restack_slices(hu, plane), vol.spacing_mm, "HU"))
     for got, want in zip((result.axial, result.coronal, result.sagittal), planes):
         assert got.voxels.tobytes() == want.voxels.tobytes()
         assert got.spacing_mm == want.spacing_mm and got.intensity_space == "HU"
@@ -188,9 +255,10 @@ def test_translate_volume_matches_the_per_plane_path_bytes():
     assert result.fused.spacing_mm == fused.spacing_mm and result.fused.meta == fused.meta
 
 
-def test_translate_volume_peak_memory_is_at_most_nine_input_volumes():
-    # a 96^3 input: its float64 bytes against the traced peak (about 8.1x;
-    # 12.1x with a plane volume per plane, their np.stack and median's copy)
+def test_translate_volume_peak_memory_is_at_most_five_input_volumes():
+    # a 96^3 input: its float64 bytes against the traced peak (about 4.5x: the
+    # [3, *dims] stack and the fused volume; 8.1x with a copy of each plane's
+    # slices, a list of its HU slices and median's copy of the whole stack)
     ckpt = trained_2d(steps=0)
     vol = Volume(np.random.default_rng(12).uniform(0, 1, (96, 96, 96)), (1, 1, 1),
                  "unit01", {})
@@ -200,7 +268,7 @@ def test_translate_volume_peak_memory_is_at_most_nine_input_volumes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * vol.voxels.nbytes, peak / vol.voxels.nbytes
+    assert peak <= 5 * vol.voxels.nbytes, peak / vol.voxels.nbytes
 
 
 def test_translate_slices_collapses_each_decoder_weight_once(monkeypatch):
@@ -214,7 +282,7 @@ def test_translate_slices_collapses_each_decoder_weight_once(monkeypatch):
 
     monkeypatch.setattr(ag, "_phase_kernels", counting)
     rng = np.random.default_rng(13)
-    translate_slices(ckpt, [rng.uniform(0, 1, (10, 7)) for _ in range(4)])
+    translate_slices(ckpt, [rng.uniform(0, 1, (10, 7)) for _ in range(4)], np.empty((4, 10, 7)))
     assert collapsed == [ckpt.params[f"dec.{i}.w"].shape for i in range(ckpt.config.depth)]
 
 
@@ -255,7 +323,8 @@ def test_inference_builds_float32_leaves_once_per_command(monkeypatch):
     monkeypatch.setattr(pipeline, "param_tensors", counting)
     monkeypatch.setattr(ag, "conv_forward_data", fwd)
     rng = np.random.default_rng(11)
-    slices = translate_slices(trained_2d(steps=0), [rng.uniform(0, 1, (10, 7))] * 3)
+    slices = translate_slices(trained_2d(steps=0), [rng.uniform(0, 1, (10, 7))] * 3,
+                              np.empty((3, 10, 7)))
     cubes = reconstruct_cubes(trained_3d(steps=0),
                               Volume(rng.uniform(0, 1, (20, 18, 10)), (1, 1, 1), "unit01", {}),
                               edge=8)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vqsct.errors import DomainError, FormatError, ShapeError
-from vqsct.volume import (HU_MAX, HU_MIN, NORMALIZED_AIR, Volume,
+from vqsct.volume import (HU_MAX, HU_MIN, NORMALIZED_AIR, SLAB, Volume,
                           activity_to_normalized,
                           apply_cube_symmetry, apply_plane_symmetry,
                           extract_cubes, hu_to_normalized, normalize,
@@ -75,6 +75,18 @@ def test_mvol_layout_is_x_fastest_little_endian_f32(tmp_path):
     # x varies fastest: walking the payload must match column-major order
     assert np.array_equal(payload.astype(np.float64),
                           vol.voxels.ravel(order="F"))
+
+
+def test_mvol_payload_written_by_slab_is_the_one_shot_bytes(tmp_path):
+    # 70 z-planes: the last slab is a partial one
+    vol = Volume(np.random.default_rng(4).uniform(-1000, 3000, (90, 74, 70)),
+                 (1, 1, 1), "HU", {})
+    assert 70 % SLAB
+    path = tmp_path / "v.mvol"
+    write_volume(vol, path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    assert raw[12 + header_len:] == vol.voxels.astype("<f4").ravel(order="F").tobytes()
 
 
 def test_mvol_rejects_bad_magic_and_truncation(tmp_path):
