@@ -11,7 +11,7 @@ Submodules:
 * ``pipeline``   tri-planar slice translation and 3D cube reconstruction
 * ``evaluation`` masked metrics, Wilcoxon test, reports, difference maps
 * ``cli``        the ``vqsct`` command-line interface
-* ``atomic``     atomic file writes (temporary file, then ``os.replace``)
+* ``atomic``     the file layer: atomic writes, the framed container, JSON records
 
 Submodules load lazily so that lightweight imports (and the CLI's thread
 setup) do not pull in numpy before they need it.

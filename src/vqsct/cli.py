@@ -26,16 +26,13 @@ import re
 import shutil
 import sys
 
-from .atomic import atomic_open
-from .errors import (DomainError, FormatError, ShapeError, TrainingError,
-                     UsageError, VqsctError)
+from .atomic import atomic_open, is_json_int, is_json_number, write_json
+from .errors import DomainError, UsageError, VqsctError
 
 __all__ = ["entry", "main", "build_parser"]
 
 _THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-# Parsed options that are not the command's own, and so not part of a record.
-_NOT_RECORDED = ("threads", "command", "config")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,11 +79,10 @@ def _add_train_flags(parser):
     _add_seed(parser)
 
 
-# What a --config value must be, by the argparse type of its flag. A JSON
-# bool is never a number, although Python counts it as an int.
+# What a --config value must be, by the argparse type of its flag.
 _CONFIG_TYPES = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    int: ("an integer", is_json_int),
+    float: ("a number", is_json_number),
     None: ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -219,18 +215,13 @@ def _config_defaults(path, command, command_parser) -> dict:
     return values
 
 
-def _write_resolved(command: str, resolved: dict, path) -> None:
-    record = {"command": command}
-    record.update(resolved)
-    with atomic_open(path, "w") as fh:
-        json.dump(record, fh, separators=(",", ":"))
-        fh.write("\n")
-
-
-def _write_record(args, path) -> None:
-    """Write the run's options as a record that ``--config`` can replay."""
-    _write_resolved(args.command, {key: value for key, value in vars(args).items()
-                                   if key not in _NOT_RECORDED}, path)
+def _write_record(args) -> None:
+    """Write the command's own options beside its primary output, for ``--config``."""
+    path = (os.path.join(args.out, "phantom.config.json") if args.command == "phantom"
+            else f"{args.out}.config.json")
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("threads", "command", "config")}
+    write_json(path, {"command": args.command, **options})
 
 
 def _parse_triple(text, kind, cast):
@@ -261,7 +252,7 @@ def _train_options(args) -> dict:
 # Command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_phantom(args) -> int:
+def _cmd_phantom(args) -> None:
     from .phantom import generate_phantom_pair
     from .volume import write_volume
 
@@ -274,16 +265,12 @@ def _cmd_phantom(args) -> int:
         ct, pet, truth = generate_phantom_pair(dims, [args.seed, i], spacing_mm=spacing)
         write_volume(ct, os.path.join(args.out, f"case_{i:03d}_ct.mvol"))
         write_volume(pet, os.path.join(args.out, f"case_{i:03d}_pet.mvol"))
-        record = {"case": i, "seed": [args.seed, i],
-                  "geometry": truth.geometry, "label_counts": truth.label_counts()}
-        with atomic_open(os.path.join(args.out, f"case_{i:03d}_truth.json"), "w") as fh:
-            json.dump(record, fh, separators=(",", ":"))
-            fh.write("\n")
-    _write_record(args, os.path.join(args.out, "phantom.config.json"))
-    return 0
+        write_json(os.path.join(args.out, f"case_{i:03d}_truth.json"),
+                   {"case": i, "seed": [args.seed, i],
+                    "geometry": truth.geometry, "label_counts": truth.label_counts()})
 
 
-def _cmd_pretrain(args) -> int:
+def _cmd_pretrain(args) -> None:
     from .model import ModelConfig, save_checkpoint
     from .training import pretrain_recon
     from .volume import normalize, read_volume
@@ -297,11 +284,9 @@ def _cmd_pretrain(args) -> int:
                             cube_edge=args.cube_edge, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
-    _write_record(args, f"{args.out}.config.json")
-    return 0
 
 
-def _cmd_finetune(args) -> int:
+def _cmd_finetune(args) -> None:
     from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
     from .pipeline import PLANES, slice_volume
     from .training import finetune_translate
@@ -332,11 +317,9 @@ def _cmd_finetune(args) -> int:
         freeze_codebook_with_encoder=not args.train_codebook, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
-    _write_record(args, f"{args.out}.config.json")
-    return 0
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args) -> None:
     from .model import load_checkpoint, value_space
     from .pipeline import translate_volume
     from .volume import normalize, read_volume, write_volume
@@ -350,11 +333,9 @@ def _cmd_translate(args) -> int:
         write_volume(result.axial, f"{stem}.axial{ext}")
         write_volume(result.coronal, f"{stem}.coronal{ext}")
         write_volume(result.sagittal, f"{stem}.sagittal{ext}")
-    _write_record(args, f"{args.out}.config.json")
-    return 0
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> None:
     from .model import load_checkpoint, value_space
     from .pipeline import reconstruct_cubes
     from .volume import normalize, read_volume, write_volume
@@ -363,11 +344,9 @@ def _cmd_reconstruct(args) -> int:
     volume = normalize(read_volume(args.ct), value_space(ckpt))
     out = reconstruct_cubes(ckpt, volume, edge=args.edge)
     write_volume(out, args.out)
-    _write_record(args, f"{args.out}.config.json")
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     from .evaluation import (evaluate_case, region_masks, save_difference_maps,
                              write_report_csv)
     from .volume import read_volume
@@ -386,26 +365,19 @@ def _cmd_evaluate(args) -> int:
     write_report_csv(rows, args.out)
     if args.diff_dir:
         save_difference_maps(pred, gt, truth["whole"], args.diff_dir, cap=args.diff_cap)
-    _write_record(args, f"{args.out}.config.json")
-    return 0
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     from .evaluation import compare_reports, read_report_csv
 
     result = compare_reports(
         read_report_csv(args.report_a), read_report_csv(args.report_b),
         args.metric, args.region,
         label_a=args.label_a, label_b=args.label_b, alpha=args.alpha)
-    with atomic_open(args.out, "w") as fh:
-        json.dump(result, fh, separators=(",", ":"))
-        fh.write("\n")
-    _write_record(args, f"{args.out}.config.json")
-    print(json.dumps(result, separators=(",", ":")))
-    return 0
+    print(write_json(args.out, result))
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args) -> None:
     from .model import load_checkpoint
     from .training import select_checkpoint
     from .volume import read_volume
@@ -416,13 +388,8 @@ def _cmd_select(args) -> int:
     index = next(i for i, c in enumerate(candidates) if c is best)
     with open(args.candidates[index], "rb") as src, atomic_open(args.out, "wb") as fh:
         shutil.copyfileobj(src, fh)
-    record = {"selected_index": index, "selected_path": args.candidates[index]}
-    with atomic_open(f"{args.out}.selection.json", "w") as fh:
-        json.dump(record, fh, separators=(",", ":"))
-        fh.write("\n")
-    _write_record(args, f"{args.out}.config.json")
-    print(json.dumps(record, separators=(",", ":")))
-    return 0
+    print(write_json(f"{args.out}.selection.json",
+                     {"selected_index": index, "selected_path": args.candidates[index]}))
 
 
 _HANDLERS = {
@@ -451,8 +418,10 @@ def main(argv=None) -> int:
             command_parser.set_defaults(
                 **_config_defaults(args.config, args.command, command_parser))
             args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except (UsageError, DomainError, ShapeError, FormatError, TrainingError) as exc:
+        _HANDLERS[args.command](args)
+        _write_record(args)
+        return 0
+    except VqsctError as exc:
         print(f"vqsct: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's names the allocation that failed

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: usage/domain/shape/format
-problems exit 1, I/O problems exit 2.
+The CLI exits 1 on any of these (it catches ``VqsctError``) and 2 on
+I/O problems.
 """
 
 

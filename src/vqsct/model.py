@@ -11,22 +11,19 @@ spatial vector to the nearest codebook entry on the unit sphere, and
 projects back; level 0 is the bottleneck, further levels are quantized
 skip connections into the decoder at matching resolutions.
 
-Checkpoints serialize to the VQCK format: magic ``VQCK0001``, a 4-byte
-little-endian header length, a JSON header (config, provenance, step,
-codebook bookkeeping, block manifest with shapes and byte offsets), then
-the raw little-endian float32 blocks in manifest order.
+Checkpoints are VQCK files in ``atomic``'s framed container: a header of
+config, provenance, step, codebook bookkeeping and block manifest (shapes
+and byte offsets), then the little-endian float32 blocks in manifest order.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autograd as ag
-from .atomic import atomic_open
+from .atomic import is_json_int, read_framed, write_framed
 from .codebook import Codebook, quantize
 from .errors import DomainError, FormatError, ShapeError
 
@@ -105,9 +102,10 @@ class ModelConfig:
     def channels(self) -> list[int]:
         """Channel count entering stage boundaries: index 0 is the input."""
         out = [1]
-        for s in range(self.depth):
-            out.append(min(self.base_channels * 2 ** s,
-                           CHANNEL_CAP_FACTOR * self.base_channels))
+        channels = self.base_channels
+        for _ in range(self.depth):
+            out.append(channels)
+            channels = min(2 * channels, CHANNEL_CAP_FACTOR * self.base_channels)
         return out
 
 
@@ -376,17 +374,17 @@ def apply_freeze(ckpt: Checkpoint, mask: FreezeMask) -> list[str]:
 _MAX_AGE = np.iinfo(np.int64).max
 
 
-def _is_int(value) -> bool:
-    """A JSON integer (booleans excluded)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _block_order(params: dict, n_levels: int):
     names = sorted(params)
     for j in range(n_levels):
         names.extend([f"codebook{j}.codes", f"codebook{j}.ema_embed_sum",
                       f"codebook{j}.ema_cluster_size"])
     return names
+
+
+def _block_count(config: ModelConfig) -> int:
+    """``len(_block_shapes(config))``: a weight and a bias per layer, 3 blocks per codebook."""
+    return 4 * config.depth + 7 * config.pyramid_levels + 2
 
 
 def _block_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -433,13 +431,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ],
         "manifest": manifest,
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for name in order:
-            fh.write(blocks[name].astype("<f4").ravel().tobytes())
+    write_framed(path, MAGIC, header,
+                 (blocks[name].astype("<f4").ravel().tobytes() for name in order))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -452,20 +445,11 @@ def load_checkpoint(path) -> Checkpoint:
     record per pyramid level with one non-negative integer usage age per
     code. Any mismatch raises :class:`FormatError`.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4 or blob[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: not a VQCK checkpoint (bad magic)")
-    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
-    start = len(MAGIC) + 4
-    end = start + header_len
-    if end > len(blob):
-        raise FormatError(f"{path}: truncated header")
+    header, payload = read_framed(path, MAGIC, "a VQCK checkpoint")
     try:
-        header = json.loads(blob[start:end].decode("utf-8"))
         config = ModelConfig(**header["config"])
         for name, value in asdict(config).items():
-            if not _is_int(value):
+            if not is_json_int(value):
                 raise DomainError(f"config {name} must be an integer, got {value!r}")
         config.validate()
         provenance = header["provenance"]
@@ -475,16 +459,18 @@ def load_checkpoint(path) -> Checkpoint:
         flags = [meta["initialized"] for meta in header["codebooks"]]
     except (ValueError, RecursionError, KeyError, TypeError) as exc:  # DomainError is a ValueError
         raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
-    if not _is_int(step) or step < 0:
+    if not is_json_int(step) or step < 0:
         raise FormatError(f"{path}: step must be a non-negative integer, got {step!r}")
     if provenance not in PROVENANCE_TAGS:
         raise FormatError(f"{path}: unknown provenance tag {provenance!r}")
 
+    # lengths first, so that a crafted depth builds no shapes
+    if not isinstance(manifest, list) or len(manifest) != _block_count(config):
+        raise FormatError(f"{path}: block manifest does not match the header's architecture")
     shapes = _block_shapes(config)
     expected, size = _manifest(shapes)
     if manifest != expected:
         raise FormatError(f"{path}: block manifest does not match the header's architecture")
-    payload = blob[end:]
     if len(payload) != size:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, manifest needs {size}")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
@@ -495,7 +481,7 @@ def load_checkpoint(path) -> Checkpoint:
                           f"{config.pyramid_levels} pyramid levels")
     for j, (age, flag) in enumerate(zip(ages, flags)):
         if (not isinstance(age, list) or len(age) != config.codebook_size
-                or not all(_is_int(a) and 0 <= a <= _MAX_AGE for a in age)
+                or not all(is_json_int(a) and 0 <= a <= _MAX_AGE for a in age)
                 or not isinstance(flag, bool)):
             raise FormatError(f"{path}: codebook {j} record needs a boolean flag "
                               f"and {config.codebook_size} non-negative integer usage ages")

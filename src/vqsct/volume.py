@@ -14,14 +14,12 @@ x index varying fastest; in memory everything is float64.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import is_json_int, is_json_number, read_framed, write_framed
 from .errors import DomainError, FormatError, ShapeError
 
 __all__ = [
@@ -109,12 +107,11 @@ class Volume:
 # ---------------------------------------------------------------------------
 
 def write_volume(volume: Volume, path) -> None:
-    """Write a volume as MVOL: magic, u32 header length, JSON header, f32 voxels.
+    """Write a volume as MVOL, ``atomic``'s framed container of little-endian f32 voxels.
 
-    Voxels are stored little-endian float32 with x varying fastest. A volume
-    read back from disk re-serializes to the identical byte stream. The
-    payload is converted and written ``SLAB`` z-planes at a time: each
-    z-slab is one contiguous run of the file.
+    Voxels are stored x-fastest, so each ``SLAB`` of z-planes, converted
+    and written in turn, is one contiguous run of the file. A volume read
+    back from disk re-serializes to the identical byte stream.
     """
     header = {
         "dims": list(volume.dims),
@@ -122,50 +119,31 @@ def write_volume(volume: Volume, path) -> None:
         "intensity_space": volume.intensity_space,
         "meta": volume.meta,
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for z in range(0, volume.dims[2], SLAB):
-            slab = volume.voxels[:, :, z:z + SLAB]
-            fh.write(slab.astype("<f4", order="F").tobytes(order="F"))
+    slabs = (volume.voxels[:, :, z:z + SLAB].astype("<f4", order="F").tobytes(order="F")
+             for z in range(0, volume.dims[2], SLAB))
+    write_framed(path, MAGIC, header, slabs)
 
 
-def _is_triple(value, types) -> bool:
-    """A JSON list of exactly three values of ``types`` (booleans excluded)."""
-    return (isinstance(value, list) and len(value) == 3
-            and all(isinstance(v, types) and not isinstance(v, bool) for v in value))
+def _is_triple(value, check) -> bool:
+    """A JSON list of exactly three values that pass ``check``."""
+    return isinstance(value, list) and len(value) == 3 and all(check(v) for v in value)
 
 
 def read_volume(path) -> Volume:
-    """Read an MVOL file; malformed magic, header, or payload raise FormatError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4 or blob[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: not an MVOL file (bad magic)")
-    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
-    header_start = len(MAGIC) + 4
-    header_end = header_start + header_len
-    if header_end > len(blob):
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[header_start:header_end].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad text or JSON, or nested too deep
-        raise FormatError(f"{path}: invalid header JSON ({exc})") from None
+    """Read an MVOL file; malformed framing, header, or payload raise FormatError."""
+    header, payload = read_framed(path, MAGIC, "an MVOL volume")
     required = ("dims", "spacing_mm", "intensity_space")
-    if not isinstance(header, dict) or any(k not in header for k in required):
+    if any(k not in header for k in required):
         raise FormatError(f"{path}: header needs {', '.join(required)}")
     dims, spacing = header["dims"], header["spacing_mm"]
     space, meta = header["intensity_space"], header.get("meta", {})
-    if not _is_triple(dims, int) or any(d < 1 for d in dims):
+    if not _is_triple(dims, is_json_int) or any(d < 1 for d in dims):
         raise FormatError(f"{path}: dims must be 3 positive integers, got {dims!r}")
-    if not _is_triple(spacing, (int, float)):
+    if not _is_triple(spacing, is_json_number):
         raise FormatError(f"{path}: spacing_mm must be 3 numbers, got {spacing!r}")
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: meta must be an object, got {meta!r}")
     expected = 4 * dims[0] * dims[1] * dims[2]
-    payload = blob[header_end:]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, dims {dims} require {expected}")

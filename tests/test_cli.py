@@ -726,6 +726,27 @@ def test_malformed_checkpoint_is_rejected(work, tmp_path, capsys, mutate, junk):
     assert err.count("\n") == 1
 
 
+def test_huge_checkpoint_depth_exits_1_before_any_layer_spec(work, tmp_path, capsys,
+                                                             monkeypatch):
+    from vqsct import model
+
+    def no_specs(config):
+        raise AssertionError("a layer spec was built")
+
+    ckpt = build_model(ModelConfig(depth=2, base_channels=4, codebook_size=8,
+                                   codebook_dim=6))
+    ckpt.config = replace(ckpt.config, depth=10 ** 9)
+    path = tmp_path / "deep.vqck"
+    save_checkpoint(ckpt, path)
+    monkeypatch.setattr(model, "_layer_specs", no_specs)
+    capsys.readouterr()
+    assert main(["translate", "--ckpt", str(path),
+                 "--pet", str(work["phantom"] / "case_000_pet.mvol"),
+                 "--out", str(tmp_path / "o.mvol")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and "manifest" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("changes", [
     {"meta": [1, 2]}, {"meta": "xy"},
     {"spacing_mm": ["nan", 1, 1]}, {"spacing_mm": [float("nan"), 1, 1]},

@@ -1,12 +1,14 @@
 """Model assembly: configs, shapes, freezing, the checkpoint format."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from oracles import unit
 from vqsct import autograd as ag
+from vqsct import model
 from vqsct.codebook import Codebook, kmeans_init, quantize
 from vqsct.errors import DomainError, FormatError
 from vqsct.model import (Checkpoint, ModelConfig, _commitment, apply_freeze,
@@ -47,6 +49,9 @@ def test_channel_progression_caps_at_eight_times_base():
     cfg = ModelConfig(spatial_rank=2, depth=6, base_channels=4,
                       codebook_size=8, codebook_dim=6, pyramid_levels=1, seed=0)
     assert cfg.channels() == [1, 4, 8, 16, 32, 32, 32]
+    for base, depth in itertools.product((1, 3, 8), (1, 2, 4, 9)):
+        cfg = small_config(base_channels=base, depth=depth)
+        assert cfg.channels() == [1] + [min(base * 2 ** s, 8 * base) for s in range(depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +457,26 @@ def test_loaded_checkpoint_forward_is_bitwise_equal(tmp_path):
     # and the load stays faithful to the stored 32-bit precision
     close = forward(ckpt, x).output.data
     assert np.allclose(want, close, atol=1e-5)
+
+
+def test_block_count_is_the_number_of_block_shapes():
+    for rank, depth, base in itertools.product((2, 3), (1, 2, 3, 5), (1, 4)):
+        for levels in range(1, depth + 1):
+            cfg = small_config(rank=rank, depth=depth, base_channels=base,
+                               pyramid_levels=levels)
+            assert model._block_count(cfg) == len(model._block_shapes(cfg))
+
+
+def test_huge_depth_is_rejected_before_any_layer_spec_is_built(tmp_path, monkeypatch):
+    # a depth-2 checkpoint whose header claims depth 10^9
+    ckpt = build_model(small_config())
+    ckpt.config = dataclasses.replace(ckpt.config, depth=10 ** 9)
+    path = tmp_path / "m.vqck"
+    save_checkpoint(ckpt, path)
+
+    def no_specs(config):
+        raise AssertionError("a layer spec was built")
+
+    monkeypatch.setattr(model, "_layer_specs", no_specs)
+    with pytest.raises(FormatError, match="manifest"):
+        load_checkpoint(path)

@@ -1,0 +1,43 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter runs on this repository, so this is the check that an import
+left behind by a refactor does not stay. A name counts as used when the
+module reads it anywhere or lists it in ``__all__``; ``from __future__``
+imports are directives, not names.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import vqsct
+
+_MODULES = sorted(pathlib.Path(vqsct.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree) -> list[str]:
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\nimport json\nimport os.path\n"
+                     "from .errors import FormatError, ShapeError as SE, VqsctError\n"
+                     "__all__ = ['VqsctError']\nos.path.join(SE)\n")
+    assert _unused_imports(tree) == ["FormatError", "json"]
