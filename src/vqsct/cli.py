@@ -287,8 +287,10 @@ def _cmd_pretrain(args) -> None:
 
 
 def _cmd_finetune(args) -> None:
-    from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
-    from .pipeline import PLANES, slice_volume
+    import numpy as np
+
+    from .model import load_checkpoint, save_checkpoint
+    from .pipeline import PLANE_AXIS, PLANES
     from .training import finetune_translate
     from .volume import normalize, read_volume
 
@@ -308,9 +310,9 @@ def _cmd_finetune(args) -> None:
         if pet.dims != ct.dims:
             raise DomainError(f"paired volumes disagree on dims: "
                               f"{pet_path} {pet.dims} vs {ct_path} {ct.dims}")
-        for plane in planes:  # held in the graph's dtype: the largest data a run keeps
-            pet_slices.extend(sl.astype(GRAPH_DTYPE) for sl in slice_volume(pet, plane))
-            ct_slices.extend(sl.astype(GRAPH_DTYPE) for sl in slice_volume(ct, plane))
+        for plane in planes:  # views: the normalized pairs are all the data a run keeps
+            pet_slices.extend(np.moveaxis(pet.voxels, PLANE_AXIS[plane], 0))
+            ct_slices.extend(np.moveaxis(ct.voxels, PLANE_AXIS[plane], 0))
 
     result = finetune_translate(
         base, args.mode, pet_slices, ct_slices, args.steps, args.seed,

@@ -26,6 +26,7 @@ from . import autograd as ag
 from .atomic import is_json_int, read_framed, write_framed
 from .codebook import Codebook, quantize
 from .errors import DomainError, FormatError, ShapeError
+from .volume import NORMALIZED_AIR, pad_to_multiple
 
 __all__ = [
     "ModelConfig",
@@ -35,6 +36,7 @@ __all__ = [
     "PROVENANCE_TAGS",
     "MODES",
     "GRAPH_DTYPE",
+    "graph_input",
     "build_model",
     "param_tensors",
     "with_sub_pixel_kernels",
@@ -89,15 +91,20 @@ class ModelConfig:
     def check_extents(self, extents, what: str) -> None:
         """Raise DomainError if 2^depth exceeds the smallest of ``extents``.
 
-        A rank-2 command pads each slice up to a multiple of 2^depth; it
-        checks the slices' in-plane extents here before padding any, so an
-        oversized depth fails with one line instead of allocating.
+        :func:`graph_input` pads each slice up to a multiple of 2^depth; a
+        rank-2 command checks its slices' in-plane extents here before it
+        pads any, so an oversized depth fails with one line at once.
         """
         smallest = min(extents)
         if self.depth >= int(smallest).bit_length():  # 2^depth > smallest
             raise DomainError(
                 f"depth {self.depth} pads {what} to multiples of 2^{self.depth}, "
                 f"above their smallest in-plane extent {smallest}")
+
+    def check_cube_edge(self, edge: int) -> None:
+        """Raise DomainError unless 2^depth divides ``edge``, read off its trailing zero bits."""
+        if edge and self.depth >= (edge & -edge).bit_length():
+            raise DomainError(f"cube edge {edge} must be divisible by 2^{self.depth}")
 
     def channels(self) -> list[int]:
         """Channel count entering stage boundaries: index 0 is the input."""
@@ -269,7 +276,26 @@ def _commitment(levels, beta: float) -> ag.Tensor:
     return ag.Tensor(np.asarray(value, dtype=projs[0].data.dtype), "commitment", projs, vjp)
 
 
-def _graph_input(cfg: ModelConfig, x) -> np.ndarray:
+def graph_input(config: ModelConfig, values, space: str) -> np.ndarray:
+    """A 2D slice or 3D cube as a ``[1, *S]`` ``GRAPH_DTYPE`` input of ``config``'s graph.
+
+    Every slice, cube and training item enters the graph through here. 2^depth
+    is checked against the extents before anything is formed; the cast is
+    then padded at the high end with ``NORMALIZED_AIR[space]`` (exact in
+    float32) up to multiples of 2^depth.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != config.spatial_rank:
+        raise ShapeError(
+            f"a rank-{config.spatial_rank} model takes {config.spatial_rank}D inputs, "
+            f"got shape {arr.shape}")
+    config.check_extents(arr.shape, "slices" if arr.ndim == 2 else "cubes")
+    padded = pad_to_multiple(arr.astype(GRAPH_DTYPE, copy=False), 1 << config.depth,
+                             NORMALIZED_AIR[space])
+    return padded[None]
+
+
+def _checked_input(cfg: ModelConfig, x) -> np.ndarray:
     """``x`` as a checked ``[1, *spatial]`` float32 (if float32) or float64 array."""
     arr = np.asarray(x)
     arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)
@@ -293,7 +319,7 @@ def encode(ckpt: Checkpoint, x, params: dict[str, ag.Tensor]):
     reads).
     """
     cfg = ckpt.config
-    arr = _graph_input(cfg, x)
+    arr = _checked_input(cfg, x)
     h = ag.leaf(arr, arr.dtype)
     enc_feats = []
     for i in range(cfg.depth):
@@ -310,8 +336,9 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     """Run the full encoder/quantizer/decoder graph on one input.
 
     ``x`` is ``[1, *spatial]`` with every spatial extent divisible by
-    2^depth. Pass ``params`` (from :func:`param_tensors`, best extended by
-    :func:`with_sub_pixel_kernels`) to reuse one set of leaves and decoder
+    2^depth, as :func:`graph_input` makes it. Pass ``params`` (from
+    :func:`param_tensors`, best extended by :func:`with_sub_pixel_kernels`)
+    to reuse one set of leaves and decoder
     kernels across several inputs; each call builds a graph of its own
     input over them, which a backward differentiates alone. Without the
     kernels, each call collapses the decoder weights itself. The
@@ -327,7 +354,7 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     is computed, in float64 either way.
     """
     cfg = ckpt.config
-    arr = _graph_input(cfg, x)
+    arr = _checked_input(cfg, x)
     if not beta >= 0.0:
         raise DomainError(f"commitment weight beta must be >= 0, got {beta}")
     if params is None:

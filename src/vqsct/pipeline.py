@@ -3,7 +3,8 @@
 The 2D path slices a normalized volume along each anatomical plane, runs
 every slice through a 2D checkpoint, reassembles three candidate volumes,
 and fuses them by voxelwise median. The 3D path tiles the volume into
-cubes, reconstructs each, and stitches them back. All outputs are in HU.
+cubes, reconstructs each, and stitches them back. ``model.graph_input``
+prepares every slice and cube for the graph. All outputs are in HU.
 
 Slice layouts (ascending along the fixed axis, remaining axes in x,y,z
 order): axial slices are ``[x, y]`` at fixed z, coronal ``[x, z]`` at fixed
@@ -17,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .model import (GRAPH_DTYPE, Checkpoint, forward, param_tensors, value_space,
-                    with_sub_pixel_kernels)
-from .volume import (NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu,
-                     pad_to_multiple, stitch_cubes)
+from .model import (GRAPH_DTYPE, Checkpoint, forward, graph_input, param_tensors,
+                    value_space, with_sub_pixel_kernels)
+from .volume import NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu, stitch_cubes
 
 __all__ = [
     "PLANES",
+    "PLANE_AXIS",
     "TriplanarResult",
     "slice_volume",
     "restack_slices",
@@ -35,7 +36,7 @@ __all__ = [
 
 PLANES = ("axial", "coronal", "sagittal")
 # The axis each plane's slices are taken along.
-_PLANE_AXIS = {"axial": 2, "coronal": 1, "sagittal": 0}
+PLANE_AXIS = {"axial": 2, "coronal": 1, "sagittal": 0}
 
 
 @dataclass
@@ -49,9 +50,9 @@ class TriplanarResult:
 
 
 def _plane_axis(plane: str) -> int:
-    if plane not in _PLANE_AXIS:
+    if plane not in PLANE_AXIS:
         raise DomainError(f"plane must be one of {PLANES}, got {plane!r}")
-    return _PLANE_AXIS[plane]
+    return PLANE_AXIS[plane]
 
 
 def slice_volume(volume: Volume, plane: str) -> list[np.ndarray]:
@@ -77,11 +78,10 @@ def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
 
     ``out`` is a float64 ``[n, *shape]`` array for ``n`` slices of one
     2D ``shape``, such as a view of a volume along its plane's axis; it is
-    returned. Each slice is padded up to the next multiple of 2^depth with
-    the normalized air value of the checkpoint's space, translated in
-    ``GRAPH_DTYPE``, cropped back, and mapped to HU in float64 straight into
-    ``out[i]``. The parameter leaves and the decoder's sub-pixel kernels are
-    built once per call.
+    returned. Each slice enters the graph through :func:`model.graph_input`,
+    which pads it with the air of the checkpoint's space; its output is
+    cropped back and mapped to HU in float64 straight into ``out[i]``. The
+    parameter leaves and the decoder's sub-pixel kernels are built once per call.
     """
     shape = out.shape[1:]
     if (out.ndim != 3 or len(slices) != len(out)
@@ -90,11 +90,9 @@ def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
                          f"of its trailing shape")
     _check_planar(ckpt, shape, "slices")
     space = value_space(ckpt)
-    div = 2 ** ckpt.config.depth
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
     for sl, dest in zip(slices, out):
-        padded = pad_to_multiple(np.asarray(sl, dtype=GRAPH_DTYPE), div, NORMALIZED_AIR[space])
-        pred = forward(ckpt, padded[None], params).output.data[0]
+        pred = forward(ckpt, graph_input(ckpt.config, sl, space), params).output.data[0]
         dest[...] = normalized_to_hu(pred[: shape[0], : shape[1]].astype(np.float64), space)
     return out
 
@@ -156,7 +154,7 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volume:
-    """3D reconstruction: tile into cubes, run each in ``GRAPH_DTYPE``, stitch, map to HU."""
+    """3D reconstruction: tile into cubes, run each from its graph input, stitch, map to HU."""
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
             f"reconstruct_cubes needs a 3D checkpoint, got rank {ckpt.config.spatial_rank}")
@@ -164,12 +162,10 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volum
     if volume.intensity_space != space:
         raise DomainError(
             f"checkpoint expects {space} input, volume is {volume.intensity_space}")
-    div = 2 ** ckpt.config.depth
-    if edge % div:
-        raise DomainError(f"cube edge {edge} must be divisible by {div}")
+    ckpt.config.check_cube_edge(edge)
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
-    done = [(forward(ckpt, cube[None].astype(GRAPH_DTYPE), params).output.data[0], origin)
+    done = [(forward(ckpt, graph_input(ckpt.config, cube, space), params).output.data[0], origin)
             for cube, origin in tiles]
     stitched = stitch_cubes(done, volume.dims)
     return Volume(normalized_to_hu(stitched, space), volume.spacing_mm, "HU")

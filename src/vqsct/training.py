@@ -2,7 +2,9 @@
 
 Two loops share one engine: self-reconstruction pretraining on unit01 CT
 volumes (input == target) and paired PET-to-CT fine-tuning on sym11 slices
-under the scratch / no-frozen / enc-frozen regimes. Both are fully
+under the scratch / no-frozen / enc-frozen regimes. The engine takes plain
+2D slices or 3D cubes and prepares each drawn item with ``model.graph_input``
+(then ``volume.apply_grid_symmetry`` when augmenting). Both are fully
 deterministic given their seed at a fixed thread count: data order, k-means
 codebook initialization, EMA updates, and stale-code expiration all draw
 from generators derived from the run seed.
@@ -18,11 +20,10 @@ from . import autograd as ag
 from .codebook import ema_update, expire_stale, kmeans_init
 from .errors import DomainError, ShapeError, TrainingError
 from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_freeze,
-                    build_model, encode, forward, mask_for_mode, param_tensors,
-                    reinitialized, value_space, with_sub_pixel_kernels)
-from .volume import (HU_MAX, HU_MIN, N_CUBE_SYMMETRIES, N_PLANE_SYMMETRIES,
-                     NORMALIZED_AIR, Volume, apply_cube_symmetry,
-                     apply_plane_symmetry, extract_cubes, normalize, pad_to_multiple)
+                    build_model, encode, forward, graph_input, mask_for_mode,
+                    param_tensors, reinitialized, value_space, with_sub_pixel_kernels)
+from .volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
+                     apply_grid_symmetry, extract_cubes, normalize)
 
 __all__ = [
     "OptimizerState",
@@ -115,34 +116,27 @@ def _epoch_batches(n_items: int, batch_size: int, rng):
             yield perm[lo:lo + size]
 
 
-def _collect_level_rows(ckpt: Checkpoint, items, batch) -> list[np.ndarray]:
-    """Quantizer unit rows per pyramid level over a batch (for k-means init).
+def _collect_level_rows(ckpt: Checkpoint, items) -> list[np.ndarray]:
+    """Quantizer unit rows per pyramid level over graph inputs (for k-means init).
 
-    One set of ``GRAPH_DTYPE`` leaves serves the whole batch, and each item
+    One set of ``GRAPH_DTYPE`` leaves serves all the items, and each item
     runs only the encoder and the quantizer levels.
     """
     params = param_tensors(ckpt, GRAPH_DTYPE)
     per_level = [[] for _ in ckpt.codebooks]
-    for idx in batch:
-        for j, (_, _, qres) in enumerate(encode(ckpt, items[idx], params)):
+    for item in items:
+        for j, (_, _, qres) in enumerate(encode(ckpt, item, params)):
             per_level[j].append(qres.unit_rows)
     return [np.concatenate(chunks, axis=0) for chunks in per_level]
 
 
-def _ensure_codebooks_initialized(ckpt: Checkpoint, items, batch, seed: int) -> None:
+def _ensure_codebooks_initialized(ckpt: Checkpoint, items, seed: int) -> None:
     if all(cb.initialized for cb in ckpt.codebooks):
         return
-    level_rows = _collect_level_rows(ckpt, items, batch)
+    level_rows = _collect_level_rows(ckpt, items)
     for j, cb in enumerate(ckpt.codebooks):
         if not cb.initialized:
             kmeans_init(cb, level_rows[j], seed=seed + j)
-
-
-def _augmented_item(item: np.ndarray, element: int) -> np.ndarray:
-    """Apply a grid symmetry to every channel of a [C, *spatial] item."""
-    if item.ndim == 3:
-        return np.stack([apply_plane_symmetry(ch, element) for ch in item])
-    return np.stack([apply_cube_symmetry(ch, element) for ch in item])
 
 
 def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
@@ -151,10 +145,12 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                 weight_decay: float, augment: bool = False) -> TrainResult:
     """The shared optimization loop over paired (input, target) items.
 
-    The items are cast to ``GRAPH_DTYPE`` once, so every forward (k-means
+    The items are 2D slices or 3D cubes in ``ckpt``'s value space, and
+    ``targets`` is None when each input is its own target. Each drawn item
+    passes through :func:`model.graph_input`, so every forward (k-means
     initialization included), backward and loss runs in float32 against
     float32 casts of the float64 master weights, which AdamW updates in
-    float64.
+    float64, and no float32 copy of the training set is kept.
 
     Each step builds the parameter leaves, and the decoder's sub-pixel
     kernels over them, once. Every batch item then runs
@@ -176,9 +172,8 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
         raise DomainError(f"decay must be in (0, 1), got {decay}")
     if expire_age < 1:
         raise DomainError(f"expire age must be >= 1, got {expire_age}")
-    shared = targets is inputs
-    inputs = [np.asarray(item, dtype=GRAPH_DTYPE) for item in inputs]
-    targets = inputs if shared else [np.asarray(item, dtype=GRAPH_DTYPE) for item in targets]
+    config, space = ckpt.config, value_space(ckpt)
+    sides = (inputs,) if targets is None else (inputs, targets)
     n = len(inputs)
     data_rng = np.random.default_rng([seed, 0])
     expire_rng = np.random.default_rng([seed, 1])
@@ -186,7 +181,8 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     batches = _epoch_batches(n, batch_size, data_rng)
 
     first_batch = next(batches)
-    _ensure_codebooks_initialized(ckpt, inputs, first_batch, seed)
+    _ensure_codebooks_initialized(
+        ckpt, [graph_input(config, inputs[idx], space) for idx in first_batch], seed)
 
     trainable = apply_freeze(ckpt, mask)
     state = init_optimizer(ckpt.params, trainable, learning_rate, weight_decay)
@@ -204,17 +200,12 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
         level_rows = [[] for _ in ckpt.codebooks]
         level_indices = [[] for _ in ckpt.codebooks]
         for idx in batch:
-            inp = inputs[idx]
-            tgt = targets[idx]
+            pair = [graph_input(config, items[idx], space) for items in sides]
             if augment:
-                n_sym = (N_PLANE_SYMMETRIES if inp.ndim == 3
-                         else N_CUBE_SYMMETRIES)
-                element = int(augment_rng.integers(n_sym))
-                inp = _augmented_item(inp, element)
-                tgt = inp if targets[idx] is inputs[idx] else _augmented_item(
-                    tgt, element)
-            res = forward(ckpt, inp, params, beta=beta)
-            l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(tgt, GRAPH_DTYPE))))
+                element = int(augment_rng.integers(N_GRID_SYMMETRIES[config.spatial_rank]))
+                pair = [apply_grid_symmetry(item, element) for item in pair]
+            res = forward(ckpt, pair[0], params, beta=beta)
+            l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(pair[-1], GRAPH_DTYPE))))
             loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
             item_grads = ag.backward(ag.scale(loss, weight), wrt)
             if grads is None:
@@ -253,15 +244,6 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
 # Public training entry points
 # ---------------------------------------------------------------------------
 
-def _volume_slices(volume: Volume, pad_value: float, div: int):
-    """All axial slices as [1, x, y] items, padded to a multiple of div."""
-    out = []
-    for z in range(volume.dims[2]):
-        sl = pad_to_multiple(volume.voxels[:, :, z], div, pad_value)
-        out.append(sl[None, :, :])
-    return out
-
-
 def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
                    learning_rate: float = 1e-5, batch_size: int = 8,
                    beta: float = 0.25, expire_age: int = 2, decay: float = 0.99,
@@ -288,27 +270,19 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
 
     if config.spatial_rank == 2:
         config.check_extents([n for vol in volumes for n in vol.dims[:2]], "axial slices")
-    div = 2 ** config.depth
-    air = NORMALIZED_AIR["unit01"]
-    items = []
-    if config.spatial_rank == 2:
-        for vol in volumes:
-            items.extend(_volume_slices(vol, air, div))
+        items = [vol.voxels[:, :, z] for vol in volumes for z in range(vol.dims[2])]
     else:
-        if cube_edge % div:
-            raise DomainError(f"cube edge {cube_edge} must be divisible by {div}")
-        for vol in volumes:
-            for cube, _ in extract_cubes(vol, cube_edge, air):
-                items.append(cube[None])
+        config.check_cube_edge(cube_edge)
+        items = [cube for vol in volumes
+                 for cube, _ in extract_cubes(vol, cube_edge, NORMALIZED_AIR["unit01"])]
 
     ckpt = build_model(config)
-    result = _train_loop(
-        ckpt, items, items, steps, seed,
+    ckpt.provenance = "pretrained"  # the unit01 space its items are drawn in
+    return _train_loop(
+        ckpt, items, None, steps, seed,
         mask=FreezeMask(True, True), learning_rate=learning_rate,
         batch_size=batch_size, beta=beta, expire_age=expire_age, decay=decay,
         weight_decay=weight_decay, augment=augment)
-    result.checkpoint.provenance = "pretrained"
-    return result
 
 
 def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
@@ -325,36 +299,30 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     checkpoint, ``enc-frozen`` freezes the encoder (and by default the
     codebook). With ``augment`` each sampled pair passes through one shared
     seeded grid symmetry. The result is tagged ``finetuned`` (sym11 value
-    space). The slices are taken in ``GRAPH_DTYPE``.
+    space).
     """
     mask = mask_for_mode(mode, freeze_codebook_with_encoder)
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
-    pet_slices = [np.asarray(s, dtype=GRAPH_DTYPE) for s in pet_slices]
-    ct_slices = [np.asarray(s, dtype=GRAPH_DTYPE) for s in ct_slices]
+    pet_slices = list(pet_slices)
+    ct_slices = list(ct_slices)
     if len(pet_slices) != len(ct_slices):
         raise DomainError(
             f"unpaired slices: {len(pet_slices)} PET vs {len(ct_slices)} CT")
     if not pet_slices:
         raise DomainError("fine-tuning needs at least one slice pair")
     for p, c in zip(pet_slices, ct_slices):
-        if p.shape != c.shape:
-            raise ShapeError(f"slice pair shapes differ: {p.shape} vs {c.shape}")
-    base.config.check_extents([n for p in pet_slices for n in p.shape], "slices")
+        if np.shape(p) != np.shape(c):
+            raise ShapeError(f"slice pair shapes differ: {np.shape(p)} vs {np.shape(c)}")
+    base.config.check_extents([n for p in pet_slices for n in np.shape(p)], "slices")
 
     ckpt = reinitialized(base, seed) if mode == "scratch" else base.copy()
-    div = 2 ** ckpt.config.depth
-    air = NORMALIZED_AIR["sym11"]
-    inputs = [pad_to_multiple(p, div, air)[None] for p in pet_slices]
-    targets = [pad_to_multiple(c, div, air)[None] for c in ct_slices]
-
-    result = _train_loop(
-        ckpt, inputs, targets, steps, seed,
+    ckpt.provenance = "finetuned"  # the sym11 space its slices are drawn in
+    return _train_loop(
+        ckpt, pet_slices, ct_slices, steps, seed,
         mask=mask, learning_rate=learning_rate, batch_size=batch_size,
         beta=beta, expire_age=expire_age, decay=decay,
         weight_decay=weight_decay, augment=augment)
-    result.checkpoint.provenance = "finetuned"
-    return result
 
 
 def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64) -> Checkpoint:

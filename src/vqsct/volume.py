@@ -30,7 +30,7 @@ __all__ = [
     "INTENSITY_SPACES",
     "NORMALIZED_AIR",
     "PET_REFERENCE_PERCENTILE",
-    "N_CUBE_SYMMETRIES",
+    "N_GRID_SYMMETRIES",
     "SLAB",
     "read_volume",
     "write_volume",
@@ -39,6 +39,7 @@ __all__ = [
     "normalized_to_hu",
     "activity_to_normalized",
     "apply_cube_symmetry",
+    "apply_grid_symmetry",
     "apply_plane_symmetry",
     "extract_cubes",
     "stitch_cubes",
@@ -211,43 +212,47 @@ def normalize(volume: Volume, mode: str) -> Volume:
 # Grid symmetries (augmentation)
 # ---------------------------------------------------------------------------
 
-_PERMS3 = tuple(permutations(range(3)))
-N_CUBE_SYMMETRIES = len(_PERMS3) * 8  # 6 axis permutations x 8 flip patterns
-
-_PERMS2 = ((0, 1), (1, 0))
-N_PLANE_SYMMETRIES = len(_PERMS2) * 4
+# Symmetries of a square and of a cube: rank! axis permutations x 2^rank flips.
+N_GRID_SYMMETRIES = {2: 8, 3: 48}
 
 
-def apply_cube_symmetry(values: np.ndarray, element: int) -> np.ndarray:
-    """Apply one of the 48 axis-aligned cube symmetries to a 3D array.
+def apply_grid_symmetry(item: np.ndarray, element: int) -> np.ndarray:
+    """Apply one axis-aligned grid symmetry to the spatial axes of a ``[C, *S]`` item.
 
-    ``element // 8`` selects an axis permutation (lexicographic order) and
-    the low three bits flip the permuted axes. Element 0 is the identity.
+    ``element >> rank`` selects a permutation of the ``rank`` spatial axes
+    (lexicographic ``itertools.permutations`` order), and bit ``k`` of
+    ``element`` flips permuted spatial axis ``k``; element 0 is the
+    identity. Every channel moves alike. The result is a new C-ordered
+    array in the item's dtype.
     """
-    if not 0 <= element < N_CUBE_SYMMETRIES:
-        raise DomainError(f"cube symmetry element must be in [0, 48), got {element}")
-    arr = np.asarray(values)
-    if arr.ndim != 3:
-        raise ShapeError(f"cube symmetry expects a 3D array, got shape {arr.shape}")
-    out = np.transpose(arr, _PERMS3[element // 8])
-    for axis in range(3):
-        if element & (1 << axis):
-            out = np.flip(out, axis=axis)
-    return out.copy()
+    arr = np.asarray(item)
+    rank = arr.ndim - 1
+    if rank not in N_GRID_SYMMETRIES:
+        raise ShapeError(f"grid symmetry expects a [C, *S] item of rank 2 or 3, "
+                         f"got shape {arr.shape}")
+    if not 0 <= element < N_GRID_SYMMETRIES[rank]:
+        raise DomainError(f"rank-{rank} symmetry element must be in "
+                          f"[0, {N_GRID_SYMMETRIES[rank]}), got {element}")
+    perm = list(permutations(range(1, rank + 1)))[element >> rank]
+    flips = tuple(1 + k for k in range(rank) if element >> k & 1)
+    return np.flip(np.transpose(arr, (0, *perm)), flips).copy()
 
 
 def apply_plane_symmetry(values: np.ndarray, element: int) -> np.ndarray:
-    """Apply one of the 8 square symmetries (transpose x flips) to a 2D array."""
-    if not 0 <= element < N_PLANE_SYMMETRIES:
-        raise DomainError(f"plane symmetry element must be in [0, 8), got {element}")
+    """:func:`apply_grid_symmetry` of one 2D array (a name perfbench traces)."""
+    return _one_array_symmetry(values, element, 2)
+
+
+def apply_cube_symmetry(values: np.ndarray, element: int) -> np.ndarray:
+    """:func:`apply_grid_symmetry` of one 3D array (a name perfbench traces)."""
+    return _one_array_symmetry(values, element, 3)
+
+
+def _one_array_symmetry(values, element: int, rank: int) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.ndim != 2:
-        raise ShapeError(f"plane symmetry expects a 2D array, got shape {arr.shape}")
-    out = np.transpose(arr, _PERMS2[element // 4])
-    for axis in range(2):
-        if element & (1 << axis):
-            out = np.flip(out, axis=axis)
-    return out.copy()
+    if arr.ndim != rank:
+        raise ShapeError(f"expected a {rank}D array, got shape {arr.shape}")
+    return apply_grid_symmetry(arr[None], element)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +290,12 @@ def correlate_valid(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
 def pad_to_multiple(values: np.ndarray, multiple: int, pad_value: float = 0.0) -> np.ndarray:
     """Pad each axis at the high end up to the next multiple of ``multiple``.
 
-    A float32 input (the model graph's dtype) stays float32; any other input
-    becomes float64.
+    The result keeps the input's dtype; an input that needs no padding is
+    returned as it is.
     """
     if multiple < 1:
         raise DomainError(f"multiple must be >= 1, got {multiple}")
     arr = np.asarray(values)
-    arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)
     pads = [(0, (-n) % multiple) for n in arr.shape]
     if not any(hi for _, hi in pads):
         return arr

@@ -12,6 +12,7 @@ import numpy as np
 
 from vqsct import autograd as ag
 from vqsct.errors import ShapeError
+from vqsct.volume import NORMALIZED_AIR
 
 
 def conv_window_sum(x, w, b=None, stride=1, pad=0):
@@ -307,3 +308,37 @@ def ssim_means_whole_case(p, g, masks):
             weighted += float(s[:, :, z][c[:, :, z]].sum())
         means.append(weighted / int(np.count_nonzero(c)))
     return means
+
+
+def graph_input_pad_then_cast(values, depth, space):
+    """A slice or cube as the training and inference code once prepared it.
+
+    The values are padded in float64 at the high end of each axis with the
+    space's air up to a multiple of ``2 ** depth``, then cast to float32,
+    and the leading channel axis is added.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    div = 2 ** depth
+    pads = [(0, (-n) % div) for n in arr.shape]
+    padded = np.pad(arr, pads, mode="constant", constant_values=NORMALIZED_AIR[space])
+    return padded.astype(np.float32)[None]
+
+
+def _array_symmetry(values, element):
+    """One square (2D) or cube (3D) symmetry of one array.
+
+    ``element // 2**rank`` picks the axis permutation in
+    ``itertools.permutations`` order and the low ``rank`` bits flip the
+    permuted axes, one ``np.flip`` each.
+    """
+    rank = values.ndim
+    out = np.transpose(values, list(itertools.permutations(range(rank)))[element // 2 ** rank])
+    for axis in range(rank):
+        if element & (1 << axis):
+            out = np.flip(out, axis=axis)
+    return out.copy()
+
+
+def grid_symmetry_per_channel(item, element):
+    """A grid symmetry of a ``[C, *S]`` item, one channel at a time, stacked."""
+    return np.stack([_array_symmetry(ch, element) for ch in item])

@@ -444,12 +444,12 @@ def test_oversized_depth_exits_1_before_any_slice_is_padded(work, tmp_path, caps
                                                            monkeypatch):
     # 2^depth above the smallest in-plane extent, from the --depth flag or a
     # checkpoint header: one line and exit 1, and no slice is ever padded
-    from vqsct import pipeline, training, volume
+    from vqsct import model, volume
 
     def no_padding(*args, **kwargs):
         raise AssertionError("a slice was padded")
 
-    for module in (volume, training, pipeline):
+    for module in (volume, model):  # model.graph_input pads every slice
         monkeypatch.setattr(module, "pad_to_multiple", no_padding)
     deep = tmp_path / "deep.vqck"  # 2^6 = 64 > the 32^3 phantom cases
     save_checkpoint(build_model(ModelConfig(depth=6, base_channels=1, codebook_size=2,
@@ -471,6 +471,16 @@ def test_oversized_depth_exits_1_before_any_slice_is_padded(work, tmp_path, caps
         assert err.startswith("vqsct: error: depth ") and err.count("\n") == 1, err
         assert "smallest in-plane extent" in err
     assert sorted(os.listdir(tmp_path)) == ["deep.vqck"]
+
+
+def test_oversized_3d_depth_exits_1_with_one_line(work, tmp_path, capsys):
+    # 2^100000 is never formed: the cube edge's trailing zero bits reject it
+    out = tmp_path / "out"
+    assert main(["pretrain", "--volumes", *work["textures"], "--out", str(out),
+                 "--rank", "3", "--depth", "100000", "--cube-edge", "32"]) == 1
+    err = capsys.readouterr().err
+    assert err == "vqsct: error: cube edge 32 must be divisible by 2^100000\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_evaluate_diff_dir_builds_the_truth_contour_once(work, tmp_path, monkeypatch):

@@ -6,15 +6,16 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import unit
+from oracles import graph_input_pad_then_cast, unit
 from vqsct import autograd as ag
 from vqsct import model
 from vqsct.codebook import Codebook, kmeans_init, quantize
-from vqsct.errors import DomainError, FormatError
+from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.model import (Checkpoint, ModelConfig, _commitment, apply_freeze,
-                         build_model, forward, load_checkpoint, mask_for_mode,
-                         param_tensors, reinitialized, save_checkpoint,
+                         build_model, forward, graph_input, load_checkpoint,
+                         mask_for_mode, param_tensors, reinitialized, save_checkpoint,
                          value_space)
+from vqsct.volume import NORMALIZED_AIR
 
 
 def small_config(rank=2, **overrides):
@@ -112,6 +113,51 @@ def test_forward_rejects_indivisible_extents():
     initialize_codebooks(ckpt, rng)
     with pytest.raises(DomainError):
         forward(ckpt, rng.standard_normal((1, 10, 12)))
+
+
+@pytest.mark.parametrize("space", ["unit01", "sym11"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(9, 7), (13, 4), (5, 9, 7)])
+def test_graph_input_matches_pad_then_cast_per_slice(shape, dtype, space):
+    # odd extents pad on every axis; the values arrive as copies and as
+    # strided views, as the training items and the translated slices do
+    config = small_config(rank=len(shape))  # depth 2: multiples of 4
+    rng = np.random.default_rng(13)
+    stack = rng.uniform(NORMALIZED_AIR[space], 1.0, shape + (2,)).astype(dtype)
+    for values in (stack[..., 1], stack[..., 0].copy()):
+        got = graph_input(config, values, space)
+        want = graph_input_pad_then_cast(values, config.depth, space)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.shape[1:] == tuple(-(-n // 4) * 4 for n in shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_graph_input_checks_rank_and_depth_before_padding(monkeypatch):
+    def no_padding(*args, **kwargs):
+        raise AssertionError("padded")
+
+    monkeypatch.setattr(model, "pad_to_multiple", no_padding)
+    with pytest.raises(ShapeError):
+        graph_input(small_config(), np.zeros((1, 8, 8)), "sym11")
+    with pytest.raises(DomainError, match="depth 2 pads cubes"):
+        graph_input(small_config(rank=3), np.zeros((8, 3, 8)), "unit01")
+    with pytest.raises(DomainError, match=r"2\^100000"):
+        graph_input(small_config(depth=100000), np.zeros((8, 8)), "unit01")
+
+
+def test_check_cube_edge_agrees_with_the_modulus():
+    for depth in range(1, 9):
+        config = small_config(rank=3, depth=depth)
+        for edge in range(0, 300):
+            rejected = False
+            try:
+                config.check_cube_edge(edge)
+            except DomainError as exc:
+                rejected = True
+                assert str(exc) == f"cube edge {edge} must be divisible by 2^{depth}"
+            assert rejected == bool(edge % 2 ** depth), (depth, edge)
+    with pytest.raises(DomainError, match=r"^cube edge 64 must be divisible by 2\^100000$"):
+        small_config(rank=3, depth=100000).check_cube_edge(64)
 
 
 def test_forward_deterministic():

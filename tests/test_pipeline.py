@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vqsct import autograd as ag
-from vqsct import pipeline
+from vqsct import model, pipeline
 from vqsct.errors import DomainError, ShapeError
 from vqsct.model import ModelConfig, build_model, param_tensors
 from vqsct.pipeline import (PLANES, fuse_median, reconstruct_cubes, restack_slices,
@@ -190,7 +190,7 @@ def test_translate_slices_checks_depth_against_the_smallest_extent(monkeypatch):
     def no_padding(*args, **kwargs):
         raise AssertionError("a slice was padded")
 
-    monkeypatch.setattr(pipeline, "pad_to_multiple", no_padding)
+    monkeypatch.setattr(model, "pad_to_multiple", no_padding)  # graph_input's padding
     with pytest.raises(DomainError, match="depth 2"):
         translate_slices(ckpt, [np.zeros((9, 3))] * 2, np.empty((2, 9, 3)))
     with pytest.raises(DomainError, match="depth 2"):

@@ -161,7 +161,7 @@ def test_kmeans_rows_are_the_full_forward_unit_rows():
     rng = np.random.default_rng(4)
     items = [rng.uniform(0, 1, (1, 16, 16)).astype(np.float32) for _ in range(5)]
     batch = np.array([3, 0, 4])
-    level_rows = training._collect_level_rows(ckpt, items, batch)
+    level_rows = training._collect_level_rows(ckpt, [items[i] for i in batch])
     assert len(level_rows) == 2
     for j, rows in enumerate(level_rows):
         want = np.concatenate([forward(ckpt, items[i]).unit_rows[j] for i in batch])

@@ -6,10 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import grid_symmetry_per_channel
 from vqsct.errors import DomainError, FormatError, ShapeError
-from vqsct.volume import (HU_MAX, HU_MIN, NORMALIZED_AIR, SLAB, Volume,
-                          activity_to_normalized,
-                          apply_cube_symmetry, apply_plane_symmetry,
+from vqsct.volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR, SLAB, Volume,
+                          activity_to_normalized, apply_cube_symmetry,
+                          apply_grid_symmetry, apply_plane_symmetry,
                           extract_cubes, hu_to_normalized, normalize,
                           normalized_to_hu, pad_to_multiple, read_volume,
                           stitch_cubes, write_volume)
@@ -175,6 +176,45 @@ def test_normalize_hu_then_denormalize_restores_clamped_hu():
 # Grid symmetries
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_grid_symmetries_are_distinct_invertible_and_checked(rank):
+    # every voxel of the two-channel marker is distinct, so keeping each
+    # channel's sorted values means the map permutes voxels within channels,
+    # which makes it invertible
+    assert N_GRID_SYMMETRIES[rank] == {2: 8, 3: 48}[rank]
+    marker = np.arange(2.0 * 3 ** rank).reshape((2,) + (3,) * rank)
+    seen = set()
+    for element in range(N_GRID_SYMMETRIES[rank]):
+        moved = apply_grid_symmetry(marker, element)
+        seen.add(moved.tobytes())
+        assert np.array_equal(np.sort(moved.reshape(2, -1), axis=1),
+                              marker.reshape(2, -1)), element
+    assert len(seen) == N_GRID_SYMMETRIES[rank]
+    item = np.random.default_rng(6).standard_normal((2, 4, 5, 6)[:rank + 1])
+    assert np.array_equal(apply_grid_symmetry(item, 0), item)
+    for element in (-1, N_GRID_SYMMETRIES[rank]):
+        with pytest.raises(DomainError):
+            apply_grid_symmetry(marker, element)
+    with pytest.raises(ShapeError):
+        apply_grid_symmetry(marker[0, 0], 0)
+    with pytest.raises(ShapeError):  # the single-array forms take one channel
+        (apply_plane_symmetry if rank == 2 else apply_cube_symmetry)(marker, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_grid_symmetry_matches_the_per_channel_stack(rank, dtype):
+    # odd, unequal extents, so every permutation changes the shape
+    item = np.random.default_rng(12).standard_normal((2, 5, 3, 7)[:rank + 1]).astype(dtype)
+    for element in range(N_GRID_SYMMETRIES[rank]):
+        got = apply_grid_symmetry(item, element)
+        want = grid_symmetry_per_channel(item, element)
+        assert got.dtype == want.dtype and got.shape == want.shape, element
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), element
+        one = (apply_plane_symmetry if rank == 2 else apply_cube_symmetry)(item[1], element)
+        assert one.dtype == want.dtype and one.tobytes() == want[1].tobytes(), element
+
+
 def test_cube_symmetries_are_distinct_and_invertible():
     # every voxel of the marker is distinct, so keeping the sorted values
     # means the map permutes voxels, which makes it invertible
@@ -196,16 +236,6 @@ def test_cube_symmetry_identity_element():
 def test_cube_symmetry_rejects_bad_element():
     with pytest.raises(DomainError):
         apply_cube_symmetry(np.zeros((3, 3, 3)), 48)
-
-
-def test_plane_symmetries_are_distinct_and_invertible():
-    marker = np.arange(6.0).reshape(2, 3)
-    seen = set()
-    for element in range(8):
-        moved = apply_plane_symmetry(marker, element)
-        seen.add(moved.tobytes())
-        assert np.array_equal(np.sort(moved, axis=None), marker.ravel()), element
-    assert len(seen) == 8
 
 
 # ---------------------------------------------------------------------------
