@@ -253,10 +253,10 @@ def _train_options(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_phantom(args) -> None:
-    from .phantom import generate_phantom_pair
+    from .phantom import checked_dims, generate_phantom_pair
     from .volume import write_volume
 
-    dims = _parse_triple(args.dims, "dims", int)
+    dims = checked_dims(_parse_triple(args.dims, "dims", int), 32, "phantom")
     spacing = _parse_triple(args.spacing, "spacing", float)
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
@@ -279,7 +279,8 @@ def _cmd_pretrain(args) -> None:
         spatial_rank=args.rank, depth=args.depth, base_channels=args.base_channels,
         codebook_size=args.codebook_size, codebook_dim=args.codebook_dim,
         pyramid_levels=args.pyramid_levels, seed=args.seed)
-    volumes = [normalize(read_volume(p), "unit01") for p in args.volumes]
+    # read one at a time: pretrain_recon keeps each volume's float32 items only
+    volumes = (normalize(read_volume(p), "unit01") for p in args.volumes)
     result = pretrain_recon(config, volumes, args.steps, args.seed,
                             cube_edge=args.cube_edge, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
@@ -289,7 +290,7 @@ def _cmd_pretrain(args) -> None:
 def _cmd_finetune(args) -> None:
     import numpy as np
 
-    from .model import load_checkpoint, save_checkpoint
+    from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
     from .pipeline import PLANE_AXIS, PLANES
     from .training import finetune_translate
     from .volume import normalize, read_volume
@@ -305,14 +306,16 @@ def _cmd_finetune(args) -> None:
     base = load_checkpoint(args.base)
     pet_slices, ct_slices = [], []
     for pet_path, ct_path in zip(args.pet, args.ct):
-        pet = normalize(read_volume(pet_path), "sym11")
-        ct = normalize(read_volume(ct_path), "sym11")
-        if pet.dims != ct.dims:
+        # each cast is made before the next volume is read, so at most one
+        # volume's float64 copies are alive at a time
+        pet = normalize(read_volume(pet_path), "sym11").voxels.astype(GRAPH_DTYPE)
+        ct = normalize(read_volume(ct_path), "sym11").voxels.astype(GRAPH_DTYPE)
+        if pet.shape != ct.shape:
             raise DomainError(f"paired volumes disagree on dims: "
-                              f"{pet_path} {pet.dims} vs {ct_path} {ct.dims}")
-        for plane in planes:  # views: the normalized pairs are all the data a run keeps
-            pet_slices.extend(np.moveaxis(pet.voxels, PLANE_AXIS[plane], 0))
-            ct_slices.extend(np.moveaxis(ct.voxels, PLANE_AXIS[plane], 0))
+                              f"{pet_path} {pet.shape} vs {ct_path} {ct.shape}")
+        for plane in planes:  # views: the float32 pairs are all the data a run keeps
+            pet_slices.extend(np.moveaxis(pet, PLANE_AXIS[plane], 0))
+            ct_slices.extend(np.moveaxis(ct, PLANE_AXIS[plane], 0))
 
     result = finetune_translate(
         base, args.mode, pet_slices, ct_slices, args.steps, args.seed,

@@ -18,6 +18,7 @@ and byte offsets), then the little-endian float32 blocks in manifest order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -105,6 +106,15 @@ class ModelConfig:
         """Raise DomainError unless 2^depth divides ``edge``, read off its trailing zero bits."""
         if edge and self.depth >= (edge & -edge).bit_length():
             raise DomainError(f"cube edge {edge} must be divisible by 2^{self.depth}")
+
+    def level_rows(self, shape) -> list[int]:
+        """Quantized rows per pyramid level of one item of spatial ``shape``.
+
+        :func:`graph_input` pads each extent up to a multiple of 2^depth, and
+        level ``j`` quantizes the encoder map 2^(depth - j) times coarser.
+        """
+        blocks = [-(-n >> self.depth) for n in shape]  # ceil(n / 2^depth)
+        return [math.prod(b << j for b in blocks) for j in range(self.pyramid_levels)]
 
     def channels(self) -> list[int]:
         """Channel count entering stage boundaries: index 0 is the input."""

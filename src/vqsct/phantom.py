@@ -10,6 +10,7 @@ Smoothing is a separable Gaussian filter with mirrored borders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ __all__ = [
     "LABEL_SOFT",
     "LABEL_BONE",
     "LABEL_NAMES",
+    "MAX_VOXELS",
     "PhantomTruth",
+    "checked_dims",
     "generate_phantom_pair",
     "generate_texture_volume",
 ]
@@ -49,6 +52,10 @@ _ACT_BONE = 0.5
 _PET_BLUR_SIGMA = 2.0
 _PET_COUNT_SCALE = 400.0
 
+# The largest grid a phantom or texture volume may have: 512^3 voxels, whose
+# float64 volume alone is 1 GiB; generating one holds several such arrays.
+MAX_VOXELS = 512 ** 3
+
 
 @dataclass
 class PhantomTruth:
@@ -63,10 +70,28 @@ class PhantomTruth:
         return {name: int(counts[i]) for i, name in enumerate(LABEL_NAMES)}
 
 
+def checked_dims(dims, smallest: int, what: str) -> tuple[int, int, int]:
+    """``dims`` as three ints, each >= ``smallest``, with at most ``MAX_VOXELS`` in all.
+
+    Checked in plain integers, before any array is allocated.
+    """
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 3 or any(d < smallest for d in dims):
+        raise DomainError(f"{what} dims must be 3 values >= {smallest}, got {dims}")
+    if math.prod(dims) > MAX_VOXELS:
+        raise DomainError(f"{what} dims {dims} hold {math.prod(dims)} voxels, "
+                          f"above the limit of {MAX_VOXELS} (512^3)")
+    return dims
+
+
 def _normalized_grid(dims):
-    """Per-axis coordinates mapping voxel index 0 to -1 and the last to +1."""
+    """Per-axis coordinates mapping voxel index 0 to -1 and the last to +1.
+
+    The three grids are sparse (each spans one axis), and broadcast together
+    to the full grid wherever they meet.
+    """
     axes = [np.linspace(-1.0, 1.0, n) for n in dims]
-    return np.meshgrid(*axes, indexing="ij")
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
 def _ellipsoid_q(u, v, w, center, semi):
@@ -109,9 +134,7 @@ def generate_phantom_pair(dims, seed: int, spacing_mm=(1.5, 1.5, 1.5)):
     HU values plus a smooth texture; the PET carries per-tissue activity
     with hot lesions, a sigma-2 Gaussian blur, and Poisson noise.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 32 for d in dims):
-        raise DomainError(f"phantom dims must be 3 values >= 32, got {dims}")
+    dims = checked_dims(dims, 32, "phantom")
     rng = np.random.default_rng(seed)
 
     geometry = {
@@ -170,7 +193,7 @@ def generate_phantom_pair(dims, seed: int, spacing_mm=(1.5, 1.5, 1.5)):
     sigmas = rng.uniform(0.05, 0.09, n_lesions) * (min(dims) / 2.0)
     amps = rng.uniform(2.0, 4.0, n_lesions)
     ix, iy, iz = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims],
-                             indexing="ij")
+                             indexing="ij", sparse=True)
     lesions = []
     for i in range(n_lesions):
         cx, cy, cz = (centers[0][i], centers[1][i], centers[2][i])
@@ -195,9 +218,7 @@ def generate_texture_volume(dims, seed: int, spacing_mm=(1.5, 1.5, 1.5)) -> Volu
     Multi-scale smooth noise spanning a wide HU band plus a handful of
     random ellipsoid inclusions, clipped to plausible CT numbers.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 16 for d in dims):
-        raise DomainError(f"texture dims must be 3 values >= 16, got {dims}")
+    dims = checked_dims(dims, 16, "texture")
     rng = np.random.default_rng(seed)
     field = (0.5 * _smooth_noise(dims, 2.0, rng)
              + 0.3 * _smooth_noise(dims, 4.0, rng)

@@ -3,8 +3,9 @@
 The 2D path slices a normalized volume along each anatomical plane, runs
 every slice through a 2D checkpoint, reassembles three candidate volumes,
 and fuses them by voxelwise median. The 3D path tiles the volume into
-cubes, reconstructs each, and stitches them back. ``model.graph_input``
-prepares every slice and cube for the graph. All outputs are in HU.
+cubes, reconstructs each, and writes each output into its place.
+``model.graph_input`` prepares every slice and cube for the graph. All
+outputs are in HU.
 
 Slice layouts (ascending along the fixed axis, remaining axes in x,y,z
 order): axial slices are ``[x, y]`` at fixed z, coronal ``[x, z]`` at fixed
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .model import (GRAPH_DTYPE, Checkpoint, forward, graph_input, param_tensors,
                     value_space, with_sub_pixel_kernels)
-from .volume import NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu, stitch_cubes
+from .volume import NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu
 
 __all__ = [
     "PLANES",
@@ -154,7 +155,15 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volume:
-    """3D reconstruction: tile into cubes, run each from its graph input, stitch, map to HU."""
+    """3D reconstruction: tile into cubes, run each from its graph input, map to HU.
+
+    Each cube from :func:`volume.extract_cubes` is a view of the normalized
+    input (a border cube a copy padded to ``edge`` with air) and enters the
+    graph through :func:`model.graph_input`. Its output is cropped to the
+    grid and mapped to HU in float64 straight into its place in one output
+    volume, as :func:`translate_slices` does for slices, so no stitched or
+    padded copy of the volume is made.
+    """
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
             f"reconstruct_cubes needs a 3D checkpoint, got rank {ckpt.config.spatial_rank}")
@@ -165,7 +174,10 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volum
     ckpt.config.check_cube_edge(edge)
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
-    done = [(forward(ckpt, graph_input(ckpt.config, cube, space), params).output.data[0], origin)
-            for cube, origin in tiles]
-    stitched = stitch_cubes(done, volume.dims)
-    return Volume(normalized_to_hu(stitched, space), volume.spacing_mm, "HU")
+    out = np.empty(volume.dims)
+    for cube, (ox, oy, oz) in tiles:
+        dest = out[ox:ox + edge, oy:oy + edge, oz:oz + edge]
+        pred = forward(ckpt, graph_input(ckpt.config, cube, space), params).output.data[0]
+        crop = pred[: dest.shape[0], : dest.shape[1], : dest.shape[2]]
+        dest[...] = normalized_to_hu(crop.astype(np.float64), space)
+    return Volume(out, volume.spacing_mm, "HU")

@@ -3,7 +3,8 @@
 Two loops share one engine: self-reconstruction pretraining on unit01 CT
 volumes (input == target) and paired PET-to-CT fine-tuning on sym11 slices
 under the scratch / no-frozen / enc-frozen regimes. The engine takes plain
-2D slices or 3D cubes and prepares each drawn item with ``model.graph_input``
+2D slices or 3D cubes (``pretrain_recon`` and ``vqsct finetune`` hold them
+in ``GRAPH_DTYPE``) and prepares each drawn item with ``model.graph_input``
 (then ``volume.apply_grid_symmetry`` when augmenting). Both are fully
 deterministic given their seed at a fixed thread count: data order, k-means
 codebook initialization, EMA updates, and stale-code expiration all draw
@@ -150,7 +151,9 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     passes through :func:`model.graph_input`, so every forward (k-means
     initialization included), backward and loss runs in float32 against
     float32 casts of the float64 master weights, which AdamW updates in
-    float64, and no float32 copy of the training set is kept.
+    float64. An item may be float64 or already ``GRAPH_DTYPE``, as
+    :func:`pretrain_recon` and ``vqsct finetune`` keep it; the cast gives
+    the same bytes either way.
 
     Each step builds the parameter leaves, and the decoder's sub-pixel
     kernels over them, once. Every batch item then runs
@@ -158,7 +161,11 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     and a backward of ``loss / B`` over the trainable leaves, after which
     the graph is released. The step adds the items' gradients in item
     order, item 0 first, and logs ``(loss_0 + loss_1 + ...) / B`` summed in
-    that order, so each step holds one item graph at a time.
+    that order, so each step holds one item graph at a time. When the
+    codebooks train, each item's quantizer unit rows and code indices go
+    to their place in one batch array per level (sized by
+    ``ModelConfig.level_rows``, the rows stored column by column), which
+    the EMA update and code expiry read.
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
@@ -197,9 +204,15 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
         grads = None
         total = None
         l1_values = []
-        level_rows = [[] for _ in ckpt.codebooks]
-        level_indices = [[] for _ in ckpt.codebooks]
-        for idx in batch:
+        if mask.codebook_trainable:  # each item's rows at its offset, in item order
+            bounds = np.cumsum([[0] * len(ckpt.codebooks)]
+                               + [config.level_rows(np.shape(inputs[idx])) for idx in batch],
+                               axis=0)
+            # stored column by column: the EMA update sums one column at a time
+            level_columns = [np.empty((cb.dim, rows))
+                             for rows, cb in zip(bounds[-1], ckpt.codebooks)]
+            level_indices = [np.empty(rows, dtype=np.intp) for rows in bounds[-1]]
+        for i, idx in enumerate(batch):
             pair = [graph_input(config, items[idx], space) for items in sides]
             if augment:
                 element = int(augment_rng.integers(N_GRID_SYMMETRIES[config.spatial_rank]))
@@ -214,9 +227,10 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                 grads = {name: grads[name] + g for name, g in item_grads.items()}
                 total = total + loss.data
             l1_values.append(float(l1.data))
-            for j in range(len(ckpt.codebooks)):
-                level_rows[j].append(res.unit_rows[j])
-                level_indices[j].append(res.code_indices[j].ravel())
+            if mask.codebook_trainable:
+                for j, (start, end) in enumerate(zip(bounds[i], bounds[i + 1])):
+                    level_columns[j][:, start:end] = res.unit_rows[j].T
+                    level_indices[j][start:end] = res.code_indices[j].ravel()
             del res, l1, loss  # free this item's graph before the next forward
 
         total = total * weight
@@ -225,12 +239,11 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
         adamw_step(state, ckpt.params, grads)
 
         if mask.codebook_trainable:
-            for j, cb in enumerate(ckpt.codebooks):
-                rows = np.concatenate(level_rows[j], axis=0)
-                indices = np.concatenate(level_indices[j], axis=0)
-                ema_update(cb, rows, indices, decay=decay)
-                expire_stale(cb, rows, expire_age,
+            for cb, columns, indices in zip(ckpt.codebooks, level_columns, level_indices):
+                ema_update(cb, columns.T, indices, decay=decay)
+                expire_stale(cb, columns.T, expire_age,
                              seed=int(expire_rng.integers(2 ** 31)))
+            del level_columns, level_indices
 
         l1_history.append(float(np.mean(l1_values)))
         loss_history.append(float(total))
@@ -252,29 +265,34 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     """Self-supervised reconstruction pretraining on unit01 volumes.
 
     For a 2D config the items are all axial slices of the volumes; for 3D,
-    non-overlapping cubes of ``cube_edge`` voxels. The codebooks are k-means
-    initialized on the first batch; the returned checkpoint is tagged
-    ``pretrained`` (its value space is unit01). With ``augment`` each sampled
-    item passes through a seeded grid symmetry (flips and transposes).
+    non-overlapping cubes of ``cube_edge`` voxels. The volumes are consumed
+    one at a time: each is checked (its space, then its extents or the cube
+    edge) and its items are kept as ``GRAPH_DTYPE`` (axial views of a float32
+    cast, or float32 cubes) before the next is drawn, so ``volumes`` may be a
+    generator that reads each one. The codebooks are k-means initialized on
+    the first batch; the returned checkpoint is tagged ``pretrained`` (its
+    value space is unit01). With ``augment`` each sampled item passes
+    through a seeded grid symmetry (flips and transposes).
     """
     config.validate()
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
-    volumes = list(volumes)
-    if not volumes:
-        raise DomainError("pretraining needs at least one volume")
+    items = []
     for vol in volumes:
         if vol.intensity_space != "unit01":
             raise DomainError(
                 f"pretraining volumes must be unit01, got {vol.intensity_space}")
-
-    if config.spatial_rank == 2:
-        config.check_extents([n for vol in volumes for n in vol.dims[:2]], "axial slices")
-        items = [vol.voxels[:, :, z] for vol in volumes for z in range(vol.dims[2])]
-    else:
-        config.check_cube_edge(cube_edge)
-        items = [cube for vol in volumes
-                 for cube, _ in extract_cubes(vol, cube_edge, NORMALIZED_AIR["unit01"])]
+        if config.spatial_rank == 2:
+            config.check_extents(vol.dims[:2], "axial slices")
+            data = vol.voxels.astype(GRAPH_DTYPE)
+            items.extend(data[:, :, z] for z in range(vol.dims[2]))
+        else:
+            config.check_cube_edge(cube_edge)
+            items.extend(cube.astype(GRAPH_DTYPE) for cube, _ in
+                         extract_cubes(vol, cube_edge, NORMALIZED_AIR["unit01"]))
+        del vol  # before the next volume is drawn
+    if not items:
+        raise DomainError("pretraining needs at least one volume")
 
     ckpt = build_model(config)
     ckpt.provenance = "pretrained"  # the unit01 space its items are drawn in

@@ -9,13 +9,18 @@ in millimetres and a declared intensity space:
 * ``sym11``    normalized to [-1, 1]
 
 On disk the MVOL format stores the voxels as little-endian float32 with the
-x index varying fastest; in memory everything is float64.
+x index varying fastest. In memory a ``Volume``'s voxels are float64, and so
+are every intensity map and the HU outputs of inference. The arrays that
+training keeps are not: ``vqsct finetune`` and ``training.pretrain_recon``
+hold each normalized volume's slices or cubes as a ``model.GRAPH_DTYPE``
+(float32) cast, made before the next volume is read, and every slice or cube
+enters the graph as such a cast (``model.graph_input``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -162,15 +167,21 @@ def read_volume(path) -> Volume:
 def hu_to_normalized(values: np.ndarray, mode: str) -> np.ndarray:
     """Clamp to [-1024, 2976] HU and map affinely onto [0,1] or [-1,1]."""
     lo, hi = _NORMALIZED_BOUNDS[mode]
-    clamped = np.clip(values, HU_MIN, HU_MAX)
-    return lo + (clamped - HU_MIN) * ((hi - lo) / HU_RANGE)
+    out = np.clip(values, HU_MIN, HU_MAX)  # a new array, mapped in place
+    out -= HU_MIN
+    out *= (hi - lo) / HU_RANGE
+    out += lo
+    return out
 
 
 def normalized_to_hu(values: np.ndarray, mode: str) -> np.ndarray:
     """Inverse of hu_to_normalized; inputs clamped to the normalized interval."""
     lo, hi = _NORMALIZED_BOUNDS[mode]
-    clamped = np.clip(values, lo, hi)
-    return HU_MIN + (clamped - lo) * (HU_RANGE / (hi - lo))
+    out = np.clip(values, lo, hi)
+    out -= lo
+    out *= HU_RANGE / (hi - lo)
+    out += HU_MIN
+    return out
 
 
 def activity_to_normalized(values: np.ndarray, reference: float, mode: str) -> np.ndarray:
@@ -178,8 +189,10 @@ def activity_to_normalized(values: np.ndarray, reference: float, mode: str) -> n
     if not np.isfinite(reference) or reference <= 0:
         raise DomainError(f"activity reference must be positive, got {reference}")
     lo, hi = _NORMALIZED_BOUNDS[mode]
-    clamped = np.clip(values, 0.0, reference)
-    return lo + clamped * ((hi - lo) / reference)
+    out = np.clip(values, 0.0, reference)
+    out *= (hi - lo) / reference
+    out += lo
+    return out
 
 
 def normalize(volume: Volume, mode: str) -> Volume:
@@ -305,25 +318,27 @@ def pad_to_multiple(values: np.ndarray, multiple: int, pad_value: float = 0.0) -
 def extract_cubes(volume: Volume, edge: int, pad_value: float):
     """Tile a volume into non-overlapping edge^3 cubes, padding the high sides.
 
-    ``pad_value`` fills the high sides: ``NORMALIZED_AIR[space]`` for a
-    normalized volume.
-    Returns a list of (cube, origin) pairs; origins index the padded grid so
-    ``stitch_cubes`` can reassemble the volume exactly.
+    Returns an iterator of ``(cube, origin)`` pairs in x, y, z order of their
+    origins. A cube that lies inside the grid is a view of ``volume.voxels``;
+    only a border cube is a copy, padded up to ``edge`` with ``pad_value``
+    (``NORMALIZED_AIR[space]`` for a normalized volume). The origins index
+    the grid, so ``stitch_cubes`` can reassemble the volume exactly.
     """
     if edge < 8:
         raise DomainError(f"cube edge must be >= 8, got {edge}")
-    padded = pad_to_multiple(volume.voxels, edge, pad_value)
-    tiles = []
-    for ox in range(0, padded.shape[0], edge):
-        for oy in range(0, padded.shape[1], edge):
-            for oz in range(0, padded.shape[2], edge):
-                cube = padded[ox:ox + edge, oy:oy + edge, oz:oz + edge].copy()
-                tiles.append((cube, (ox, oy, oz)))
-    return tiles
+    grid = volume.voxels
+    origins = product(*(range(0, n, edge) for n in grid.shape))
+    return ((pad_to_multiple(grid[ox:ox + edge, oy:oy + edge, oz:oz + edge], edge, pad_value),
+             (ox, oy, oz)) for ox, oy, oz in origins)
 
 
 def stitch_cubes(tiles, dims) -> np.ndarray:
-    """Reassemble extract_cubes tiles and crop to ``dims``."""
+    """Reassemble extract_cubes tiles and crop to ``dims``.
+
+    ``pipeline.reconstruct_cubes`` writes each cube's output straight into
+    its place instead; this inverse of :func:`extract_cubes` stays for its
+    tests and because perfbench traces its name.
+    """
     if not tiles:
         raise DomainError("cannot stitch an empty tile list")
     edge = tiles[0][0].shape[0]

@@ -342,3 +342,27 @@ def _array_symmetry(values, element):
 def grid_symmetry_per_channel(item, element):
     """A grid symmetry of a ``[C, *S]`` item, one channel at a time, stacked."""
     return np.stack([_array_symmetry(ch, element) for ch in item])
+
+
+def reconstruct_cubes_stitched(ckpt, volume, edge):
+    """3D reconstruction as ``pipeline.reconstruct_cubes`` once ran it, in HU.
+
+    The whole normalized volume is padded with air to multiples of ``edge``,
+    every cube is copied out of it and run through the model, the float32
+    outputs are stitched into a float64 padded grid, which is cropped and
+    mapped to HU as a whole.
+    """
+    from vqsct.model import GRAPH_DTYPE, forward, graph_input, param_tensors, value_space
+    from vqsct.volume import normalized_to_hu
+
+    space = value_space(ckpt)
+    pads = [(0, (-n) % edge) for n in volume.dims]
+    padded = np.pad(volume.voxels, pads, constant_values=NORMALIZED_AIR[space])
+    params = param_tensors(ckpt, GRAPH_DTYPE)
+    stitched = np.zeros(padded.shape)
+    for ox, oy, oz in itertools.product(*(range(0, n, edge) for n in padded.shape)):
+        window = (slice(ox, ox + edge), slice(oy, oy + edge), slice(oz, oz + edge))
+        cube = graph_input(ckpt.config, padded[window].copy(), space)
+        stitched[window] = forward(ckpt, cube, params).output.data[0]
+    x, y, z = volume.dims
+    return normalized_to_hu(stitched[:x, :y, :z].copy(), space)

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -481,6 +482,78 @@ def test_oversized_3d_depth_exits_1_with_one_line(work, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "vqsct: error: cube edge 32 must be divisible by 2^100000\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def volumes_64(tmp_path_factory):
+    """Two 64^3 phantom pairs and two 64^3 textures, written once."""
+    from vqsct.phantom import generate_phantom_pair
+
+    root = tmp_path_factory.mktemp("v64")
+    paths = {"pet": [], "ct": [], "texture": []}
+    for i in range(2):
+        ct, pet, _ = generate_phantom_pair((64, 64, 64), [21, i])
+        for kind, vol in (("pet", pet), ("ct", ct),
+                          ("texture", generate_texture_volume((64, 64, 64), seed=80 + i))):
+            paths[kind].append(str(root / f"{kind}_{i}.mvol"))
+            write_volume(vol, paths[kind][-1])
+    base = root / "base.vqck"
+    save_checkpoint(build_model(ModelConfig(depth=2, base_channels=4, codebook_size=8,
+                                            codebook_dim=6)), base)
+    paths["base"] = str(base)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["finetune", "pretrain-2d", "pretrain-3d"])
+def test_training_set_is_held_in_float32(volumes_64, tmp_path, monkeypatch, command):
+    # what is alive when the loop starts: the float32 items and little else;
+    # one 64^3 float64 volume kept beside them would break the bound
+    from vqsct import training
+
+    model = ["--depth", "2", "--base-channels", "4", "--codebook-size", "8",
+             "--codebook-dim", "6"]
+    out = ["--out", str(tmp_path / "out.vqck"), "--steps", "0"]
+    if command == "finetune":
+        argv = ["finetune", "--base", volumes_64["base"], "--mode", "no-frozen",
+                "--pet", *volumes_64["pet"], "--ct", *volumes_64["ct"], *out]
+        n_volumes = 4
+    else:
+        argv = ["pretrain", "--volumes", *volumes_64["texture"], "--rank", command[-2],
+                "--cube-edge", "32", *model, *out]
+        n_volumes = 2
+    assert main(argv) == 0  # untraced: whatever the command imports is loaded now
+    held = []
+    real = training._train_loop
+
+    def recording(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_train_loop", recording)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    float32_bytes = n_volumes * 64 ** 3 * 4
+    assert held[0] <= 1.1 * float32_bytes, held[0] / float32_bytes
+
+
+def test_oversized_phantom_exits_1_before_any_array(tmp_path, capsys, monkeypatch):
+    # the voxel count is checked in plain integers: any numpy call fails the test
+    from vqsct import phantom
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was called")
+
+    monkeypatch.setattr(phantom, "np", NoNumpy())
+    out = tmp_path / "never"
+    assert main(["phantom", "--out", str(out), "--dims", "100000,100000,100000"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("vqsct: error: phantom dims (100000, 100000, 100000) hold "
+                   "1000000000000000 voxels, above the limit of 134217728 (512^3)\n")
+    assert not out.exists()
 
 
 def test_evaluate_diff_dir_builds_the_truth_contour_once(work, tmp_path, monkeypatch):

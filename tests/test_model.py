@@ -132,6 +132,15 @@ def test_graph_input_matches_pad_then_cast_per_slice(shape, dtype, space):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("shape,depth,levels", [
+    ((13, 10), 2, 2), ((9, 16), 3, 3), ((7, 9, 12), 2, 2), ((16, 9, 12), 3, 2)])
+def test_level_rows_count_the_quantized_rows_of_a_graph_input(shape, depth, levels):
+    config = small_config(rank=len(shape), depth=depth, pyramid_levels=levels)
+    x = graph_input(config, np.random.default_rng(3).uniform(0, 1, shape), "unit01")
+    rows = forward(build_model(config), x).unit_rows
+    assert config.level_rows(shape) == [len(r) for r in rows]
+
+
 def test_graph_input_checks_rank_and_depth_before_padding(monkeypatch):
     def no_padding(*args, **kwargs):
         raise AssertionError("padded")

@@ -20,6 +20,35 @@ def test_rejects_small_dims():
         generate_phantom_pair((31, 48, 48), seed=0)
 
 
+def test_dims_above_the_voxel_limit_are_rejected_before_any_array(monkeypatch):
+    assert phantom.checked_dims((512, 512, 512), 32, "phantom") == (512, 512, 512)
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was called")
+
+    monkeypatch.setattr(phantom, "np", NoNumpy())
+    with pytest.raises(DomainError, match="above the limit"):
+        generate_phantom_pair((512, 512, 513), seed=0)
+    with pytest.raises(DomainError, match="above the limit"):
+        generate_texture_volume((10 ** 6, 10 ** 6, 16), seed=0)
+
+
+def test_broadcast_grids_give_the_dense_grid_bytes(monkeypatch):
+    sparse = (generate_phantom_pair((40, 33, 35), seed=12),
+              generate_texture_volume((21, 18, 16), seed=13))
+    real = np.meshgrid
+    monkeypatch.setattr(np, "meshgrid", lambda *axes, indexing, sparse:
+                        real(*axes, indexing=indexing))
+    (ct, pet, truth), texture = (generate_phantom_pair((40, 33, 35), seed=12),
+                                 generate_texture_volume((21, 18, 16), seed=13))
+    (ct_s, pet_s, truth_s), texture_s = sparse
+    assert ct_s.voxels.tobytes() == ct.voxels.tobytes()
+    assert pet_s.voxels.tobytes() == pet.voxels.tobytes()
+    assert truth_s.labels.tobytes() == truth.labels.tobytes()
+    assert texture_s.voxels.tobytes() == texture.voxels.tobytes()
+
+
 def test_deterministic_given_seed():
     ct_a, pet_a, tr_a = generate_phantom_pair((32, 32, 32), seed=5)
     ct_b, pet_b, tr_b = generate_phantom_pair((32, 32, 32), seed=5)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import reconstruct_cubes_stitched
 from vqsct import autograd as ag
 from vqsct import model, pipeline
 from vqsct.errors import DomainError, ShapeError
@@ -331,6 +332,31 @@ def test_inference_builds_float32_leaves_once_per_command(monkeypatch):
     assert leaf_dtypes == [np.float32, np.float32]
     assert conv_dtypes == {np.dtype(np.float32)}
     assert all(s.dtype == np.float64 for s in slices) and cubes.voxels.dtype == np.float64
+
+
+@pytest.mark.parametrize("dims", [(96, 96, 96), (70, 45, 50)])
+@pytest.mark.parametrize("edge", [16, 32])
+def test_reconstruct_cubes_matches_the_stitched_path(dims, edge):
+    ckpt = trained_3d(steps=2)
+    vol = Volume(np.random.default_rng(14).uniform(0, 1, dims), (1, 1, 1), "unit01", {})
+    out = reconstruct_cubes(ckpt, vol, edge=edge)
+    want = reconstruct_cubes_stitched(ckpt, vol, edge)
+    assert out.voxels.dtype == want.dtype and out.voxels.tobytes() == want.tobytes()
+
+
+def test_reconstruct_cubes_memory_is_bounded_by_a_few_inputs():
+    # the output volume, one cube's graph and the parameters; no stitched,
+    # padded, cropped or HU copy of the whole volume
+    ckpt = trained_3d(steps=0)
+    vol = Volume(np.random.default_rng(15).uniform(0, 1, (96, 96, 96)), (1, 1, 1),
+                 "unit01", {})
+    tracemalloc.start()
+    try:
+        reconstruct_cubes(ckpt, vol, edge=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * vol.voxels.nbytes, peak / vol.voxels.nbytes
 
 
 def test_reconstruct_cubes_validates_edge_and_rank():

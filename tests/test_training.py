@@ -9,7 +9,8 @@ from vqsct import autograd as ag
 from vqsct import training
 from vqsct.codebook import kmeans_init
 from vqsct.errors import DomainError, ShapeError, TrainingError
-from vqsct.model import ModelConfig, build_model, forward, param_tensors, save_checkpoint
+from vqsct.model import (GRAPH_DTYPE, FreezeMask, ModelConfig, build_model, forward,
+                         param_tensors, save_checkpoint)
 from vqsct.training import (adamw_step, finetune_translate, init_optimizer,
                             pretrain_recon, select_checkpoint)
 from vqsct.volume import Volume, normalize
@@ -461,6 +462,28 @@ def test_non_finite_step_loss_stops_before_the_update(monkeypatch):
             finetune_translate(base, "no-frozen", pets, cts, steps=1, seed=0,
                                batch_size=3, beta=0.0)
     assert updates == []
+
+
+@pytest.mark.parametrize("rank,augment", [(2, False), (2, True), (3, False), (3, True)])
+def test_float64_items_and_their_graph_dtype_cast_train_alike(tmp_path, rank, augment):
+    # the entry points keep float32 training sets; graph_input casts float64
+    # items to the same bytes, so checkpoints and histories are identical
+    rng = np.random.default_rng(16)
+    shape = (13, 10) if rank == 2 else (9, 12, 10)  # every extent padded
+    inputs = [rng.uniform(-1, 1, shape) for _ in range(5)]
+    targets = [np.clip(0.7 * x + 0.1, -1, 1) for x in inputs]
+    runs = []
+    for dtype in (np.float64, GRAPH_DTYPE):
+        ckpt = build_model(small_config(rank=rank, pyramid_levels=2))
+        ckpt.provenance = "finetuned"
+        result = training._train_loop(
+            ckpt, [x.astype(dtype) for x in inputs], [t.astype(dtype) for t in targets],
+            3, 5, mask=FreezeMask(True, True), learning_rate=1e-3, batch_size=3,
+            beta=0.25, expire_age=1, decay=0.9, weight_decay=0.01, augment=augment)
+        path = tmp_path / f"{np.dtype(dtype).name}.vqck"
+        save_checkpoint(result.checkpoint, path)
+        runs.append((path.read_bytes(), result.l1_history, result.loss_history))
+    assert runs[0] == runs[1]
 
 
 def test_step_memory_does_not_grow_by_an_item_graph_per_item():

@@ -141,6 +141,27 @@ def test_hu_clamping_is_monotone():
     assert np.all(np.diff(normed) >= 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("mode", ["unit01", "sym11"])
+def test_intensity_maps_in_place_match_their_expressions(dtype, mode):
+    # each map clips into a new array and maps it in place: the same
+    # operations on the same operands as the one-expression forms
+    rng = np.random.default_rng(17)
+    hu = np.concatenate([rng.uniform(-3000, 5000, 400), [-0.0, 0.0, HU_MIN, HU_MAX]])
+    hu = hu.astype(dtype)
+    lo, hi = (0.0, 1.0) if mode == "unit01" else (-1.0, 1.0)
+    maps = [
+        (hu_to_normalized(hu, mode),
+         lo + (np.clip(hu, HU_MIN, HU_MAX) - HU_MIN) * ((hi - lo) / (HU_MAX - HU_MIN))),
+        (normalized_to_hu(hu / 2000, mode),
+         HU_MIN + (np.clip(hu / 2000, lo, hi) - lo) * ((HU_MAX - HU_MIN) / (hi - lo))),
+        (activity_to_normalized(np.abs(hu) / 700, 5.0, mode),
+         lo + np.clip(np.abs(hu) / 700, 0.0, 5.0) * ((hi - lo) / 5.0)),
+    ]
+    for got, want in maps:
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_activity_normalization_round_trip():
     rng = np.random.default_rng(3)
     vals = rng.uniform(0, 5.0, 500)
@@ -261,11 +282,21 @@ def test_pad_to_multiple_noop_when_aligned():
 def test_extract_then_stitch_recovers_volume():
     rng = np.random.default_rng(9)
     vol = Volume(rng.standard_normal((20, 17, 9)), (1, 1, 1), "unit01", {})
-    tiles = extract_cubes(vol, edge=8, pad_value=0.0)
+    tiles = list(extract_cubes(vol, edge=8, pad_value=0.0))
     assert all(cube.shape == (8, 8, 8) for cube, _ in tiles)
     assert len(tiles) == int(np.ceil(20 / 8) * np.ceil(17 / 8) * np.ceil(9 / 8))
     stitched = stitch_cubes(tiles, vol.dims)
     assert np.array_equal(stitched, vol.voxels)
+
+
+def test_extract_cubes_yields_views_inside_and_padded_copies_at_the_border():
+    rng = np.random.default_rng(12)
+    vol = Volume(rng.uniform(0, 1, (20, 17, 16)), (1, 1, 1), "unit01", {})
+    padded = np.pad(vol.voxels, [(0, 4), (0, 7), (0, 0)], constant_values=-1.0)
+    for cube, (ox, oy, oz) in extract_cubes(vol, edge=8, pad_value=-1.0):
+        inside = ox + 8 <= 20 and oy + 8 <= 17
+        assert np.shares_memory(cube, vol.voxels) == inside
+        assert cube.tobytes() == padded[ox:ox + 8, oy:oy + 8, oz:oz + 8].tobytes()
 
 
 def test_extract_cubes_origins_tile_the_grid():
