@@ -34,6 +34,11 @@ __all__ = ["entry", "main", "build_parser"]
 _THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
+# The raw space a checkpoint's inputs are read in, by its value space: a
+# fine-tuned (sym11) model translates PET activity, a pretrained (unit01)
+# one reconstructs CT.
+_SOURCE_SPACE = {"sym11": "activity", "unit01": "HU"}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so exit codes stay ours.
@@ -234,6 +239,24 @@ def _parse_triple(text, kind, cast):
         raise UsageError(f"{kind} must be numeric, got {text!r}") from None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_space(path, flag: str, space: str):
+    """The volume at ``path``, which ``flag`` needs in intensity ``space``."""
+    from .volume import read_volume
+
+    volume = read_volume(path)
+    if volume.intensity_space != space:
+        raise DomainError(f"{flag} {path} holds {volume.intensity_space} voxels, "
+                          f"expected {space}")
+    return volume
+
+
 def _write_history(result, path) -> None:
     with atomic_open(path, "w") as fh:
         fh.write("step,l1,total\n")
@@ -273,14 +296,14 @@ def _cmd_phantom(args) -> None:
 def _cmd_pretrain(args) -> None:
     from .model import ModelConfig, save_checkpoint
     from .training import pretrain_recon
-    from .volume import normalize, read_volume
+    from .volume import normalize
 
     config = ModelConfig(
         spatial_rank=args.rank, depth=args.depth, base_channels=args.base_channels,
         codebook_size=args.codebook_size, codebook_dim=args.codebook_dim,
         pyramid_levels=args.pyramid_levels, seed=args.seed)
     # read one at a time: pretrain_recon keeps each volume's float32 items only
-    volumes = (normalize(read_volume(p), "unit01") for p in args.volumes)
+    volumes = (normalize(_read_space(p, "--volumes", "HU"), "unit01") for p in args.volumes)
     result = pretrain_recon(config, volumes, args.steps, args.seed,
                             cube_edge=args.cube_edge, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
@@ -293,7 +316,7 @@ def _cmd_finetune(args) -> None:
     from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
     from .pipeline import PLANE_AXIS, PLANES
     from .training import finetune_translate
-    from .volume import normalize, read_volume
+    from .volume import normalize
 
     planes = [p.strip() for p in args.planes.split(",") if p.strip()]
     for plane in planes:
@@ -306,10 +329,11 @@ def _cmd_finetune(args) -> None:
     base = load_checkpoint(args.base)
     pet_slices, ct_slices = [], []
     for pet_path, ct_path in zip(args.pet, args.ct):
-        # each cast is made before the next volume is read, so at most one
-        # volume's float64 copies are alive at a time
-        pet = normalize(read_volume(pet_path), "sym11").voxels.astype(GRAPH_DTYPE)
-        ct = normalize(read_volume(ct_path), "sym11").voxels.astype(GRAPH_DTYPE)
+        # a read volume normalizes to float32, GRAPH_DTYPE already: no copy
+        pet = np.asarray(normalize(_read_space(pet_path, "--pet", "activity"), "sym11").voxels,
+                         GRAPH_DTYPE)
+        ct = np.asarray(normalize(_read_space(ct_path, "--ct", "HU"), "sym11").voxels,
+                        GRAPH_DTYPE)
         if pet.shape != ct.shape:
             raise DomainError(f"paired volumes disagree on dims: "
                               f"{pet_path} {pet.shape} vs {ct_path} {ct.shape}")
@@ -327,10 +351,11 @@ def _cmd_finetune(args) -> None:
 def _cmd_translate(args) -> None:
     from .model import load_checkpoint, value_space
     from .pipeline import translate_volume
-    from .volume import normalize, read_volume, write_volume
+    from .volume import normalize, write_volume
 
     ckpt = load_checkpoint(args.ckpt)
-    volume = normalize(read_volume(args.pet), value_space(ckpt))
+    space = value_space(ckpt)
+    volume = normalize(_read_space(args.pet, "--pet", _SOURCE_SPACE[space]), space)
     result = translate_volume(ckpt, volume)
     write_volume(result.fused, args.out)
     if args.dump_planes:
@@ -343,10 +368,10 @@ def _cmd_translate(args) -> None:
 def _cmd_reconstruct(args) -> None:
     from .model import load_checkpoint, value_space
     from .pipeline import reconstruct_cubes
-    from .volume import normalize, read_volume, write_volume
+    from .volume import normalize, write_volume
 
     ckpt = load_checkpoint(args.ckpt)
-    volume = normalize(read_volume(args.ct), value_space(ckpt))
+    volume = normalize(_read_space(args.ct, "--ct", "HU"), value_space(ckpt))
     out = reconstruct_cubes(ckpt, volume, edge=args.edge)
     write_volume(out, args.out)
 
@@ -414,8 +439,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.threads is not None:
-            if args.threads < 1:
-                raise UsageError(f"--threads must be >= 1, got {args.threads}")
+            cpus = _usable_cpus()
+            if not 1 <= args.threads <= cpus:
+                raise UsageError(f"--threads must be in [1, {cpus}] (the usable CPUs), "
+                                 f"got {args.threads}")
             for var in _THREAD_ENV_VARS:
                 os.environ[var] = str(args.threads)
         if args.config:
@@ -423,6 +450,8 @@ def main(argv=None) -> int:
             command_parser.set_defaults(
                 **_config_defaults(args.config, args.command, command_parser))
             args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative seed
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         _HANDLERS[args.command](args)
         _write_record(args)
         return 0

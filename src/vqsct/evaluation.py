@@ -6,10 +6,13 @@ flood from each slice's border), split into whole / soft / bone regions at
 a configurable HU boundary. A case is evaluated with one partition per
 volume; its SSIM map is formed one z-slab of axial slices at a time (each
 SSIM value depends on its own slice alone), so the working memory of a
-case is a few masks plus one slab's window means. The paired Wilcoxon
-signed-rank test is exact (full distribution over sign assignments) up to
-n = 25 and uses the tie-corrected normal approximation with continuity
-correction beyond.
+case is a few masks plus one slab's window means. The volumes may be
+float32, as read from file: every difference and every SSIM slab is formed
+in float64 from the widened values, and every threshold is compared in
+float64, so the metrics are those of the float64 widening.
+The paired Wilcoxon signed-rank test is exact (full distribution over sign
+assignments) up to n = 25 and uses the tie-corrected normal approximation
+with continuity correction beyond.
 Difference maps are emitted as binary PPM images under a blue-white-red
 colormap. Everything here is plain numpy.
 """
@@ -96,7 +99,7 @@ def body_contour(ct: Volume) -> np.ndarray:
     """
     if isinstance(ct, Volume) and ct.intensity_space != "HU":
         raise DomainError(f"body contour needs an HU volume, got {ct.intensity_space}")
-    free = ~(_voxels(ct) > BODY_THRESHOLD_HU)
+    free = ~(_voxels(ct) > np.float64(BODY_THRESHOLD_HU))
     reach = free.copy()
     reach[1:-1, 1:-1] = False  # the flood starts from each slice's border
     runs = [_run_ids(free, 0), _run_ids(free, 1)]
@@ -120,9 +123,9 @@ def region_masks(ct: Volume, bone_threshold_hu: float = BONE_THRESHOLD_HU) -> di
     if not abs(bone_threshold_hu) < np.inf:
         raise DomainError(f"bone threshold must be finite, got {bone_threshold_hu}")
     vox = _voxels(ct)
+    bone = np.float64(bone_threshold_hu)  # compared in float64 on float32 voxels too
     whole = body_contour(ct)
-    return {"whole": whole, "soft": whole & (vox < bone_threshold_hu),
-            "bone": whole & (vox >= bone_threshold_hu)}
+    return {"whole": whole, "soft": whole & (vox < bone), "bone": whole & (vox >= bone)}
 
 
 def _check_aligned(pred, gt, mask=None):
@@ -141,10 +144,8 @@ def _check_aligned(pred, gt, mask=None):
 
 
 def _masked_diff(p: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``p[m] - g[m]``, formed in place in the copy ``p[m]``."""
-    d = p[m]
-    d -= g[m]
-    return d
+    """``p[m] - g[m]`` in float64."""
+    return np.subtract(p[m], g[m], dtype=np.float64)
 
 
 def _mae(d: np.ndarray) -> float:
@@ -200,10 +201,10 @@ def _ssim_map(p: np.ndarray, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
     """Masked mean SSIM for each of ``masks``, one z-slab of the SSIM map at a time.
 
-    The five window means and the SSIM map are formed for ``SLAB`` axial
-    slices at a time, so a case holds one slab's maps, never the whole
-    case's. Each mask's masked sums are added one slice at a time, in slice
-    order, so the result does not depend on the slab size.
+    The five window means and the SSIM map are formed from float64 copies
+    of ``SLAB`` axial slices at a time, so a case holds one slab's maps,
+    never the whole case's. Each mask's masked sums are added one slice at
+    a time, in slice order, so the result does not depend on the slab size.
     """
     half = _SSIM_WINDOW // 2
     if p.shape[0] < _SSIM_WINDOW or p.shape[1] < _SSIM_WINDOW:
@@ -217,9 +218,10 @@ def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
     weighted = [0.0] * len(masks)
     for z0 in range(0, p.shape[2], SLAB):
         zs = slice(z0, z0 + SLAB)
-        # contiguous copies: numpy runs the window sums far slower on strided slabs
-        s = _ssim_map(np.ascontiguousarray(p[:, :, zs]), np.ascontiguousarray(g[:, :, zs]),
-                      kernel)
+        # contiguous float64 copies: numpy runs the window sums far slower on
+        # strided slabs
+        s = _ssim_map(np.ascontiguousarray(p[:, :, zs], dtype=np.float64),
+                      np.ascontiguousarray(g[:, :, zs], dtype=np.float64), kernel)
         for k, c in enumerate(centers):
             for z in range(s.shape[2]):
                 # one masked sum per slice, added in slice order
@@ -353,7 +355,7 @@ def difference_map(pred, gt, mask, cap: float = 200.0):
     z rendered blue-white-red, rows running along y and columns along x.
     """
     p, g, m = _check_aligned(pred, gt, mask)
-    diff = np.where(m, p - g, 0.0)
+    diff = np.where(m, np.subtract(p, g, dtype=np.float64), 0.0)
     images = [colormap_bwr(diff[:, :, z].T, cap) for z in range(diff.shape[2])]
     return diff, images
 

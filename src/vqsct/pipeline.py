@@ -77,12 +77,13 @@ def _check_planar(ckpt: Checkpoint, extents, what: str) -> None:
 def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
     """Run normalized 2D slices through a 2D checkpoint into ``out``, in HU.
 
-    ``out`` is a float64 ``[n, *shape]`` array for ``n`` slices of one
-    2D ``shape``, such as a view of a volume along its plane's axis; it is
-    returned. Each slice enters the graph through :func:`model.graph_input`,
-    which pads it with the air of the checkpoint's space; its output is
-    cropped back and mapped to HU in float64 straight into ``out[i]``. The
-    parameter leaves and the decoder's sub-pixel kernels are built once per call.
+    ``out`` is a float32 or float64 ``[n, *shape]`` array for ``n`` slices
+    of one 2D ``shape``, such as a view of a volume along its plane's axis;
+    it is returned. Each slice enters the graph through
+    :func:`model.graph_input`, which pads it with the air of the
+    checkpoint's space; its output is cropped back, mapped to HU in float64
+    and cast to ``out``'s dtype as it is stored in ``out[i]``. The parameter
+    leaves and the decoder's sub-pixel kernels are built once per call.
     """
     shape = out.shape[1:]
     if (out.ndim != 3 or len(slices) != len(out)
@@ -104,7 +105,10 @@ def _median_slabs(planes, out: np.ndarray) -> np.ndarray:
     Each slab of ``SLAB`` x-planes of the three is stacked and handed to
     ``np.median``, whose values do not depend on the other slabs, so the
     bytes are those of ``np.median`` over the whole stack while no
-    whole-volume copy is made.
+    whole-volume copy is made. A median of three is one of its three values
+    (a zero comes out as +0.0), and a cast is monotone, so float32 planes
+    give the float32 cast of their float64 median, unless a nonzero float64
+    value flushes to a float32 zero; HU values never do.
     """
     for x in range(0, out.shape[0], SLAB):
         slab = np.stack([p[x:x + SLAB] for p in planes])
@@ -113,7 +117,7 @@ def _median_slabs(planes, out: np.ndarray) -> np.ndarray:
 
 
 def fuse_median(a: Volume, b: Volume, c: Volume) -> Volume:
-    """Voxelwise median of three aligned volumes."""
+    """Voxelwise median of three aligned volumes, in their common dtype."""
     for other in (b, c):
         if other.dims != a.dims:
             raise ShapeError(f"volume dims differ: {a.dims} vs {other.dims}")
@@ -122,7 +126,8 @@ def fuse_median(a: Volume, b: Volume, c: Volume) -> Volume:
                 f"volume spacings differ: {a.spacing_mm} vs {other.spacing_mm}")
         if other.intensity_space != a.intensity_space:
             raise DomainError("cannot fuse volumes in different intensity spaces")
-    fused = _median_slabs((a.voxels, b.voxels, c.voxels), np.empty(a.dims))
+    planes = (a.voxels, b.voxels, c.voxels)
+    fused = _median_slabs(planes, np.empty(a.dims, np.result_type(*planes)))
     return Volume(fused, a.spacing_mm, a.intensity_space, dict(a.meta))
 
 
@@ -134,11 +139,12 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
     reconstruction models); the four returned volumes are HU.
 
     Each plane's slices are views of the input, and each translated slice
-    is written straight into its place in one float64 ``[3, *dims]``
-    array; the three plane volumes are views of that array. The fused
-    volume is its voxelwise median, taken one slab at a time by the same
-    code as :func:`fuse_median`. Besides the input, the working memory is
-    about four volumes of float64.
+    is mapped to HU in float64 and stored in its place in one float32
+    ``[3, *dims]`` array, the dtype the volumes are written in; the three
+    plane volumes are views of that array. The fused volume is its float32
+    voxelwise median, taken one slab at a time by the same code as
+    :func:`fuse_median`; it equals the float32 cast of the float64 median.
+    Besides the input, the working memory is about four volumes of float32.
     """
     space = value_space(ckpt)
     if volume.intensity_space != space:
@@ -146,12 +152,12 @@ def translate_volume(ckpt: Checkpoint, volume: Volume) -> TriplanarResult:
             f"checkpoint expects {space} input, volume is {volume.intensity_space}")
     # every axis lies in the slice plane of two of the three planes
     _check_planar(ckpt, volume.dims, "the volume's slices")
-    stack = np.empty((len(PLANES),) + volume.dims)
+    stack = np.empty((len(PLANES),) + volume.dims, np.float32)
     for plane, out in zip(PLANES, stack):
         axis = _plane_axis(plane)
         translate_slices(ckpt, np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
-    fused = Volume(_median_slabs(stack, np.empty(volume.dims)), volume.spacing_mm, "HU")
-    return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in stack), fused)
+    fused = _median_slabs(stack, np.empty(volume.dims, np.float32))
+    return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in (*stack, fused)))
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volume:
@@ -160,9 +166,9 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volum
     Each cube from :func:`volume.extract_cubes` is a view of the normalized
     input (a border cube a copy padded to ``edge`` with air) and enters the
     graph through :func:`model.graph_input`. Its output is cropped to the
-    grid and mapped to HU in float64 straight into its place in one output
-    volume, as :func:`translate_slices` does for slices, so no stitched or
-    padded copy of the volume is made.
+    grid, mapped to HU in float64 and stored in its place in one float32
+    output volume, as :func:`translate_volume` does for slices, so no
+    stitched or padded copy of the volume is made.
     """
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
@@ -174,7 +180,7 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64) -> Volum
     ckpt.config.check_cube_edge(edge)
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
-    out = np.empty(volume.dims)
+    out = np.empty(volume.dims, np.float32)
     for cube, (ox, oy, oz) in tiles:
         dest = out[ox:ox + edge, oy:oy + edge, oz:oz + edge]
         pred = forward(ckpt, graph_input(ckpt.config, cube, space), params).output.data[0]

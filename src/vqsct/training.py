@@ -267,9 +267,9 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     For a 2D config the items are all axial slices of the volumes; for 3D,
     non-overlapping cubes of ``cube_edge`` voxels. The volumes are consumed
     one at a time: each is checked (its space, then its extents or the cube
-    edge) and its items are kept as ``GRAPH_DTYPE`` (axial views of a float32
-    cast, or float32 cubes) before the next is drawn, so ``volumes`` may be a
-    generator that reads each one. The codebooks are k-means initialized on
+    edge) and its items are kept as ``GRAPH_DTYPE`` (axial views of the
+    float32 voxels, or float32 cubes) before the next is drawn, so
+    ``volumes`` may be a generator that reads each one. The codebooks are k-means initialized on
     the first batch; the returned checkpoint is tagged ``pretrained`` (its
     value space is unit01). With ``augment`` each sampled item passes
     through a seeded grid symmetry (flips and transposes).
@@ -284,7 +284,7 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
                 f"pretraining volumes must be unit01, got {vol.intensity_space}")
         if config.spatial_rank == 2:
             config.check_extents(vol.dims[:2], "axial slices")
-            data = vol.voxels.astype(GRAPH_DTYPE)
+            data = np.asarray(vol.voxels, GRAPH_DTYPE)  # a read volume is float32 already
             items.extend(data[:, :, z] for z in range(vol.dims[2]))
         else:
             config.check_cube_edge(cube_edge)
@@ -348,8 +348,10 @@ def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64) -> Check
 
     Each candidate reconstructs every evaluation CT volume through its own
     pipeline (tri-planar fusion for 2D models, cube tiling for 3D); MSE is
-    computed in HU against the clamped input. Ties keep the earliest
-    candidate.
+    computed in float64 between the float32 HU output, as ``vqsct
+    translate`` or ``reconstruct`` would write it, and the clamped input.
+    Each volume is normalized once per value space the candidates need, and
+    clamped once. Ties keep the earliest candidate.
     """
     from .pipeline import reconstruct_cubes, translate_volume
 
@@ -362,20 +364,21 @@ def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64) -> Check
     for vol in eval_volumes:
         if vol.intensity_space != "HU":
             raise DomainError(f"evaluation volumes must be HU, got {vol.intensity_space}")
+    normed = {space: [normalize(vol, space) for vol in eval_volumes]
+              for space in dict.fromkeys(value_space(ckpt) for ckpt in candidates)}
+    refs = [np.clip(vol.voxels, HU_MIN, HU_MAX) for vol in eval_volumes]
 
     best = None
     best_mse = np.inf
     for ckpt in candidates:
         se = 0.0
         count = 0
-        for vol in eval_volumes:
-            normed = normalize(vol, value_space(ckpt))
+        for vol, ref in zip(normed[value_space(ckpt)], refs):
             if ckpt.config.spatial_rank == 2:
-                pred = translate_volume(ckpt, normed).fused.voxels
+                pred = translate_volume(ckpt, vol).fused.voxels
             else:
-                pred = reconstruct_cubes(ckpt, normed, edge=cube_edge).voxels
-            ref = np.clip(vol.voxels, HU_MIN, HU_MAX)
-            se += float(((pred - ref) ** 2).sum())
+                pred = reconstruct_cubes(ckpt, vol, edge=cube_edge).voxels
+            se += float((np.subtract(pred, ref, dtype=np.float64) ** 2).sum())
             count += pred.size
         mse = se / count
         if mse < best_mse:

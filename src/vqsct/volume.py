@@ -9,17 +9,21 @@ in millimetres and a declared intensity space:
 * ``sym11``    normalized to [-1, 1]
 
 On disk the MVOL format stores the voxels as little-endian float32 with the
-x index varying fastest. In memory a ``Volume``'s voxels are float64, and so
-are every intensity map and the HU outputs of inference. The arrays that
-training keeps are not: ``vqsct finetune`` and ``training.pretrain_recon``
-hold each normalized volume's slices or cubes as a ``model.GRAPH_DTYPE``
-(float32) cast, made before the next volume is read, and every slice or cube
-enters the graph as such a cast (``model.graph_input``).
+x index varying fastest. A ``Volume`` keeps the dtype it was read or made
+in: float32 as read from a file, float64 for any other array. So a volume
+stays float32 from ``read_volume`` through ``normalize``, inference and
+``write_volume``. Every float64 computation on its values (the intensity
+maps, the HU outputs of each slice or cube, the evaluation metrics) widens
+one ``SLAB`` at a time, and widening float32 to float64 is exact, so the
+values are those of the whole volume widened at once. Every slice or cube
+enters the graph as a ``model.GRAPH_DTYPE`` (float32) cast
+(``model.graph_input``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -69,8 +73,8 @@ _NORMALIZED_BOUNDS = {"unit01": (0.0, 1.0), "sym11": (-1.0, 1.0)}
 NORMALIZED_AIR = {mode: lo for mode, (lo, _) in _NORMALIZED_BOUNDS.items()}
 
 # Planes per slab in the whole-volume passes that run one slab at a time
-# (writing a volume, fusing the planes, SSIM), so that their working memory
-# is a slab's, not a volume's.
+# (normalizing, writing a volume, fusing the planes, SSIM), so that their
+# working memory is a slab's, not a volume's.
 SLAB = 8
 
 
@@ -78,8 +82,9 @@ SLAB = 8
 class Volume:
     """A 3D scalar grid with spacing and intensity-space metadata.
 
-    ``voxels`` is float64, indexed ``[x, y, z]``. ``meta`` carries optional
-    bookkeeping such as the normalization reference of a PET volume.
+    ``voxels`` is indexed ``[x, y, z]``. A float32 array stays float32 (the
+    dtype an MVOL file stores); any other becomes float64. ``meta`` carries
+    optional bookkeeping such as the normalization reference of a PET volume.
     """
 
     voxels: np.ndarray
@@ -88,7 +93,10 @@ class Volume:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.float64)
+        voxels = np.asarray(self.voxels)
+        if voxels.dtype != np.float32:
+            voxels = voxels.astype(np.float64, copy=False)
+        self.voxels = voxels
         if self.voxels.ndim != 3:
             raise ShapeError(f"volume must be 3D, got shape {self.voxels.shape}")
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
@@ -136,7 +144,11 @@ def _is_triple(value, check) -> bool:
 
 
 def read_volume(path) -> Volume:
-    """Read an MVOL file; malformed framing, header, or payload raise FormatError."""
+    """Read an MVOL file; malformed framing, header, or payload raise FormatError.
+
+    The voxels are a read-only float32 view of the payload, never widened;
+    ``Volume.copy`` gives a writable one.
+    """
     header, payload = read_framed(path, MAGIC, "an MVOL volume")
     required = ("dims", "spacing_mm", "intensity_space")
     if any(k not in header for k in required):
@@ -155,7 +167,7 @@ def read_volume(path) -> Volume:
             f"{path}: payload is {len(payload)} bytes, dims {dims} require {expected}")
     voxels = np.frombuffer(payload, dtype="<f4").reshape(dims, order="F")
     try:
-        return Volume(voxels.astype(np.float64), spacing, space, meta)
+        return Volume(voxels, spacing, space, meta)
     except (DomainError, ShapeError, OverflowError) as exc:  # or a spacing beyond float range
         raise FormatError(f"{path}: {exc}") from None
 
@@ -195,29 +207,65 @@ def activity_to_normalized(values: np.ndarray, reference: float, mode: str) -> n
     return out
 
 
+def _linear_percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values.astype(np.float64), q)``, without the float64 copy.
+
+    The two order statistics that the linear method interpolates are taken
+    from a partition of a copy of ``values`` in its own dtype, then widened
+    and interpolated in float64 as ``np.percentile`` does: virtual index
+    ``(n - 1) * q / 100``, both neighbours the last value at or beyond
+    index ``n - 1``, and the two-sided lerp that counts from the upper
+    neighbour when the weight is at least 0.5. Widening is exact and
+    monotone, so the result is the same float.
+    """
+    n = values.size
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:  # np.percentile indexes the last value as -1
+        lo = hi = n - 1
+        below = -1.0
+    else:
+        lo = int(virtual)  # the floor: virtual >= 0
+        hi = lo + 1
+        below = float(lo)
+    part = values.flatten(order="K")
+    part.partition((lo, hi))
+    a, b = float(part[lo]), float(part[hi])
+    gamma = virtual - below
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
+
+
 def normalize(volume: Volume, mode: str) -> Volume:
-    """Map an HU or activity volume into unit01 or sym11.
+    """Map an HU or activity volume into unit01 or sym11, in the volume's dtype.
 
     HU volumes use the fixed [-1024, 2976] window. Activity volumes use
-    [0, P99.5 of the volume]. ``meta`` records the source space under
-    ``norm_source`` and, for activity, the reference under ``norm_ref`` as
-    provenance; no inverse map back to activity is shipped.
+    [0, P99.5 of the volume] (:func:`_linear_percentile`). Each z-slab is
+    widened to float64 and mapped, and the result is stored in the input's
+    dtype: a float32 volume gives the float32 cast of what its float64
+    widening gives. ``meta`` records the source space under ``norm_source``
+    and, for activity, the reference under ``norm_ref`` as provenance; no
+    inverse map back to activity is shipped.
     """
     if mode not in _NORMALIZED_BOUNDS:
         raise DomainError(f"normalize mode must be unit01 or sym11, got {mode!r}")
     meta = dict(volume.meta)
     if volume.intensity_space == "HU":
-        out = hu_to_normalized(volume.voxels, mode)
+        mapped = partial(hu_to_normalized, mode=mode)
         meta["norm_source"] = "HU"
     elif volume.intensity_space == "activity":
-        reference = float(np.percentile(volume.voxels, PET_REFERENCE_PERCENTILE))
+        reference = _linear_percentile(volume.voxels, PET_REFERENCE_PERCENTILE)
         if reference <= 0:
             raise DomainError("degenerate activity volume: normalization reference is 0")
-        out = activity_to_normalized(volume.voxels, reference, mode)
+        mapped = partial(activity_to_normalized, reference=reference, mode=mode)
         meta["norm_source"] = "activity"
         meta["norm_ref"] = reference
     else:
         raise DomainError(f"cannot normalize a volume already in {volume.intensity_space}")
+    out = np.empty_like(volume.voxels)
+    for z in range(0, volume.dims[2], SLAB):
+        out[:, :, z:z + SLAB] = mapped(np.asarray(volume.voxels[:, :, z:z + SLAB], np.float64))
     return Volume(out, volume.spacing_mm, mode, meta)
 
 

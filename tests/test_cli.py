@@ -115,6 +115,58 @@ def test_usage_errors_exit_1(tmp_path):
                  "--out", str(tmp_path / "z"), "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--volumes", "a.mvol", "--seed", "-1"],
+    ["phantom", "--seed", "-5"],
+    ["finetune", "--base", "b.vqck", "--mode", "scratch", "--pet", "p.mvol", "--ct", "c.mvol",
+     "--seed", "-1"]], ids=["pretrain", "phantom", "finetune"])
+def test_negative_seed_exits_1_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert main([*argv, "--out", str(out)]) == 1
+    seed = argv[argv.index("--seed") + 1]
+    assert capsys.readouterr().err == f"vqsct: error: --seed must be >= 0, got {seed}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_negative_seed_from_a_config_exits_1(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": -3}))
+    assert main(["phantom", "--out", str(tmp_path / "never"), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "vqsct: error: --seed must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("extra", [1, 10 ** 9])
+def test_threads_above_the_usable_cpus_exit_1_before_any_run(tmp_path, capsys, monkeypatch,
+                                                            extra):
+    # only the argument check runs: no handler, and no thread count reaches the environment
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._HANDLERS, "stats", never)
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "unchanged")
+    cpus = len(os.sched_getaffinity(0))
+    threads = str(cpus + extra)
+    assert main(["--threads", threads, "stats", "--report-a", "a.csv", "--report-b", "b.csv",
+                 "--metric", "mae", "--region", "whole", "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == (f"vqsct: error: --threads must be in [1, {cpus}] "
+                                       f"(the usable CPUs), got {threads}\n")
+    assert all(os.environ[var] == "unchanged" for var in cli._THREAD_ENV_VARS)
+    assert os.listdir(tmp_path) == []
+
+
+def test_threads_up_to_the_usable_cpus_are_accepted(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "stats", ran.append)
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "unchanged")
+    cpus = len(os.sched_getaffinity(0))
+    assert main(["--threads", str(cpus), "stats", "--report-a", "a.csv", "--report-b", "b.csv",
+                 "--metric", "mae", "--region", "whole", "--out", str(tmp_path / "s")]) == 0
+    assert len(ran) == 1
+    assert all(os.environ[var] == str(cpus) for var in cli._THREAD_ENV_VARS)
+
+
 def test_config_file_merge_and_flag_precedence(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"cases": 1, "dims": "32,32,32",
@@ -379,6 +431,58 @@ def test_reconstruct_3d_cube_path(work, tmp_path):
                  "--edge", "8"]) == 0
     recon = read_volume(out)
     assert recon.intensity_space == "HU" and recon.dims == (16, 16, 16)
+
+
+# ---------------------------------------------------------------------------
+# input intensity spaces
+# ---------------------------------------------------------------------------
+
+def _wrong_space_case(work, case):
+    """One command given a volume in the wrong intensity space.
+
+    Returns its argv, the flag and path of the wrong volume, that volume's
+    space and the space the flag needs.
+    """
+    pet = str(work["phantom"] / "case_000_pet.mvol")
+    ct = str(work["phantom"] / "case_000_ct.mvol")
+    train = ["--steps", "0", "--batch-size", "2"]
+    small = ["--depth", "2", "--base-channels", "4", "--codebook-size", "8",
+             "--codebook-dim", "6"]
+    finetune = ["finetune", "--base", work["pre"], "--mode", "no-frozen", *train]
+    return {
+        "finetune-pet-is-ct": ([*finetune, "--pet", ct, "--ct", ct],
+                               "--pet", ct, "HU", "activity"),
+        "finetune-ct-is-pet": ([*finetune, "--pet", pet, "--ct", pet],
+                               "--ct", pet, "activity", "HU"),
+        "pretrain-volume-is-pet": (["pretrain", "--volumes", ct, pet, *small, *train],
+                                   "--volumes", pet, "activity", "HU"),
+        "reconstruct-ct-is-pet": (["reconstruct", "--ckpt", work["pre3d"], "--ct", pet,
+                                   "--edge", "8"], "--ct", pet, "activity", "HU"),
+        "translate-finetuned-given-ct": (["translate", "--ckpt", work["fin"], "--pet", ct],
+                                         "--pet", ct, "HU", "activity"),
+        "translate-pretrained-given-pet": (["translate", "--ckpt", work["pre"], "--pet", pet],
+                                           "--pet", pet, "activity", "HU"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "finetune-pet-is-ct", "finetune-ct-is-pet", "pretrain-volume-is-pet",
+    "reconstruct-ct-is-pet", "translate-finetuned-given-ct", "translate-pretrained-given-pet"])
+def test_volume_in_the_wrong_intensity_space_exits_1(work, tmp_path, capsys, case):
+    argv, flag, path, space, expected = _wrong_space_case(work, case)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err == (
+        f"vqsct: error: {flag} {path} holds {space} voxels, expected {expected}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_translate_with_a_pretrained_checkpoint_reconstructs_a_ct(work, tmp_path):
+    # CT->CT through the tri-planar path, as demos/demo_pretrain_reconstruct.py runs it
+    out = tmp_path / "recon.mvol"
+    assert main(["translate", "--ckpt", work["pre"],
+                 "--pet", str(work["phantom"] / "case_000_ct.mvol"), "--out", str(out)]) == 0
+    assert read_volume(out).intensity_space == "HU"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from vqsct.evaluation import (BODY_THRESHOLD_HU, body_contour, colormap_bwr,
                               wilcoxon_signed_rank, write_ppm,
                               write_report_csv)
 from vqsct.phantom import LABEL_LUNG, generate_phantom_pair
-from vqsct.volume import SLAB, Volume
+from vqsct.volume import SLAB, Volume, read_volume, write_volume
 
 
 class _Phantom:
@@ -573,6 +573,51 @@ def test_evaluate_case_peak_memory_is_at_most_three_input_volumes(n):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ct.voxels.nbytes, peak / ct.voxels.nbytes
+
+
+# 300.3 HU rounds down in float32: a voxel at that float32 value is below
+# the float64 threshold, but not below its float32 rounding
+INEXACT_BONE_HU = 300.3
+
+
+@pytest.mark.parametrize("bone_hu", [evaluation.BONE_THRESHOLD_HU, INEXACT_BONE_HU])
+def test_float32_cases_score_and_draw_as_their_float64_widening(phantom, tmp_path, bone_hu):
+    assert float(np.float32(INEXACT_BONE_HU)) < INEXACT_BONE_HU
+    rng = np.random.default_rng(23)
+    gt = phantom.ct.voxels.astype(np.float32)
+    pred = (phantom.ct.voxels + rng.normal(0, 40, phantom.ct.dims)).astype(np.float32)
+    # voxels on both thresholds, as float32 values
+    for vox in (gt, pred):
+        on = rng.random(vox.shape) < 0.02
+        vox[on] = rng.choice(np.float32([bone_hu, BODY_THRESHOLD_HU]), int(on.sum()))
+    narrow = [Volume(v, (1.5, 1.5, 1.5), "HU") for v in (pred, gt)]
+    wide = [Volume(v.astype(np.float64), (1.5, 1.5, 1.5), "HU") for v in (pred, gt)]
+    rows = [evaluate_case(*pair, "c", bone_hu) for pair in (narrow, wide)]
+    assert [repr(r["value"]) for r in rows[0]] == [repr(r["value"]) for r in rows[1]]
+    images = []
+    for name, (p, g) in (("narrow", narrow), ("wide", wide)):
+        mask = region_masks(g, bone_hu)["whole"]
+        paths = save_difference_maps(p, g, mask, tmp_path / name, cap=150.0)
+        images.append([open(path, "rb").read() for path in paths])
+    assert len(images[0]) == gt.shape[2] and images[0] == images[1]
+
+
+def test_evaluate_read_volumes_peak_memory_is_at_most_3_5_float64_volumes(tmp_path):
+    # read two 96^3 float32 files and score them, against one volume's float64
+    # bytes (about 3.25x; 4.25x when read_volume widened both to float64)
+    ct, _, _ = generate_phantom_pair((96, 96, 96), seed=11)
+    pred = hu_volume(ct.voxels + np.random.default_rng(14).normal(0, 40, ct.dims))
+    write_volume(ct, tmp_path / "gt.mvol")
+    write_volume(pred, tmp_path / "pred.mvol")
+    float64_bytes = ct.voxels.nbytes
+    del ct, pred
+    tracemalloc.start()
+    try:
+        evaluate_case(read_volume(tmp_path / "pred.mvol"), read_volume(tmp_path / "gt.mvol"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * float64_bytes, peak / float64_bytes
 
 
 def test_evaluate_case_perfect_prediction(phantom):

@@ -117,6 +117,30 @@ def test_slab_median_is_the_whole_stack_median_with_signed_zeros(nx):
     assert got.tobytes() == want.tobytes()
 
 
+def test_float32_slab_median_is_the_cast_of_the_float64_median():
+    # HU-range values; a quarter of the voxels draw their three values from
+    # +-0.0 and +-0.5, another quarter three distinct float64 values that
+    # round to one float32
+    rng = np.random.default_rng(18)
+    nx = 2 * SLAB + 3
+    stack = rng.uniform(-1024, 2976, (3, nx, 6, 5))
+    pick = rng.random((nx, 6, 5))
+    zeros, close = pick < 0.25, (pick >= 0.25) & (pick < 0.5)
+    stack[:, zeros] = rng.choice([0.0, -0.0, 0.5, -0.5], size=(3, int(zeros.sum())))
+    centers = rng.uniform(-1024, 2976, int(close.sum())).astype(np.float32)
+    quarter_ulp = np.spacing(centers).astype(np.float64) / 4
+    stack[:, close] = centers + np.array([[-1.0], [0.0], [1.0]]) * quarter_ulp
+    narrow = stack.astype(np.float32)
+    assert (narrow[0][close] == narrow[2][close]).all()
+    assert (stack[0][close] != stack[2][close]).all()
+    assert (np.signbit(narrow) & (narrow == 0.0)).any()
+    got = pipeline._median_slabs(narrow, np.empty(narrow.shape[1:], np.float32))
+    want = np.median(stack, axis=0).astype(np.float32)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    fused = fuse_median(*(Volume(v, (1, 1, 1), "HU") for v in narrow))
+    assert fused.voxels.dtype == np.float32 and fused.voxels.tobytes() == want.tobytes()
+
+
 def test_fuse_median_and_translate_volume_share_the_slab_median(monkeypatch):
     calls = []
     real = pipeline._median_slabs
@@ -239,7 +263,8 @@ def test_translate_volume_fused_is_per_voxel_median():
 
 def test_translate_volume_matches_the_per_plane_path_bytes():
     # the planes stacked in place, and their median, against restacked
-    # per-plane volumes and fuse_median
+    # float64 per-plane volumes and fuse_median: each output is float32 and
+    # equals the float32 cast of its float64 oracle
     ckpt = trained_2d(steps=5)
     vol = Volume(np.random.default_rng(9).uniform(0, 1, (12, 10, 9)), (1, 1, 2), "unit01", {})
     result = translate_volume(ckpt, vol)
@@ -249,10 +274,12 @@ def test_translate_volume_matches_the_per_plane_path_bytes():
         hu = translate_slices(ckpt, slices, np.empty((len(slices),) + slices[0].shape))
         planes.append(Volume(restack_slices(hu, plane), vol.spacing_mm, "HU"))
     for got, want in zip((result.axial, result.coronal, result.sagittal), planes):
-        assert got.voxels.tobytes() == want.voxels.tobytes()
+        assert want.voxels.dtype == np.float64 and got.voxels.dtype == np.float32
+        assert got.voxels.tobytes() == want.voxels.astype(np.float32).tobytes()
         assert got.spacing_mm == want.spacing_mm and got.intensity_space == "HU"
     fused = fuse_median(*planes)
-    assert result.fused.voxels.tobytes() == fused.voxels.tobytes()
+    assert fused.voxels.dtype == np.float64 and result.fused.voxels.dtype == np.float32
+    assert result.fused.voxels.tobytes() == fused.voxels.astype(np.float32).tobytes()
     assert result.fused.spacing_mm == fused.spacing_mm and result.fused.meta == fused.meta
 
 
@@ -270,6 +297,25 @@ def test_translate_volume_peak_memory_is_at_most_five_input_volumes():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * vol.voxels.nbytes, peak / vol.voxels.nbytes
+
+
+def test_translate_volume_holds_float32_planes_and_fused_volume():
+    # a float32 input, as normalize gives it for a read volume: the [3, *dims]
+    # stack and the fused volume are float32 (about 2.3x the input's float64
+    # bytes; 4.5x when both were float64)
+    ckpt = trained_2d(steps=0)
+    vol = Volume(np.random.default_rng(19).uniform(0, 1, (96, 96, 96)).astype(np.float32),
+                 (1, 1, 1), "unit01", {})
+    float64_bytes = 2 * vol.voxels.nbytes
+    tracemalloc.start()
+    try:
+        result = translate_volume(ckpt, vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v.voxels.dtype == np.float32 for v in
+               (result.axial, result.coronal, result.sagittal, result.fused))
+    assert peak <= 3 * float64_bytes, peak / float64_bytes
 
 
 def test_translate_slices_collapses_each_decoder_weight_once(monkeypatch):
@@ -331,7 +377,8 @@ def test_inference_builds_float32_leaves_once_per_command(monkeypatch):
                               edge=8)
     assert leaf_dtypes == [np.float32, np.float32]
     assert conv_dtypes == {np.dtype(np.float32)}
-    assert all(s.dtype == np.float64 for s in slices) and cubes.voxels.dtype == np.float64
+    # translate_slices stores in its output's dtype; reconstruct_cubes writes float32
+    assert all(s.dtype == np.float64 for s in slices) and cubes.voxels.dtype == np.float32
 
 
 @pytest.mark.parametrize("dims", [(96, 96, 96), (70, 45, 50)])
@@ -341,7 +388,8 @@ def test_reconstruct_cubes_matches_the_stitched_path(dims, edge):
     vol = Volume(np.random.default_rng(14).uniform(0, 1, dims), (1, 1, 1), "unit01", {})
     out = reconstruct_cubes(ckpt, vol, edge=edge)
     want = reconstruct_cubes_stitched(ckpt, vol, edge)
-    assert out.voxels.dtype == want.dtype and out.voxels.tobytes() == want.tobytes()
+    assert want.dtype == np.float64 and out.voxels.dtype == np.float32
+    assert out.voxels.tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_reconstruct_cubes_memory_is_bounded_by_a_few_inputs():

@@ -2,13 +2,16 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import grid_symmetry_per_channel
 from vqsct.errors import DomainError, FormatError, ShapeError
-from vqsct.volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR, SLAB, Volume,
+from vqsct.phantom import generate_phantom_pair
+from vqsct.volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
+                          PET_REFERENCE_PERCENTILE, SLAB, Volume, _linear_percentile,
                           activity_to_normalized, apply_cube_symmetry,
                           apply_grid_symmetry, apply_plane_symmetry,
                           extract_cubes, hu_to_normalized, normalize,
@@ -191,6 +194,103 @@ def test_normalize_hu_then_denormalize_restores_clamped_hu():
     back = normalized_to_hu(out.voxels, "sym11")
     assert np.allclose(back, np.clip(vol.voxels, HU_MIN, HU_MAX),
                        atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Volumes as stored: float32 voxels, float64 one slab at a time
+# ---------------------------------------------------------------------------
+
+def test_volume_keeps_float32_and_widens_anything_else():
+    f32 = np.zeros((3, 4, 5), np.float32)
+    assert Volume(f32).voxels is f32
+    f64 = np.zeros((3, 4, 5))
+    assert Volume(f64).voxels is f64
+    for dtype in (np.float16, np.int16, ">f4"):
+        assert Volume(np.zeros((3, 4, 5), dtype)).voxels.dtype == np.float64
+    f32[1, 2, 3] = np.inf
+    with pytest.raises(DomainError):
+        Volume(f32)
+
+
+def test_read_volume_hands_over_the_float32_payload(tmp_path):
+    vol = random_volume(np.random.default_rng(20), (7, 6, 5))
+    path = tmp_path / "v.mvol"
+    write_volume(vol, path)
+    back = read_volume(path)
+    assert back.voxels.dtype == np.float32 and back.voxels.flags.f_contiguous
+    assert back.voxels.tobytes() == vol.voxels.astype(np.float32).tobytes()
+    with pytest.raises(ValueError):
+        back.voxels[0, 0, 0] = 1.0  # a read-only view of the file's bytes
+    assert back.copy().voxels.flags.writeable
+
+
+@pytest.mark.parametrize("q", [0, 50, 99.5, 100])
+def test_linear_percentile_is_np_percentile_of_the_widened_values(q):
+    # random sizes; spread values, a few distinct values (heavy ties), or
+    # tiny values up to the lower neighbour and huge ones from the upper, so
+    # that their difference rounds and each side of the two-sided lerp shows
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        n = int(rng.integers(1, 3001))
+        if trial % 3 == 0:
+            values = rng.gamma(2.0, 1.5, n)
+        elif trial % 3 == 1:
+            values = rng.choice(rng.uniform(0, 5, int(rng.integers(1, 5))), n)
+        else:
+            tiny = min(int((n - 1) * (q / 100)) + 1, n)
+            values = rng.permutation(np.concatenate(
+                [rng.uniform(1, 2, tiny) * 1e-20, rng.uniform(1, 2, n - tiny) * 1e20]))
+        x = values.astype(np.float32)
+        if n % 6 == 0:  # a Fortran-ordered 3D grid, as read
+            x = np.asfortranarray(x.reshape(2, 3, n // 6))
+        got = _linear_percentile(x, q)
+        want = np.percentile(x.astype(np.float64), q)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, q)
+
+
+@pytest.mark.parametrize("space", ["HU", "activity"])
+@pytest.mark.parametrize("mode", ["unit01", "sym11"])
+def test_normalize_float32_is_the_cast_of_normalize_of_its_widening(space, mode):
+    # a partial last slab, and values beyond each space's window
+    rng = np.random.default_rng(22)
+    dims = (13, 11, 2 * SLAB + 3)
+    if space == "HU":
+        values = rng.uniform(-1500, 3500, dims)
+    else:
+        values = rng.gamma(2.0, 1.5, dims) * (rng.random(dims) < 0.8)
+    f32 = np.asfortranarray(values.astype(np.float32))  # x fastest, as read
+    got = normalize(Volume(f32, (1, 1, 2), space, {"case": 1}), mode)
+    widened = f32.astype(np.float64)
+    want = normalize(Volume(widened, (1, 1, 2), space, {"case": 1}), mode)
+    assert got.voxels.dtype == np.float32 and want.voxels.dtype == np.float64
+    assert got.voxels.tobytes() == want.voxels.astype(np.float32).tobytes()
+    assert got.meta == want.meta and got.intensity_space == mode
+    # the float64 path maps the whole widened volume as one expression did
+    if space == "HU":
+        whole = hu_to_normalized(widened, mode)
+    else:
+        reference = float(np.percentile(widened, PET_REFERENCE_PERCENTILE))
+        assert want.meta["norm_ref"] == reference
+        whole = activity_to_normalized(widened, reference, mode)
+    assert want.voxels.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kind, bound", [("pet", 3.2), ("ct", 2.6)])
+def test_load_path_peak_memory_is_bounded_by_its_float32_result(tmp_path, kind, bound):
+    # read and normalize a 96^3 volume: the file's bytes, the float32 result
+    # and (PET) a float32 copy to partition; no whole-volume float64 copy
+    ct, pet, _ = generate_phantom_pair((96, 96, 96), seed=11)
+    path = tmp_path / "v.mvol"
+    write_volume(pet if kind == "pet" else ct, path)
+    del ct, pet
+    tracemalloc.start()
+    try:
+        normed = normalize(read_volume(path), "sym11")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert normed.voxels.dtype == np.float32
+    assert peak <= bound * normed.voxels.nbytes, peak / normed.voxels.nbytes
 
 
 # ---------------------------------------------------------------------------
