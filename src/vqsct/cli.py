@@ -14,13 +14,18 @@ Only phantom, pretrain and finetune draw random numbers and take ``--seed``.
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
 pin the BLAS/OpenMP pool sizes through environment variables before numpy
-loads.
+loads. ``--threads`` also sizes the pool on which ``phantom`` generates and
+writes its cases, one case per worker at a time (default: one worker per
+usable CPU), never more workers than ``--cases`` or than there is free
+memory for; every file is the same at any thread count, and ``--threads 1``
+generates the cases one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import shutil
@@ -114,7 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vqsct",
                      description="Desk-scale PET-to-CT translation experiments.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="pin BLAS/OpenMP thread-pool sizes (set before numpy loads)")
+                        help="threads for this process: pins the BLAS/OpenMP pool sizes "
+                        "(set before numpy loads) and sizes phantom's case pool, "
+                        "which otherwise has one worker per usable CPU "
+                        "(fewer if free memory is short)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate paired synthetic PET/CT cases")
@@ -246,6 +254,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# One phantom case's peak working set per voxel, rounded up: its traced peak
+# is about 86 bytes per voxel at 64^3 and 96^3 (float64 grids, the labels and
+# masks, the PET's blur and Poisson draw).
+_CASE_BYTES_PER_VOXEL = 96
+
+
+def _free_bytes() -> int | None:
+    """Physical memory free now, where the OS reports it."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        return None
+
+
+def _case_workers(cases: int, threads: int | None, voxels: int) -> int:
+    """Workers for phantom's case pool: ``threads`` (default: one per usable
+    CPU), but no more than ``cases`` and no more cases of ``voxels`` voxels
+    than fit in free memory at once; always at least one."""
+    workers = min(cases, threads or _usable_cpus())
+    free = _free_bytes()
+    if free is not None:
+        workers = min(workers, max(1, free // (voxels * _CASE_BYTES_PER_VOXEL)))
+    return workers
+
+
 def _read_space(path, flag: str, space: str):
     """The volume at ``path``, which ``flag`` needs in intensity ``space``."""
     from .volume import read_volume
@@ -276,6 +309,9 @@ def _train_options(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_phantom(args) -> None:
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
     from .phantom import checked_dims, generate_phantom_pair
     from .volume import write_volume
 
@@ -284,13 +320,34 @@ def _cmd_phantom(args) -> None:
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.cases):
-        ct, pet, truth = generate_phantom_pair(dims, [args.seed, i], spacing_mm=spacing)
-        write_volume(ct, os.path.join(args.out, f"case_{i:03d}_ct.mvol"))
-        write_volume(pet, os.path.join(args.out, f"case_{i:03d}_pet.mvol"))
-        write_json(os.path.join(args.out, f"case_{i:03d}_truth.json"),
-                   {"case": i, "seed": [args.seed, i],
-                    "geometry": truth.geometry, "label_counts": truth.label_counts()})
+
+    failed = threading.Event()
+
+    def write_case(i):
+        if failed.is_set():
+            return
+        try:
+            ct, pet, truth = generate_phantom_pair(dims, [args.seed, i], spacing_mm=spacing)
+            write_volume(ct, os.path.join(args.out, f"case_{i:03d}_ct.mvol"))
+            write_volume(pet, os.path.join(args.out, f"case_{i:03d}_pet.mvol"))
+            write_json(os.path.join(args.out, f"case_{i:03d}_truth.json"),
+                       {"case": i, "seed": [args.seed, i],
+                        "geometry": truth.geometry, "label_counts": truth.label_counts()})
+        except BaseException:
+            failed.set()
+            raise
+
+    # Each case has its own seed, so its bytes do not depend on the schedule.
+    # Cases start in order, and none starts once a case has failed. Cases
+    # already running then finish, so with several workers a case after the
+    # failing one may still be written; the first failure in case order is
+    # raised.
+    pool = ThreadPoolExecutor(_case_workers(args.cases, args.threads, math.prod(dims)))
+    try:
+        for future in [pool.submit(write_case, i) for i in range(args.cases)]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cmd_pretrain(args) -> None:
@@ -368,8 +425,9 @@ def _cmd_translate(args) -> None:
 def _cmd_reconstruct(args) -> None:
     from .model import load_checkpoint, value_space
     from .pipeline import reconstruct_cubes
-    from .volume import normalize, write_volume
+    from .volume import check_cube_size, normalize, write_volume
 
+    check_cube_size(args.edge)  # in plain integers, before anything is read
     ckpt = load_checkpoint(args.ckpt)
     volume = normalize(_read_space(args.ct, "--ct", "HU"), value_space(ckpt))
     out = reconstruct_cubes(ckpt, volume, edge=args.edge)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .volume import Volume, correlate_valid
+from .volume import Volume, check_voxels, correlate_valid
 
 __all__ = [
     "LABEL_AIR",
@@ -24,7 +24,6 @@ __all__ = [
     "LABEL_SOFT",
     "LABEL_BONE",
     "LABEL_NAMES",
-    "MAX_VOXELS",
     "PhantomTruth",
     "checked_dims",
     "generate_phantom_pair",
@@ -52,11 +51,6 @@ _ACT_BONE = 0.5
 _PET_BLUR_SIGMA = 2.0
 _PET_COUNT_SCALE = 400.0
 
-# The largest grid a phantom or texture volume may have: 512^3 voxels, whose
-# float64 volume alone is 1 GiB; generating one holds several such arrays.
-MAX_VOXELS = 512 ** 3
-
-
 @dataclass
 class PhantomTruth:
     """Per-voxel tissue labels plus the geometry that generated them."""
@@ -71,16 +65,14 @@ class PhantomTruth:
 
 
 def checked_dims(dims, smallest: int, what: str) -> tuple[int, int, int]:
-    """``dims`` as three ints, each >= ``smallest``, with at most ``MAX_VOXELS`` in all.
+    """``dims`` as three ints, each >= ``smallest``, with at most ``volume.MAX_VOXELS`` in all.
 
     Checked in plain integers, before any array is allocated.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < smallest for d in dims):
         raise DomainError(f"{what} dims must be 3 values >= {smallest}, got {dims}")
-    if math.prod(dims) > MAX_VOXELS:
-        raise DomainError(f"{what} dims {dims} hold {math.prod(dims)} voxels, "
-                          f"above the limit of {MAX_VOXELS} (512^3)")
+    check_voxels(math.prod(dims), f"{what} dims {dims}")
     return dims
 
 
@@ -207,8 +199,7 @@ def generate_phantom_pair(dims, seed: int, spacing_mm=(1.5, 1.5, 1.5)):
     pet = rng.poisson(blurred * _PET_COUNT_SCALE) / _PET_COUNT_SCALE
 
     ct_volume = Volume(ct, spacing_mm, "HU", {"phantom_seed": seed})
-    pet_volume = Volume(pet.astype(np.float64), spacing_mm, "activity",
-                        {"phantom_seed": seed})
+    pet_volume = Volume(pet, spacing_mm, "activity", {"phantom_seed": seed})
     return ct_volume, pet_volume, PhantomTruth(labels, geometry, seed)
 
 

@@ -24,7 +24,7 @@ from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_free
                     build_model, encode, forward, graph_input, mask_for_mode,
                     param_tensors, reinitialized, value_space, with_sub_pixel_kernels)
 from .volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
-                     apply_grid_symmetry, extract_cubes, normalize)
+                     apply_grid_symmetry, check_cube_size, extract_cubes, normalize)
 
 __all__ = [
     "OptimizerState",
@@ -265,18 +265,22 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     """Self-supervised reconstruction pretraining on unit01 volumes.
 
     For a 2D config the items are all axial slices of the volumes; for 3D,
-    non-overlapping cubes of ``cube_edge`` voxels. The volumes are consumed
-    one at a time: each is checked (its space, then its extents or the cube
-    edge) and its items are kept as ``GRAPH_DTYPE`` (axial views of the
-    float32 voxels, or float32 cubes) before the next is drawn, so
-    ``volumes`` may be a generator that reads each one. The codebooks are k-means initialized on
-    the first batch; the returned checkpoint is tagged ``pretrained`` (its
-    value space is unit01). With ``augment`` each sampled item passes
-    through a seeded grid symmetry (flips and transposes).
+    non-overlapping cubes of ``cube_edge`` voxels, whose edge is checked
+    before any volume is drawn. The volumes are consumed one at a time: each
+    is checked (its space, then a 2D config's extents) and its items are
+    kept as ``GRAPH_DTYPE`` (axial views of the float32 voxels, or float32
+    cubes) before the next is drawn, so ``volumes`` may be a generator that
+    reads each one. The codebooks are k-means initialized on the first
+    batch; the returned checkpoint is tagged ``pretrained`` (its value space
+    is unit01). With ``augment`` each sampled item passes through a seeded
+    grid symmetry (flips and transposes).
     """
     config.validate()
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
+    if config.spatial_rank == 3:  # before any volume is drawn
+        config.check_cube_edge(cube_edge)
+        check_cube_size(cube_edge)
     items = []
     for vol in volumes:
         if vol.intensity_space != "unit01":
@@ -287,7 +291,6 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
             data = np.asarray(vol.voxels, GRAPH_DTYPE)  # a read volume is float32 already
             items.extend(data[:, :, z] for z in range(vol.dims[2]))
         else:
-            config.check_cube_edge(cube_edge)
             items.extend(cube.astype(GRAPH_DTYPE) for cube, _ in
                          extract_cubes(vol, cube_edge, NORMALIZED_AIR["unit01"]))
         del vol  # before the next volume is drawn

@@ -41,6 +41,9 @@ __all__ = [
     "PET_REFERENCE_PERCENTILE",
     "N_GRID_SYMMETRIES",
     "SLAB",
+    "MAX_VOXELS",
+    "check_voxels",
+    "check_cube_size",
     "read_volume",
     "write_volume",
     "normalize",
@@ -71,6 +74,11 @@ _NORMALIZED_BOUNDS = {"unit01": (0.0, 1.0), "sym11": (-1.0, 1.0)}
 # Pad value of each normalized space: the low end of its interval, which
 # is air (the HU_MIN clamp) for CT and zero activity for PET.
 NORMALIZED_AIR = {mode: lo for mode, (lo, _) in _NORMALIZED_BOUNDS.items()}
+
+# The most voxels one grid may hold: 512^3, whose float64 array alone is
+# 1 GiB. Phantom and texture grids and tiled cubes are checked against it in
+# plain integers, before any array is allocated.
+MAX_VOXELS = 512 ** 3
 
 # Planes per slab in the whole-volume passes that run one slab at a time
 # (normalizing, writing a volume, fusing the planes, SSIM), so that their
@@ -363,6 +371,20 @@ def pad_to_multiple(values: np.ndarray, multiple: int, pad_value: float = 0.0) -
     return np.pad(arr, pads, mode="constant", constant_values=pad_value)
 
 
+def check_voxels(count: int, what: str) -> None:
+    """Raise DomainError if ``what`` hold ``count`` voxels, more than ``MAX_VOXELS``."""
+    if count > MAX_VOXELS:
+        raise DomainError(f"{what} hold {count} voxels, "
+                          f"above the limit of {MAX_VOXELS} (512^3)")
+
+
+def check_cube_size(edge: int) -> None:
+    """Raise DomainError unless cubes of ``edge`` voxels are at least 8 and within the limit."""
+    if edge < 8:
+        raise DomainError(f"cube edge must be >= 8, got {edge}")
+    check_voxels(edge ** 3, f"cubes of edge {edge}")
+
+
 def extract_cubes(volume: Volume, edge: int, pad_value: float):
     """Tile a volume into non-overlapping edge^3 cubes, padding the high sides.
 
@@ -372,8 +394,7 @@ def extract_cubes(volume: Volume, edge: int, pad_value: float):
     (``NORMALIZED_AIR[space]`` for a normalized volume). The origins index
     the grid, so ``stitch_cubes`` can reassemble the volume exactly.
     """
-    if edge < 8:
-        raise DomainError(f"cube edge must be >= 8, got {edge}")
+    check_cube_size(edge)
     grid = volume.voxels
     origins = product(*(range(0, n, edge) for n in grid.shape))
     return ((pad_to_multiple(grid[ox:ox + edge, oy:oy + edge, oz:oz + edge], edge, pad_value),

@@ -8,6 +8,8 @@ import re
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -98,6 +100,170 @@ def test_phantom_rejects_bad_values(tmp_path):
     assert main(["phantom", "--out", out, "--cases", "0"]) == 1
     assert main(["phantom", "--out", out, "--dims", "32,32"]) == 1
     assert main(["phantom", "--out", out, "--dims", "a,b,c"]) == 1
+
+
+_CPUS = len(os.sched_getaffinity(0))
+_THREAD_FLAGS = {"threads-1": ["--threads", "1"], "threads-2": ["--threads", "2"],
+                 "default": []}
+
+
+@pytest.fixture
+def thread_env(monkeypatch):
+    """Restore the thread variables that ``--threads`` sets."""
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "1")
+
+
+def _phantom(out, *flags, cases=3):
+    return main([*flags, "phantom", "--out", str(out), "--cases", str(cases),
+                 "--dims", "32,32,32", "--seed", "5"])
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="--threads 2 needs two usable CPUs")
+def test_phantom_files_are_the_same_at_any_thread_count(tmp_path, thread_env):
+    trees = {}
+    for name, flags in _THREAD_FLAGS.items():
+        assert _phantom(tmp_path / name, *flags) == 0
+        trees[name] = {f: (tmp_path / name / f).read_bytes()
+                       for f in sorted(os.listdir(tmp_path / name))}
+        config = json.loads(trees[name].pop("phantom.config.json"))
+        assert config.pop("out") == str(tmp_path / name)
+        trees[name]["config"] = config
+    assert len(trees["default"]) == 3 * 3 + 1
+    assert trees["threads-1"] == trees["threads-2"] == trees["default"]
+
+
+@pytest.mark.parametrize("cases,flags", [(3, ["--threads", "1"]), (3, ["--threads", "2"]),
+                                         (1, ["--threads", "2"]), (3, [])],
+                         ids=["3-cases-1-thread", "3-cases-2-threads", "1-case-2-threads",
+                              "3-cases-default"])
+def test_phantom_runs_at_most_one_case_per_worker(tmp_path, monkeypatch, thread_env,
+                                                  cases, flags):
+    import concurrent.futures
+
+    from vqsct import phantom
+
+    if flags and int(flags[1]) > _CPUS:
+        pytest.skip("more threads than usable CPUs")
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    lock = threading.Lock()
+    running, peak = [0], [0]
+    real = phantom.generate_phantom_pair
+
+    def counting(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            time.sleep(0.1)  # long enough for every worker to start a case
+            return real(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(phantom, "generate_phantom_pair", counting)
+    assert _phantom(tmp_path / "p", *flags, cases=cases) == 0
+    workers = min(cases, int(flags[1]) if flags else _CPUS)
+    assert sizes == [workers]
+    assert peak[0] == workers
+    assert len(os.listdir(tmp_path / "p")) == 3 * cases + 1
+
+
+def _blocked_run(out, flags, monkeypatch, blocked=(1,)):
+    """Run phantom into ``out`` with a directory where each blocked case's CT goes."""
+    from vqsct import phantom
+
+    out.mkdir()
+    for i in blocked:
+        (out / f"case_{i:03d}_ct.mvol").mkdir()
+    real = phantom.generate_phantom_pair
+
+    def first_blocked_case_is_slowest(dims, seed, **kwargs):
+        if seed[1] == blocked[0]:  # so a later case fails first wherever cases overlap
+            time.sleep(0.3)
+        return real(dims, seed, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(phantom, "generate_phantom_pair", first_blocked_case_is_slowest)
+        return _phantom(out, *flags)
+
+
+@pytest.mark.parametrize("blocked", [(1,), (1, 2)], ids=["case-1", "cases-1-and-2"])
+def test_blocked_case_path_exits_2_as_the_serial_loop_does(tmp_path, capsys, monkeypatch,
+                                                         thread_env, blocked):
+    errors = {}
+    for name, flags in _THREAD_FLAGS.items():
+        if flags and int(flags[1]) > _CPUS:
+            continue
+        out = tmp_path / name
+        assert _blocked_run(out, flags, monkeypatch, blocked) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        errors[name] = re.sub(r"\.[0-9a-f]{16}\.tmp", ".<random>.tmp", err.replace(str(out), "OUT"))
+        left = os.listdir(out)
+        assert not [f for f in left if f.startswith(".")], left  # no temporary file
+        assert "phantom.config.json" not in left
+        assert {"case_000_ct.mvol", "case_000_pet.mvol", "case_000_truth.json"} <= set(left)
+        assert os.listdir(out / "case_001_ct.mvol") == []
+    assert errors["threads-1"] == (
+        "vqsct: i/o error: [Errno 21] Is a directory: 'OUT/.case_001_ct.mvol.<random>.tmp' "
+        "-> 'OUT/case_001_ct.mvol'\n")
+    assert len(set(errors.values())) == 1, errors
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="--threads 2 needs two usable CPUs")
+def test_no_case_starts_once_a_case_has_failed(tmp_path, capsys, monkeypatch, thread_env):
+    # case 0 runs long on one worker while case 1 fails on the other; that
+    # worker then takes cases 2 and 3, which must not start
+    from vqsct import phantom
+
+    out = tmp_path / "p"
+    out.mkdir()
+    (out / "case_001_ct.mvol").mkdir()
+    started = []
+    real = phantom.generate_phantom_pair
+
+    def slow_first_case(dims, seed, **kwargs):
+        started.append(seed[1])
+        if seed[1] == 0:
+            time.sleep(0.3)
+        return real(dims, seed, **kwargs)
+
+    monkeypatch.setattr(phantom, "generate_phantom_pair", slow_first_case)
+    assert _phantom(out, "--threads", "2", cases=4) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert sorted(started) == [0, 1]
+    assert sorted(os.listdir(out)) == ["case_000_ct.mvol", "case_000_pet.mvol",
+                                       "case_000_truth.json", "case_001_ct.mvol"]
+
+
+def test_phantom_pool_holds_no_more_cases_than_free_memory(tmp_path, monkeypatch, thread_env):
+    import concurrent.futures
+
+    case = cli._CASE_BYTES_PER_VOXEL * 32 ** 3
+    for free, voxels, workers in [(8 << 30, 512 ** 3, 1), (0, 32 ** 3, 1),
+                                  (3 * case, 32 ** 3, 3), (None, 512 ** 3, 16)]:
+        monkeypatch.setattr(cli, "_free_bytes", lambda: free)
+        assert cli._case_workers(16, 16, voxels) == workers
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_free_bytes", lambda: case)
+    assert _phantom(tmp_path / "p", *(["--threads", "2"] if _CPUS > 1 else [])) == 0
+    assert sizes == [1]
+    assert len(os.listdir(tmp_path / "p")) == 3 * 3 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +824,32 @@ def test_oversized_phantom_exits_1_before_any_array(tmp_path, capsys, monkeypatc
     assert err == ("vqsct: error: phantom dims (100000, 100000, 100000) hold "
                    "1000000000000000 voxels, above the limit of 134217728 (512^3)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "reconstruct"])
+def test_huge_cube_edge_exits_1_before_any_array(work, tmp_path, capsys, monkeypatch,
+                                                 command):
+    # 2^40 passes the depth rule; its cube's voxel count is checked in plain
+    # integers before a checkpoint or volume is read: any numpy call fails
+    from vqsct import autograd, codebook, evaluation, model, phantom, pipeline, training, volume
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was called")
+
+    for module in (autograd, codebook, evaluation, model, phantom, pipeline, training, volume):
+        monkeypatch.setattr(module, "np", NoNumpy())
+    out = tmp_path / "never"
+    edge = 2 ** 40
+    argv = {"pretrain": ["pretrain", "--volumes", *work["textures"], "--rank", "3",
+                         "--cube-edge", str(edge)],
+            "reconstruct": ["reconstruct", "--ckpt", work["pre3d"], "--edge", str(edge),
+                            "--ct", str(work["phantom"] / "case_000_ct.mvol")]}[command]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"vqsct: error: cubes of edge {edge} hold {edge ** 3} voxels, "
+        f"above the limit of 134217728 (512^3)\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_evaluate_diff_dir_builds_the_truth_contour_once(work, tmp_path, monkeypatch):
