@@ -494,10 +494,10 @@ def upsample_conv(x: Tensor, k: Tensor, b: Tensor | None = None) -> Tensor:
 
 def straight_through(x: Tensor, quantized) -> Tensor:
     """Forward the quantized values, pass gradients through unchanged."""
-    q = np.asarray(quantized, dtype=x.data.dtype)
+    q = np.array(quantized, dtype=x.data.dtype, order="C")  # one copy, cast or not
     if q.shape != x.data.shape:
         raise ShapeError(f"straight_through: quantized shape {q.shape} != input shape {x.data.shape}")
-    return Tensor(q.copy(), "straight_through", (x,), lambda g: (g,))
+    return Tensor(q, "straight_through", (x,), lambda g: (g,))
 
 
 def _toposort(root: Tensor):

@@ -14,11 +14,13 @@ Only phantom, pretrain and finetune draw random numbers and take ``--seed``.
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
 pin the BLAS/OpenMP pool sizes through environment variables before numpy
-loads. ``--threads`` also sizes the pool on which ``phantom`` generates and
-writes its cases, one case per worker at a time (default: one worker per
-usable CPU), never more workers than ``--cases`` or than there is free
-memory for; every file is the same at any thread count, and ``--threads 1``
-generates the cases one after another.
+loads. ``--threads`` also sizes two pools (default: one worker per usable
+CPU), never with more workers than tasks or than there is free memory for:
+the threads on which ``phantom`` generates and writes its cases, one case
+per worker at a time, and the forked processes among which ``translate``,
+``reconstruct`` and ``select`` share out their slices or cubes (see
+``pipeline``). Every file is the same at any thread count, and
+``--threads 1`` runs everything in one thread of one process.
 """
 
 from __future__ import annotations
@@ -120,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Desk-scale PET-to-CT translation experiments.")
     parser.add_argument("--threads", type=int, default=None,
                         help="threads for this process: pins the BLAS/OpenMP pool sizes "
-                        "(set before numpy loads) and sizes phantom's case pool, "
-                        "which otherwise has one worker per usable CPU "
-                        "(fewer if free memory is short)")
+                        "(set before numpy loads) and sizes phantom's case pool and "
+                        "the worker processes of translate, reconstruct and select, "
+                        "which otherwise have one worker per usable CPU "
+                        "(fewer if free memory or the work is short)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate paired synthetic PET/CT cases")
@@ -259,6 +262,13 @@ def _usable_cpus() -> int:
 # masks, the PET's blur and Poisson draw).
 _CASE_BYTES_PER_VOXEL = 96
 
+# One inference task's peak working set (one slice's or cube's forward-only
+# graph) per input voxel and base channel, rounded up: with criterion 09's
+# model its traced peak is 2.8 MB for a 96^2 slice, 1.2 MB for 70x50 and
+# 7.2 MB for a 32^3 cube at base 8 (38, 42 and 27 bytes per voxel and
+# channel), and fewer bytes per channel at base 16.
+_FORWARD_BYTES_PER_VOXEL_CHANNEL = 48
+
 
 def _free_bytes() -> int | None:
     """Physical memory free now, where the OS reports it."""
@@ -268,15 +278,40 @@ def _free_bytes() -> int | None:
         return None
 
 
-def _case_workers(cases: int, threads: int | None, voxels: int) -> int:
-    """Workers for phantom's case pool: ``threads`` (default: one per usable
-    CPU), but no more than ``cases`` and no more cases of ``voxels`` voxels
-    than fit in free memory at once; always at least one."""
-    workers = min(cases, threads or _usable_cpus())
+def _pool_workers(tasks: int, threads: int | None, task_bytes: int) -> int:
+    """Workers for a pool of ``tasks`` independent tasks of ``task_bytes`` each:
+    ``threads`` (default: one per usable CPU), but no more than ``tasks`` and
+    no more tasks than fit in free memory at once; always at least one."""
+    workers = min(tasks, threads or _usable_cpus())
     free = _free_bytes()
     if free is not None:
-        workers = min(workers, max(1, free // (voxels * _CASE_BYTES_PER_VOXEL)))
+        workers = min(workers, max(1, free // task_bytes))
     return workers
+
+
+def _case_workers(cases: int, threads: int | None, voxels: int) -> int:
+    """Workers for phantom's pool of ``cases`` cases of ``voxels`` voxels."""
+    return _pool_workers(cases, threads, voxels * _CASE_BYTES_PER_VOXEL)
+
+
+def _inference_task(config, volume, cube_edge: int | None) -> tuple[int, int]:
+    """(tasks, bytes per task) of one inference of ``volume`` with a model of
+    ``config``: its cubes of ``cube_edge`` for a rank-3 model given one, else
+    its slices."""
+    if config.spatial_rank == 3 and cube_edge is not None:
+        tasks, voxels = math.prod(-(-n // cube_edge) for n in volume.dims), cube_edge ** 3
+    else:
+        tasks, voxels = sum(volume.dims), volume.voxels.size // min(volume.dims)
+    return tasks, voxels * config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL
+
+
+def _inference_workers(threads: int | None, configs, volumes,
+                       cube_edge: int | None = None) -> int:
+    """Workers for inferring each of ``volumes`` with models of each of
+    ``configs``: sized by the most tasks and the largest task among them."""
+    tasks, task_bytes = map(max, zip(*(_inference_task(c, v, cube_edge)
+                                       for c in configs for v in volumes)))
+    return _pool_workers(tasks, threads, task_bytes)
 
 
 def _read_space(path, flag: str, space: str):
@@ -413,7 +448,8 @@ def _cmd_translate(args) -> None:
     ckpt = load_checkpoint(args.ckpt)
     space = value_space(ckpt)
     volume = normalize(_read_space(args.pet, "--pet", _SOURCE_SPACE[space]), space)
-    result = translate_volume(ckpt, volume)
+    result = translate_volume(ckpt, volume,
+                              _inference_workers(args.threads, [ckpt.config], [volume]))
     write_volume(result.fused, args.out)
     if args.dump_planes:
         stem, ext = os.path.splitext(args.out)
@@ -430,7 +466,8 @@ def _cmd_reconstruct(args) -> None:
     check_cube_size(args.edge)  # in plain integers, before anything is read
     ckpt = load_checkpoint(args.ckpt)
     volume = normalize(_read_space(args.ct, "--ct", "HU"), value_space(ckpt))
-    out = reconstruct_cubes(ckpt, volume, edge=args.edge)
+    workers = _inference_workers(args.threads, [ckpt.config], [volume], args.edge)
+    out = reconstruct_cubes(ckpt, volume, edge=args.edge, workers=workers)
     write_volume(out, args.out)
 
 
@@ -468,11 +505,14 @@ def _cmd_stats(args) -> None:
 def _cmd_select(args) -> None:
     from .model import load_checkpoint
     from .training import select_checkpoint
-    from .volume import read_volume
+    from .volume import check_cube_size, read_volume
 
+    check_cube_size(args.cube_edge)  # in plain integers, before anything is read
     candidates = [load_checkpoint(p) for p in args.candidates]
     volumes = [read_volume(p) for p in args.volumes]
-    best = select_checkpoint(candidates, volumes, cube_edge=args.cube_edge)
+    workers = _inference_workers(args.threads, [c.config for c in candidates], volumes,
+                                 args.cube_edge)
+    best = select_checkpoint(candidates, volumes, cube_edge=args.cube_edge, workers=workers)
     index = next(i for i, c in enumerate(candidates) if c is best)
     with open(args.candidates[index], "rb") as src, atomic_open(args.out, "wb") as fh:
         shutil.copyfileobj(src, fh)

@@ -346,7 +346,8 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
         weight_decay=weight_decay, augment=augment)
 
 
-def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64) -> Checkpoint:
+def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64,
+                      workers: int = 1) -> Checkpoint:
     """Return the candidate with the lowest whole-volume reconstruction MSE.
 
     Each candidate reconstructs every evaluation CT volume through its own
@@ -354,7 +355,9 @@ def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64) -> Check
     computed in float64 between the float32 HU output, as ``vqsct
     translate`` or ``reconstruct`` would write it, and the clamped input.
     Each volume is normalized once per value space the candidates need, and
-    clamped once. Ties keep the earliest candidate.
+    clamped once. Ties keep the earliest candidate. ``workers`` is handed to
+    :func:`pipeline.translate_volume` and :func:`pipeline.reconstruct_cubes`,
+    whose bytes do not depend on it.
     """
     from .pipeline import reconstruct_cubes, translate_volume
 
@@ -378,9 +381,9 @@ def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64) -> Check
         count = 0
         for vol, ref in zip(normed[value_space(ckpt)], refs):
             if ckpt.config.spatial_rank == 2:
-                pred = translate_volume(ckpt, vol).fused.voxels
+                pred = translate_volume(ckpt, vol, workers).fused.voxels
             else:
-                pred = reconstruct_cubes(ckpt, vol, edge=cube_edge).voxels
+                pred = reconstruct_cubes(ckpt, vol, edge=cube_edge, workers=workers).voxels
             se += float((np.subtract(pred, ref, dtype=np.float64) ** 2).sum())
             count += pred.size
         mse = se / count

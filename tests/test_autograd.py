@@ -6,6 +6,7 @@ reuses the library's own machinery as its reference.
 """
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,26 @@ def test_straight_through_bitwise_property(rows, cols, seed):
     loss = sum_all(mul(ag.straight_through(x, q), ag.leaf(w)))
     grads = ag.backward(loss, {"x": x})
     assert np.array_equal(grads["x"], w)
+
+
+@pytest.mark.parametrize("q_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_straight_through_makes_one_c_ordered_copy(q_dtype, order):
+    # the forward value is a C-ordered array of the input's dtype that owns
+    # its data, made in one allocation whether or not a cast happens
+    rng = np.random.default_rng(16)
+    x = ag.leaf(rng.standard_normal((512, 256)), np.float32)
+    q = np.asarray(rng.standard_normal((512, 256)), q_dtype, order=order)
+    tracemalloc.start()
+    try:
+        out = ag.straight_through(x, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.dtype == np.float32 and out.data.flags.c_contiguous
+    assert out.data.flags.owndata and not np.shares_memory(out.data, q)
+    assert out.data.tobytes() == q.astype(np.float32).tobytes()
+    assert peak < 1.5 * out.data.nbytes, peak / out.data.nbytes
 
 
 # ---------------------------------------------------------------------------

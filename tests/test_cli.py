@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -264,6 +265,122 @@ def test_phantom_pool_holds_no_more_cases_than_free_memory(tmp_path, monkeypatch
     assert _phantom(tmp_path / "p", *(["--threads", "2"] if _CPUS > 1 else [])) == 0
     assert sizes == [1]
     assert len(os.listdir(tmp_path / "p")) == 3 * 3 + 1
+
+
+# ---------------------------------------------------------------------------
+# inference worker processes
+# ---------------------------------------------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _inference_runs(work, out):
+    ct = str(work["phantom"] / "case_000_ct.mvol")
+    pet = str(work["phantom"] / "case_001_pet.mvol")
+    return [["translate", "--ckpt", work["fin"], "--pet", pet, "--out", str(out / "sct.mvol"),
+             "--dump-planes"],
+            ["reconstruct", "--ckpt", work["pre3d"], "--ct", ct, "--edge", "8",
+             "--out", str(out / "recon.mvol")],
+            ["select", "--candidates", work["pre"], work["pre3d"], work["fin"],
+             "--volumes", ct, "--cube-edge", "8", "--out", str(out / "best.vqck")]]
+
+
+def test_inference_files_are_the_same_at_any_thread_count(work, tmp_path, thread_env,
+                                                          monkeypatch):
+    forks = []
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    trees = {}
+    for name, flags in _THREAD_FLAGS.items():
+        if flags and int(flags[1]) > _CPUS:
+            continue
+        out = tmp_path / name
+        out.mkdir()
+        del forks[:]
+        for argv in _inference_runs(work, out):
+            assert main([*flags, *argv]) == 0
+        assert _no_child_left()
+        if name == "threads-1" or _CPUS == 1:
+            assert forks == []
+        else:  # translate, reconstruct, select's three candidates: one child each
+            assert len(forks) == 5
+        trees[name] = {f: (out / f).read_bytes().replace(str(out).encode(), b"OUT")
+                       for f in sorted(os.listdir(out))}
+    assert len(trees["default"]) == 5 + 2 + 3
+    assert all(tree == trees["default"] for tree in trees.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--ckpt", "pre3d", "--pet", "ct"],
+    ["reconstruct", "--ckpt", "pre", "--ct", "ct", "--edge", "8"]],
+    ids=["translate", "reconstruct"])
+def test_checkpoint_of_the_other_rank_exits_1_with_one_line(work, tmp_path, capsys, argv):
+    # the worker count is worked out before the rank is checked, for either rank
+    ct = str(work["phantom"] / "case_000_ct.mvol")
+    argv = [work.get(a, ct if a == "ct" else a) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "never.mvol")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs a" in err and "got rank" in err, err
+    assert os.listdir(tmp_path) == []
+
+
+def _sagittal_strides(work):
+    """The strides of a sagittal slice of the PET that the failing-worker tests translate."""
+    return read_volume(work["phantom"] / "case_001_pet.mvol").voxels.strides[1:]
+
+
+@pytest.mark.parametrize("kind", ["domain", "memory", "kill"])
+def test_failing_worker_exits_1_with_the_serial_line(work, tmp_path, capsys, monkeypatch,
+                                                     thread_env, kind):
+    # the sagittal slices (the last plane's, in a child of the pool) fail
+    # wherever they run and print the serial path's line; a kill happens
+    # only in a child
+    from vqsct import pipeline
+    from vqsct.errors import DomainError
+
+    parent = os.getpid()
+    real = pipeline.graph_input
+    sagittal = _sagittal_strides(work)
+
+    def failing(config, values, space):
+        if values.strides == sagittal and (kind != "kill" or os.getpid() != parent):
+            if kind == "domain":
+                raise DomainError(f"sagittal slice of shape {values.shape}")
+            if kind == "memory":
+                np.empty(1 << 50)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(config, values, space)
+
+    monkeypatch.setattr(pipeline, "graph_input", failing)
+    lines = set()
+    for name, flags in _THREAD_FLAGS.items():
+        if flags and int(flags[1]) > _CPUS:
+            continue
+        out = tmp_path / f"{name}.mvol"
+        survives = kind == "kill" and (name == "threads-1" or _CPUS == 1)
+        assert main([*flags, "translate", "--ckpt", work["fin"], "--out", str(out),
+                     "--pet", str(work["phantom"] / "case_001_pet.mvol")]) == (0 if survives else 1)
+        assert _no_child_left()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if not survives:
+            assert err.count("\n") == 1 and not out.exists()
+            lines.add(err)
+    want = {"domain": r"vqsct: error: sagittal slice of shape \(32, 32\)\n",
+            "memory": r"vqsct: error: out of memory \(Unable to allocate .*\)\n",
+            "kill": r"vqsct: error: a worker process was killed by SIGKILL\n"}[kind]
+    assert len(lines) == (1 if _CPUS > 1 or kind != "kill" else 0)
+    assert all(re.fullmatch(want, line) for line in lines), lines
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +943,7 @@ def test_oversized_phantom_exits_1_before_any_array(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["pretrain", "reconstruct"])
+@pytest.mark.parametrize("command", ["pretrain", "reconstruct", "select-2d", "select-3d"])
 def test_huge_cube_edge_exits_1_before_any_array(work, tmp_path, capsys, monkeypatch,
                                                  command):
     # 2^40 passes the depth rule; its cube's voxel count is checked in plain
@@ -844,7 +961,13 @@ def test_huge_cube_edge_exits_1_before_any_array(work, tmp_path, capsys, monkeyp
     argv = {"pretrain": ["pretrain", "--volumes", *work["textures"], "--rank", "3",
                          "--cube-edge", str(edge)],
             "reconstruct": ["reconstruct", "--ckpt", work["pre3d"], "--edge", str(edge),
-                            "--ct", str(work["phantom"] / "case_000_ct.mvol")]}[command]
+                            "--ct", str(work["phantom"] / "case_000_ct.mvol")],
+            "select-2d": ["select", "--candidates", work["pre"], work["fin"],
+                          "--volumes", str(work["phantom"] / "case_000_ct.mvol"),
+                          "--cube-edge", str(edge)],
+            "select-3d": ["select", "--candidates", work["pre3d"],
+                          "--volumes", str(work["phantom"] / "case_000_ct.mvol"),
+                          "--cube-edge", str(edge)]}[command]
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"vqsct: error: cubes of edge {edge} hold {edge ** 3} voxels, "

@@ -1,5 +1,9 @@
 """Slicing, median fusion, tri-planar translation, and cube reconstruction."""
 
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from oracles import reconstruct_cubes_stitched
 from vqsct import autograd as ag
 from vqsct import model, pipeline
-from vqsct.errors import DomainError, ShapeError
+from vqsct.errors import DomainError, ShapeError, VqsctError
 from vqsct.model import ModelConfig, build_model, param_tensors
 from vqsct.pipeline import (PLANES, fuse_median, reconstruct_cubes, restack_slices,
                             slice_volume, translate_slices, translate_volume)
@@ -139,6 +143,24 @@ def test_float32_slab_median_is_the_cast_of_the_float64_median():
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
     fused = fuse_median(*(Volume(v, (1, 1, 1), "HU") for v in narrow))
     assert fused.voxels.dtype == np.float32 and fused.voxels.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_median_of_three_by_min_max_is_np_median(dtype):
+    # every ordering of ties, of +-0.0 triples and of large magnitudes, plus
+    # random values; the slab median against np.median byte for byte
+    special = [0.0, -0.0, 1.0, -1.0, 2.5, np.finfo(dtype).max, -np.finfo(dtype).max,
+               np.finfo(dtype).tiny, 1e30, -1e30]
+    triples = np.array([(a, b, c) for a in special for b in special for c in special], dtype)
+    rng = np.random.default_rng(21)
+    noise = rng.uniform(-3000, 3000, (3, 5 * SLAB + 1 - len(triples) % (5 * SLAB + 1)))
+    stack = np.concatenate([triples.T, noise.astype(dtype)], axis=1)
+    stack = stack.reshape(3, 5 * SLAB + 1, -1, 1)
+    assert ((stack == 0.0) & np.signbit(stack)).all(axis=0).any()  # a [-0, -0, -0] triple
+    got = pipeline._median_slabs(stack, np.empty(stack.shape[1:], dtype))
+    want = np.median(stack, axis=0)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_fuse_median_and_translate_volume_share_the_slab_median(monkeypatch):
@@ -418,3 +440,285 @@ def test_reconstruct_cubes_validates_edge_and_rank():
         reconstruct_cubes(ckpt2d, vol, edge=8)
     with pytest.raises(DomainError):
         translate_volume(ckpt, vol)  # 3D model cannot run the planar path
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of times ``os.fork`` returned into the caller."""
+    calls = []
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            calls.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def _translated_bytes(result):
+    return [v.voxels.tobytes() for v in (result.axial, result.coronal, result.sagittal,
+                                         result.fused)]
+
+
+@pytest.mark.parametrize("tasks", [1, 2, 7, 60, 165, 5000])
+@pytest.mark.parametrize("workers", [2, 3, 13, 100])
+def test_claims_cover_every_task_once_in_order(tasks, workers):
+    claims = pipeline._claims(tasks, workers)
+    assert len(claims) == min(tasks, pipeline._CLAIMS_PER_WORKER * workers,
+                              pipeline._MAX_CLAIMS)
+    assert claims[0][0] == 0 and claims[-1][1] == tasks
+    assert all(a[1] == b[0] for a, b in zip(claims, claims[1:]))
+    sizes = {hi - lo for lo, hi in claims}
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    # every token fits the pipe before any worker reads it
+    assert len(claims) * pipeline._TOKEN <= 4096
+
+
+def test_no_tasks_fork_nothing(forks):
+    # a volume with a zero extent has no cubes: nothing forks, as at one worker
+    vol = Volume(np.zeros((0, 8, 8)), (1, 1, 1), "unit01", {})
+    assert reconstruct_cubes(trained_3d(steps=0), vol, edge=8, workers=3).dims == (0, 8, 8)
+    assert forks == []
+
+
+@pytest.mark.parametrize("dims,many", [((96, 96, 96), None), ((70, 45, 50), None),
+                                       ((8, 8, 8), 25)])
+def test_translate_volume_bytes_do_not_depend_on_workers(forks, dims, many):
+    # all four volumes at 1, 2 and 3 workers; "many" (more workers than the 24
+    # slices) only on a small grid, where it forks one child per slice
+    ckpt = trained_2d(steps=2)
+    vol = Volume(np.random.default_rng(22).uniform(0, 1, dims).astype(np.float32),
+                 (1, 1, 2), "unit01", {})
+    want = _translated_bytes(translate_volume(ckpt, vol))
+    assert forks == []
+    for workers in ([many] if many else [2, 3]):
+        del forks[:]
+        assert _translated_bytes(translate_volume(ckpt, vol, workers)) == want
+        assert len(forks) == min(workers, sum(dims)) - 1
+        assert _no_child_left()
+
+
+@pytest.mark.parametrize("edge,workers", [(16, 2), (16, 3), (32, 2), (32, 3), (32, 13)])
+def test_reconstruct_cubes_bytes_do_not_depend_on_workers(forks, edge, workers):
+    # 70x45x50 holds 60 cubes of edge 16 and 12 of edge 32
+    ckpt = trained_3d(steps=2)
+    vol = Volume(np.random.default_rng(23).uniform(0, 1, (70, 45, 50)), (1, 1, 1),
+                 "unit01", {})
+    want = reconstruct_cubes(ckpt, vol, edge=edge).voxels.tobytes()
+    assert forks == []
+    assert reconstruct_cubes(ckpt, vol, edge=edge, workers=workers).voxels.tobytes() == want
+    assert len(forks) == min(workers, 12 if edge == 32 else 60) - 1
+    assert _no_child_left()
+
+
+def test_select_checkpoint_does_not_depend_on_workers(forks, monkeypatch):
+    from vqsct.training import select_checkpoint
+
+    outputs = []
+    for name in ("translate_volume", "reconstruct_cubes"):
+        real = getattr(pipeline, name)
+
+        def recording(*args, _real=real, **kwargs):
+            result = _real(*args, **kwargs)
+            outputs.append(getattr(result, "fused", result).voxels.tobytes())
+            return result
+
+        monkeypatch.setattr(pipeline, name, recording)
+    candidates = [trained_2d(steps=0), trained_2d(steps=2), trained_3d(steps=2)]
+    vols = [hu_volume(np.random.default_rng(24), dims) for dims in [(20, 18, 16), (16, 24, 20)]]
+    picks, runs = [], []
+    for workers in (1, 2, 3):
+        del outputs[:]
+        picks.append(select_checkpoint(candidates, vols, cube_edge=8, workers=workers))
+        runs.append(list(outputs))
+    assert len(runs[0]) == 6 and runs[0] == runs[1] == runs[2]
+    assert picks[0] is picks[1] is picks[2]
+    assert len(forks) == 6 * 1 + 6 * 2 and _no_child_left()
+
+
+def test_one_worker_or_a_second_live_thread_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    ckpt, ckpt3 = trained_2d(steps=2), trained_3d(steps=2)
+    vol = Volume(np.random.default_rng(25).uniform(0, 1, (20, 18, 16)), (1, 1, 1),
+                 "unit01", {})
+    want = _translated_bytes(translate_volume(ckpt, vol))
+    cubes = reconstruct_cubes(ckpt3, vol, edge=8).voxels.tobytes()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _translated_bytes(translate_volume(ckpt, vol, 1)) == want
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _translated_bytes(translate_volume(ckpt, vol, 3)) == want
+        assert reconstruct_cubes(ckpt3, vol, edge=8, workers=3).voxels.tobytes() == cubes
+    finally:
+        release.set()
+        other.join()
+
+
+def _failing_input(monkeypatch, kind, fail):
+    """Patch ``graph_input`` to fail with ``kind`` on the slices ``fail`` picks."""
+    real = pipeline.graph_input
+
+    def failing(config, values, space):
+        if fail(values):
+            if kind == "domain":
+                raise DomainError(f"slice of shape {values.shape}, max {float(values.max())}")
+            if kind == "memory":
+                np.empty(1 << 50)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(config, values, space)
+
+    monkeypatch.setattr(pipeline, "graph_input", failing)
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["in-order", "earlier-fails-later"])
+@pytest.mark.parametrize("kind", ["domain", "memory"])
+def test_worker_error_is_the_serial_error_of_the_earliest_failed_claim(monkeypatch, kind, late):
+    # coronal slice y=10 (task 80) and sagittal slice x=30 (task 145) of
+    # 70x45x50 fail; the serial path raises the coronal error first, and so
+    # must the pool, whichever process takes which claim, also when the
+    # coronal slice fails half a second after the sagittal one
+    ckpt = trained_2d(steps=0)
+    voxels = np.random.default_rng(26).uniform(0, 1, (70, 45, 50)).astype(np.float32)
+    voxels[5, 10, 5], voxels[30, 40, 40] = 7.0, 8.0
+    vol = Volume(voxels, (1, 1, 1), "unit01", {})
+    marked = {(70, 50): 7.0, (45, 50): 8.0}
+    _failing_input(monkeypatch, kind, lambda v: marked.get(v.shape) == v.max())
+    if late:
+        failing = pipeline.graph_input
+
+        def coronal_late(config, values, space):
+            if values.shape == (70, 50) and values.max() == 7.0:
+                time.sleep(0.5)
+            return failing(config, values, space)
+
+        monkeypatch.setattr(pipeline, "graph_input", coronal_late)
+    messages = []
+    for workers in (1, 2, 3):
+        with pytest.raises(DomainError if kind == "domain" else MemoryError) as err:
+            translate_volume(ckpt, vol, workers)
+        messages.append(str(err.value))
+        assert _no_child_left()
+    assert messages[0] == messages[1] == messages[2]
+    if kind == "domain":
+        assert messages[0] == "slice of shape (70, 50), max 7.0"
+
+
+def test_killed_worker_is_an_error_and_is_reaped(monkeypatch, forks):
+    parent = os.getpid()
+    ckpt = trained_2d(steps=0)
+    vol = Volume(np.random.default_rng(27).uniform(0, 1, (16, 16, 16)), (1, 1, 1),
+                 "unit01", {})
+    _failing_input(monkeypatch, "kill", lambda v: os.getpid() != parent)
+    with pytest.raises(VqsctError, match="^a worker process was killed by SIGKILL$"):
+        translate_volume(ckpt, vol, 2)
+    assert len(forks) == 1 and _no_child_left()
+
+
+def _slow_children(monkeypatch, seconds, once=False):
+    """Patch ``graph_input`` so that forked children sleep ``seconds`` per
+    slice (only before their first one if ``once``); returns a pipe's read
+    end on which each slice writes its process's pid."""
+    parent = os.getpid()
+    real = pipeline.graph_input
+    read_fd, write_fd = os.pipe()
+    slept = []
+
+    def slow(config, values, space):
+        os.write(write_fd, os.getpid().to_bytes(4, "little"))
+        if os.getpid() != parent and not (once and slept):
+            slept.append(True)
+            time.sleep(seconds)
+        return real(config, values, space)
+
+    monkeypatch.setattr(pipeline, "graph_input", slow)
+    return read_fd, write_fd
+
+
+def _pids(read_fd, write_fd):
+    os.close(write_fd)
+    data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
+    os.close(read_fd)
+    return [int.from_bytes(data[i:i + 4], "little") for i in range(0, len(data), 4)]
+
+
+def test_a_slower_worker_takes_fewer_claims(monkeypatch):
+    # 48 slices on 2 workers: a child slowed to 0.1 s a slice translates a
+    # few while the parent takes the rest, where fixed halves would make the
+    # child translate 24 (2.4 s); the bytes are those of one worker
+    ckpt = trained_2d(steps=0)
+    vol = Volume(np.random.default_rng(29).uniform(0, 1, (16, 16, 16)), (1, 1, 1),
+                 "unit01", {})
+    want = _translated_bytes(translate_volume(ckpt, vol))
+    fds = _slow_children(monkeypatch, 0.1)
+    start = time.perf_counter()
+    assert _translated_bytes(translate_volume(ckpt, vol, 2)) == want
+    elapsed = time.perf_counter() - start
+    pids = _pids(*fds)
+    assert len(pids) == 48 and len(set(pids)) == 2
+    assert pids.count(os.getpid()) > 36 and elapsed < 1.5
+    assert _no_child_left()
+
+
+def test_failed_claim_stops_every_worker_after_the_claim_it_holds(monkeypatch):
+    # the parent fails its first slice; the children, at 0.5 s a slice, stop
+    # after the claim each holds instead of translating the other 47 slices
+    parent = os.getpid()
+    ckpt = trained_2d(steps=0)
+    vol = Volume(np.random.default_rng(28).uniform(0, 1, (16, 16, 16)), (1, 1, 1),
+                 "unit01", {})
+    fds = _slow_children(monkeypatch, 0.5)
+    slow = pipeline.graph_input
+
+    def parent_fails(config, values, space):
+        if os.getpid() == parent:
+            raise DomainError("the parent's claim failed")
+        return slow(config, values, space)
+
+    monkeypatch.setattr(pipeline, "graph_input", parent_fails)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="the parent's claim failed"):
+        translate_volume(ckpt, vol, 3)
+    assert time.perf_counter() - start < 4
+    assert len(_pids(*fds)) <= 2 and _no_child_left()
+
+
+def test_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
+    # each child sleeps 40 s in its first slice: it is still running when the
+    # parent is interrupted, and must be killed rather than waited for
+    parent = os.getpid()
+    ckpt = trained_2d(steps=0)
+    vol = Volume(np.random.default_rng(30).uniform(0, 1, (16, 16, 16)), (1, 1, 1),
+                 "unit01", {})
+    fds = _slow_children(monkeypatch, 40, once=True)
+    slow = pipeline.graph_input
+
+    def interrupted(config, values, space):
+        if os.getpid() == parent:
+            time.sleep(0.2)  # the children have taken their first claims
+            raise KeyboardInterrupt
+        return slow(config, values, space)
+
+    monkeypatch.setattr(pipeline, "graph_input", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        translate_volume(ckpt, vol, 3)
+    assert time.perf_counter() - start < 30
+    _pids(*fds)
+    assert _no_child_left()
