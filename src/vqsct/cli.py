@@ -12,14 +12,18 @@ becomes the command's parser default, so flags still win. Every run writes
 replays the run (a config's ``command``, if any, must be the one being run).
 Only phantom, pretrain and finetune draw random numbers and take ``--seed``.
 
-Heavy imports happen inside the command handlers so that ``--threads`` can
-pin the BLAS/OpenMP pool sizes through environment variables before numpy
-loads. ``--threads`` also sizes two pools (default: one worker per usable
-CPU), never with more workers than tasks or than there is free memory for:
-the threads on which ``phantom`` generates and writes its cases, one case
-per worker at a time, and the forked processes among which ``translate``,
+Heavy imports happen inside the command handlers so that the BLAS/OpenMP
+pools can be pinned to one thread through environment variables before
+numpy loads: a command's parallelism is its own pool of workers, and one
+BLAS pool of all CPUs in each of them would oversubscribe the CPUs. The
+pool's size is ``--threads`` (default: one worker per usable CPU), never
+with more workers than tasks or than there is free memory for: the
+threads on which ``phantom`` generates and writes its cases, one case per
+worker at a time; the forked processes among which ``translate``,
 ``reconstruct`` and ``select`` share out their slices or cubes (see
-``pipeline``). Every file is the same at any thread count, and
+``pipeline``); and those among which ``pretrain`` and ``finetune`` share
+out each step's batch items, forked once per command of two or more steps
+(see ``training``). Every file is the same at any thread count, and
 ``--threads 1`` runs everything in one thread of one process.
 """
 
@@ -121,11 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vqsct",
                      description="Desk-scale PET-to-CT translation experiments.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for this process: pins the BLAS/OpenMP pool sizes "
-                        "(set before numpy loads) and sizes phantom's case pool and "
-                        "the worker processes of translate, reconstruct and select, "
-                        "which otherwise have one worker per usable CPU "
-                        "(fewer if free memory or the work is short)")
+                        help="workers for this command: sizes phantom's case pool and "
+                        "the worker processes of translate, reconstruct and select "
+                        "and of pretrain's and finetune's batch items, which otherwise "
+                        "have one worker per usable CPU "
+                        "(fewer if free memory or the work is short); "
+                        "each runs one BLAS/OpenMP thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate paired synthetic PET/CT cases")
@@ -269,6 +274,14 @@ _CASE_BYTES_PER_VOXEL = 96
 # channel), and fewer bytes per channel at base 16.
 _FORWARD_BYTES_PER_VOXEL_CHANNEL = 48
 
+# One training item's peak working set on a worker (the step's leaves, then
+# the item's forward, loss and backward graph) per input voxel and base
+# channel, rounded up: with criterion 09's model its traced peak is 3.3 / 3.7
+# MB for a 96^2 slice without / with the commitment term, 1.6 MB for 70x50
+# and 9.8 MB for a 32^3 cube with it, at base 8 (44 / 50, 57 and 37 bytes per
+# voxel and channel).
+_TRAIN_BYTES_PER_VOXEL_CHANNEL = 64
+
 
 def _free_bytes() -> int | None:
     """Physical memory free now, where the OS reports it."""
@@ -312,6 +325,14 @@ def _inference_workers(threads: int | None, configs, volumes,
     tasks, task_bytes = map(max, zip(*(_inference_task(c, v, cube_edge)
                                        for c in configs for v in volumes)))
     return _pool_workers(tasks, threads, task_bytes)
+
+
+def _training_workers(threads: int | None, batch_size: int, base_channels: int,
+                      voxels: int) -> int:
+    """Workers for the batch items of a training step, whose largest item
+    holds ``voxels`` voxels, with a model of ``base_channels``."""
+    return _pool_workers(batch_size, threads,
+                         max(1, voxels * base_channels * _TRAIN_BYTES_PER_VOXEL_CHANNEL))
 
 
 def _read_space(path, flag: str, space: str):
@@ -373,11 +394,16 @@ def _cmd_phantom(args) -> None:
             raise
 
     # Each case has its own seed, so its bytes do not depend on the schedule.
-    # Cases start in order, and none starts once a case has failed. Cases
-    # already running then finish, so with several workers a case after the
-    # failing one may still be written; the first failure in case order is
-    # raised.
-    pool = ThreadPoolExecutor(_case_workers(args.cases, args.threads, math.prod(dims)))
+    # One worker writes the cases in order in this thread. Otherwise cases
+    # start in order, and none starts once a case has failed. Cases already
+    # running then finish, so with several workers a case after the failing
+    # one may still be written; the first failure in case order is raised.
+    workers = _case_workers(args.cases, args.threads, math.prod(dims))
+    if workers == 1:
+        for i in range(args.cases):
+            write_case(i)
+        return
+    pool = ThreadPoolExecutor(workers)
     try:
         for future in [pool.submit(write_case, i) for i in range(args.cases)]:
             future.result()
@@ -393,11 +419,18 @@ def _cmd_pretrain(args) -> None:
     config = ModelConfig(
         spatial_rank=args.rank, depth=args.depth, base_channels=args.base_channels,
         codebook_size=args.codebook_size, codebook_dim=args.codebook_dim,
-        pyramid_levels=args.pyramid_levels, seed=args.seed)
-    # read one at a time: pretrain_recon keeps each volume's float32 items only
+        pyramid_levels=args.pyramid_levels, seed=args.seed).validate()
+    # read and normalized one at a time: pretrain_recon keeps float32 items only
     volumes = (normalize(_read_space(p, "--volumes", "HU"), "unit01") for p in args.volumes)
-    result = pretrain_recon(config, volumes, args.steps, args.seed,
-                            cube_edge=args.cube_edge, **_train_options(args))
+    if args.rank == 3:  # the cubes are copies: each volume goes once they are cut
+        voxels = args.cube_edge ** 3
+    else:  # the axial slices are views, which keep every volume anyway
+        volumes = list(volumes)
+        voxels = max(v.dims[0] * v.dims[1] for v in volumes)
+    result = pretrain_recon(
+        config, volumes, args.steps, args.seed, cube_edge=args.cube_edge,
+        workers=_training_workers(args.threads, args.batch_size, args.base_channels, voxels),
+        **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
 
@@ -433,9 +466,13 @@ def _cmd_finetune(args) -> None:
             pet_slices.extend(np.moveaxis(pet, PLANE_AXIS[plane], 0))
             ct_slices.extend(np.moveaxis(ct, PLANE_AXIS[plane], 0))
 
+    voxels = max((sl.size for sl in pet_slices), default=0)
     result = finetune_translate(
         base, args.mode, pet_slices, ct_slices, args.steps, args.seed,
-        freeze_codebook_with_encoder=not args.train_codebook, **_train_options(args))
+        freeze_codebook_with_encoder=not args.train_codebook,
+        workers=_training_workers(args.threads, args.batch_size,
+                                  base.config.base_channels, voxels),
+        **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
 
@@ -541,8 +578,8 @@ def main(argv=None) -> int:
             if not 1 <= args.threads <= cpus:
                 raise UsageError(f"--threads must be in [1, {cpus}] (the usable CPUs), "
                                  f"got {args.threads}")
-            for var in _THREAD_ENV_VARS:
-                os.environ[var] = str(args.threads)
+        for var in _THREAD_ENV_VARS:  # the pools are the parallelism: one BLAS thread each
+            os.environ[var] = "1"
         if args.config:
             command_parser = parser.commands[args.command]
             command_parser.set_defaults(

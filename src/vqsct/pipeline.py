@@ -8,18 +8,16 @@ cubes, reconstructs each, and writes each output into its place.
 outputs are in HU.
 
 Given ``workers > 1``, :func:`translate_volume` and
-:func:`reconstruct_cubes` run their slices or cubes on the calling process
-and ``workers - 1`` forked children. The tasks are cut into contiguous
-claims, and each process takes the next claim from one shared queue (a
-pipe) until none is left, so a process the OS runs slower takes less of
-the work; every one writes straight into one anonymous shared ``mmap``
-output. The children inherit their inputs through the fork (nothing is
-pickled) and leave through ``os._exit``; the caller reaps them all before
-it goes on, and re-raises the error of the earliest failed claim, which is
-the error the serial path raises. Where forking is unsafe (not Linux, no
-``os.fork``, or another live Python thread) the whole work runs in the
-calling process. Each slice or cube runs the same code either way, so the
-outputs are byte-identical at any worker count.
+:func:`reconstruct_cubes` run their slices or cubes as one round of a
+:class:`workers.Pool`: the calling process and ``workers - 1`` forked
+children take contiguous claims of them from one shared queue until none
+is left, so a process the OS runs slower takes less of the work, and every
+one writes straight into one anonymous shared ``mmap`` output. The caller
+reaps every child before it goes on, and re-raises the error of the
+earliest failed claim, which is the error the serial path raises. Where
+forking is unsafe the whole work runs in the calling process. Each slice or
+cube runs the same code either way, so the outputs are byte-identical at
+any worker count.
 
 Slice layouts (ascending along the fixed axis, remaining axes in x,y,z
 order): axial slices are ``[x, y]`` at fixed z, coronal ``[x, z]`` at fixed
@@ -28,22 +26,17 @@ y, sagittal ``[y, z]`` at fixed x.
 
 from __future__ import annotations
 
-import mmap
-import os
-import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass
 from itertools import islice
 from math import prod
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, VqsctError
+from .errors import DomainError, ShapeError
 from .model import (GRAPH_DTYPE, Checkpoint, forward, graph_input, param_tensors,
                     value_space, with_sub_pixel_kernels)
 from .volume import NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu
+from .workers import pool_size, run_tasks, shared_array
 
 __all__ = [
     "PLANES",
@@ -58,14 +51,6 @@ __all__ = [
 ]
 
 PLANES = ("axial", "coronal", "sagittal")
-# A worker pool's queue holds one token per claim, the claim's index in
-# _TOKEN bytes; _MAX_CLAIMS of them fill one page, the least a pipe holds.
-_TOKEN = 4
-_MAX_CLAIMS = 1024
-# Claims per worker: enough that the workers end within a small claim of
-# each other however the OS shares the CPUs out, few enough that each
-# claim's fixed cost (a read, a parameter build) stays small.
-_CLAIMS_PER_WORKER = 16
 # The axis each plane's slices are taken along.
 PLANE_AXIS = {"axial": 2, "coronal": 1, "sagittal": 0}
 
@@ -164,154 +149,6 @@ def fuse_median(a: Volume, b: Volume, c: Volume) -> Volume:
     return Volume(fused, a.spacing_mm, a.intensity_space, dict(a.meta))
 
 
-def _fork_safe() -> bool:
-    """Whether worker processes may be forked: Linux, and no other live thread."""
-    return (sys.platform.startswith("linux") and hasattr(os, "fork")
-            and threading.active_count() == 1)
-
-
-def _pool_size(tasks: int, workers: int) -> int:
-    """Processes to run ``tasks`` tasks on: ``workers``, at most one per task,
-    and one where forking is unsafe."""
-    return min(workers, tasks) if _fork_safe() else 1
-
-
-def _claims(tasks: int, workers: int) -> list:
-    """Contiguous ``[lo, hi)`` runs of about equal task counts covering the
-    tasks in order: one per task, but at most ``_CLAIMS_PER_WORKER`` per
-    worker and ``_MAX_CLAIMS`` in all."""
-    n = min(tasks, _CLAIMS_PER_WORKER * workers, _MAX_CLAIMS)
-    return [(tasks * k // n, tasks * (k + 1) // n) for k in range(n)]
-
-
-def _hu_output(shape, shared: bool) -> np.ndarray:
-    """An uninitialized float32 array of ``shape``; in an anonymous shared mmap if ``shared``."""
-    if not shared:
-        return np.empty(shape, np.float32)
-    count = prod(shape)
-    buffer = mmap.mmap(-1, max(1, count) * np.dtype(np.float32).itemsize)
-    return np.frombuffer(buffer, np.float32, count).reshape(shape)
-
-
-def _drain(queue: int, claims, run):
-    """Run ``run(lo, hi)`` over the claims taken from ``queue`` until it is empty.
-
-    Returns ``(lo, error)`` of a failed claim, else None. A failed claim
-    empties the queue, so every worker stops after the claim it holds.
-    """
-    while len(token := os.read(queue, _TOKEN)) == _TOKEN:
-        lo, hi = claims[int.from_bytes(token, "little")]
-        try:
-            run(lo, hi)
-        except Exception as exc:
-            while os.read(queue, 1 << 12):
-                pass
-            return lo, exc
-    return None
-
-
-def _fork_worker(queue: int, claims, run) -> tuple:
-    """Fork a child that drains ``queue``; its pid and the read end of its error pipe.
-
-    The child never returns into the caller's frames: it leaves through
-    ``os._exit``, so it neither flushes the caller's stdio nor runs its
-    exit handlers. A failure is pickled into the pipe as ``(lo, error)``
-    (``lo`` past every task where no claim failed), and the exit status is 1.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        failure = None
-        try:
-            try:
-                os.close(read_fd)
-                failure = _drain(queue, claims, run)
-            except BaseException as exc:
-                failure = claims[-1][1], exc
-            if failure is not None:
-                try:
-                    payload = pickle.dumps(failure)
-                except Exception:
-                    lo, exc = failure
-                    payload = pickle.dumps((lo, VqsctError(f"{type(exc).__name__}: {exc}")))
-                view = memoryview(payload)
-                while view:
-                    view = view[os.write(write_fd, view):]
-        finally:
-            os._exit(0 if failure is None else 1)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(child, tasks: int, kill: bool = False):
-    """Wait for ``child`` (SIGKILLed first if ``kill``) and close its pipe;
-    its failure ``(lo, error)``, or None."""
-    pid, read_fd = child
-    chunks = []
-    try:
-        if kill:
-            os.kill(pid, signal.SIGKILL)  # a zombie not yet reaped takes it too
-        while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-        os.close(read_fd)
-    if kill:
-        return None
-    if chunks:
-        try:
-            return pickle.loads(b"".join(chunks))
-        except Exception as exc:
-            return tasks, VqsctError(f"a worker process failed, and its error did not load: {exc}")
-    if os.WIFSIGNALED(status):
-        return tasks, VqsctError(f"a worker process was killed by "
-                                 f"{signal.Signals(os.WTERMSIG(status)).name}")
-    code = os.waitstatus_to_exitcode(status)
-    return (tasks, VqsctError(f"a worker process exited with status {code}")) if code else None
-
-
-def _run_tasks(tasks: int, run, workers: int) -> None:
-    """Run ``run(lo, hi)`` over the tasks ``[0, tasks)`` on ``workers`` processes.
-
-    One worker runs ``run(0, tasks)`` here. Otherwise the tasks are cut into
-    :func:`_claims`, whose indices are written in order into one pipe, the
-    queue, before ``workers - 1`` children are forked; this process and each
-    child take the next claim from the queue until it is empty, so a worker
-    that the OS runs slower takes fewer claims. Once every child is reaped,
-    the failure of the earliest failed claim is raised: every claim before
-    it was taken, and ran to its end, so that error is the one the serial
-    path raises. A child killed by a signal counts after every claim. If
-    this process is interrupted, every child still here is SIGKILLed and
-    reaped before the interrupt goes on.
-    """
-    if workers <= 1:
-        run(0, tasks)
-        return
-    claims = _claims(tasks, workers)
-    queue, feed = os.pipe()
-    try:  # at most one page, the least a pipe holds: written whole, before any worker reads
-        os.write(feed, b"".join(k.to_bytes(_TOKEN, "little") for k in range(len(claims))))
-    finally:
-        os.close(feed)
-    children = []
-    try:
-        for _ in range(workers - 1):
-            children.append(_fork_worker(queue, claims, run))
-        failures = [_drain(queue, claims, run)]
-        while children:
-            failures.append(_reap(children.pop(0), tasks))
-    finally:
-        os.close(queue)
-        for child in children:
-            _reap(child, tasks, kill=True)
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-
-
 def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> TriplanarResult:
     """Tri-planar translation: slice, translate, restack per plane, fuse.
 
@@ -340,8 +177,8 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     # every axis lies in the slice plane of two of the three planes
     _check_planar(ckpt, volume.dims, "the volume's slices")
     axes = [_plane_axis(plane) for plane in PLANES]
-    workers = _pool_size(sum(volume.dims), workers)
-    stack = _hu_output((len(PLANES),) + volume.dims, workers > 1)
+    workers = pool_size(sum(volume.dims), workers)
+    stack = shared_array((len(PLANES),) + volume.dims, np.float32, workers > 1)
     planes = [(np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
               for axis, out in zip(axes, stack)]
 
@@ -351,7 +188,7 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
                 translate_slices(ckpt, slices[max(lo, 0):hi], out[max(lo, 0):hi])
             lo, hi = lo - len(slices), hi - len(slices)
 
-    _run_tasks(sum(volume.dims), run, workers)
+    run_tasks(sum(volume.dims), run, workers)
     fused = _median_slabs(stack, np.empty(volume.dims, np.float32))
     return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in (*stack, fused)))
 
@@ -383,9 +220,9 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
     ckpt.config.check_cube_edge(edge)
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
     cubes = prod(-(-n // edge) for n in volume.dims)
-    workers = _pool_size(cubes, workers)
+    workers = pool_size(cubes, workers)
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
-    out = _hu_output(volume.dims, workers > 1)
+    out = shared_array(volume.dims, np.float32, workers > 1)
     taken = 0  # tiles this process has drawn; its claims come in ascending order
 
     def run(lo, hi):
@@ -397,5 +234,5 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
             dest[...] = normalized_to_hu(crop.astype(np.float64), space)
         taken = hi
 
-    _run_tasks(cubes, run, workers)
+    run_tasks(cubes, run, workers)
     return Volume(out, volume.spacing_mm, "HU")

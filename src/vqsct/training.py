@@ -6,25 +6,30 @@ under the scratch / no-frozen / enc-frozen regimes. The engine takes plain
 2D slices or 3D cubes (``pretrain_recon`` and ``vqsct finetune`` hold them
 in ``GRAPH_DTYPE``) and prepares each drawn item with ``model.graph_input``
 (then ``volume.apply_grid_symmetry`` when augmenting). Both are fully
-deterministic given their seed at a fixed thread count: data order, k-means
-codebook initialization, EMA updates, and stale-code expiration all draw
-from generators derived from the run seed.
+deterministic given their seed: data order, k-means codebook
+initialization, EMA updates, and stale-code expiration all draw from
+generators derived from the run seed. A step's batch items may run on
+forked worker processes (``workers``); the calling process adds their
+gradients in item order and does everything else, so the bytes do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
-from .codebook import ema_update, expire_stale, kmeans_init
+from .codebook import Codebook, ema_update, expire_stale, kmeans_init
 from .errors import DomainError, ShapeError, TrainingError
 from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_freeze,
                     build_model, encode, forward, graph_input, mask_for_mode,
                     param_tensors, reinitialized, value_space, with_sub_pixel_kernels)
 from .volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
                      apply_grid_symmetry, check_cube_size, extract_cubes, normalize)
+from .workers import Pool, pool_size, shared_array
 
 __all__ = [
     "OptimizerState",
@@ -117,33 +122,168 @@ def _epoch_batches(n_items: int, batch_size: int, rng):
             yield perm[lo:lo + size]
 
 
-def _collect_level_rows(ckpt: Checkpoint, items) -> list[np.ndarray]:
+def _collect_level_rows(ckpt: Checkpoint, items, out=None) -> list[np.ndarray]:
     """Quantizer unit rows per pyramid level over graph inputs (for k-means init).
 
     One set of ``GRAPH_DTYPE`` leaves serves all the items, and each item
-    runs only the encoder and the quantizer levels.
+    runs only the encoder and the quantizer levels. Each item's rows go to
+    their place in one ``[rows, dim]`` float64 array per level: the leading
+    elements of the level's 1D buffer in ``out`` if given (the step's
+    unit-row slots, reused), else a new array.
     """
     params = param_tensors(ckpt, GRAPH_DTYPE)
-    per_level = [[] for _ in ckpt.codebooks]
-    for item in items:
+    bounds = np.cumsum([[0] * len(ckpt.codebooks)]
+                       + [ckpt.config.level_rows(np.shape(item)[1:]) for item in items], axis=0)
+    if out is None:
+        out = [np.empty(rows * cb.dim) for rows, cb in zip(bounds[-1], ckpt.codebooks)]
+    level_rows = [flat[:rows * cb.dim].reshape(rows, cb.dim)
+                  for flat, rows, cb in zip(out, bounds[-1], ckpt.codebooks)]
+    for i, item in enumerate(items):
         for j, (_, _, qres) in enumerate(encode(ckpt, item, params)):
-            per_level[j].append(qres.unit_rows)
-    return [np.concatenate(chunks, axis=0) for chunks in per_level]
+            level_rows[j][bounds[i, j]:bounds[i + 1, j]] = qres.unit_rows
+    return level_rows
 
 
-def _ensure_codebooks_initialized(ckpt: Checkpoint, items, seed: int) -> None:
+def _ensure_codebooks_initialized(ckpt: Checkpoint, items, seed: int, out=None) -> None:
     if all(cb.initialized for cb in ckpt.codebooks):
         return
-    level_rows = _collect_level_rows(ckpt, items)
+    level_rows = _collect_level_rows(ckpt, items, out)
     for j, cb in enumerate(ckpt.codebooks):
         if not cb.initialized:
             kmeans_init(cb, level_rows[j], seed=seed + j)
 
 
+def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive runs of the 1D ``flat``, one of each of ``shapes``, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+class _Step:
+    """One training step's batch as every worker process of the step sees it.
+
+    Before each round the parent publishes the step's state into
+    arrays that every worker maps (:func:`workers.shared_array`, plain
+    arrays at one worker): the float64 master weights and each codebook's
+    codes, as the checkpoint ``view``; the batch's item indices and
+    augmentation elements; and, when the codebooks train, each item's offset
+    into every level's rows. :meth:`run` runs batch items on any worker:
+    it builds the ``GRAPH_DTYPE`` leaves and sub-pixel kernels from ``view``
+    once per round, and each item fills its own slots, its flattened
+    gradient, loss and L1, and its unit rows and code indices at its offsets.
+    The parent then folds the slots in item order. The unit rows
+    are stored column by column, as the EMA update reads them.
+    """
+
+    def __init__(self, ckpt: Checkpoint, sides, trainable, size: int, *, beta: float,
+                 augment: bool, codebook_trainable: bool, shared: bool):
+        def alloc(shape, dtype):
+            return shared_array(shape, dtype, shared)
+
+        config = ckpt.config
+        self.config, self.space, self.sides = config, value_space(ckpt), sides
+        self.beta, self.augment, self.trainable = beta, augment, trainable
+        shapes = [arr.shape for arr in ckpt.params.values()]
+        weights = alloc((sum(math.prod(shape) for shape in shapes),), np.float64)
+        codebooks = []
+        for cb in ckpt.codebooks:  # the codes are all that quantize reads
+            view = Codebook.__new__(Codebook)
+            view.codes = alloc(cb.codes.shape, np.float64)
+            codebooks.append(view)
+        self.view = Checkpoint(config, dict(zip(ckpt.params, _flat_views(weights, shapes))),
+                               codebooks, ckpt.step, ckpt.provenance)
+        self.round = alloc((1,), np.int64)
+        self.round[0] = 0
+        self.batch = alloc((size,), np.intp)
+        self.elements = alloc((size,), np.intp)
+        self.grad_shapes = [ckpt.params[name].shape for name in trainable]
+        self.grads = alloc((size, sum(math.prod(shape) for shape in self.grad_shapes)),
+                           GRAPH_DTYPE)
+        self.losses = alloc((size,), GRAPH_DTYPE)
+        self.l1 = alloc((size,), np.float64)
+        self.bounds = self.columns = self.indices = None
+        if codebook_trainable:  # room for a batch of the items with the most rows
+            most = np.max([config.level_rows(shape)
+                           for shape in {np.shape(item) for item in sides[0]}], axis=0)
+            self.bounds = alloc((size + 1, len(codebooks)), np.intp)
+            self.columns = [alloc((cb.dim * size * rows,), np.float64)
+                            for cb, rows in zip(codebooks, most)]
+            self.indices = [alloc((size * rows,), np.intp) for rows in most]
+        self._built, self._params = None, None  # this process's leaves, and their round
+
+    def publish(self, ckpt: Checkpoint, batch, elements) -> None:
+        """Publish a step: the checkpoint's weights and codes, the batch and its elements."""
+        for name, arr in ckpt.params.items():
+            self.view.params[name][...] = arr
+        for view, cb in zip(self.view.codebooks, ckpt.codebooks):
+            view.codes[...] = cb.codes
+        self.batch[...] = batch
+        if elements is not None:
+            self.elements[...] = elements
+        if self.bounds is not None:
+            self.bounds[...] = np.cumsum(
+                [[0] * len(self.indices)]
+                + [self.config.level_rows(np.shape(self.sides[0][idx])) for idx in batch],
+                axis=0)
+        self.round[0] += 1
+
+    def levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level, the step's ``[dim, rows]`` unit-row columns and its code indices."""
+        rows = self.bounds[-1]
+        return [(columns[:view.dim * n].reshape(view.dim, n), indices[:n])
+                for columns, indices, view, n
+                in zip(self.columns, self.indices, self.view.codebooks, rows)]
+
+    def run(self, lo: int, hi: int) -> None:
+        """Run the published batch's items ``[lo, hi)`` into their slots."""
+        if self._built != self.round[0]:
+            self._params = with_sub_pixel_kernels(self.view,
+                                                  param_tensors(self.view, GRAPH_DTYPE))
+            self._built = int(self.round[0])
+        params = self._params
+        wrt = {name: params[name] for name in self.trainable}
+        weight = 1.0 / len(self.batch)
+        levels = self.levels() if self.bounds is not None else ()
+        for i in range(lo, hi):
+            pair = [graph_input(self.config, items[self.batch[i]], self.space)
+                    for items in self.sides]
+            if self.augment:
+                pair = [apply_grid_symmetry(item, int(self.elements[i])) for item in pair]
+            res = forward(self.view, pair[0], params, beta=self.beta)
+            l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(pair[-1], GRAPH_DTYPE))))
+            loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
+            item_grads = ag.backward(ag.scale(loss, weight), wrt)
+            for name, dest in zip(self.trainable, _flat_views(self.grads[i], self.grad_shapes)):
+                dest[...] = item_grads[name]
+            self.losses[i] = loss.data
+            self.l1[i] = l1.data
+            for j, (columns, indices) in enumerate(levels):
+                start, end = self.bounds[i, j], self.bounds[i + 1, j]
+                columns[:, start:end] = res.unit_rows[j].T
+                indices[start:end] = res.code_indices[j].ravel()
+            del res, l1, loss, item_grads  # free this item's graph before the next forward
+
+    def fold(self):
+        """``(gradients, loss, mean L1)`` of the step: the items' gradients and
+        losses added in item order, item 0 first, the loss sum scaled by 1/B."""
+        flat = self.grads[0].copy()
+        total = self.losses[0]
+        for grads, loss in zip(self.grads[1:], self.losses[1:]):
+            flat += grads
+            total = total + loss
+        grads = dict(zip(self.trainable, _flat_views(flat, self.grad_shapes)))
+        return grads, total * (1.0 / len(self.batch)), float(np.mean(self.l1))
+
+
 def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
                 mask: FreezeMask, learning_rate: float, batch_size: int,
                 beta: float, expire_age: int, decay: float,
-                weight_decay: float, augment: bool = False) -> TrainResult:
+                weight_decay: float, augment: bool = False,
+                workers: int = 1) -> TrainResult:
     """The shared optimization loop over paired (input, target) items.
 
     The items are 2D slices or 3D cubes in ``ckpt``'s value space, and
@@ -156,16 +296,22 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     the same bytes either way.
 
     Each step builds the parameter leaves, and the decoder's sub-pixel
-    kernels over them, once. Every batch item then runs
+    kernels over them, once per worker. Every batch item then runs
     its own graph: forward, loss (L1, plus the commitment when ``beta > 0``)
     and a backward of ``loss / B`` over the trainable leaves, after which
-    the graph is released. The step adds the items' gradients in item
-    order, item 0 first, and logs ``(loss_0 + loss_1 + ...) / B`` summed in
-    that order, so each step holds one item graph at a time. When the
+    the graph is released, so a worker holds one item graph at a time. The
+    step adds the items' gradients in item order, item 0 first, and logs
+    ``(loss_0 + loss_1 + ...) / B`` summed in that order. When the
     codebooks train, each item's quantizer unit rows and code indices go
     to their place in one batch array per level (sized by
-    ``ModelConfig.level_rows``, the rows stored column by column), which
-    the EMA update and code expiry read.
+    ``ModelConfig.level_rows``), which the EMA update and code expiry read.
+
+    With ``workers > 1`` and ``steps > 1`` the batch items of every step run
+    as one round of a :class:`workers.Pool` forked once, after the k-means
+    initialization: the augmentation elements are drawn in item order
+    before the round, and everything but the items (the sums, AdamW, the
+    EMA update and code expiry) runs here, so the bytes do not depend on
+    ``workers`` (see :class:`_Step`).
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
@@ -188,67 +334,45 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     batches = _epoch_batches(n, batch_size, data_rng)
 
     first_batch = next(batches)
-    _ensure_codebooks_initialized(
-        ckpt, [graph_input(config, inputs[idx], space) for idx in first_batch], seed)
-
     trainable = apply_freeze(ckpt, mask)
+    # a pool forked for one step costs about what it saves: the processes'
+    # copy-on-write faults after the fork take about half a step
+    workers = pool_size(len(first_batch), workers) if steps > 1 else 1
+    # before k-means, whose rows reuse the step's unit-row slots, so that
+    # they add no memory to the loop's, at any worker count
+    step = _Step(ckpt, sides, trainable, len(first_batch), beta=beta, augment=augment,
+                 codebook_trainable=mask.codebook_trainable and steps > 0,
+                 shared=workers > 1)
+    _ensure_codebooks_initialized(
+        ckpt, [graph_input(config, inputs[idx], space) for idx in first_batch], seed,
+        step.columns)
+
     state = init_optimizer(ckpt.params, trainable, learning_rate, weight_decay)
     l1_history: list[float] = []
     loss_history: list[float] = []
+    symmetries = N_GRID_SYMMETRIES[config.spatial_rank]
+    with Pool(step.run, workers) as pool:
+        batch = first_batch
+        for _ in range(steps):
+            elements = ([int(augment_rng.integers(symmetries)) for _ in batch]
+                        if augment else None)
+            step.publish(ckpt, batch, elements)
+            pool.round(len(batch))
+            grads, total, l1 = step.fold()
+            if not np.isfinite(total):
+                raise TrainingError(f"training diverged: loss {float(total)}")
+            adamw_step(state, ckpt.params, grads)
 
-    batch = first_batch
-    for _ in range(steps):
-        params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
-        wrt = {name: params[name] for name in trainable}
-        weight = 1.0 / len(batch)
-        grads = None
-        total = None
-        l1_values = []
-        if mask.codebook_trainable:  # each item's rows at its offset, in item order
-            bounds = np.cumsum([[0] * len(ckpt.codebooks)]
-                               + [config.level_rows(np.shape(inputs[idx])) for idx in batch],
-                               axis=0)
-            # stored column by column: the EMA update sums one column at a time
-            level_columns = [np.empty((cb.dim, rows))
-                             for rows, cb in zip(bounds[-1], ckpt.codebooks)]
-            level_indices = [np.empty(rows, dtype=np.intp) for rows in bounds[-1]]
-        for i, idx in enumerate(batch):
-            pair = [graph_input(config, items[idx], space) for items in sides]
-            if augment:
-                element = int(augment_rng.integers(N_GRID_SYMMETRIES[config.spatial_rank]))
-                pair = [apply_grid_symmetry(item, element) for item in pair]
-            res = forward(ckpt, pair[0], params, beta=beta)
-            l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(pair[-1], GRAPH_DTYPE))))
-            loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
-            item_grads = ag.backward(ag.scale(loss, weight), wrt)
-            if grads is None:
-                grads, total = item_grads, loss.data
-            else:
-                grads = {name: grads[name] + g for name, g in item_grads.items()}
-                total = total + loss.data
-            l1_values.append(float(l1.data))
             if mask.codebook_trainable:
-                for j, (start, end) in enumerate(zip(bounds[i], bounds[i + 1])):
-                    level_columns[j][:, start:end] = res.unit_rows[j].T
-                    level_indices[j][start:end] = res.code_indices[j].ravel()
-            del res, l1, loss  # free this item's graph before the next forward
+                for cb, (columns, indices) in zip(ckpt.codebooks, step.levels()):
+                    ema_update(cb, columns.T, indices, decay=decay)
+                    expire_stale(cb, columns.T, expire_age,
+                                 seed=int(expire_rng.integers(2 ** 31)))
 
-        total = total * weight
-        if not np.isfinite(total):
-            raise TrainingError(f"training diverged: loss {float(total)}")
-        adamw_step(state, ckpt.params, grads)
-
-        if mask.codebook_trainable:
-            for cb, columns, indices in zip(ckpt.codebooks, level_columns, level_indices):
-                ema_update(cb, columns.T, indices, decay=decay)
-                expire_stale(cb, columns.T, expire_age,
-                             seed=int(expire_rng.integers(2 ** 31)))
-            del level_columns, level_indices
-
-        l1_history.append(float(np.mean(l1_values)))
-        loss_history.append(float(total))
-        ckpt.step += 1
-        batch = next(batches)
+            l1_history.append(l1)
+            loss_history.append(float(total))
+            ckpt.step += 1
+            batch = next(batches)
 
     return TrainResult(ckpt, l1_history, loss_history)
 
@@ -261,7 +385,7 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
                    learning_rate: float = 1e-5, batch_size: int = 8,
                    beta: float = 0.25, expire_age: int = 2, decay: float = 0.99,
                    weight_decay: float = 0.01, cube_edge: int = 64,
-                   augment: bool = False) -> TrainResult:
+                   augment: bool = False, workers: int = 1) -> TrainResult:
     """Self-supervised reconstruction pretraining on unit01 volumes.
 
     For a 2D config the items are all axial slices of the volumes; for 3D,
@@ -273,7 +397,8 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     reads each one. The codebooks are k-means initialized on the first
     batch; the returned checkpoint is tagged ``pretrained`` (its value space
     is unit01). With ``augment`` each sampled item passes through a seeded
-    grid symmetry (flips and transposes).
+    grid symmetry (flips and transposes). ``workers`` processes run each
+    step's batch items; the bytes do not depend on it.
     """
     config.validate()
     if steps < 0:
@@ -303,7 +428,7 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
         ckpt, items, None, steps, seed,
         mask=FreezeMask(True, True), learning_rate=learning_rate,
         batch_size=batch_size, beta=beta, expire_age=expire_age, decay=decay,
-        weight_decay=weight_decay, augment=augment)
+        weight_decay=weight_decay, augment=augment, workers=workers)
 
 
 def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
@@ -312,7 +437,7 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
                        expire_age: int = 2, decay: float = 0.99,
                        weight_decay: float = 0.01,
                        freeze_codebook_with_encoder: bool = True,
-                       augment: bool = False) -> TrainResult:
+                       augment: bool = False, workers: int = 1) -> TrainResult:
     """Supervised PET-to-CT fine-tuning on paired sym11 slices.
 
     ``mode`` selects the regime: ``scratch`` re-initializes every parameter
@@ -320,7 +445,8 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     checkpoint, ``enc-frozen`` freezes the encoder (and by default the
     codebook). With ``augment`` each sampled pair passes through one shared
     seeded grid symmetry. The result is tagged ``finetuned`` (sym11 value
-    space).
+    space). ``workers`` processes run each step's batch items; the bytes do
+    not depend on it.
     """
     mask = mask_for_mode(mode, freeze_codebook_with_encoder)
     if steps < 0:
@@ -343,7 +469,7 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
         ckpt, pet_slices, ct_slices, steps, seed,
         mask=mask, learning_rate=learning_rate, batch_size=batch_size,
         beta=beta, expire_age=expire_age, decay=decay,
-        weight_decay=weight_decay, augment=augment)
+        weight_decay=weight_decay, augment=augment, workers=workers)
 
 
 def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64,

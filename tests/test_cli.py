@@ -29,6 +29,8 @@ from vqsct.model import (ModelConfig, build_model, load_checkpoint,
 from vqsct.phantom import generate_texture_volume
 from vqsct.volume import Volume, read_volume, write_volume
 
+from test_pipeline import forks  # noqa: F401
+
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
@@ -155,12 +157,14 @@ def test_phantom_runs_at_most_one_case_per_worker(tmp_path, monkeypatch, thread_
 
     lock = threading.Lock()
     running, peak = [0], [0]
+    threads = set()
     real = phantom.generate_phantom_pair
 
     def counting(*args, **kwargs):
         with lock:
             running[0] += 1
             peak[0] = max(peak[0], running[0])
+            threads.add(threading.current_thread())
         try:
             time.sleep(0.1)  # long enough for every worker to start a case
             return real(*args, **kwargs)
@@ -172,8 +176,10 @@ def test_phantom_runs_at_most_one_case_per_worker(tmp_path, monkeypatch, thread_
     monkeypatch.setattr(phantom, "generate_phantom_pair", counting)
     assert _phantom(tmp_path / "p", *flags, cases=cases) == 0
     workers = min(cases, int(flags[1]) if flags else _CPUS)
-    assert sizes == [workers]
+    # one worker builds no pool: the cases run in order in the calling thread
+    assert sizes == ([workers] if workers > 1 else [])
     assert peak[0] == workers
+    assert (threads == {threading.main_thread()}) == (workers == 1)
     assert len(os.listdir(tmp_path / "p")) == 3 * cases + 1
 
 
@@ -263,7 +269,7 @@ def test_phantom_pool_holds_no_more_cases_than_free_memory(tmp_path, monkeypatch
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_free_bytes", lambda: case)
     assert _phantom(tmp_path / "p", *(["--threads", "2"] if _CPUS > 1 else [])) == 0
-    assert sizes == [1]
+    assert sizes == []  # room for one case: no pool, one case at a time in this thread
     assert len(os.listdir(tmp_path / "p")) == 3 * 3 + 1
 
 
@@ -447,7 +453,8 @@ def test_threads_up_to_the_usable_cpus_are_accepted(tmp_path, monkeypatch):
     assert main(["--threads", str(cpus), "stats", "--report-a", "a.csv", "--report-b", "b.csv",
                  "--metric", "mae", "--region", "whole", "--out", str(tmp_path / "s")]) == 0
     assert len(ran) == 1
-    assert all(os.environ[var] == str(cpus) for var in cli._THREAD_ENV_VARS)
+    # --threads sizes the worker pools; each worker runs one BLAS/OpenMP thread
+    assert all(os.environ[var] == "1" for var in cli._THREAD_ENV_VARS)
 
 
 def test_config_file_merge_and_flag_precedence(tmp_path):
@@ -688,6 +695,66 @@ def test_finetune_rejects_unpaired_or_bad_planes(work, tmp_path):
                  "--pet", str(d / "case_000_pet.mvol"),
                  "--ct", str(d / "case_000_ct.mvol"),
                  "--steps", "1", "--out", out]) == 1
+
+
+def _training_runs(work, out):
+    d = work["phantom"]
+    small = ["--depth", "2", "--base-channels", "4", "--codebook-size", "8",
+             "--codebook-dim", "6"]
+    train = ["--steps", "3", "--batch-size", "4", "--learning-rate", "1e-3", "--augment"]
+    return [["pretrain", "--volumes", *work["textures"], "--out", str(out / "pre2.vqck"),
+             *small, *train],
+            ["pretrain", "--volumes", *work["textures"], "--out", str(out / "pre3.vqck"),
+             "--rank", "3", "--cube-edge", "8", *small, *train],
+            ["finetune", "--base", work["pre"], "--mode", "no-frozen",
+             "--pet", str(d / "case_000_pet.mvol"), "--ct", str(d / "case_000_ct.mvol"),
+             "--out", str(out / "fin.vqck"), "--train-codebook", *train]]
+
+
+def test_training_files_are_the_same_at_any_thread_count(work, tmp_path, thread_env, forks):
+    # each command forks its pool once: one child per worker beyond the first,
+    # at most one per batch item
+    trees = {}
+    for name, flags in _THREAD_FLAGS.items():
+        if flags and int(flags[1]) > _CPUS:
+            continue
+        out = tmp_path / name
+        out.mkdir()
+        del forks[:]
+        for argv in _training_runs(work, out):
+            assert main([*flags, *argv]) == 0
+        assert _no_child_left()
+        assert len(forks) == 3 * (min(int(flags[1]) if flags else _CPUS, 4) - 1)
+        trees[name] = {f: (out / f).read_bytes().replace(str(out).encode(), b"OUT")
+                       for f in sorted(os.listdir(out))}
+    assert len(trees["default"]) == 3 * 3  # .vqck, .history.csv, .config.json
+    assert all(tree == trees["default"] for tree in trees.values())
+
+
+@pytest.mark.parametrize("rank,shape,beta", [(2, (96, 96), 0.0), (2, (96, 96), 0.25),
+                                             (2, (70, 50), 0.25), (3, (32, 32, 32), 0.25)])
+def test_training_item_peak_is_within_its_byte_rule(rank, shape, beta):
+    # one batch item of criterion 09's model on a worker, its leaves built
+    # first: forward, loss and backward into its slots, traced
+    from vqsct import training
+
+    config = ModelConfig(spatial_rank=rank, depth=2, base_channels=8, pyramid_levels=2,
+                         codebook_size=32, codebook_dim=16)
+    ckpt = build_model(config)
+    items = [np.random.default_rng(31).uniform(0, 1, shape).astype(np.float32)]
+    step = training._Step(ckpt, (items,), sorted(ckpt.params), 1, beta=beta, augment=False,
+                          codebook_trainable=True, shared=False)
+    step.publish(ckpt, [0], None)
+    step.run(0, 1)  # the conv plans are cached once per process
+    step.publish(ckpt, [0], None)
+    tracemalloc.start()
+    try:
+        step.run(0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = np.prod(shape) * config.base_channels * cli._TRAIN_BYTES_PER_VOXEL_CHANNEL
+    assert 0.5 * limit < peak <= limit, peak / limit
 
 
 # ---------------------------------------------------------------------------

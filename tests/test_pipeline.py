@@ -12,6 +12,7 @@ import pytest
 from oracles import reconstruct_cubes_stitched
 from vqsct import autograd as ag
 from vqsct import model, pipeline
+from vqsct import workers as worker_pool
 from vqsct.errors import DomainError, ShapeError, VqsctError
 from vqsct.model import ModelConfig, build_model, param_tensors
 from vqsct.pipeline import (PLANES, fuse_median, reconstruct_cubes, restack_slices,
@@ -476,15 +477,17 @@ def _translated_bytes(result):
 @pytest.mark.parametrize("tasks", [1, 2, 7, 60, 165, 5000])
 @pytest.mark.parametrize("workers", [2, 3, 13, 100])
 def test_claims_cover_every_task_once_in_order(tasks, workers):
-    claims = pipeline._claims(tasks, workers)
-    assert len(claims) == min(tasks, pipeline._CLAIMS_PER_WORKER * workers,
-                              pipeline._MAX_CLAIMS)
+    claims = worker_pool._claims(tasks, workers)
+    assert len(claims) == min(tasks, worker_pool._CLAIMS_PER_WORKER * workers,
+                              worker_pool._MAX_CLAIMS)
     assert claims[0][0] == 0 and claims[-1][1] == tasks
     assert all(a[1] == b[0] for a, b in zip(claims, claims[1:]))
     sizes = {hi - lo for lo, hi in claims}
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    # every token fits the pipe before any worker reads it
-    assert len(claims) * pipeline._TOKEN <= 4096
+    # a round's tokens, its claims and one end token per process, fit one
+    # page of the pipe before any worker reads them
+    processes = worker_pool.pool_size(tasks, workers)
+    assert (len(claims) + processes) * worker_pool._TOKEN <= 4096
 
 
 def test_no_tasks_fork_nothing(forks):

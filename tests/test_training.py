@@ -1,14 +1,20 @@
 """Optimizer recurrence and the two training loops."""
 
+import os
+import select
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from test_pipeline import _no_child_left, forks  # noqa: F401
 
 from vqsct import autograd as ag
 from vqsct import training
 from vqsct.codebook import kmeans_init
-from vqsct.errors import DomainError, ShapeError, TrainingError
+from vqsct.errors import DomainError, ShapeError, TrainingError, VqsctError
 from vqsct.model import (GRAPH_DTYPE, FreezeMask, ModelConfig, build_model, forward,
                          param_tensors, save_checkpoint)
 from vqsct.training import (adamw_step, finetune_translate, init_optimizer,
@@ -548,3 +554,245 @@ def test_select_checkpoint_validates_inputs():
     not_hu = Volume(rng.uniform(0, 1, (16, 16, 16)), (1, 1, 1), "unit01", {})
     with pytest.raises(DomainError):
         select_checkpoint([ckpt], [not_hu])
+
+
+# ---------------------------------------------------------------------------
+# Batch items on worker processes
+# ---------------------------------------------------------------------------
+
+def _run_bytes(result, tmp_path):
+    """The checkpoint's file bytes and the two histories of a training run."""
+    path = tmp_path / "run.vqck"
+    save_checkpoint(result.checkpoint, path)
+    return path.read_bytes(), result.l1_history, result.loss_history
+
+
+def _pretrain(rank, workers, beta=0.0, augment=False, steps=3, batch=5):
+    vols = texture_volumes(2, dims=(16, 16, 16))
+    return pretrain_recon(small_config(rank=rank, pyramid_levels=2), vols, steps=steps,
+                          seed=7, learning_rate=2e-3, batch_size=batch, beta=beta,
+                          cube_edge=8, augment=augment, workers=workers)
+
+
+def _planes(dims=(24, 20, 16), seed=11):
+    """Paired sym11 slices of one volume along all three planes (three shapes)."""
+    rng = np.random.default_rng(seed)
+    pet = rng.uniform(-1, 1, dims).astype(np.float32)
+    ct = np.clip(0.8 * pet + 0.1, -1, 1)
+    pets, cts = [], []
+    for axis in (2, 1, 0):
+        pets.extend(np.moveaxis(pet, axis, 0))
+        cts.extend(np.moveaxis(ct, axis, 0))
+    return pets, cts
+
+
+def _finetune(base, mode, workers, train_codebook=False, dims=(16, 16, 16), steps=3):
+    pets, cts = _planes(dims)
+    return finetune_translate(base, mode, pets, cts, steps=steps, seed=5,
+                              learning_rate=2e-3, batch_size=6, beta=0.25, augment=True,
+                              freeze_codebook_with_encoder=not train_codebook,
+                              workers=workers)
+
+
+_WORKERS = [1, 2, 3, 9]  # 9: more workers than a step's items
+
+
+@pytest.mark.parametrize("rank,beta,augment", [(2, 0.0, False), (2, 0.0, True), (3, 0.0, False),
+                                               (3, 0.0, True), (2, 0.25, True), (3, 0.25, False)])
+def test_pretrain_bytes_do_not_depend_on_workers(tmp_path, forks, rank, beta, augment):
+    # beta > 0 takes the commitment path; each command forks its pool once
+    runs = []
+    for workers in _WORKERS:
+        del forks[:]
+        runs.append(_run_bytes(_pretrain(rank, workers, beta, augment), tmp_path))
+        assert len(forks) == min(workers, 5) - 1
+        assert _no_child_left()
+    assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("mode,train_codebook,dims", [
+    ("scratch", False, (16, 16, 16)), ("no-frozen", False, (16, 16, 16)),
+    ("enc-frozen", False, (16, 16, 16)), ("enc-frozen", True, (16, 16, 16)),
+    ("no-frozen", False, (24, 20, 16))],
+    ids=["scratch", "no-frozen", "enc-frozen", "enc-frozen-train-codebook", "non-cubic"])
+def test_finetune_bytes_do_not_depend_on_workers(tmp_path, forks, mode, train_codebook, dims):
+    # on a non-cubic volume a step's items differ in shape and in level rows
+    base = _pretrain(2, 1).checkpoint
+    runs = []
+    for workers in _WORKERS:
+        del forks[:]
+        runs.append(_run_bytes(_finetune(base, mode, workers, train_codebook, dims), tmp_path))
+        assert len(forks) == min(workers, 6) - 1
+        assert _no_child_left()
+    assert all(run == runs[0] for run in runs)
+
+
+def test_step_gradients_and_losses_fold_in_item_order_on_workers(monkeypatch):
+    # the summed gradients AdamW gets, and the logged loss, at 3 workers equal
+    # the one-worker bytes step by step
+    seen = {}
+    for workers in (1, 3):
+        def recording(state, params, grads, _seen=seen.setdefault(workers, [])):
+            _seen.append({name: g.tobytes() for name, g in grads.items()})
+            adamw_step(state, params, grads)
+
+        monkeypatch.setattr(training, "adamw_step", recording)
+        result = _pretrain(2, workers, beta=0.25, augment=True)
+        seen[workers].append(result.loss_history)
+    assert seen[1] == seen[3] and len(seen[1]) == 4
+
+
+def test_no_fork_for_zero_or_one_step_one_worker_or_a_second_thread(monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    want = _pretrain(2, 1).checkpoint.params
+    monkeypatch.setattr(os, "fork", no_fork)
+    for steps in (0, 1):
+        _pretrain(2, 3, steps=steps)
+    got = _pretrain(2, 1).checkpoint.params
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        threaded = _pretrain(2, 3).checkpoint.params
+    finally:
+        release.set()
+        other.join()
+    for name in want:
+        assert want[name].tobytes() == got[name].tobytes() == threaded[name].tobytes()
+
+
+def _marked_planes(marks):
+    """Paired 16x16 slices whose PET slice ``k`` has the value ``100 + k`` at
+    one corner, for the slices in ``marks``."""
+    pets, cts = _planes((16, 16, 16))
+    pets = [p.copy() for p in pets]
+    for k in marks:
+        pets[k][0, 0] = 100.0 + k
+    return pets, cts
+
+
+def _failing_items(monkeypatch, fail):
+    """Patch the training items' ``forward`` (k-means initialization runs
+    ``encode``) to call ``fail(k)`` first on marked slice ``k``."""
+    real = training.forward
+
+    def failing(ckpt, x, params=None, beta=0.0):
+        k = int(x[0, 0, 0]) - 100
+        if 0 <= k < 48:
+            fail(k)
+        return real(ckpt, x, params, beta=beta)
+
+    monkeypatch.setattr(training, "forward", failing)
+
+
+def _batches(steps=2, n=48, batch=6):
+    """The item indices of a finetune's first ``steps`` batches, seed 5."""
+    batches = training._epoch_batches(n, batch, np.random.default_rng([5, 0]))
+    return [next(batches) for _ in range(steps + 1)]
+
+
+def test_item_error_on_a_worker_is_the_serial_error(monkeypatch):
+    # every item of the second step fails, in this process half a second
+    # late: the children's later items fail first, and every worker count
+    # still raises the error of item 0, the serial path's
+    parent = os.getpid()
+    base = _pretrain(2, 1).checkpoint
+    step2 = [int(k) for k in _batches()[1]]
+    pets, cts = _marked_planes(step2)
+
+    def fail(k):
+        if os.getpid() == parent:
+            time.sleep(0.5)
+        raise DomainError(f"slice {k} failed")
+
+    _failing_items(monkeypatch, fail)
+    messages = set()
+    for workers in (1, 2, 3):
+        with pytest.raises(DomainError) as err:
+            finetune_translate(base, "no-frozen", pets, cts, steps=2, seed=5,
+                               batch_size=6, beta=0.0, workers=workers)
+        messages.add(str(err.value))
+        assert _no_child_left()
+    assert messages == {f"slice {step2[0]} failed"}
+
+
+def test_killed_training_worker_is_an_error_and_is_reaped(monkeypatch, forks):
+    parent = os.getpid()
+    base = _pretrain(2, 1).checkpoint
+    pets, cts = _marked_planes(range(48))
+
+    def kill_in_a_child(k):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_items(monkeypatch, kill_in_a_child)
+    del forks[:]
+    with pytest.raises(VqsctError, match="^a worker process was killed by SIGKILL$"):
+        finetune_translate(base, "no-frozen", pets, cts, steps=3, seed=5, batch_size=6,
+                           beta=0.0, workers=2)
+    assert len(forks) == 1 and _no_child_left()
+
+
+def test_diverged_loss_on_workers_leaves_no_child(forks):
+    base = pretrained_base()
+    base.params["dec.final.b"] = np.full_like(base.params["dec.final.b"], 3e38)
+    pets, cts = paired_slices(6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="training diverged: loss inf"):
+            finetune_translate(base, "no-frozen", pets, cts, steps=3, seed=0,
+                               batch_size=6, beta=0.0, workers=3)
+    assert len(forks) == 2 and _no_child_left()
+
+
+def test_interrupted_training_parent_kills_and_reaps_its_children(monkeypatch):
+    # the children sleep 40 s in their first items while the parent is
+    # interrupted in its own: they are killed, not waited for
+    parent = os.getpid()
+    base = _pretrain(2, 1).checkpoint
+    pets, cts = _marked_planes(range(48))
+
+    def interrupted(k):
+        if os.getpid() != parent:
+            time.sleep(40)
+        time.sleep(0.2)  # the children have taken their items
+        raise KeyboardInterrupt
+
+    _failing_items(monkeypatch, interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        finetune_translate(base, "no-frozen", pets, cts, steps=3, seed=5, batch_size=6,
+                           beta=0.0, workers=3)
+    assert time.perf_counter() - start < 30
+    assert _no_child_left()
+
+
+def test_workers_exit_when_the_training_parent_dies(monkeypatch):
+    # a forked "parent" opens a pool of three and dies after its first step
+    # without closing it; its two children hold the write end of a pipe and
+    # nothing else does, so the pipe's end of file says they have exited
+    read_end, write_end = os.pipe()
+    vols = texture_volumes(1, dims=(16, 16, 16))
+
+    def dies(state, params, grads):
+        os.close(write_end)
+        os._exit(0)
+
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            monkeypatch.setattr(training, "adamw_step", dies)
+            pretrain_recon(small_config(), vols, steps=3, seed=0, batch_size=6, workers=3)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    try:
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        ready, _, _ = select.select([read_end], [], [], 20)
+        assert ready and os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+    assert _no_child_left()
