@@ -14,17 +14,17 @@ Only phantom, pretrain and finetune draw random numbers and take ``--seed``.
 
 Heavy imports happen inside the command handlers so that the BLAS/OpenMP
 pools can be pinned to one thread through environment variables before
-numpy loads: a command's parallelism is its own pool of workers, and one
-BLAS pool of all CPUs in each of them would oversubscribe the CPUs. The
-pool's size is ``--threads`` (default: one worker per usable CPU), never
-with more workers than tasks or than there is free memory for: the
-threads on which ``phantom`` generates and writes its cases, one case per
-worker at a time; the forked processes among which ``translate``,
-``reconstruct`` and ``select`` share out their slices or cubes (see
-``pipeline``); and those among which ``pretrain`` and ``finetune`` share
-out each step's batch items, forked once per command of two or more steps
-(see ``training``). Every file is the same at any thread count, and
-``--threads 1`` runs everything in one thread of one process.
+numpy loads: a command's parallelism is its own pool of worker processes
+(``workers.Pool``), and one BLAS pool of all CPUs in each of them would
+oversubscribe the CPUs. Every command sizes its pool the same way: at most
+``--threads`` processes (default: one per usable CPU), and never more than
+it has tasks or than there is free memory for (``workers.pool_size``).
+``phantom`` shares out its cases, one case per process at a time;
+``translate``, ``reconstruct`` and ``select`` their slices or cubes (see
+``pipeline``); and ``pretrain`` and ``finetune`` each step's batch items,
+forked once per command of two or more steps (see ``training``). Every
+file is the same at any thread count, and ``--threads 1`` runs everything
+in one thread of one process.
 """
 
 from __future__ import annotations
@@ -125,12 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vqsct",
                      description="Desk-scale PET-to-CT translation experiments.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="workers for this command: sizes phantom's case pool and "
-                        "the worker processes of translate, reconstruct and select "
-                        "and of pretrain's and finetune's batch items, which otherwise "
-                        "have one worker per usable CPU "
-                        "(fewer if free memory or the work is short); "
-                        "each runs one BLAS/OpenMP thread")
+                        help="worker processes for this command's pool, which shares "
+                        "out phantom's cases, the slices or cubes of translate, "
+                        "reconstruct and select, and the batch items of pretrain and "
+                        "finetune; default one per usable CPU (fewer if free memory "
+                        "or the work is short); each runs one BLAS/OpenMP thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate paired synthetic PET/CT cases")
@@ -262,79 +261,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# One phantom case's peak working set per voxel, rounded up: its traced peak
-# is about 86 bytes per voxel at 64^3 and 96^3 (float64 grids, the labels and
-# masks, the PET's blur and Poisson draw).
-_CASE_BYTES_PER_VOXEL = 96
-
-# One inference task's peak working set (one slice's or cube's forward-only
-# graph) per input voxel and base channel, rounded up: with criterion 09's
-# model its traced peak is 2.8 MB for a 96^2 slice, 1.2 MB for 70x50 and
-# 7.2 MB for a 32^3 cube at base 8 (38, 42 and 27 bytes per voxel and
-# channel), and fewer bytes per channel at base 16.
-_FORWARD_BYTES_PER_VOXEL_CHANNEL = 48
-
-# One training item's peak working set on a worker (the step's leaves, then
-# the item's forward, loss and backward graph) per input voxel and base
-# channel, rounded up: with criterion 09's model its traced peak is 3.3 / 3.7
-# MB for a 96^2 slice without / with the commitment term, 1.6 MB for 70x50
-# and 9.8 MB for a 32^3 cube with it, at base 8 (44 / 50, 57 and 37 bytes per
-# voxel and channel).
-_TRAIN_BYTES_PER_VOXEL_CHANNEL = 64
-
-
-def _free_bytes() -> int | None:
-    """Physical memory free now, where the OS reports it."""
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError):
-        return None
-
-
-def _pool_workers(tasks: int, threads: int | None, task_bytes: int) -> int:
-    """Workers for a pool of ``tasks`` independent tasks of ``task_bytes`` each:
-    ``threads`` (default: one per usable CPU), but no more than ``tasks`` and
-    no more tasks than fit in free memory at once; always at least one."""
-    workers = min(tasks, threads or _usable_cpus())
-    free = _free_bytes()
-    if free is not None:
-        workers = min(workers, max(1, free // task_bytes))
-    return workers
-
-
-def _case_workers(cases: int, threads: int | None, voxels: int) -> int:
-    """Workers for phantom's pool of ``cases`` cases of ``voxels`` voxels."""
-    return _pool_workers(cases, threads, voxels * _CASE_BYTES_PER_VOXEL)
-
-
-def _inference_task(config, volume, cube_edge: int | None) -> tuple[int, int]:
-    """(tasks, bytes per task) of one inference of ``volume`` with a model of
-    ``config``: its cubes of ``cube_edge`` for a rank-3 model given one, else
-    its slices."""
-    if config.spatial_rank == 3 and cube_edge is not None:
-        tasks, voxels = math.prod(-(-n // cube_edge) for n in volume.dims), cube_edge ** 3
-    else:
-        tasks, voxels = sum(volume.dims), volume.voxels.size // min(volume.dims)
-    return tasks, voxels * config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL
-
-
-def _inference_workers(threads: int | None, configs, volumes,
-                       cube_edge: int | None = None) -> int:
-    """Workers for inferring each of ``volumes`` with models of each of
-    ``configs``: sized by the most tasks and the largest task among them."""
-    tasks, task_bytes = map(max, zip(*(_inference_task(c, v, cube_edge)
-                                       for c in configs for v in volumes)))
-    return _pool_workers(tasks, threads, task_bytes)
-
-
-def _training_workers(threads: int | None, batch_size: int, base_channels: int,
-                      voxels: int) -> int:
-    """Workers for the batch items of a training step, whose largest item
-    holds ``voxels`` voxels, with a model of ``base_channels``."""
-    return _pool_workers(batch_size, threads,
-                         max(1, voxels * base_channels * _TRAIN_BYTES_PER_VOXEL_CHANNEL))
-
-
 def _read_space(path, flag: str, space: str):
     """The volume at ``path``, which ``flag`` needs in intensity ``space``."""
     from .volume import read_volume
@@ -364,12 +290,16 @@ def _train_options(args) -> dict:
 # Command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_phantom(args) -> None:
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+# One phantom case's peak working set per voxel, rounded up: its traced peak
+# is about 86 bytes per voxel at 64^3 and 96^3 (float64 grids, the labels and
+# masks, the PET's blur and Poisson draw).
+_CASE_BYTES_PER_VOXEL = 96
 
+
+def _cmd_phantom(args) -> None:
     from .phantom import checked_dims, generate_phantom_pair
     from .volume import write_volume
+    from .workers import pool_size, run_tasks
 
     dims = checked_dims(_parse_triple(args.dims, "dims", int), 32, "phantom")
     spacing = _parse_triple(args.spacing, "spacing", float)
@@ -377,38 +307,24 @@ def _cmd_phantom(args) -> None:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
     os.makedirs(args.out, exist_ok=True)
 
-    failed = threading.Event()
-
-    def write_case(i):
-        if failed.is_set():
-            return
-        try:
+    def write_cases(lo, hi):
+        for i in range(lo, hi):
             ct, pet, truth = generate_phantom_pair(dims, [args.seed, i], spacing_mm=spacing)
             write_volume(ct, os.path.join(args.out, f"case_{i:03d}_ct.mvol"))
             write_volume(pet, os.path.join(args.out, f"case_{i:03d}_pet.mvol"))
             write_json(os.path.join(args.out, f"case_{i:03d}_truth.json"),
                        {"case": i, "seed": [args.seed, i],
                         "geometry": truth.geometry, "label_counts": truth.label_counts()})
-        except BaseException:
-            failed.set()
-            raise
+            del ct, pet, truth  # before the next case is generated
 
     # Each case has its own seed, so its bytes do not depend on the schedule.
-    # One worker writes the cases in order in this thread. Otherwise cases
-    # start in order, and none starts once a case has failed. Cases already
-    # running then finish, so with several workers a case after the failing
-    # one may still be written; the first failure in case order is raised.
-    workers = _case_workers(args.cases, args.threads, math.prod(dims))
-    if workers == 1:
-        for i in range(args.cases):
-            write_case(i)
-        return
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for future in [pool.submit(write_case, i) for i in range(args.cases)]:
-            future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # The cases are one round of the pool: each process takes the next cases
+    # in order, none starts once a case has failed, and the first failure in
+    # case order is raised. Cases already running then finish, so with
+    # several workers a case after the failing one may still be written.
+    workers = pool_size(args.cases, args.threads or _usable_cpus(),
+                        math.prod(dims) * _CASE_BYTES_PER_VOXEL)
+    run_tasks(args.cases, write_cases, workers)
 
 
 def _cmd_pretrain(args) -> None:
@@ -422,15 +338,9 @@ def _cmd_pretrain(args) -> None:
         pyramid_levels=args.pyramid_levels, seed=args.seed).validate()
     # read and normalized one at a time: pretrain_recon keeps float32 items only
     volumes = (normalize(_read_space(p, "--volumes", "HU"), "unit01") for p in args.volumes)
-    if args.rank == 3:  # the cubes are copies: each volume goes once they are cut
-        voxels = args.cube_edge ** 3
-    else:  # the axial slices are views, which keep every volume anyway
-        volumes = list(volumes)
-        voxels = max(v.dims[0] * v.dims[1] for v in volumes)
     result = pretrain_recon(
         config, volumes, args.steps, args.seed, cube_edge=args.cube_edge,
-        workers=_training_workers(args.threads, args.batch_size, args.base_channels, voxels),
-        **_train_options(args))
+        workers=args.threads or _usable_cpus(), **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
 
@@ -466,13 +376,10 @@ def _cmd_finetune(args) -> None:
             pet_slices.extend(np.moveaxis(pet, PLANE_AXIS[plane], 0))
             ct_slices.extend(np.moveaxis(ct, PLANE_AXIS[plane], 0))
 
-    voxels = max((sl.size for sl in pet_slices), default=0)
     result = finetune_translate(
         base, args.mode, pet_slices, ct_slices, args.steps, args.seed,
         freeze_codebook_with_encoder=not args.train_codebook,
-        workers=_training_workers(args.threads, args.batch_size,
-                                  base.config.base_channels, voxels),
-        **_train_options(args))
+        workers=args.threads or _usable_cpus(), **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
 
@@ -485,8 +392,7 @@ def _cmd_translate(args) -> None:
     ckpt = load_checkpoint(args.ckpt)
     space = value_space(ckpt)
     volume = normalize(_read_space(args.pet, "--pet", _SOURCE_SPACE[space]), space)
-    result = translate_volume(ckpt, volume,
-                              _inference_workers(args.threads, [ckpt.config], [volume]))
+    result = translate_volume(ckpt, volume, args.threads or _usable_cpus())
     write_volume(result.fused, args.out)
     if args.dump_planes:
         stem, ext = os.path.splitext(args.out)
@@ -503,8 +409,8 @@ def _cmd_reconstruct(args) -> None:
     check_cube_size(args.edge)  # in plain integers, before anything is read
     ckpt = load_checkpoint(args.ckpt)
     volume = normalize(_read_space(args.ct, "--ct", "HU"), value_space(ckpt))
-    workers = _inference_workers(args.threads, [ckpt.config], [volume], args.edge)
-    out = reconstruct_cubes(ckpt, volume, edge=args.edge, workers=workers)
+    out = reconstruct_cubes(ckpt, volume, edge=args.edge,
+                            workers=args.threads or _usable_cpus())
     write_volume(out, args.out)
 
 
@@ -547,9 +453,8 @@ def _cmd_select(args) -> None:
     check_cube_size(args.cube_edge)  # in plain integers, before anything is read
     candidates = [load_checkpoint(p) for p in args.candidates]
     volumes = [read_volume(p) for p in args.volumes]
-    workers = _inference_workers(args.threads, [c.config for c in candidates], volumes,
-                                 args.cube_edge)
-    best = select_checkpoint(candidates, volumes, cube_edge=args.cube_edge, workers=workers)
+    best = select_checkpoint(candidates, volumes, cube_edge=args.cube_edge,
+                             workers=args.threads or _usable_cpus())
     index = next(i for i, c in enumerate(candidates) if c is best)
     with open(args.candidates[index], "rb") as src, atomic_open(args.out, "wb") as fh:
         shutil.copyfileobj(src, fh)

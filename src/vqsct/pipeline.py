@@ -50,6 +50,13 @@ __all__ = [
     "reconstruct_cubes",
 ]
 
+# One slice's or cube's peak working set (its forward-only graph) per input
+# voxel and base channel, rounded up: with criterion 09's model its traced
+# peak is 2.8 MB for a 96^2 slice, 1.2 MB for 70x50 and 7.2 MB for a 32^3
+# cube at base 8 (38, 42 and 27 bytes per voxel and channel), and fewer
+# bytes per channel at base 16.
+_FORWARD_BYTES_PER_VOXEL_CHANNEL = 48
+
 PLANES = ("axial", "coronal", "sagittal")
 # The axis each plane's slices are taken along.
 PLANE_AXIS = {"axial": 2, "coronal": 1, "sagittal": 0}
@@ -167,7 +174,9 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     With ``workers > 1`` the slices (axial, then coronal, then sagittal, in
     order) are claimed in runs by ``workers`` processes, which translate
     them into a shared ``[3, *dims]`` array (see the module docstring);
-    each worker holds one slice graph of its own. The bytes do not depend
+    each worker holds one slice graph of its own. The pool has no more
+    processes than slices, nor than there is free memory for one largest
+    slice's graph each (:func:`workers.pool_size`). The bytes do not depend
     on ``workers``.
     """
     space = value_space(ckpt)
@@ -177,7 +186,9 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     # every axis lies in the slice plane of two of the three planes
     _check_planar(ckpt, volume.dims, "the volume's slices")
     axes = [_plane_axis(plane) for plane in PLANES]
-    workers = pool_size(sum(volume.dims), workers)
+    largest = prod(sorted(volume.dims)[1:])  # voxels of the largest slice
+    workers = pool_size(sum(volume.dims), workers,
+                        largest * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL)
     stack = shared_array((len(PLANES),) + volume.dims, np.float32, workers > 1)
     planes = [(np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
               for axis, out in zip(axes, stack)]
@@ -208,7 +219,9 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
     are claimed in runs by ``workers`` processes, which reconstruct them
     into a shared output volume (see the module docstring); each worker
     holds one cube graph of its own, and walks the tiles once, up to its
-    last claim. The bytes do not depend on ``workers``.
+    last claim. The pool has no more processes than cubes, nor than there
+    is free memory for one cube's graph each (:func:`workers.pool_size`).
+    The bytes do not depend on ``workers``.
     """
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
@@ -220,7 +233,8 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
     ckpt.config.check_cube_edge(edge)
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
     cubes = prod(-(-n // edge) for n in volume.dims)
-    workers = pool_size(cubes, workers)
+    workers = pool_size(cubes, workers,
+                        edge ** 3 * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL)
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
     out = shared_array(volume.dims, np.float32, workers > 1)
     taken = 0  # tiles this process has drawn; its claims come in ascending order

@@ -41,6 +41,14 @@ __all__ = [
     "select_checkpoint",
 ]
 
+# One batch item's peak working set on a worker (the step's leaves, then the
+# item's forward, loss and backward graph) per input voxel and base channel,
+# rounded up: with criterion 09's model its traced peak is 3.3 / 3.7 MB for
+# a 96^2 slice without / with the commitment term, 1.6 MB for 70x50 and
+# 9.8 MB for a 32^3 cube with it, at base 8 (44 / 50, 57 and 37 bytes per
+# voxel and channel).
+_TRAIN_BYTES_PER_VOXEL_CHANNEL = 64
+
 
 # ---------------------------------------------------------------------------
 # AdamW
@@ -311,7 +319,9 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     initialization: the augmentation elements are drawn in item order
     before the round, and everything but the items (the sums, AdamW, the
     EMA update and code expiry) runs here, so the bytes do not depend on
-    ``workers`` (see :class:`_Step`).
+    ``workers`` (see :class:`_Step`). The pool has no more processes than
+    the first batch has items, nor than there is free memory for one
+    largest item's graph each (:func:`workers.pool_size`).
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
@@ -335,9 +345,11 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
 
     first_batch = next(batches)
     trainable = apply_freeze(ckpt, mask)
+    item_bytes = (max(np.size(item) for item in inputs) * config.base_channels
+                  * _TRAIN_BYTES_PER_VOXEL_CHANNEL)
     # a pool forked for one step costs about what it saves: the processes'
     # copy-on-write faults after the fork take about half a step
-    workers = pool_size(len(first_batch), workers) if steps > 1 else 1
+    workers = pool_size(len(first_batch), workers, item_bytes) if steps > 1 else 1
     # before k-means, whose rows reuse the step's unit-row slots, so that
     # they add no memory to the loop's, at any worker count
     step = _Step(ckpt, sides, trainable, len(first_batch), beta=beta, augment=augment,
@@ -397,8 +409,8 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     reads each one. The codebooks are k-means initialized on the first
     batch; the returned checkpoint is tagged ``pretrained`` (its value space
     is unit01). With ``augment`` each sampled item passes through a seeded
-    grid symmetry (flips and transposes). ``workers`` processes run each
-    step's batch items; the bytes do not depend on it.
+    grid symmetry (flips and transposes). At most ``workers`` processes run
+    each step's batch items; the bytes do not depend on it.
     """
     config.validate()
     if steps < 0:
@@ -445,8 +457,8 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     checkpoint, ``enc-frozen`` freezes the encoder (and by default the
     codebook). With ``augment`` each sampled pair passes through one shared
     seeded grid symmetry. The result is tagged ``finetuned`` (sym11 value
-    space). ``workers`` processes run each step's batch items; the bytes do
-    not depend on it.
+    space). At most ``workers`` processes run each step's batch items; the
+    bytes do not depend on it.
     """
     mask = mask_for_mode(mode, freeze_codebook_with_encoder)
     if steps < 0:

@@ -8,9 +8,11 @@ takes the next claim from one shared queue (a pipe) until it takes one of
 the round's end tokens, so a process that the OS runs slower takes fewer
 claims. The children inherit ``run`` and its inputs through the fork
 (nothing is pickled on the way in) and write their outputs into arrays from
-:func:`shared_array`, which every process maps. Inference runs one round
-(:func:`run_tasks`); training runs one round per step, after it has
-published the step's state in such arrays.
+:func:`shared_array`, which every process maps, or into files. ``vqsct
+phantom`` runs one round over its cases and inference one over its slices
+or cubes (:func:`run_tasks`); training runs one round per step, after it
+has published the step's state in such arrays. :func:`pool_size` sizes
+every pool from the caller's task count and bytes per task.
 
 A round raises the error of its earliest failed claim, which is the error
 the serial path raises: claims are taken in order, every claim before the
@@ -66,10 +68,24 @@ def _fork_safe() -> bool:
             and threading.active_count() == 1)
 
 
-def pool_size(tasks: int, workers: int) -> int:
-    """Processes to run rounds of ``tasks`` tasks on: ``workers``, at most one
-    per task and ``_MAX_CLAIMS`` in all, and one where forking is unsafe."""
-    return min(workers, tasks, _MAX_CLAIMS) if _fork_safe() else 1
+def _free_bytes() -> int | None:
+    """Physical memory free now, where the OS reports it."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        return None
+
+
+def pool_size(tasks: int, workers: int, task_bytes: int) -> int:
+    """Processes to run rounds of ``tasks`` tasks of ``task_bytes`` each on:
+    ``workers``, at most one per task, ``_MAX_CLAIMS`` in all and as many
+    tasks as fit in the memory free now (at least one), and one where
+    forking is unsafe."""
+    if not _fork_safe():
+        return 1
+    size = min(workers, tasks, _MAX_CLAIMS)
+    free = _free_bytes()
+    return size if free is None else min(size, max(1, free // task_bytes))
 
 
 def _claims(tasks: int, workers: int) -> list:

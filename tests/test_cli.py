@@ -9,7 +9,6 @@ import signal
 import struct
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +28,7 @@ from vqsct.model import (ModelConfig, build_model, load_checkpoint,
 from vqsct.phantom import generate_texture_volume
 from vqsct.volume import Volume, read_volume, write_volume
 
-from test_pipeline import forks  # noqa: F401
+from test_pipeline import _no_child_left, forks  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -136,50 +135,62 @@ def test_phantom_files_are_the_same_at_any_thread_count(tmp_path, thread_env):
     assert trees["threads-1"] == trees["threads-2"] == trees["default"]
 
 
+def _mark_cases(monkeypatch, marks, seconds):
+    """Patch ``generate_phantom_pair``, which the forked workers inherit, so
+    that case ``i`` sleeps ``seconds(i)`` first and leaves ``marks/<i>``
+    holding its process id and its start and end on the monotonic clock,
+    which every process shares."""
+    from vqsct import phantom
+
+    marks.mkdir()
+    real = phantom.generate_phantom_pair
+
+    def marking(dims, seed, **kwargs):
+        path, start = marks / str(seed[1]), time.monotonic()
+        path.write_text(f"{os.getpid()} {start} inf")
+        time.sleep(seconds(seed[1]))
+        try:
+            return real(dims, seed, **kwargs)
+        finally:
+            path.write_text(f"{os.getpid()} {start} {time.monotonic()}")
+
+    monkeypatch.setattr(phantom, "generate_phantom_pair", marking)
+
+
+def _marks(marks):
+    """{case: (pid, start, end)} of every case that started."""
+    runs = {}
+    for path in marks.iterdir():
+        pid, start, end = path.read_text().split()
+        runs[int(path.name)] = int(pid), float(start), float(end)
+    return runs
+
+
 @pytest.mark.parametrize("cases,flags", [(3, ["--threads", "1"]), (3, ["--threads", "2"]),
                                          (1, ["--threads", "2"]), (3, [])],
                          ids=["3-cases-1-thread", "3-cases-2-threads", "1-case-2-threads",
                               "3-cases-default"])
-def test_phantom_runs_at_most_one_case_per_worker(tmp_path, monkeypatch, thread_env,
+def test_phantom_runs_at_most_one_case_per_worker(tmp_path, monkeypatch, thread_env, forks,
                                                   cases, flags):
-    import concurrent.futures
-
-    from vqsct import phantom
-
     if flags and int(flags[1]) > _CPUS:
         pytest.skip("more threads than usable CPUs")
-    sizes = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    lock = threading.Lock()
-    running, peak = [0], [0]
-    threads = set()
-    real = phantom.generate_phantom_pair
-
-    def counting(*args, **kwargs):
-        with lock:
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-            threads.add(threading.current_thread())
-        try:
-            time.sleep(0.1)  # long enough for every worker to start a case
-            return real(*args, **kwargs)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(phantom, "generate_phantom_pair", counting)
+    # long enough for every worker to start a case
+    _mark_cases(monkeypatch, tmp_path / "marks", lambda case: 0.1)
     assert _phantom(tmp_path / "p", *flags, cases=cases) == 0
     workers = min(cases, int(flags[1]) if flags else _CPUS)
-    # one worker builds no pool: the cases run in order in the calling thread
-    assert sizes == ([workers] if workers > 1 else [])
-    assert peak[0] == workers
-    assert (threads == {threading.main_thread()}) == (workers == 1)
+    # one worker forks nothing: the cases run in order in this process
+    assert len(forks) == workers - 1 and _no_child_left()
+    runs = _marks(tmp_path / "marks")
+    assert sorted(runs) == list(range(cases))
+    pids = {pid for pid, _, _ in runs.values()}
+    assert pids <= {os.getpid(), *forks}
+    assert (pids == {os.getpid()}) == (workers == 1)
+    for pid in pids:  # one case at a time in each process
+        spans = sorted((start, end) for p, start, end in runs.values() if p == pid)
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+    peak = max(sum(start <= t < end for _, start, end in runs.values())
+               for _, t, _ in runs.values())
+    assert peak == workers
     assert len(os.listdir(tmp_path / "p")) == 3 * cases + 1
 
 
@@ -226,62 +237,38 @@ def test_blocked_case_path_exits_2_as_the_serial_loop_does(tmp_path, capsys, mon
 
 
 @pytest.mark.skipif(_CPUS < 2, reason="--threads 2 needs two usable CPUs")
-def test_no_case_starts_once_a_case_has_failed(tmp_path, capsys, monkeypatch, thread_env):
-    # case 0 runs long on one worker while case 1 fails on the other; that
-    # worker then takes cases 2 and 3, which must not start
-    from vqsct import phantom
-
+def test_no_case_starts_once_a_case_has_failed(tmp_path, capsys, monkeypatch, thread_env,
+                                               forks):
+    # case 0 runs long in one process while case 1 fails in the other; that
+    # process then takes cases 2 and 3, which must not start
     out = tmp_path / "p"
     out.mkdir()
     (out / "case_001_ct.mvol").mkdir()
-    started = []
-    real = phantom.generate_phantom_pair
-
-    def slow_first_case(dims, seed, **kwargs):
-        started.append(seed[1])
-        if seed[1] == 0:
-            time.sleep(0.3)
-        return real(dims, seed, **kwargs)
-
-    monkeypatch.setattr(phantom, "generate_phantom_pair", slow_first_case)
+    _mark_cases(monkeypatch, tmp_path / "marks", lambda case: 0.3 if case == 0 else 0.0)
     assert _phantom(out, "--threads", "2", cases=4) == 2
     assert capsys.readouterr().err.count("\n") == 1
-    assert sorted(started) == [0, 1]
+    assert len(forks) == 1 and _no_child_left()
+    assert sorted(_marks(tmp_path / "marks")) == [0, 1]
     assert sorted(os.listdir(out)) == ["case_000_ct.mvol", "case_000_pet.mvol",
                                        "case_000_truth.json", "case_001_ct.mvol"]
 
 
-def test_phantom_pool_holds_no_more_cases_than_free_memory(tmp_path, monkeypatch, thread_env):
-    import concurrent.futures
+def test_phantom_pool_holds_no_more_cases_than_free_memory(tmp_path, monkeypatch, thread_env,
+                                                           forks):
+    from vqsct import workers
 
-    case = cli._CASE_BYTES_PER_VOXEL * 32 ** 3
-    for free, voxels, workers in [(8 << 30, 512 ** 3, 1), (0, 32 ** 3, 1),
-                                  (3 * case, 32 ** 3, 3), (None, 512 ** 3, 16)]:
-        monkeypatch.setattr(cli, "_free_bytes", lambda: free)
-        assert cli._case_workers(16, 16, voxels) == workers
-    sizes = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_free_bytes", lambda: case)
+    monkeypatch.setattr(workers, "_free_bytes", lambda: cli._CASE_BYTES_PER_VOXEL * 32 ** 3)
+    _mark_cases(monkeypatch, tmp_path / "marks", lambda case: 0.0)
     assert _phantom(tmp_path / "p", *(["--threads", "2"] if _CPUS > 1 else [])) == 0
-    assert sizes == []  # room for one case: no pool, one case at a time in this thread
+    # room for one case: no fork, one case at a time in this process
+    assert forks == [] and _no_child_left()
+    assert {pid for pid, _, _ in _marks(tmp_path / "marks").values()} == {os.getpid()}
     assert len(os.listdir(tmp_path / "p")) == 3 * 3 + 1
 
 
 # ---------------------------------------------------------------------------
 # inference worker processes
 # ---------------------------------------------------------------------------
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
 
 def _inference_runs(work, out):
     ct = str(work["phantom"] / "case_000_ct.mvol")
@@ -294,18 +281,7 @@ def _inference_runs(work, out):
              "--volumes", ct, "--cube-edge", "8", "--out", str(out / "best.vqck")]]
 
 
-def test_inference_files_are_the_same_at_any_thread_count(work, tmp_path, thread_env,
-                                                          monkeypatch):
-    forks = []
-    real = os.fork
-
-    def counting():
-        pid = real()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
+def test_inference_files_are_the_same_at_any_thread_count(work, tmp_path, thread_env, forks):
     trees = {}
     for name, flags in _THREAD_FLAGS.items():
         if flags and int(flags[1]) > _CPUS:
@@ -331,7 +307,7 @@ def test_inference_files_are_the_same_at_any_thread_count(work, tmp_path, thread
     ["reconstruct", "--ckpt", "pre", "--ct", "ct", "--edge", "8"]],
     ids=["translate", "reconstruct"])
 def test_checkpoint_of_the_other_rank_exits_1_with_one_line(work, tmp_path, capsys, argv):
-    # the worker count is worked out before the rank is checked, for either rank
+    # the rank is checked before a pool is sized or forked, for either rank
     ct = str(work["phantom"] / "case_000_ct.mvol")
     argv = [work.get(a, ct if a == "ct" else a) for a in argv]
     assert main([*argv, "--out", str(tmp_path / "never.mvol")]) == 1
@@ -753,7 +729,41 @@ def test_training_item_peak_is_within_its_byte_rule(rank, shape, beta):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    limit = np.prod(shape) * config.base_channels * cli._TRAIN_BYTES_PER_VOXEL_CHANNEL
+    limit = np.prod(shape) * config.base_channels * training._TRAIN_BYTES_PER_VOXEL_CHANNEL
+    assert 0.5 * limit < peak <= limit, peak / limit
+
+
+@pytest.mark.parametrize("shape", [(96, 96), (70, 50), (32, 32, 32)])
+def test_forward_peak_is_within_its_byte_rule(shape):
+    # one slice's or cube's forward of criterion 09's model, as translate and
+    # reconstruct run it: graph input, forward over leaves built first, HU
+    # output stored in place, traced
+    from vqsct import pipeline
+    from vqsct.model import (GRAPH_DTYPE, forward, graph_input, param_tensors, value_space,
+                             with_sub_pixel_kernels)
+    from vqsct.volume import normalized_to_hu
+
+    config = ModelConfig(spatial_rank=len(shape), depth=2, base_channels=8, pyramid_levels=2,
+                         codebook_size=32, codebook_dim=16)
+    ckpt = build_model(config)
+    space = value_space(ckpt)
+    params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
+    item = np.random.default_rng(32).uniform(-1, 1, shape).astype(np.float32)
+    out = np.empty(shape, np.float32)
+
+    def run():
+        pred = forward(ckpt, graph_input(config, item, space), params).output.data[0]
+        crop = pred[tuple(slice(n) for n in shape)]
+        out[...] = normalized_to_hu(crop.astype(np.float64), space)
+
+    run()  # the conv plans are cached once per process
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = np.prod(shape) * config.base_channels * pipeline._FORWARD_BYTES_PER_VOXEL_CHANNEL
     assert 0.5 * limit < peak <= limit, peak / limit
 
 
@@ -1396,13 +1406,15 @@ assert main(["stats", "--report-a", os.path.join(work, "a.csv"),
              "--report-b", os.path.join(work, "b.csv"), "--metric", "mae",
              "--region", "whole", "--out", os.path.join(work, "stats.json")]) == 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+                        if m.split(".")[0] == "scipy"
+                        or m.split(".")[:2] == ["concurrent", "futures"])))
 """
 
 
 def test_no_command_imports_scipy(tmp_path):
     # every module, and phantom, evaluate and stats end to end, in a fresh
-    # interpreter: the runtime needs numpy alone
+    # interpreter: the runtime needs numpy alone, and runs its pools on forked
+    # processes, not on concurrent.futures threads
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_EVERYTHING_AND_RUN,
                            str(tmp_path)],

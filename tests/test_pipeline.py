@@ -486,8 +486,29 @@ def test_claims_cover_every_task_once_in_order(tasks, workers):
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
     # a round's tokens, its claims and one end token per process, fit one
     # page of the pipe before any worker reads them
-    processes = worker_pool.pool_size(tasks, workers)
+    processes = worker_pool.pool_size(tasks, workers, 1)
     assert (len(claims) + processes) * worker_pool._TOKEN <= 4096
+
+
+def test_pool_size_caps_workers_by_tasks_claims_and_free_memory(monkeypatch):
+    case = 96 * 32 ** 3  # one 32^3 phantom case
+    for tasks, workers, free, task_bytes, size in [
+            (16, 3, None, case, 3), (2, 8, None, case, 2),  # by workers, by tasks
+            (1000, 1000, None, 1, worker_pool._MAX_CLAIMS),
+            (16, 16, 0, case, 1),  # no free memory still leaves one process
+            (16, 16, 3 * case, case, 3), (16, 16, 3 * case - 1, case, 2),
+            (16, 16, 8 << 30, 96 * 512 ** 3, 1),  # 8 GiB against a 512^3 case
+            (16, 16, None, 96 * 512 ** 3, 16)]:
+        monkeypatch.setattr(worker_pool, "_free_bytes", lambda: free)
+        assert worker_pool.pool_size(tasks, workers, task_bytes) == size
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert worker_pool.pool_size(16, 16, 1) == 1
+    finally:
+        release.set()
+        other.join()
 
 
 def test_no_tasks_fork_nothing(forks):
