@@ -16,9 +16,10 @@ Heavy imports happen inside the command handlers so that the BLAS/OpenMP
 pools can be pinned to one thread through environment variables before
 numpy loads: a command's parallelism is its own pool of worker processes
 (``workers.Pool``), and one BLAS pool of all CPUs in each of them would
-oversubscribe the CPUs. Every command sizes its pool the same way: at most
-``--threads`` processes (default: one per usable CPU), and never more than
-it has tasks or than there is free memory for (``workers.pool_size``).
+oversubscribe the CPUs. :func:`main` resolves ``--threads`` (default: one
+per usable CPU) once, and every command caps its pool by it, its tasks and
+free memory (``workers.pool_size``). numpy's overflow, invalid and divide
+warnings are off: every value they could reach is checked.
 ``phantom`` shares out its cases, one case per process at a time;
 ``translate``, ``reconstruct`` and ``select`` their slices or cubes (see
 ``pipeline``); and ``pretrain`` and ``finetune`` each step's batch items,
@@ -299,7 +300,7 @@ _CASE_BYTES_PER_VOXEL = 96
 def _cmd_phantom(args) -> None:
     from .phantom import checked_dims, generate_phantom_pair
     from .volume import write_volume
-    from .workers import pool_size, run_tasks
+    from .workers import Pool, pool_size
 
     dims = checked_dims(_parse_triple(args.dims, "dims", int), 32, "phantom")
     spacing = _parse_triple(args.spacing, "spacing", float)
@@ -318,13 +319,11 @@ def _cmd_phantom(args) -> None:
             del ct, pet, truth  # before the next case is generated
 
     # Each case has its own seed, so its bytes do not depend on the schedule.
-    # The cases are one round of the pool: each process takes the next cases
-    # in order, none starts once a case has failed, and the first failure in
-    # case order is raised. Cases already running then finish, so with
-    # several workers a case after the failing one may still be written.
-    workers = pool_size(args.cases, args.threads or _usable_cpus(),
-                        math.prod(dims) * _CASE_BYTES_PER_VOXEL)
-    run_tasks(args.cases, write_cases, workers)
+    # No case starts once one has failed, but cases already running finish, so
+    # with several workers a case after the failing one may still be written.
+    workers = pool_size(args.cases, args.threads, math.prod(dims) * _CASE_BYTES_PER_VOXEL)
+    with Pool(write_cases, workers) as pool:
+        pool.round(args.cases)
 
 
 def _cmd_pretrain(args) -> None:
@@ -340,7 +339,7 @@ def _cmd_pretrain(args) -> None:
     volumes = (normalize(_read_space(p, "--volumes", "HU"), "unit01") for p in args.volumes)
     result = pretrain_recon(
         config, volumes, args.steps, args.seed, cube_edge=args.cube_edge,
-        workers=args.threads or _usable_cpus(), **_train_options(args))
+        workers=args.threads, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
 
@@ -379,7 +378,7 @@ def _cmd_finetune(args) -> None:
     result = finetune_translate(
         base, args.mode, pet_slices, ct_slices, args.steps, args.seed,
         freeze_codebook_with_encoder=not args.train_codebook,
-        workers=args.threads or _usable_cpus(), **_train_options(args))
+        workers=args.threads, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
 
@@ -392,7 +391,7 @@ def _cmd_translate(args) -> None:
     ckpt = load_checkpoint(args.ckpt)
     space = value_space(ckpt)
     volume = normalize(_read_space(args.pet, "--pet", _SOURCE_SPACE[space]), space)
-    result = translate_volume(ckpt, volume, args.threads or _usable_cpus())
+    result = translate_volume(ckpt, volume, args.threads)
     write_volume(result.fused, args.out)
     if args.dump_planes:
         stem, ext = os.path.splitext(args.out)
@@ -409,8 +408,7 @@ def _cmd_reconstruct(args) -> None:
     check_cube_size(args.edge)  # in plain integers, before anything is read
     ckpt = load_checkpoint(args.ckpt)
     volume = normalize(_read_space(args.ct, "--ct", "HU"), value_space(ckpt))
-    out = reconstruct_cubes(ckpt, volume, edge=args.edge,
-                            workers=args.threads or _usable_cpus())
+    out = reconstruct_cubes(ckpt, volume, edge=args.edge, workers=args.threads)
     write_volume(out, args.out)
 
 
@@ -454,7 +452,7 @@ def _cmd_select(args) -> None:
     candidates = [load_checkpoint(p) for p in args.candidates]
     volumes = [read_volume(p) for p in args.volumes]
     best = select_checkpoint(candidates, volumes, cube_edge=args.cube_edge,
-                             workers=args.threads or _usable_cpus())
+                             workers=args.threads)
     index = next(i for i, c in enumerate(candidates) if c is best)
     with open(args.candidates[index], "rb") as src, atomic_open(args.out, "wb") as fh:
         shutil.copyfileobj(src, fh)
@@ -478,13 +476,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None:
-            cpus = _usable_cpus()
-            if not 1 <= args.threads <= cpus:
-                raise UsageError(f"--threads must be in [1, {cpus}] (the usable CPUs), "
-                                 f"got {args.threads}")
+        cpus = _usable_cpus()
+        if args.threads is not None and not 1 <= args.threads <= cpus:
+            raise UsageError(f"--threads must be in [1, {cpus}] (the usable CPUs), "
+                             f"got {args.threads}")
         for var in _THREAD_ENV_VARS:  # the pools are the parallelism: one BLAS thread each
             os.environ[var] = "1"
+        import numpy as np
         if args.config:
             command_parser = parser.commands[args.command]
             command_parser.set_defaults(
@@ -492,7 +490,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative seed
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        _HANDLERS[args.command](args)
+        args.threads = args.threads or cpus  # the worker count every handler passes
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _HANDLERS[args.command](args)
         _write_record(args)
         return 0
     except VqsctError as exc:

@@ -27,7 +27,7 @@ from . import autograd as ag
 from .atomic import is_json_int, read_framed, write_framed
 from .codebook import Codebook, quantize
 from .errors import DomainError, FormatError, ShapeError
-from .volume import NORMALIZED_AIR, pad_to_multiple
+from .volume import MAX_VOXELS, NORMALIZED_AIR, pad_to_multiple
 
 __all__ = [
     "ModelConfig",
@@ -87,6 +87,13 @@ class ModelConfig:
         if not 1 <= self.pyramid_levels <= self.depth:
             raise DomainError(
                 f"pyramid_levels must be in [1, depth={self.depth}], got {self.pyramid_levels}")
+        widest = CHANNEL_CAP_FACTOR * self.base_channels  # largest blocks, with no loop over depth
+        for what, values in (("a conv weight", widest ** 2 * 3 ** self.spatial_rank),
+                             ("a 1x1 projection", self.codebook_dim * widest),
+                             ("a codebook", self.codebook_size * self.codebook_dim)):
+            if values > MAX_VOXELS:
+                raise DomainError(f"{what} of this architecture holds up to {values} values, "
+                                  f"above the limit of {MAX_VOXELS} (512^3)")
         return self
 
     def check_extents(self, extents, what: str) -> None:
@@ -468,8 +475,16 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ],
         "manifest": manifest,
     }
-    write_framed(path, MAGIC, header,
-                 (blocks[name].astype("<f4").ravel().tobytes() for name in order))
+    write_framed(path, MAGIC, header, (_float32_bytes(name, blocks[name]) for name in order))
+
+
+def _float32_bytes(name: str, block: np.ndarray) -> bytes:
+    """A block's float32 bytes, unless a value is not finite in float32 (which
+    :func:`load_checkpoint` rejects): DomainError."""
+    cast = block.astype("<f4")
+    if not np.isfinite(cast).all():
+        raise DomainError(f"checkpoint block {name} has values not finite in float32")
+    return cast.ravel().tobytes()
 
 
 def load_checkpoint(path) -> Checkpoint:

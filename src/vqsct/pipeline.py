@@ -4,20 +4,15 @@ The 2D path slices a normalized volume along each anatomical plane, runs
 every slice through a 2D checkpoint, reassembles three candidate volumes,
 and fuses them by voxelwise median. The 3D path tiles the volume into
 cubes, reconstructs each, and writes each output into its place.
-``model.graph_input`` prepares every slice and cube for the graph. All
-outputs are in HU.
+``model.graph_input`` prepares every slice and cube for the graph, and
+:func:`_store` puts each output in its place. All outputs are in HU.
 
 Given ``workers > 1``, :func:`translate_volume` and
 :func:`reconstruct_cubes` run their slices or cubes as one round of a
-:class:`workers.Pool`: the calling process and ``workers - 1`` forked
-children take contiguous claims of them from one shared queue until none
-is left, so a process the OS runs slower takes less of the work, and every
-one writes straight into one anonymous shared ``mmap`` output. The caller
-reaps every child before it goes on, and re-raises the error of the
-earliest failed claim, which is the error the serial path raises. Where
-forking is unsafe the whole work runs in the calling process. Each slice or
-cube runs the same code either way, so the outputs are byte-identical at
-any worker count.
+:class:`workers.Pool`, and every process writes straight into one
+anonymous shared ``mmap`` output. Each slice or cube runs the same code in
+whichever process takes it, so the outputs are byte-identical at any
+worker count.
 
 Slice layouts (ascending along the fixed axis, remaining axes in x,y,z
 order): axial slices are ``[x, y]`` at fixed z, coronal ``[x, z]`` at fixed
@@ -36,7 +31,7 @@ from .errors import DomainError, ShapeError
 from .model import (GRAPH_DTYPE, Checkpoint, forward, graph_input, param_tensors,
                     value_space, with_sub_pixel_kernels)
 from .volume import NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu
-from .workers import pool_size, run_tasks, shared_array
+from .workers import Pool, pool_size, shared_array
 
 __all__ = [
     "PLANES",
@@ -96,6 +91,14 @@ def _check_planar(ckpt: Checkpoint, extents, what: str) -> None:
     ckpt.config.check_extents(extents, what)
 
 
+def _store(ckpt: Checkpoint, params, space: str, item, dest: np.ndarray) -> None:
+    """Run one slice or cube into ``dest``: its output cropped to ``dest.shape``,
+    mapped to HU in float64 and cast to ``dest``'s dtype as it is stored."""
+    pred = forward(ckpt, graph_input(ckpt.config, item, space), params).output.data[0]
+    dest[...] = normalized_to_hu(pred[tuple(slice(n) for n in dest.shape)].astype(np.float64),
+                                 space)
+
+
 def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
     """Run normalized 2D slices through a 2D checkpoint into ``out``, in HU.
 
@@ -103,9 +106,9 @@ def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
     of one 2D ``shape``, such as a view of a volume along its plane's axis;
     it is returned. Each slice enters the graph through
     :func:`model.graph_input`, which pads it with the air of the
-    checkpoint's space; its output is cropped back, mapped to HU in float64
-    and cast to ``out``'s dtype as it is stored in ``out[i]``. The parameter
-    leaves and the decoder's sub-pixel kernels are built once per call.
+    checkpoint's space, and is stored in ``out[i]`` by :func:`_store`. The
+    parameter leaves and the decoder's sub-pixel kernels are built once per
+    call.
     """
     shape = out.shape[1:]
     if (out.ndim != 3 or len(slices) != len(out)
@@ -116,8 +119,7 @@ def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
     space = value_space(ckpt)
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
     for sl, dest in zip(slices, out):
-        pred = forward(ckpt, graph_input(ckpt.config, sl, space), params).output.data[0]
-        dest[...] = normalized_to_hu(pred[: shape[0], : shape[1]].astype(np.float64), space)
+        _store(ckpt, params, space, sl, dest)
     return out
 
 
@@ -171,13 +173,10 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     :func:`fuse_median`; it equals the float32 cast of the float64 median.
     Besides the input, the working memory is about four volumes of float32.
 
-    With ``workers > 1`` the slices (axial, then coronal, then sagittal, in
-    order) are claimed in runs by ``workers`` processes, which translate
-    them into a shared ``[3, *dims]`` array (see the module docstring);
-    each worker holds one slice graph of its own. The pool has no more
-    processes than slices, nor than there is free memory for one largest
-    slice's graph each (:func:`workers.pool_size`). The bytes do not depend
-    on ``workers``.
+    The slices (axial, then coronal, then sagittal) are one round of a pool
+    of at most ``workers`` processes, sized for one largest slice's graph
+    each (:func:`workers.pool_size`); each claimed run of a plane's slices
+    goes through :func:`translate_slices`.
     """
     space = value_space(ckpt)
     if volume.intensity_space != space:
@@ -199,7 +198,8 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
                 translate_slices(ckpt, slices[max(lo, 0):hi], out[max(lo, 0):hi])
             lo, hi = lo - len(slices), hi - len(slices)
 
-    run_tasks(sum(volume.dims), run, workers)
+    with Pool(run, workers) as pool:
+        pool.round(sum(volume.dims))
     fused = _median_slabs(stack, np.empty(volume.dims, np.float32))
     return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in (*stack, fused)))
 
@@ -210,18 +210,15 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
 
     Each cube from :func:`volume.extract_cubes` is a view of the normalized
     input (a border cube a copy padded to ``edge`` with air) and enters the
-    graph through :func:`model.graph_input`. Its output is cropped to the
-    grid, mapped to HU in float64 and stored in its place in one float32
-    output volume, as :func:`translate_volume` does for slices, so no
-    stitched or padded copy of the volume is made.
+    graph through :func:`model.graph_input`. :func:`_store` crops its output
+    to the grid, maps it to HU in float64 and stores it in its place in one
+    float32 output volume, as it does for slices, so no stitched or padded
+    copy of the volume is made.
 
-    With ``workers > 1`` the cubes, in :func:`volume.extract_cubes` order,
-    are claimed in runs by ``workers`` processes, which reconstruct them
-    into a shared output volume (see the module docstring); each worker
-    holds one cube graph of its own, and walks the tiles once, up to its
-    last claim. The pool has no more processes than cubes, nor than there
-    is free memory for one cube's graph each (:func:`workers.pool_size`).
-    The bytes do not depend on ``workers``.
+    The cubes, in :func:`volume.extract_cubes` order, are one round of a
+    pool of at most ``workers`` processes, sized for one cube's graph each
+    (:func:`workers.pool_size`); each process walks the tiles once, up to
+    its last claim.
     """
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
@@ -242,11 +239,9 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
     def run(lo, hi):
         nonlocal taken
         for cube, (ox, oy, oz) in islice(tiles, lo - taken, hi - taken):
-            dest = out[ox:ox + edge, oy:oy + edge, oz:oz + edge]
-            pred = forward(ckpt, graph_input(ckpt.config, cube, space), params).output.data[0]
-            crop = pred[: dest.shape[0], : dest.shape[1], : dest.shape[2]]
-            dest[...] = normalized_to_hu(crop.astype(np.float64), space)
+            _store(ckpt, params, space, cube, out[ox:ox + edge, oy:oy + edge, oz:oz + edge])
         taken = hi
 
-    run_tasks(cubes, run, workers)
+    with Pool(run, workers) as pool:
+        pool.round(cubes)
     return Volume(out, volume.spacing_mm, "HU")

@@ -8,10 +8,11 @@ takes the next claim from one shared queue (a pipe) until it takes one of
 the round's end tokens, so a process that the OS runs slower takes fewer
 claims. The children inherit ``run`` and its inputs through the fork
 (nothing is pickled on the way in) and write their outputs into arrays from
-:func:`shared_array`, which every process maps, or into files. ``vqsct
-phantom`` runs one round over its cases and inference one over its slices
-or cubes (:func:`run_tasks`); training runs one round per step, after it
-has published the step's state in such arrays. :func:`pool_size` sizes
+:func:`shared_array`, which every process maps, or into files. Every
+caller runs its tasks the same way, ``with Pool(run, workers) as pool:
+pool.round(tasks)``: ``vqsct phantom`` runs one round over its cases,
+inference one over its slices or cubes, and training one per step, after
+it has published the step's state in such arrays. :func:`pool_size` sizes
 every pool from the caller's task count and bytes per task.
 
 A round raises the error of its earliest failed claim, which is the error
@@ -20,12 +21,12 @@ failed one was taken and ran to its end, and a failed claim makes every
 process skip the claims it takes after the one it holds. A child killed by
 a signal counts after every claim. A child waits between rounds on a pipe
 of its own, and leaves through ``os._exit`` at that pipe's end of file (or
-the queue's): the pool closed, its last round began, or the process that
-opened it died. A pool closed by an exception SIGKILLs its children first;
-either way it reaps them all. One worker, or a platform or caller where
-forking is unsafe (not Linux, no ``os.fork``, or another live Python
-thread), forks nothing, and each round is ``run(0, tasks)`` in the calling
-process: the same code over the same tasks.
+the queue's): the pool closed, or the process that opened it died. A pool
+closed by an exception SIGKILLs its children first; either way it reaps
+them all. One worker, or a platform or caller where forking is unsafe (not
+Linux, no ``os.fork``, or another live Python thread), forks nothing, and
+each round is ``run(0, tasks)`` in the calling process: the same code over
+the same tasks.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import VqsctError
 
-__all__ = ["Pool", "pool_size", "run_tasks", "shared_array"]
+__all__ = ["Pool", "pool_size", "shared_array"]
 
 # A claim's token is its ``lo`` and ``hi``, each little-endian in _HALF
 # bytes. A round writes one token per claim and one _END per process: at
@@ -229,14 +230,12 @@ class Pool:
         self._starts[pid] = start_write
         return pid, report_read
 
-    def round(self, tasks: int, last: bool = False) -> None:
+    def round(self, tasks: int) -> None:
         """Run ``run`` over the tasks ``[0, tasks)``; raise the earliest failure.
 
         Every process stops at its first end token, and every child has
-        reported on the round when this returns. With ``last`` no round
-        follows: every child leaves as soon as it has reported, while this
-        process may still work. After a round that raised, close the pool:
-        it runs no further round.
+        reported on the round when this returns. After a round that raised,
+        close the pool: it runs no further round.
         """
         if self._workers == 1:
             self._run(0, tasks)
@@ -248,8 +247,6 @@ class Pool:
         for start in self._starts.values():
             with contextlib.suppress(BrokenPipeError):  # a dead child: its report says so
                 os.write(start, b"\x01")
-        if last:
-            self._end_starts()
         failures = [_drain(self._queue, self._run, self._stop)]
         for child in list(self._children):
             failures.append(self._receive(child))
@@ -287,7 +284,8 @@ class Pool:
         if self._workers == 1:
             return
         self._workers = 1
-        self._end_starts()
+        while self._starts:
+            os.close(self._starts.popitem()[1])
         try:
             while self._children and not kill:
                 pid, report = self._children[-1]
@@ -306,20 +304,9 @@ class Pool:
             os.close(self._feed)
             os.close(self._queue)
 
-    def _end_starts(self) -> None:
-        """Close every child's start pipe: each leaves when it next waits on it."""
-        while self._starts:
-            os.close(self._starts.popitem()[1])
-
     def __enter__(self) -> "Pool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(kill=exc_type is not None)
 
-
-def run_tasks(tasks: int, run, workers: int) -> None:
-    """Run ``run(lo, hi)`` over the tasks ``[0, tasks)`` on ``workers`` processes:
-    one round of a :class:`Pool`."""
-    with Pool(run, workers) as pool:
-        pool.round(tasks, last=True)

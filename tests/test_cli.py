@@ -631,6 +631,59 @@ def test_enc_frozen_finetune_rejects_unused_codebook_values(work, tmp_path, caps
     assert not out.exists() and not (tmp_path / "never.vqck.config.json").exists()
 
 
+@pytest.mark.parametrize("value", [2 ** 40, 10 ** 20])
+@pytest.mark.parametrize("flag", ["--base-channels", "--codebook-size", "--codebook-dim"])
+def test_architecture_above_the_block_limit_exits_1_with_one_line(work, tmp_path, capsys,
+                                                                  flag, value):
+    out = tmp_path / "never.vqck"
+    assert main(["pretrain", "--volumes", work["textures"][0], "--out", str(out),
+                 "--depth", "2", "--steps", "1", flag, str(value)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"vqsct: error: a (conv weight|1x1 projection|codebook) of this "
+                        r"architecture holds up to \d+ values, above the limit of "
+                        r"134217728 \(512\^3\)\n", err), err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command,flags,line", [  # overflows in float64 or float32
+    ("pretrain", "--learning-rate=1e39 --steps 1", "checkpoint block"),
+    ("pretrain", "--learning-rate=1e300 --steps 1", "checkpoint block"),
+    ("finetune", "--weight-decay=1e300 --steps 1", "checkpoint block"),
+    ("pretrain", "--beta=1e300 --steps 3", "training diverged: loss inf"),
+    ("pretrain", "--learning-rate=1e300 --steps 3", "non-finite values at graph boundary")])
+def test_overflowing_training_exits_1_with_one_line_and_no_file(work, tmp_path, command, flags,
+                                                                line, threads):
+    # in a fresh interpreter, so that numpy's warnings reach stderr as they
+    # would from the command line, also those of a forked worker
+    if int(threads) > _CPUS:
+        pytest.skip("--threads 2 needs two usable CPUs")
+    d = work["phantom"]
+    inputs = (["--volumes", str(d / "case_000_ct.mvol"), "--depth", "2"]
+              if command == "pretrain" else
+              ["--base", work["pre"], "--mode", "no-frozen", "--pet",
+               str(d / "case_000_pet.mvol"), "--ct", str(d / "case_000_ct.mvol")])
+    out = tmp_path / "x.vqck"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "vqsct.cli", "--threads", threads, command,
+                           *inputs, "--out", str(out), "--batch-size", "4", *flags.split()],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"vqsct: error: {line}"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_handlers_run_with_numpy_overflow_warnings_off(tmp_path, monkeypatch):
+    # every value they could reach is checked, so a failure prints its one line only
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, "stats", lambda args: seen.append(np.geterr()))
+    assert main(["stats", "--report-a", "a.csv", "--report-b", "b.csv", "--metric", "mae",
+                 "--region", "whole", "--out", str(tmp_path / "s")]) == 0
+    assert seen == [{"divide": "ignore", "over": "ignore", "under": np.geterr()["under"],
+                     "invalid": "ignore"}]
+
+
 # ---------------------------------------------------------------------------
 # pretrain / finetune
 # ---------------------------------------------------------------------------
@@ -1286,13 +1339,18 @@ def _float_codebook_size(ckpt):
     (_wrong_block_shape, b""), (_non_finite, b""), (_keep, b"\x00" * 8),
     (_text_step, b""), (_fractional_step, b""), (_negative_step, b""),
     (_fractional_usage_age, b""), (_text_seed, b""), (_float_codebook_size, b"")])
-def test_malformed_checkpoint_is_rejected(work, tmp_path, capsys, mutate, junk):
+def test_malformed_checkpoint_is_rejected(work, tmp_path, capsys, monkeypatch, mutate, junk):
+    from vqsct import model
+
     ckpt = build_model(ModelConfig(depth=2, base_channels=4, codebook_size=8,
                                    codebook_dim=6, pyramid_levels=2))
     ckpt.provenance = "finetuned"
     mutate(ckpt)
     path = tmp_path / "bad.vqck"
-    save_checkpoint(ckpt, path)
+    with monkeypatch.context() as patch:  # the writer refuses a non-finite block: skip that check
+        patch.setattr(model, "_float32_bytes",
+                      lambda name, block: block.astype("<f4").ravel().tobytes())
+        save_checkpoint(ckpt, path)
     path.write_bytes(path.read_bytes() + junk)
     with pytest.raises(FormatError):
         load_checkpoint(path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +45,31 @@ def test_config_validation():
     with pytest.raises(DomainError):
         small_config(pyramid_levels=3).validate()  # deeper than depth
     small_config().validate()
+
+
+@pytest.mark.parametrize("rank,over,under,kind", [
+    (2, {"base_channels": 483}, {"base_channels": 482}, "a conv weight"),
+    (3, {"base_channels": 279}, {"base_channels": 278}, "a conv weight"),
+    (2, {"base_channels": 1, "codebook_size": 2, "codebook_dim": 2 ** 24 + 1},
+     {"base_channels": 1, "codebook_size": 2, "codebook_dim": 2 ** 24}, "a 1x1 projection"),
+    (2, {"codebook_size": 2 ** 20 + 1, "codebook_dim": 128},
+     {"codebook_size": 2 ** 20, "codebook_dim": 128}, "a codebook"),
+])
+def test_validate_bounds_the_largest_block_in_plain_integers(rank, over, under, kind):
+    # the largest block of each kind may hold 512^3 values, not one more; a
+    # depth of 10^9 costs nothing, because validate never loops over depth
+    with pytest.raises(DomainError, match=f"^{kind} .* above the limit of 134217728"):
+        small_config(rank=rank, depth=10 ** 9, **over).validate()
+    small_config(rank=rank, depth=10 ** 9, **under).validate()
+
+
+def test_block_limit_covers_every_block_shape():
+    for rank, depth, base, size, dim in itertools.product((2, 3), (1, 2, 4, 6), (1, 3),
+                                                          (2, 9), (1, 5)):
+        cfg = small_config(rank=rank, depth=depth, base_channels=base, codebook_size=size,
+                           codebook_dim=dim, pyramid_levels=depth)
+        largest = max(int(np.prod(shape)) for shape in model._block_shapes(cfg).values())
+        assert largest <= max((8 * base) ** 2 * 3 ** rank, dim * 8 * base, size * dim)
 
 
 def test_channel_progression_caps_at_eight_times_base():
@@ -483,6 +509,24 @@ def test_checkpoint_resave_is_byte_identical(tmp_path):
     save_checkpoint(ckpt, first)
     save_checkpoint(load_checkpoint(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("value", [1e39, -1e300, np.inf, np.nan])
+def test_checkpoint_whose_float32_cast_would_not_load_is_never_written(tmp_path, value):
+    ckpt = build_model(small_config())
+    path = tmp_path / "m.vqck"
+    save_checkpoint(ckpt, path)
+    before = path.read_bytes()
+    ckpt.params["enc.1.w"].flat[5] = value
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="^checkpoint block enc.1.w "):
+            save_checkpoint(ckpt, path)
+        with pytest.raises(DomainError):
+            save_checkpoint(ckpt, tmp_path / "new.vqck")
+    # the previous file stays, and no temporary file is left beside it
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["m.vqck"]
+    load_checkpoint(path)
 
 
 def test_checkpoint_magic_enforced(tmp_path):
