@@ -12,6 +12,7 @@ Submodules:
 * ``evaluation`` masked metrics, Wilcoxon test, reports, difference maps
 * ``cli``        the ``vqsct`` command-line interface
 * ``atomic``     the file layer: atomic writes, the framed container, JSON records
+* ``workers``    forked worker pools and the shared arrays they read and write
 
 Submodules load lazily so that lightweight imports (and the CLI's thread
 setup) do not pull in numpy before they need it.
@@ -25,7 +26,7 @@ from .errors import (DomainError, FormatError, ShapeError, TrainingError,
 __version__ = "0.1.0"
 
 _SUBMODULES = ("autograd", "codebook", "model", "volume", "phantom",
-               "training", "pipeline", "evaluation", "cli", "atomic")
+               "training", "pipeline", "evaluation", "cli", "atomic", "workers")
 
 __all__ = ["__version__", "VqsctError", "DomainError", "ShapeError",
            "FormatError", "TrainingError", "UsageError", *_SUBMODULES]

@@ -17,9 +17,9 @@ pools can be pinned to one thread through environment variables before
 numpy loads: a command's parallelism is its own pool of worker processes
 (``workers.Pool``), and one BLAS pool of all CPUs in each of them would
 oversubscribe the CPUs. :func:`main` resolves ``--threads`` (default: one
-per usable CPU) once, and every command caps its pool by it, its tasks and
-free memory (``workers.pool_size``). numpy's overflow, invalid and divide
-warnings are off: every value they could reach is checked.
+per usable CPU) once, and every command's pool sizes itself from it, its
+tasks and free memory. numpy's overflow, invalid and divide warnings are
+off: every value they could reach is checked.
 ``phantom`` shares out its cases, one case per process at a time;
 ``translate``, ``reconstruct`` and ``select`` their slices or cubes (see
 ``pipeline``); and ``pretrain`` and ``finetune`` each step's batch items,
@@ -299,11 +299,11 @@ _CASE_BYTES_PER_VOXEL = 96
 
 def _cmd_phantom(args) -> None:
     from .phantom import checked_dims, generate_phantom_pair
-    from .volume import write_volume
-    from .workers import Pool, pool_size
+    from .volume import checked_spacing, write_volume
+    from .workers import Pool
 
     dims = checked_dims(_parse_triple(args.dims, "dims", int), 32, "phantom")
-    spacing = _parse_triple(args.spacing, "spacing", float)
+    spacing = checked_spacing(_parse_triple(args.spacing, "spacing", float))
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
     os.makedirs(args.out, exist_ok=True)
@@ -321,9 +321,9 @@ def _cmd_phantom(args) -> None:
     # Each case has its own seed, so its bytes do not depend on the schedule.
     # No case starts once one has failed, but cases already running finish, so
     # with several workers a case after the failing one may still be written.
-    workers = pool_size(args.cases, args.threads, math.prod(dims) * _CASE_BYTES_PER_VOXEL)
-    with Pool(write_cases, workers) as pool:
-        pool.round(args.cases)
+    with Pool(write_cases, args.threads, args.cases,
+              math.prod(dims) * _CASE_BYTES_PER_VOXEL) as pool:
+        pool.round()
 
 
 def _cmd_pretrain(args) -> None:
@@ -356,6 +356,8 @@ def _cmd_finetune(args) -> None:
     for plane in planes:
         if plane not in PLANES:
             raise UsageError(f"unknown plane {plane!r}; valid: {', '.join(PLANES)}")
+    if not planes or len(set(planes)) != len(planes):
+        raise UsageError(f"--planes must name one plane or more, each once, got {args.planes!r}")
     if len(args.pet) != len(args.ct):
         raise UsageError(f"--pet and --ct must pair up, got "
                          f"{len(args.pet)} vs {len(args.ct)}")

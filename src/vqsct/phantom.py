@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .volume import Volume, check_voxels, correlate_valid
+from .volume import Volume, check_voxels, checked_spacing, correlate_valid
 
 __all__ = [
     "LABEL_AIR",
@@ -127,6 +127,7 @@ def generate_phantom_pair(dims, seed: int, spacing_mm=(1.5, 1.5, 1.5)):
     with hot lesions, a sigma-2 Gaussian blur, and Poisson noise.
     """
     dims = checked_dims(dims, 32, "phantom")
+    spacing_mm = checked_spacing(spacing_mm)
     rng = np.random.default_rng(seed)
 
     geometry = {
@@ -210,6 +211,7 @@ def generate_texture_volume(dims, seed: int, spacing_mm=(1.5, 1.5, 1.5)) -> Volu
     random ellipsoid inclusions, clipped to plausible CT numbers.
     """
     dims = checked_dims(dims, 16, "texture")
+    spacing_mm = checked_spacing(spacing_mm)
     rng = np.random.default_rng(seed)
     field = (0.5 * _smooth_noise(dims, 2.0, rng)
              + 0.3 * _smooth_noise(dims, 4.0, rng)

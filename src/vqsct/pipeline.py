@@ -7,10 +7,10 @@ cubes, reconstructs each, and writes each output into its place.
 ``model.graph_input`` prepares every slice and cube for the graph, and
 :func:`_store` puts each output in its place. All outputs are in HU.
 
-Given ``workers > 1``, :func:`translate_volume` and
-:func:`reconstruct_cubes` run their slices or cubes as one round of a
-:class:`workers.Pool`, and every process writes straight into one
-anonymous shared ``mmap`` output. Each slice or cube runs the same code in
+:func:`translate_volume` and :func:`reconstruct_cubes` run their slices or
+cubes as one round of a :class:`workers.Pool` of at most ``workers``
+processes, and every process writes straight into one shared output
+(:func:`workers.shared_array`). Each slice or cube runs the same code in
 whichever process takes it, so the outputs are byte-identical at any
 worker count.
 
@@ -31,7 +31,7 @@ from .errors import DomainError, ShapeError
 from .model import (GRAPH_DTYPE, Checkpoint, forward, graph_input, param_tensors,
                     value_space, with_sub_pixel_kernels)
 from .volume import NORMALIZED_AIR, SLAB, Volume, extract_cubes, normalized_to_hu
-from .workers import Pool, pool_size, shared_array
+from .workers import Pool, shared_array
 
 __all__ = [
     "PLANES",
@@ -175,8 +175,8 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
 
     The slices (axial, then coronal, then sagittal) are one round of a pool
     of at most ``workers`` processes, sized for one largest slice's graph
-    each (:func:`workers.pool_size`); each claimed run of a plane's slices
-    goes through :func:`translate_slices`.
+    each; each claimed run of a plane's slices goes through
+    :func:`translate_slices`.
     """
     space = value_space(ckpt)
     if volume.intensity_space != space:
@@ -186,9 +186,7 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     _check_planar(ckpt, volume.dims, "the volume's slices")
     axes = [_plane_axis(plane) for plane in PLANES]
     largest = prod(sorted(volume.dims)[1:])  # voxels of the largest slice
-    workers = pool_size(sum(volume.dims), workers,
-                        largest * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL)
-    stack = shared_array((len(PLANES),) + volume.dims, np.float32, workers > 1)
+    stack = shared_array((len(PLANES),) + volume.dims, np.float32)
     planes = [(np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
               for axis, out in zip(axes, stack)]
 
@@ -198,8 +196,9 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
                 translate_slices(ckpt, slices[max(lo, 0):hi], out[max(lo, 0):hi])
             lo, hi = lo - len(slices), hi - len(slices)
 
-    with Pool(run, workers) as pool:
-        pool.round(sum(volume.dims))
+    with Pool(run, workers, sum(volume.dims),
+              largest * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL) as pool:
+        pool.round()
     fused = _median_slabs(stack, np.empty(volume.dims, np.float32))
     return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in (*stack, fused)))
 
@@ -216,9 +215,8 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
     copy of the volume is made.
 
     The cubes, in :func:`volume.extract_cubes` order, are one round of a
-    pool of at most ``workers`` processes, sized for one cube's graph each
-    (:func:`workers.pool_size`); each process walks the tiles once, up to
-    its last claim.
+    pool of at most ``workers`` processes, sized for one cube's graph each;
+    each process walks the tiles once, up to its last claim.
     """
     if ckpt.config.spatial_rank != 3:
         raise DomainError(
@@ -229,11 +227,8 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
             f"checkpoint expects {space} input, volume is {volume.intensity_space}")
     ckpt.config.check_cube_edge(edge)
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
-    cubes = prod(-(-n // edge) for n in volume.dims)
-    workers = pool_size(cubes, workers,
-                        edge ** 3 * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL)
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
-    out = shared_array(volume.dims, np.float32, workers > 1)
+    out = shared_array(volume.dims, np.float32)
     taken = 0  # tiles this process has drawn; its claims come in ascending order
 
     def run(lo, hi):
@@ -242,6 +237,7 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
             _store(ckpt, params, space, cube, out[ox:ox + edge, oy:oy + edge, oz:oz + edge])
         taken = hi
 
-    with Pool(run, workers) as pool:
-        pool.round(cubes)
+    with Pool(run, workers, prod(-(-n // edge) for n in volume.dims),
+              edge ** 3 * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL) as pool:
+        pool.round()
     return Volume(out, volume.spacing_mm, "HU")

@@ -9,9 +9,9 @@ in ``GRAPH_DTYPE``) and prepares each drawn item with ``model.graph_input``
 deterministic given their seed: data order, k-means codebook
 initialization, EMA updates, and stale-code expiration all draw from
 generators derived from the run seed. A step's batch items may run on
-forked worker processes (``workers``); the calling process adds their
-gradients in item order and does everything else, so the bytes do not
-depend on the worker count.
+forked worker processes (``workers``) that read the checkpoint in shared
+memory; the calling process adds their gradients in item order and does
+everything else, so the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .codebook import Codebook, ema_update, expire_stale, kmeans_init
+from .codebook import ema_update, expire_stale, kmeans_init
 from .errors import DomainError, ShapeError, TrainingError
 from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_freeze,
                     build_model, encode, forward, graph_input, mask_for_mode,
                     param_tensors, reinitialized, value_space, with_sub_pixel_kernels)
 from .volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
                      apply_grid_symmetry, check_cube_size, extract_cubes, normalize)
-from .workers import Pool, pool_size, shared_array
+from .workers import Pool, shared_array
 
 __all__ = [
     "OptimizerState",
@@ -161,6 +161,13 @@ def _ensure_codebooks_initialized(ckpt: Checkpoint, items, seed: int, out=None) 
             kmeans_init(cb, level_rows[j], seed=seed + j)
 
 
+def _shared_copy(arr: np.ndarray) -> np.ndarray:
+    """A copy of ``arr`` in :func:`workers.shared_array`."""
+    out = shared_array(arr.shape, arr.dtype)
+    out[...] = arr
+    return out
+
+
 def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Views of consecutive runs of the 1D ``flat``, one of each of ``shapes``, in order."""
     views, start = [], 0
@@ -174,61 +181,44 @@ def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 class _Step:
     """One training step's batch as every worker process of the step sees it.
 
-    Before each round the parent publishes the step's state into
-    arrays that every worker maps (:func:`workers.shared_array`, plain
-    arrays at one worker): the float64 master weights and each codebook's
-    codes, as the checkpoint ``view``; the batch's item indices and
-    augmentation elements; and, when the codebooks train, each item's offset
-    into every level's rows. :meth:`run` runs batch items on any worker:
-    it builds the ``GRAPH_DTYPE`` leaves and sub-pixel kernels from ``view``
+    The workers read the checkpoint itself, whose weights and codes
+    :func:`_train_loop` keeps in shared memory (:func:`workers.shared_array`).
+    Before each round the parent publishes in such arrays the batch's item
+    indices and augmentation elements and, when the codebooks train, each
+    item's offset into every level's rows. :meth:`run` runs batch items on
+    any worker: it builds the ``GRAPH_DTYPE`` leaves and sub-pixel kernels
     once per round, and each item fills its own slots, its flattened
     gradient, loss and L1, and its unit rows and code indices at its offsets.
-    The parent then folds the slots in item order. The unit rows
-    are stored column by column, as the EMA update reads them.
+    The parent then folds the slots in item order. The unit rows are stored
+    column by column, as the EMA update reads them.
     """
 
     def __init__(self, ckpt: Checkpoint, sides, trainable, size: int, *, beta: float,
-                 augment: bool, codebook_trainable: bool, shared: bool):
-        def alloc(shape, dtype):
-            return shared_array(shape, dtype, shared)
-
+                 augment: bool, codebook_trainable: bool):
         config = ckpt.config
-        self.config, self.space, self.sides = config, value_space(ckpt), sides
+        self.ckpt, self.config, self.space, self.sides = ckpt, config, value_space(ckpt), sides
         self.beta, self.augment, self.trainable = beta, augment, trainable
-        shapes = [arr.shape for arr in ckpt.params.values()]
-        weights = alloc((sum(math.prod(shape) for shape in shapes),), np.float64)
-        codebooks = []
-        for cb in ckpt.codebooks:  # the codes are all that quantize reads
-            view = Codebook.__new__(Codebook)
-            view.codes = alloc(cb.codes.shape, np.float64)
-            codebooks.append(view)
-        self.view = Checkpoint(config, dict(zip(ckpt.params, _flat_views(weights, shapes))),
-                               codebooks, ckpt.step, ckpt.provenance)
-        self.round = alloc((1,), np.int64)
+        self.round = shared_array((1,), np.int64)
         self.round[0] = 0
-        self.batch = alloc((size,), np.intp)
-        self.elements = alloc((size,), np.intp)
+        self.batch = shared_array((size,), np.intp)
+        self.elements = shared_array((size,), np.intp)
         self.grad_shapes = [ckpt.params[name].shape for name in trainable]
-        self.grads = alloc((size, sum(math.prod(shape) for shape in self.grad_shapes)),
-                           GRAPH_DTYPE)
-        self.losses = alloc((size,), GRAPH_DTYPE)
-        self.l1 = alloc((size,), np.float64)
+        self.grads = shared_array((size, sum(math.prod(shape) for shape in self.grad_shapes)),
+                                  GRAPH_DTYPE)
+        self.losses = shared_array((size,), GRAPH_DTYPE)
+        self.l1 = shared_array((size,), np.float64)
         self.bounds = self.columns = self.indices = None
         if codebook_trainable:  # room for a batch of the items with the most rows
             most = np.max([config.level_rows(shape)
                            for shape in {np.shape(item) for item in sides[0]}], axis=0)
-            self.bounds = alloc((size + 1, len(codebooks)), np.intp)
-            self.columns = [alloc((cb.dim * size * rows,), np.float64)
-                            for cb, rows in zip(codebooks, most)]
-            self.indices = [alloc((size * rows,), np.intp) for rows in most]
+            self.bounds = shared_array((size + 1, len(ckpt.codebooks)), np.intp)
+            self.columns = [shared_array((cb.dim * size * rows,), np.float64)
+                            for cb, rows in zip(ckpt.codebooks, most)]
+            self.indices = [shared_array((size * rows,), np.intp) for rows in most]
         self._built, self._params = None, None  # this process's leaves, and their round
 
-    def publish(self, ckpt: Checkpoint, batch, elements) -> None:
-        """Publish a step: the checkpoint's weights and codes, the batch and its elements."""
-        for name, arr in ckpt.params.items():
-            self.view.params[name][...] = arr
-        for view, cb in zip(self.view.codebooks, ckpt.codebooks):
-            view.codes[...] = cb.codes
+    def publish(self, batch, elements) -> None:
+        """Publish a step: the batch, its elements and its items' row offsets."""
         self.batch[...] = batch
         if elements is not None:
             self.elements[...] = elements
@@ -242,15 +232,15 @@ class _Step:
     def levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per level, the step's ``[dim, rows]`` unit-row columns and its code indices."""
         rows = self.bounds[-1]
-        return [(columns[:view.dim * n].reshape(view.dim, n), indices[:n])
-                for columns, indices, view, n
-                in zip(self.columns, self.indices, self.view.codebooks, rows)]
+        return [(columns[:cb.dim * n].reshape(cb.dim, n), indices[:n])
+                for columns, indices, cb, n
+                in zip(self.columns, self.indices, self.ckpt.codebooks, rows)]
 
     def run(self, lo: int, hi: int) -> None:
         """Run the published batch's items ``[lo, hi)`` into their slots."""
         if self._built != self.round[0]:
-            self._params = with_sub_pixel_kernels(self.view,
-                                                  param_tensors(self.view, GRAPH_DTYPE))
+            self._params = with_sub_pixel_kernels(self.ckpt,
+                                                  param_tensors(self.ckpt, GRAPH_DTYPE))
             self._built = int(self.round[0])
         params = self._params
         wrt = {name: params[name] for name in self.trainable}
@@ -261,7 +251,7 @@ class _Step:
                     for items in self.sides]
             if self.augment:
                 pair = [apply_grid_symmetry(item, int(self.elements[i])) for item in pair]
-            res = forward(self.view, pair[0], params, beta=self.beta)
+            res = forward(self.ckpt, pair[0], params, beta=self.beta)
             l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(pair[-1], GRAPH_DTYPE))))
             loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
             item_grads = ag.backward(ag.scale(loss, weight), wrt)
@@ -314,14 +304,14 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     to their place in one batch array per level (sized by
     ``ModelConfig.level_rows``), which the EMA update and code expiry read.
 
-    With ``workers > 1`` and ``steps > 1`` the batch items of every step run
-    as one round of a :class:`workers.Pool` forked once, after the k-means
-    initialization: the augmentation elements are drawn in item order
-    before the round, and everything but the items (the sums, AdamW, the
-    EMA update and code expiry) runs here, so the bytes do not depend on
-    ``workers`` (see :class:`_Step`). The pool has no more processes than
-    the first batch has items, nor than there is free memory for one
-    largest item's graph each (:func:`workers.pool_size`).
+    The batch items of every step run as one round of a :class:`workers.Pool`
+    of at most ``workers`` processes (one if ``steps < 2``), sized for one
+    largest item's graph each and forked once, after the k-means
+    initialization has set the codes and the codes and weights have moved
+    into shared memory. The augmentation elements are drawn in item order
+    before the round; everything but the items (the sums, and AdamW, the
+    EMA update and code expiry, in place) runs here, so the bytes do not
+    depend on ``workers`` (see :class:`_Step`).
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
@@ -347,29 +337,31 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     trainable = apply_freeze(ckpt, mask)
     item_bytes = (max(np.size(item) for item in inputs) * config.base_channels
                   * _TRAIN_BYTES_PER_VOXEL_CHANNEL)
-    # a pool forked for one step costs about what it saves: the processes'
-    # copy-on-write faults after the fork take about half a step
-    workers = pool_size(len(first_batch), workers, item_bytes) if steps > 1 else 1
     # before k-means, whose rows reuse the step's unit-row slots, so that
     # they add no memory to the loop's, at any worker count
     step = _Step(ckpt, sides, trainable, len(first_batch), beta=beta, augment=augment,
-                 codebook_trainable=mask.codebook_trainable and steps > 0,
-                 shared=workers > 1)
+                 codebook_trainable=mask.codebook_trainable and steps > 0)
     _ensure_codebooks_initialized(
         ckpt, [graph_input(config, inputs[idx], space) for idx in first_batch], seed,
         step.columns)
+    # after k-means, which rebinds the codes: every later update is in place
+    ckpt.params = {name: _shared_copy(arr) for name, arr in ckpt.params.items()}
+    for cb in ckpt.codebooks:
+        cb.codes = _shared_copy(cb.codes)
 
     state = init_optimizer(ckpt.params, trainable, learning_rate, weight_decay)
     l1_history: list[float] = []
     loss_history: list[float] = []
     symmetries = N_GRID_SYMMETRIES[config.spatial_rank]
-    with Pool(step.run, workers) as pool:
+    # a pool forked for one step costs about what it saves: the processes'
+    # copy-on-write faults after the fork take about half a step
+    with Pool(step.run, workers if steps > 1 else 1, len(first_batch), item_bytes) as pool:
         batch = first_batch
         for _ in range(steps):
             elements = ([int(augment_rng.integers(symmetries)) for _ in batch]
                         if augment else None)
-            step.publish(ckpt, batch, elements)
-            pool.round(len(batch))
+            step.publish(batch, elements)
+            pool.round()
             grads, total, l1 = step.fold()
             if not np.isfinite(total):
                 raise TrainingError(f"training diverged: loss {float(total)}")

@@ -43,6 +43,7 @@ __all__ = [
     "SLAB",
     "MAX_VOXELS",
     "check_voxels",
+    "checked_spacing",
     "check_cube_size",
     "read_volume",
     "write_volume",
@@ -107,9 +108,7 @@ class Volume:
         self.voxels = voxels
         if self.voxels.ndim != 3:
             raise ShapeError(f"volume must be 3D, got shape {self.voxels.shape}")
-        self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
-        if len(self.spacing_mm) != 3 or not all(0 < s < np.inf for s in self.spacing_mm):
-            raise DomainError(f"spacing must be 3 finite positive values, got {self.spacing_mm}")
+        self.spacing_mm = checked_spacing(self.spacing_mm)
         if self.intensity_space not in INTENSITY_SPACES:
             raise DomainError(f"unknown intensity space {self.intensity_space!r}")
         if not np.all(np.isfinite(self.voxels)):
@@ -376,6 +375,14 @@ def check_voxels(count: int, what: str) -> None:
     if count > MAX_VOXELS:
         raise DomainError(f"{what} hold {count} voxels, "
                           f"above the limit of {MAX_VOXELS} (512^3)")
+
+
+def checked_spacing(spacing) -> tuple[float, float, float]:
+    """``spacing`` as three floats; DomainError unless each is finite and > 0."""
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
+        raise DomainError(f"spacing must be 3 finite positive values, got {spacing}")
+    return spacing
 
 
 def check_cube_size(edge: int) -> None:

@@ -1,19 +1,18 @@
 """Worker processes, forked once, that run rounds of claims over tasks.
 
-A :class:`Pool` of ``workers`` processes is the calling process plus
-``workers - 1`` children forked when the pool opens, which live until it
-closes. Each :meth:`Pool.round` runs ``run(lo, hi)`` over the tasks
-``[0, tasks)``: the tasks are cut into contiguous claims, and every process
-takes the next claim from one shared queue (a pipe) until it takes one of
-the round's end tokens, so a process that the OS runs slower takes fewer
-claims. The children inherit ``run`` and its inputs through the fork
-(nothing is pickled on the way in) and write their outputs into arrays from
-:func:`shared_array`, which every process maps, or into files. Every
-caller runs its tasks the same way, ``with Pool(run, workers) as pool:
-pool.round(tasks)``: ``vqsct phantom`` runs one round over its cases,
-inference one over its slices or cubes, and training one per step, after
-it has published the step's state in such arrays. :func:`pool_size` sizes
-every pool from the caller's task count and bytes per task.
+A :class:`Pool` is the calling process plus children forked when the pool
+opens, which live until it closes; it sizes itself (:func:`pool_size`) from
+its caller's ``workers``, task count and bytes per task. Each
+:meth:`Pool.round` runs ``run(lo, hi)`` over the pool's tasks ``[0, tasks)``:
+the tasks are cut into contiguous claims, and every process takes the next
+claim from one shared queue (a pipe) until it takes one of the round's end
+tokens, so a process that the OS runs slower takes fewer claims. The
+children inherit ``run`` and its inputs through the fork (nothing is
+pickled on the way in); what changes between rounds, and what they write,
+is in arrays of :func:`shared_array`, which every process maps, or in
+files. Every caller runs ``with Pool(run, workers, tasks, task_bytes) as
+pool: pool.round()``: ``vqsct phantom`` one round over its cases, inference
+one over its slices or cubes, and training one per step over its items.
 
 A round raises the error of its earliest failed claim, which is the error
 the serial path raises: claims are taken in order, every claim before the
@@ -23,10 +22,10 @@ a signal counts after every claim. A child waits between rounds on a pipe
 of its own, and leaves through ``os._exit`` at that pipe's end of file (or
 the queue's): the pool closed, or the process that opened it died. A pool
 closed by an exception SIGKILLs its children first; either way it reaps
-them all. One worker, or a platform or caller where forking is unsafe (not
-Linux, no ``os.fork``, or another live Python thread), forks nothing, and
-each round is ``run(0, tasks)`` in the calling process: the same code over
-the same tasks.
+them all. A pool of one process (at most one worker or task, or a platform
+or caller where forking is unsafe: not Linux, no ``os.fork``, or another
+live Python thread) forks nothing, and each round is ``run(0, tasks)`` in
+the calling process: the same code over the same tasks.
 """
 
 from __future__ import annotations
@@ -80,13 +79,13 @@ def _free_bytes() -> int | None:
 def pool_size(tasks: int, workers: int, task_bytes: int) -> int:
     """Processes to run rounds of ``tasks`` tasks of ``task_bytes`` each on:
     ``workers``, at most one per task, ``_MAX_CLAIMS`` in all and as many
-    tasks as fit in the memory free now (at least one), and one where
-    forking is unsafe."""
+    tasks as fit in the memory free now, and one where forking is unsafe;
+    never fewer than one, which runs every round itself."""
     if not _fork_safe():
         return 1
     size = min(workers, tasks, _MAX_CLAIMS)
     free = _free_bytes()
-    return size if free is None else min(size, max(1, free // task_bytes))
+    return max(1, size if free is None else min(size, free // task_bytes))
 
 
 def _claims(tasks: int, workers: int) -> list:
@@ -97,11 +96,10 @@ def _claims(tasks: int, workers: int) -> list:
     return [(tasks * k // n, tasks * (k + 1) // n) for k in range(n)]
 
 
-def shared_array(shape, dtype, shared: bool) -> np.ndarray:
-    """An uninitialized ``dtype`` array of ``shape``; in an anonymous shared
-    ``mmap``, which forked workers write and read, if ``shared``."""
-    if not shared:
-        return np.empty(shape, dtype)
+def shared_array(shape, dtype) -> np.ndarray:
+    """An uninitialized ``dtype`` array of ``shape`` in an anonymous shared
+    ``mmap``, which every process forked after it writes and reads; without
+    a fork it costs what ``np.empty`` costs."""
     dtype, count = np.dtype(dtype), math.prod(shape)
     buffer = mmap.mmap(-1, max(1, count) * dtype.itemsize)
     return np.frombuffer(buffer, dtype, count).reshape(shape)
@@ -169,23 +167,23 @@ def _exit_error(status: int) -> VqsctError | None:
 
 
 class Pool:
-    """``workers`` processes that run rounds of ``run(lo, hi)`` claims.
+    """Processes that run rounds of ``run(lo, hi)`` claims over ``[0, tasks)``.
 
-    ``workers`` is the pool's size as :func:`pool_size` gives it; above one,
-    ``workers - 1`` children are forked here. Each child has two pipes of its
-    own: one on which the parent starts each round, one on which the child
-    reports it. Use the pool as a context manager: leaving the block reaps
-    every child.
+    :func:`pool_size` gives their number, at most ``workers``, for ``tasks``
+    tasks of ``task_bytes`` each; all but one are children forked here. Each
+    child has two pipes of its own: one on which the parent starts each
+    round, one on which the child reports it. Use the pool as a context
+    manager: leaving the block reaps every child.
     """
 
-    def __init__(self, run, workers: int):
-        self._run = run
-        self._workers = max(1, workers)
+    def __init__(self, run, workers: int, tasks: int, task_bytes: int):
+        self._run, self._tasks = run, tasks
+        self._workers = pool_size(tasks, workers, task_bytes)
         self._children = []  # (pid, read end of its report pipe)
         self._starts = {}  # pid: write end of its start pipe, while open
         if self._workers == 1:
             return
-        self._stop = shared_array((1,), np.uint8, True)
+        self._stop = shared_array((1,), np.uint8)
         self._queue, self._feed = os.pipe()
         try:
             for _ in range(self._workers - 1):
@@ -230,17 +228,17 @@ class Pool:
         self._starts[pid] = start_write
         return pid, report_read
 
-    def round(self, tasks: int) -> None:
-        """Run ``run`` over the tasks ``[0, tasks)``; raise the earliest failure.
+    def round(self) -> None:
+        """Run ``run`` over the pool's tasks; raise the earliest failure.
 
         Every process stops at its first end token, and every child has
         reported on the round when this returns. After a round that raised,
         close the pool: it runs no further round.
         """
         if self._workers == 1:
-            self._run(0, tasks)
+            self._run(0, self._tasks)
             return
-        claims = _claims(tasks, self._workers)
+        claims = _claims(self._tasks, self._workers)
         self._stop[0] = 0
         os.write(self._feed, b"".join(lo.to_bytes(_HALF, "little") + hi.to_bytes(_HALF, "little")
                                       for lo, hi in claims) + _END * self._workers)

@@ -104,6 +104,16 @@ def test_phantom_rejects_bad_values(tmp_path):
     assert main(["phantom", "--out", out, "--dims", "a,b,c"]) == 1
 
 
+@pytest.mark.parametrize("spacing", ["0,1,1", "1,nan,1", "1,1,1e400"])
+def test_bad_phantom_spacing_exits_1_before_any_case(tmp_path, capsys, forks, spacing):
+    out = tmp_path / "ph"
+    assert main(["phantom", "--out", str(out), "--cases", "2", "--dims", "32,32,32",
+                 "--spacing", spacing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error: spacing must be 3 finite positive values")
+    assert err.count("\n") == 1 and forks == [] and os.listdir(tmp_path) == []
+
+
 _CPUS = len(os.sched_getaffinity(0))
 _THREAD_FLAGS = {"threads-1": ["--threads", "1"], "threads-2": ["--threads", "2"],
                  "default": []}
@@ -726,6 +736,19 @@ def test_finetune_rejects_unpaired_or_bad_planes(work, tmp_path):
                  "--steps", "1", "--out", out]) == 1
 
 
+@pytest.mark.parametrize("planes", [",,", "axial,axial", "coronal, sagittal,coronal"])
+def test_empty_or_repeated_planes_exit_1_before_anything_is_read(tmp_path, capsys, planes):
+    # none of the files exists: reading any of them would exit 2
+    missing = [str(tmp_path / name) for name in ("base.vqck", "pet.mvol", "ct.mvol")]
+    out = tmp_path / "never.vqck"
+    assert main(["finetune", "--base", missing[0], "--mode", "no-frozen", "--pet", missing[1],
+                 "--ct", missing[2], "--planes", planes, "--steps", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"vqsct: error: --planes must name one plane or more, "
+                                       f"each once, got {planes!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def _training_runs(work, out):
     d = work["phantom"]
     small = ["--depth", "2", "--base-channels", "4", "--codebook-size", "8",
@@ -772,10 +795,10 @@ def test_training_item_peak_is_within_its_byte_rule(rank, shape, beta):
     ckpt = build_model(config)
     items = [np.random.default_rng(31).uniform(0, 1, shape).astype(np.float32)]
     step = training._Step(ckpt, (items,), sorted(ckpt.params), 1, beta=beta, augment=False,
-                          codebook_trainable=True, shared=False)
-    step.publish(ckpt, [0], None)
+                          codebook_trainable=True)
+    step.publish([0], None)
     step.run(0, 1)  # the conv plans are cached once per process
-    step.publish(ckpt, [0], None)
+    step.publish([0], None)
     tracemalloc.start()
     try:
         step.run(0, 1)

@@ -34,6 +34,19 @@ def test_dims_above_the_voxel_limit_are_rejected_before_any_array(monkeypatch):
         generate_texture_volume((10 ** 6, 10 ** 6, 16), seed=0)
 
 
+@pytest.mark.parametrize("spacing", [(0, 1, 1), (1, float("nan"), 1), (1, 1, 1e400), (1, 1)])
+def test_bad_spacing_is_rejected_before_any_array(monkeypatch, spacing):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was called")
+
+    monkeypatch.setattr(phantom, "np", NoNumpy())
+    with pytest.raises(DomainError, match="^spacing must be 3 finite positive values"):
+        generate_phantom_pair((32, 32, 32), seed=0, spacing_mm=spacing)
+    with pytest.raises(DomainError, match="^spacing must be 3 finite positive values"):
+        generate_texture_volume((16, 16, 16), seed=0, spacing_mm=spacing)
+
+
 def test_broadcast_grids_give_the_dense_grid_bytes(monkeypatch):
     sparse = (generate_phantom_pair((40, 33, 35), seed=12),
               generate_texture_volume((21, 18, 16), seed=13))

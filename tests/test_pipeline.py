@@ -511,6 +511,24 @@ def test_pool_size_caps_workers_by_tasks_claims_and_free_memory(monkeypatch):
         other.join()
 
 
+def test_a_pool_of_no_tasks_forks_nothing_and_its_round_returns(forks):
+    # a pool sizes itself to one process at least: with none, no end token
+    # would be written and the round would wait on the queue forever
+    def expired(signum, frame):
+        raise TimeoutError("the round did not return")
+
+    ran = []
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(10)
+    try:
+        with worker_pool.Pool(lambda lo, hi: ran.append((lo, hi)), 3, 0, 1) as pool:
+            pool.round()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ran == [(0, 0)] and forks == []
+
+
 def test_no_tasks_fork_nothing(forks):
     # a volume with a zero extent has no cubes: nothing forks, as at one worker
     vol = Volume(np.zeros((0, 8, 8)), (1, 1, 1), "unit01", {})

@@ -627,6 +627,23 @@ def test_finetune_bytes_do_not_depend_on_workers(tmp_path, forks, mode, train_co
     assert all(run == runs[0] for run in runs)
 
 
+def test_workers_read_the_codes_of_each_step(tmp_path, forks):
+    # with expiry at age 1 the EMA update and code expiry change the codes
+    # every step, in place; a worker that read the codes k-means left, or
+    # any earlier step's, would change the bytes
+    pets, cts = _planes((16, 16, 16))
+    runs = []
+    for workers in (1, 2):
+        ckpt = build_model(small_config(pyramid_levels=2))
+        result = training._train_loop(
+            ckpt, pets, cts, 5, 9, mask=FreezeMask(True, True), learning_rate=2e-3,
+            batch_size=6, beta=0.25, expire_age=1, decay=0.9, weight_decay=0.01,
+            workers=workers)
+        runs.append(_run_bytes(result, tmp_path))
+    assert len(forks) == 1 and _no_child_left()
+    assert runs[0] == runs[1]
+
+
 def test_step_gradients_and_losses_fold_in_item_order_on_workers(monkeypatch):
     # the summed gradients AdamW gets, and the logged loss, at 3 workers equal
     # the one-worker bytes step by step

@@ -9,11 +9,15 @@ module-level function, class or constant whose name has one leading
 underscore must be read somewhere in its own module. Every string in
 ``__all__`` must name something the module defines or imports at its top
 level; a starred entry (the package's lazily loaded submodules) is not a
-string and is not checked.
+string and is not checked, but every module but ``errors`` must be one of
+those submodules.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +89,20 @@ def test_module_uses_every_private_name_it_defines(path):
 @pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
 def test_module_defines_or_imports_every_name_it_exports(path):
     assert _stale_exports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_package_loads_every_module_as_a_submodule():
+    # in a fresh interpreter, where no test has imported a submodule yet
+    names = sorted({path.stem for path in _MODULES} - {"__init__", "errors"})
+    assert sorted(vqsct._SUBMODULES) == names
+    code = ("import vqsct\n"
+            "assert set(vqsct._SUBMODULES) <= set(dir(vqsct)) & set(vqsct.__all__)\n"
+            "print(*(getattr(vqsct, name).__name__ for name in vqsct._SUBMODULES))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [f"vqsct.{name}" for name in vqsct._SUBMODULES]
 
 
 def test_unused_import_is_found():
