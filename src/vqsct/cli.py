@@ -266,11 +266,7 @@ def _read_space(path, flag: str, space: str):
     """The volume at ``path``, which ``flag`` needs in intensity ``space``."""
     from .volume import read_volume
 
-    volume = read_volume(path)
-    if volume.intensity_space != space:
-        raise DomainError(f"{flag} {path} holds {volume.intensity_space} voxels, "
-                          f"expected {space}")
-    return volume
+    return read_volume(path).check_space(space, f"{flag} {path}")
 
 
 def _write_history(result, path) -> None:
@@ -363,6 +359,7 @@ def _cmd_finetune(args) -> None:
                          f"{len(args.pet)} vs {len(args.ct)}")
 
     base = load_checkpoint(args.base)
+    base.config.check_rank(2, "fine-tuning")  # before any volume is read
     pet_slices, ct_slices = [], []
     for pet_path, ct_path in zip(args.pet, args.ct):
         # a read volume normalizes to float32, GRAPH_DTYPE already: no copy
@@ -391,6 +388,7 @@ def _cmd_translate(args) -> None:
     from .volume import normalize, write_volume
 
     ckpt = load_checkpoint(args.ckpt)
+    ckpt.config.check_rank(2, "tri-planar translation")  # before the volume is read
     space = value_space(ckpt)
     volume = normalize(_read_space(args.pet, "--pet", _SOURCE_SPACE[space]), space)
     result = translate_volume(ckpt, volume, args.threads)
@@ -409,6 +407,7 @@ def _cmd_reconstruct(args) -> None:
 
     check_cube_size(args.edge)  # in plain integers, before anything is read
     ckpt = load_checkpoint(args.ckpt)
+    ckpt.config.check_rank(3, "reconstruct_cubes")  # before the volume is read
     volume = normalize(_read_space(args.ct, "--ct", "HU"), value_space(ckpt))
     out = reconstruct_cubes(ckpt, volume, edge=args.edge, workers=args.threads)
     write_volume(out, args.out)
@@ -417,7 +416,6 @@ def _cmd_reconstruct(args) -> None:
 def _cmd_evaluate(args) -> None:
     from .evaluation import (evaluate_case, region_masks, save_difference_maps,
                              write_report_csv)
-    from .volume import read_volume
 
     if not 0.0 < args.diff_cap < float("inf"):
         raise UsageError(f"--diff-cap must be finite and > 0, got {args.diff_cap}")
@@ -425,8 +423,8 @@ def _cmd_evaluate(args) -> None:
         raise UsageError(f"--bone-hu must be finite, got {args.bone_hu}")
     if args.case_id is None:
         args.case_id = os.path.splitext(os.path.basename(args.pred))[0]
-    pred = read_volume(args.pred)
-    gt = read_volume(args.gt)
+    pred = _read_space(args.pred, "--pred", "HU")
+    gt = _read_space(args.gt, "--gt", "HU")
     truth = region_masks(gt, args.bone_hu)
     rows = evaluate_case(pred, gt, case_id=args.case_id,
                          bone_threshold_hu=args.bone_hu, truth=truth)
@@ -448,11 +446,12 @@ def _cmd_stats(args) -> None:
 def _cmd_select(args) -> None:
     from .model import load_checkpoint
     from .training import select_checkpoint
-    from .volume import check_cube_size, read_volume
+    from .volume import check_cube_size
 
     check_cube_size(args.cube_edge)  # in plain integers, before anything is read
     candidates = [load_checkpoint(p) for p in args.candidates]
-    volumes = [read_volume(p) for p in args.volumes]
+    # read once every 3D candidate has checked the cube edge
+    volumes = (_read_space(p, "--volumes", "HU") for p in args.volumes)
     best = select_checkpoint(candidates, volumes, cube_edge=args.cube_edge,
                              workers=args.threads)
     index = next(i for i, c in enumerate(candidates) if c is best)

@@ -97,8 +97,8 @@ def body_contour(ct: Volume) -> np.ndarray:
     its axis that holds a reached voxel, until two sweeps in a row reach
     nothing new.
     """
-    if isinstance(ct, Volume) and ct.intensity_space != "HU":
-        raise DomainError(f"body contour needs an HU volume, got {ct.intensity_space}")
+    if isinstance(ct, Volume):
+        ct.check_space("HU", "the body contour's CT")
     free = ~(_voxels(ct) > np.float64(BODY_THRESHOLD_HU))
     reach = free.copy()
     reach[1:-1, 1:-1] = False  # the flood starts from each slice's border
@@ -389,9 +389,8 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
     body contour is built once. Returns CSV row dicts (case_id, region,
     metric, value).
     """
-    for vol in (pred, gt):
-        if vol.intensity_space != "HU":
-            raise DomainError(f"evaluation needs HU volumes, got {vol.intensity_space}")
+    pred.check_space("HU", "the predicted volume")
+    gt.check_space("HU", "the true volume")
     if pred.dims != gt.dims:
         raise ShapeError(f"volume dims differ: {pred.dims} vs {gt.dims}")
     if truth is None:

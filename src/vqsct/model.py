@@ -96,6 +96,11 @@ class ModelConfig:
                                   f"above the limit of {MAX_VOXELS} (512^3)")
         return self
 
+    def check_rank(self, rank: int, what: str) -> None:
+        """Raise DomainError unless ``what`` gets a checkpoint of spatial ``rank``."""
+        if self.spatial_rank != rank:
+            raise DomainError(f"{what} needs a {rank}D checkpoint, got rank {self.spatial_rank}")
+
     def check_extents(self, extents, what: str) -> None:
         """Raise DomainError if 2^depth exceeds the smallest of ``extents``.
 

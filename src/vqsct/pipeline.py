@@ -2,8 +2,9 @@
 
 The 2D path slices a normalized volume along each anatomical plane, runs
 every slice through a 2D checkpoint, reassembles three candidate volumes,
-and fuses them by voxelwise median. The 3D path tiles the volume into
-cubes, reconstructs each, and writes each output into its place.
+and fuses them by voxelwise median (:func:`fuse_median`). The 3D path
+tiles the volume into cubes, reconstructs each, and writes each output
+into its place.
 ``model.graph_input`` prepares every slice and cube for the graph, and
 :func:`_store` puts each output in its place. All outputs are in HU.
 
@@ -85,9 +86,7 @@ def restack_slices(slices, plane: str) -> np.ndarray:
 
 def _check_planar(ckpt: Checkpoint, extents, what: str) -> None:
     """A 2D checkpoint whose 2^depth fits the in-plane ``extents``."""
-    if ckpt.config.spatial_rank != 2:
-        raise DomainError(
-            f"tri-planar translation needs a 2D checkpoint, got rank {ckpt.config.spatial_rank}")
+    ckpt.config.check_rank(2, "tri-planar translation")
     ckpt.config.check_extents(extents, what)
 
 
@@ -168,9 +167,9 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     Each plane's slices are views of the input, and each translated slice
     is mapped to HU in float64 and stored in its place in one float32
     ``[3, *dims]`` array, the dtype the volumes are written in; the three
-    plane volumes are views of that array. The fused volume is its float32
-    voxelwise median, taken one slab at a time by the same code as
-    :func:`fuse_median`; it equals the float32 cast of the float64 median.
+    plane volumes are views of that array. The fused volume is their
+    :func:`fuse_median`, a float32 voxelwise median taken one slab at a time;
+    it equals the float32 cast of the float64 median.
     Besides the input, the working memory is about four volumes of float32.
 
     The slices (axial, then coronal, then sagittal) are one round of a pool
@@ -178,20 +177,17 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     each; each claimed run of a plane's slices goes through
     :func:`translate_slices`.
     """
-    space = value_space(ckpt)
-    if volume.intensity_space != space:
-        raise DomainError(
-            f"checkpoint expects {space} input, volume is {volume.intensity_space}")
+    volume.check_space(value_space(ckpt), "the volume to translate")
     # every axis lies in the slice plane of two of the three planes
     _check_planar(ckpt, volume.dims, "the volume's slices")
     axes = [_plane_axis(plane) for plane in PLANES]
     largest = prod(sorted(volume.dims)[1:])  # voxels of the largest slice
     stack = shared_array((len(PLANES),) + volume.dims, np.float32)
-    planes = [(np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
-              for axis, out in zip(axes, stack)]
+    runs = [(np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
+            for axis, out in zip(axes, stack)]
 
     def run(lo, hi):  # the tasks [lo, hi) of the slices of all planes, in order
-        for slices, out in planes:
+        for slices, out in runs:
             if lo < len(slices) and hi > 0:
                 translate_slices(ckpt, slices[max(lo, 0):hi], out[max(lo, 0):hi])
             lo, hi = lo - len(slices), hi - len(slices)
@@ -199,8 +195,8 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     with Pool(run, workers, sum(volume.dims),
               largest * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL) as pool:
         pool.round()
-    fused = _median_slabs(stack, np.empty(volume.dims, np.float32))
-    return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in (*stack, fused)))
+    planes = [Volume(v, volume.spacing_mm, "HU") for v in stack]
+    return TriplanarResult(*planes, fuse_median(*planes))
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
@@ -218,13 +214,9 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
     pool of at most ``workers`` processes, sized for one cube's graph each;
     each process walks the tiles once, up to its last claim.
     """
-    if ckpt.config.spatial_rank != 3:
-        raise DomainError(
-            f"reconstruct_cubes needs a 3D checkpoint, got rank {ckpt.config.spatial_rank}")
+    ckpt.config.check_rank(3, "reconstruct_cubes")
     space = value_space(ckpt)
-    if volume.intensity_space != space:
-        raise DomainError(
-            f"checkpoint expects {space} input, volume is {volume.intensity_space}")
+    volume.check_space(space, "the volume to reconstruct")
     ckpt.config.check_cube_edge(edge)
     tiles = extract_cubes(volume, edge, NORMALIZED_AIR[space])
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))

@@ -5,7 +5,8 @@ volumes (input == target) and paired PET-to-CT fine-tuning on sym11 slices
 under the scratch / no-frozen / enc-frozen regimes. The engine takes plain
 2D slices or 3D cubes (``pretrain_recon`` and ``vqsct finetune`` hold them
 in ``GRAPH_DTYPE``) and prepares each drawn item with ``model.graph_input``
-(then ``volume.apply_grid_symmetry`` when augmenting). Both are fully
+(then, when augmenting, ``volume.apply_plane_symmetry`` or
+``apply_cube_symmetry`` of its one channel). Both are fully
 deterministic given their seed: data order, k-means codebook
 initialization, EMA updates, and stale-code expiration all draw from
 generators derived from the run seed. A step's batch items may run on
@@ -28,7 +29,8 @@ from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_free
                     build_model, encode, forward, graph_input, mask_for_mode,
                     param_tensors, reinitialized, value_space, with_sub_pixel_kernels)
 from .volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
-                     apply_grid_symmetry, check_cube_size, extract_cubes, normalize)
+                     apply_cube_symmetry, apply_plane_symmetry, check_cube_size,
+                     extract_cubes, normalize)
 from .workers import Pool, shared_array
 
 __all__ = [
@@ -246,11 +248,13 @@ class _Step:
         wrt = {name: params[name] for name in self.trainable}
         weight = 1.0 / len(self.batch)
         levels = self.levels() if self.bounds is not None else ()
+        # looked up per call, so a function rebound in this module's namespace is the one run
+        symmetry = apply_plane_symmetry if self.config.spatial_rank == 2 else apply_cube_symmetry
         for i in range(lo, hi):
             pair = [graph_input(self.config, items[self.batch[i]], self.space)
                     for items in self.sides]
-            if self.augment:
-                pair = [apply_grid_symmetry(item, int(self.elements[i])) for item in pair]
+            if self.augment:  # each [1, *S] item's one channel
+                pair = [symmetry(item[0], int(self.elements[i]))[None] for item in pair]
             res = forward(self.ckpt, pair[0], params, beta=self.beta)
             l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(pair[-1], GRAPH_DTYPE))))
             loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
@@ -412,9 +416,7 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
         check_cube_size(cube_edge)
     items = []
     for vol in volumes:
-        if vol.intensity_space != "unit01":
-            raise DomainError(
-                f"pretraining volumes must be unit01, got {vol.intensity_space}")
+        vol.check_space("unit01", "a pretraining volume")
         if config.spatial_rank == 2:
             config.check_extents(vol.dims[:2], "axial slices")
             data = np.asarray(vol.voxels, GRAPH_DTYPE)  # a read volume is float32 already
@@ -453,6 +455,7 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     bytes do not depend on it.
     """
     mask = mask_for_mode(mode, freeze_codebook_with_encoder)
+    base.config.check_rank(2, "fine-tuning")
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
     pet_slices = list(pet_slices)
@@ -485,7 +488,9 @@ def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64,
     computed in float64 between the float32 HU output, as ``vqsct
     translate`` or ``reconstruct`` would write it, and the clamped input.
     Each volume is normalized once per value space the candidates need, and
-    clamped once. Ties keep the earliest candidate. ``workers`` is handed to
+    clamped once. Ties keep the earliest candidate. Each 3D candidate checks
+    ``cube_edge`` before any candidate runs or any of ``eval_volumes`` (a
+    generator, say) is drawn. ``workers`` is handed to
     :func:`pipeline.translate_volume` and :func:`pipeline.reconstruct_cubes`,
     whose bytes do not depend on it.
     """
@@ -494,12 +499,14 @@ def select_checkpoint(candidates, eval_volumes, *, cube_edge: int = 64,
     candidates = list(candidates)
     if not candidates:
         raise DomainError("select_checkpoint needs at least one candidate")
+    for ckpt in candidates:
+        if ckpt.config.spatial_rank == 3:
+            ckpt.config.check_cube_edge(cube_edge)
     eval_volumes = list(eval_volumes)
     if not eval_volumes:
         raise DomainError("select_checkpoint needs at least one evaluation volume")
     for vol in eval_volumes:
-        if vol.intensity_space != "HU":
-            raise DomainError(f"evaluation volumes must be HU, got {vol.intensity_space}")
+        vol.check_space("HU", "an evaluation volume")
     normed = {space: [normalize(vol, space) for vol in eval_volumes]
               for space in dict.fromkeys(value_space(ckpt) for ckpt in candidates)}
     refs = [np.clip(vol.voxels, HU_MIN, HU_MAX) for vol in eval_volumes]

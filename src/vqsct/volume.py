@@ -1,7 +1,8 @@
-"""Volumes: container type, MVOL file I/O, intensity maps, filtering, tiling.
+"""Volumes: container, MVOL I/O, intensity maps, symmetries, filtering, tiling.
 
 A ``Volume`` wraps a 3D scalar grid indexed ``[x, y, z]`` with voxel spacing
-in millimetres and a declared intensity space:
+in millimetres and a declared intensity space, which every caller that needs
+one space checks through ``Volume.check_space``:
 
 * ``HU``       raw CT numbers (air -1000, water 0, dense bone ~ +2000)
 * ``activity`` raw PET tracer activity (non-negative, arbitrary units)
@@ -52,7 +53,6 @@ __all__ = [
     "normalized_to_hu",
     "activity_to_normalized",
     "apply_cube_symmetry",
-    "apply_grid_symmetry",
     "apply_plane_symmetry",
     "extract_cubes",
     "stitch_cubes",
@@ -117,6 +117,12 @@ class Volume:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.voxels.shape
+
+    def check_space(self, space: str, what: str) -> "Volume":
+        """This volume, or DomainError if ``what`` (this volume) is not in ``space``."""
+        if self.intensity_space != space:
+            raise DomainError(f"{what} holds {self.intensity_space} voxels, expected {space}")
+        return self
 
     def copy(self) -> "Volume":
         return Volume(self.voxels.copy(), self.spacing_mm, self.intensity_space,
@@ -284,43 +290,33 @@ def normalize(volume: Volume, mode: str) -> Volume:
 N_GRID_SYMMETRIES = {2: 8, 3: 48}
 
 
-def apply_grid_symmetry(item: np.ndarray, element: int) -> np.ndarray:
-    """Apply one axis-aligned grid symmetry to the spatial axes of a ``[C, *S]`` item.
-
-    ``element >> rank`` selects a permutation of the ``rank`` spatial axes
-    (lexicographic ``itertools.permutations`` order), and bit ``k`` of
-    ``element`` flips permuted spatial axis ``k``; element 0 is the
-    identity. Every channel moves alike. The result is a new C-ordered
-    array in the item's dtype.
-    """
-    arr = np.asarray(item)
-    rank = arr.ndim - 1
-    if rank not in N_GRID_SYMMETRIES:
-        raise ShapeError(f"grid symmetry expects a [C, *S] item of rank 2 or 3, "
-                         f"got shape {arr.shape}")
-    if not 0 <= element < N_GRID_SYMMETRIES[rank]:
-        raise DomainError(f"rank-{rank} symmetry element must be in "
-                          f"[0, {N_GRID_SYMMETRIES[rank]}), got {element}")
-    perm = list(permutations(range(1, rank + 1)))[element >> rank]
-    flips = tuple(1 + k for k in range(rank) if element >> k & 1)
-    return np.flip(np.transpose(arr, (0, *perm)), flips).copy()
-
-
 def apply_plane_symmetry(values: np.ndarray, element: int) -> np.ndarray:
-    """:func:`apply_grid_symmetry` of one 2D array (a name perfbench traces)."""
-    return _one_array_symmetry(values, element, 2)
+    """One of the 8 symmetries of a square, on a 2D array (see :func:`_grid_symmetry`)."""
+    return _grid_symmetry(values, element, 2)
 
 
 def apply_cube_symmetry(values: np.ndarray, element: int) -> np.ndarray:
-    """:func:`apply_grid_symmetry` of one 3D array (a name perfbench traces)."""
-    return _one_array_symmetry(values, element, 3)
+    """One of the 48 symmetries of a cube, on a 3D array (see :func:`_grid_symmetry`)."""
+    return _grid_symmetry(values, element, 3)
 
 
-def _one_array_symmetry(values, element: int, rank: int) -> np.ndarray:
+def _grid_symmetry(values, element: int, rank: int) -> np.ndarray:
+    """Apply one axis-aligned grid symmetry to the axes of a ``rank``-D array.
+
+    ``element >> rank`` selects a permutation of the axes (lexicographic
+    ``itertools.permutations`` order), and bit ``k`` of ``element`` flips
+    permuted axis ``k``; element 0 is the identity. The result is a new
+    C-ordered array in the input's dtype.
+    """
     arr = np.asarray(values)
     if arr.ndim != rank:
         raise ShapeError(f"expected a {rank}D array, got shape {arr.shape}")
-    return apply_grid_symmetry(arr[None], element)[0]
+    if not 0 <= element < N_GRID_SYMMETRIES[rank]:
+        raise DomainError(f"rank-{rank} symmetry element must be in "
+                          f"[0, {N_GRID_SYMMETRIES[rank]}), got {element}")
+    perm = list(permutations(range(rank)))[element >> rank]
+    flips = tuple(k for k in range(rank) if element >> k & 1)
+    return np.flip(np.transpose(arr, perm), flips).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def graph_input_pad_then_cast(values, depth, space):
     return padded.astype(np.float32)[None]
 
 
-def _array_symmetry(values, element):
+def array_symmetry(values, element):
     """One square (2D) or cube (3D) symmetry of one array.
 
     ``element // 2**rank`` picks the axis permutation in
@@ -337,11 +337,6 @@ def _array_symmetry(values, element):
         if element & (1 << axis):
             out = np.flip(out, axis=axis)
     return out.copy()
-
-
-def grid_symmetry_per_channel(item, element):
-    """A grid symmetry of a ``[C, *S]`` item, one channel at a time, stacked."""
-    return np.stack([_array_symmetry(ch, element) for ch in item])
 
 
 def reconstruct_cubes_stitched(ckpt, volume, edge):

@@ -314,15 +314,42 @@ def test_inference_files_are_the_same_at_any_thread_count(work, tmp_path, thread
 
 @pytest.mark.parametrize("argv", [
     ["translate", "--ckpt", "pre3d", "--pet", "ct"],
-    ["reconstruct", "--ckpt", "pre", "--ct", "ct", "--edge", "8"]],
-    ids=["translate", "reconstruct"])
-def test_checkpoint_of_the_other_rank_exits_1_with_one_line(work, tmp_path, capsys, argv):
-    # the rank is checked before a pool is sized or forked, for either rank
-    ct = str(work["phantom"] / "case_000_ct.mvol")
-    argv = [work.get(a, ct if a == "ct" else a) for a in argv]
+    ["reconstruct", "--ckpt", "pre", "--ct", "ct", "--edge", "8"],
+    ["finetune", "--base", "pre3d", "--mode", "no-frozen", "--pet", "pet", "--ct", "ct",
+     "--steps", "1"]],
+    ids=["translate", "reconstruct", "finetune"])
+def test_checkpoint_of_the_other_rank_exits_1_with_one_line(work, tmp_path, capsys,
+                                                            monkeypatch, argv):
+    # the rank is checked right after the checkpoint loads: before any volume
+    # is read, or a pool sized or forked, for either rank
+    from vqsct import volume
+
+    reads = []
+    monkeypatch.setattr(volume, "read_volume", lambda path: reads.append(path))
+    case = {"ct": str(work["phantom"] / "case_000_ct.mvol"),
+            "pet": str(work["phantom"] / "case_000_pet.mvol")}
+    argv = [work.get(a, case.get(a, a)) for a in argv]
     assert main([*argv, "--out", str(tmp_path / "never.mvol")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "needs a" in err and "got rank" in err, err
+    assert reads == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_select_checks_a_3d_candidate_cube_edge_before_any_candidate_runs(
+        work, tmp_path, capsys, monkeypatch):
+    # the 2D candidate comes first; the 3D one's depth 2 does not divide 10
+    from vqsct import pipeline, volume
+
+    calls = []
+    monkeypatch.setattr(volume, "read_volume", lambda path: calls.append("read"))
+    monkeypatch.setattr(pipeline, "translate_volume", lambda *a, **k: calls.append("2d"))
+    monkeypatch.setattr(pipeline, "reconstruct_cubes", lambda *a, **k: calls.append("3d"))
+    ct = [str(work["phantom"] / f"case_00{i}_ct.mvol") for i in range(2)]
+    assert main(["select", "--candidates", work["pre"], work["pre3d"], "--volumes", *ct,
+                 "--cube-edge", "10", "--out", str(tmp_path / "best.vqck")]) == 1
+    assert capsys.readouterr().err == "vqsct: error: cube edge 10 must be divisible by 2^2\n"
+    assert calls == []
     assert os.listdir(tmp_path) == []
 
 
@@ -898,12 +925,19 @@ def _wrong_space_case(work, case):
                                          "--pet", ct, "HU", "activity"),
         "translate-pretrained-given-pet": (["translate", "--ckpt", work["pre"], "--pet", pet],
                                            "--pet", pet, "activity", "HU"),
+        "evaluate-pred-is-pet": (["evaluate", "--pred", pet, "--gt", ct],
+                                 "--pred", pet, "activity", "HU"),
+        "evaluate-gt-is-pet": (["evaluate", "--pred", ct, "--gt", pet],
+                               "--gt", pet, "activity", "HU"),
+        "select-volume-is-pet": (["select", "--candidates", work["pre"], "--volumes", ct, pet],
+                                 "--volumes", pet, "activity", "HU"),
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "finetune-pet-is-ct", "finetune-ct-is-pet", "pretrain-volume-is-pet",
-    "reconstruct-ct-is-pet", "translate-finetuned-given-ct", "translate-pretrained-given-pet"])
+    "reconstruct-ct-is-pet", "translate-finetuned-given-ct", "translate-pretrained-given-pet",
+    "evaluate-pred-is-pet", "evaluate-gt-is-pet", "select-volume-is-pet"])
 def test_volume_in_the_wrong_intensity_space_exits_1(work, tmp_path, capsys, case):
     argv, flag, path, space, expected = _wrong_space_case(work, case)
     capsys.readouterr()

@@ -369,6 +369,51 @@ def test_finetune_augment_shares_one_symmetry_per_pair():
     assert result.l1_history[-1] <= 0.5 * result.l1_history[0]
 
 
+def test_traced_names_see_every_augmentation_and_fusion(monkeypatch):
+    # a span tracer rebinds functions by identity in every vqsct namespace;
+    # each augmented item calls a traced symmetry once per side, and each
+    # tri-planar translation fuses through fuse_median once
+    import sys
+
+    from vqsct import pipeline, volume
+    from vqsct.pipeline import translate_volume
+
+    calls = dict.fromkeys(["apply_plane_symmetry", "apply_cube_symmetry", "fuse_median"], 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        real = getattr(pipeline if name == "fuse_median" else volume, name)
+        wrapper = counting(name, real)
+        for key, mod in list(sys.modules.items()):
+            if mod is not None and (key == "vqsct" or key.startswith("vqsct.")):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, wrapper)
+
+    steps, batch = 3, 2
+    vols = texture_volumes(1, dims=(16, 16, 16))
+    base = pretrain_recon(small_config(), vols, steps=steps, seed=0, batch_size=batch,
+                          augment=True).checkpoint
+    assert calls == {"apply_plane_symmetry": steps * batch, "apply_cube_symmetry": 0,
+                     "fuse_median": 0}
+    pretrain_recon(small_config(rank=3), vols, steps=steps, seed=0, batch_size=batch,
+                   cube_edge=8, augment=True)
+    assert calls["apply_cube_symmetry"] == steps * batch
+    pets, cts = paired_slices(4)
+    finetune_translate(base, "no-frozen", pets, cts, steps=steps, seed=0, batch_size=batch,
+                       augment=True)
+    assert calls["apply_plane_symmetry"] == 3 * steps * batch  # 1 + 2 per item
+    translate_volume(base, vols[0])
+    translate_volume(base, vols[0])
+    assert calls == {"apply_plane_symmetry": 3 * steps * batch,
+                     "apply_cube_symmetry": steps * batch, "fuse_median": 2}
+
+
 def test_finetune_loss_histories_have_step_length():
     base = pretrained_base()
     pets, cts = paired_slices(5)

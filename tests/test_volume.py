@@ -7,14 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import grid_symmetry_per_channel
+from oracles import array_symmetry
 from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.phantom import generate_phantom_pair
 from vqsct.volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
                           PET_REFERENCE_PERCENTILE, SLAB, Volume, _linear_percentile,
                           activity_to_normalized, apply_cube_symmetry,
-                          apply_grid_symmetry, apply_plane_symmetry,
-                          extract_cubes, hu_to_normalized, normalize,
+                          apply_plane_symmetry, extract_cubes, hu_to_normalized, normalize,
                           normalized_to_hu, pad_to_multiple, read_volume,
                           stitch_cubes, write_volume)
 
@@ -46,6 +45,52 @@ def test_volume_requires_positive_spacing_and_known_space():
             Volume(np.zeros((3, 3, 3)), (1, bad, 1), "HU", {})
     with pytest.raises(DomainError):
         Volume(np.zeros((3, 3, 3)), (1, 1, 1), "kelvin", {})
+
+
+def _wrong_space_sites(tmp_path):
+    """Each library site that needs a volume in one intensity space, given one
+    in another: ``(call, what, actual, expected)``."""
+    from vqsct import cli
+    from vqsct.evaluation import body_contour, evaluate_case
+    from vqsct.model import ModelConfig, build_model
+    from vqsct.pipeline import reconstruct_cubes, translate_volume
+    from vqsct.training import pretrain_recon, select_checkpoint
+
+    config = ModelConfig(depth=2, base_channels=4, codebook_size=8, codebook_dim=6)
+    ckpt2d = build_model(config)  # a scratch model runs in sym11
+    ckpt3d = build_model(ModelConfig(spatial_rank=3, depth=2, base_channels=4,
+                                     codebook_size=8, codebook_dim=6))
+    hu = Volume(np.zeros((8, 8, 8)), (1, 1, 1), "HU")
+    unit = Volume(np.zeros((8, 8, 8)), (1, 1, 1), "unit01")
+    path = tmp_path / "ct.mvol"
+    write_volume(hu, path)
+    return {
+        "cli": (lambda: cli._read_space(path, "--pet", "activity"),
+                f"--pet {path}", "HU", "activity"),
+        "body-contour": (lambda: body_contour(unit), "the body contour's CT", "unit01", "HU"),
+        "evaluate-pred": (lambda: evaluate_case(unit, hu), "the predicted volume",
+                          "unit01", "HU"),
+        "evaluate-gt": (lambda: evaluate_case(hu, unit), "the true volume", "unit01", "HU"),
+        "translate": (lambda: translate_volume(ckpt2d, unit), "the volume to translate",
+                      "unit01", "sym11"),
+        "reconstruct": (lambda: reconstruct_cubes(ckpt3d, unit, edge=8),
+                        "the volume to reconstruct", "unit01", "sym11"),
+        "pretrain": (lambda: pretrain_recon(config, [hu], steps=0, seed=0),
+                     "a pretraining volume", "HU", "unit01"),
+        "select": (lambda: select_checkpoint([ckpt2d], [unit]), "an evaluation volume",
+                   "unit01", "HU"),
+    }
+
+
+@pytest.mark.parametrize("site", ["cli", "body-contour", "evaluate-pred", "evaluate-gt",
+                                  "translate", "reconstruct", "pretrain", "select"])
+def test_every_intensity_space_check_raises_the_one_wording(tmp_path, site):
+    call, what, actual, expected = _wrong_space_sites(tmp_path)[site]
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == f"{what} holds {actual} voxels, expected {expected}"
+    vol = Volume(np.zeros((2, 2, 2)), (1, 1, 1), expected)
+    assert vol.check_space(expected, what) is vol
 
 
 # ---------------------------------------------------------------------------
@@ -299,41 +344,40 @@ def test_load_path_peak_memory_is_bounded_by_its_float32_result(tmp_path, kind, 
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_grid_symmetries_are_distinct_invertible_and_checked(rank):
-    # every voxel of the two-channel marker is distinct, so keeping each
-    # channel's sorted values means the map permutes voxels within channels,
-    # which makes it invertible
+    # every voxel of the marker is distinct, so keeping its sorted values
+    # means the map permutes voxels, which makes it invertible
+    apply = apply_plane_symmetry if rank == 2 else apply_cube_symmetry
     assert N_GRID_SYMMETRIES[rank] == {2: 8, 3: 48}[rank]
-    marker = np.arange(2.0 * 3 ** rank).reshape((2,) + (3,) * rank)
+    marker = np.arange(3.0 ** rank).reshape((3,) * rank)
     seen = set()
     for element in range(N_GRID_SYMMETRIES[rank]):
-        moved = apply_grid_symmetry(marker, element)
+        moved = apply(marker, element)
         seen.add(moved.tobytes())
-        assert np.array_equal(np.sort(moved.reshape(2, -1), axis=1),
-                              marker.reshape(2, -1)), element
+        assert np.array_equal(np.sort(moved, axis=None), marker.ravel()), element
     assert len(seen) == N_GRID_SYMMETRIES[rank]
-    item = np.random.default_rng(6).standard_normal((2, 4, 5, 6)[:rank + 1])
-    assert np.array_equal(apply_grid_symmetry(item, 0), item)
+    item = np.random.default_rng(6).standard_normal((4, 5, 6)[:rank])
+    assert np.array_equal(apply(item, 0), item)
     for element in (-1, N_GRID_SYMMETRIES[rank]):
         with pytest.raises(DomainError):
-            apply_grid_symmetry(marker, element)
-    with pytest.raises(ShapeError):
-        apply_grid_symmetry(marker[0, 0], 0)
-    with pytest.raises(ShapeError):  # the single-array forms take one channel
-        (apply_plane_symmetry if rank == 2 else apply_cube_symmetry)(marker, 0)
+            apply(marker, element)
+    for wrong in (marker[0], marker[None]):  # an axis too few, and a [C, *S] item
+        with pytest.raises(ShapeError):
+            apply(wrong, 0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("rank", [2, 3])
 def test_grid_symmetry_matches_the_per_channel_stack(rank, dtype):
-    # odd, unequal extents, so every permutation changes the shape
+    # odd, unequal extents, so every permutation changes the shape; each
+    # channel of a [C, *S] stack, moved on its own, is the oracle's
+    apply = apply_plane_symmetry if rank == 2 else apply_cube_symmetry
     item = np.random.default_rng(12).standard_normal((2, 5, 3, 7)[:rank + 1]).astype(dtype)
     for element in range(N_GRID_SYMMETRIES[rank]):
-        got = apply_grid_symmetry(item, element)
-        want = grid_symmetry_per_channel(item, element)
-        assert got.dtype == want.dtype and got.shape == want.shape, element
-        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), element
-        one = (apply_plane_symmetry if rank == 2 else apply_cube_symmetry)(item[1], element)
-        assert one.dtype == want.dtype and one.tobytes() == want[1].tobytes(), element
+        for channel in item:
+            got = apply(channel, element)
+            want = array_symmetry(channel, element)
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape, element
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), element
 
 
 def test_cube_symmetries_are_distinct_and_invertible():
