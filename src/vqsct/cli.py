@@ -277,10 +277,10 @@ def _write_history(result, path) -> None:
 
 
 def _train_options(args) -> dict:
-    """The keyword arguments both training entry points take from the train flags."""
+    """The train flags but ``--steps`` that ``training.check_train_options`` checks."""
     return {"learning_rate": args.learning_rate, "batch_size": args.batch_size,
             "beta": args.beta, "expire_age": args.expire_age, "decay": args.decay,
-            "weight_decay": args.weight_decay, "augment": args.augment}
+            "weight_decay": args.weight_decay}
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def _cmd_pretrain(args) -> None:
     volumes = (normalize(_read_space(p, "--volumes", "HU"), "unit01") for p in args.volumes)
     result = pretrain_recon(
         config, volumes, args.steps, args.seed, cube_edge=args.cube_edge,
-        workers=args.threads, **_train_options(args))
+        augment=args.augment, workers=args.threads, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
 
@@ -345,7 +345,7 @@ def _cmd_finetune(args) -> None:
 
     from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
     from .pipeline import PLANE_AXIS, PLANES
-    from .training import finetune_translate
+    from .training import check_train_options, finetune_translate
     from .volume import normalize
 
     planes = [p.strip() for p in args.planes.split(",") if p.strip()]
@@ -358,6 +358,7 @@ def _cmd_finetune(args) -> None:
         raise UsageError(f"--pet and --ct must pair up, got "
                          f"{len(args.pet)} vs {len(args.ct)}")
 
+    check_train_options(args.steps, **_train_options(args))  # before anything is read
     base = load_checkpoint(args.base)
     base.config.check_rank(2, "fine-tuning")  # before any volume is read
     pet_slices, ct_slices = [], []
@@ -376,7 +377,7 @@ def _cmd_finetune(args) -> None:
 
     result = finetune_translate(
         base, args.mode, pet_slices, ct_slices, args.steps, args.seed,
-        freeze_codebook_with_encoder=not args.train_codebook,
+        freeze_codebook_with_encoder=not args.train_codebook, augment=args.augment,
         workers=args.threads, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")

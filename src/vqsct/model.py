@@ -377,8 +377,8 @@ def forward(ckpt: Checkpoint, x, params: dict[str, ag.Tensor] | None = None,
     """
     cfg = ckpt.config
     arr = _checked_input(cfg, x)
-    if not beta >= 0.0:
-        raise DomainError(f"commitment weight beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
     if params is None:
         params = param_tensors(ckpt, arr.dtype)
     if "dec.0.k" not in params:

@@ -98,16 +98,15 @@ def _store(ckpt: Checkpoint, params, space: str, item, dest: np.ndarray) -> None
                                  space)
 
 
-def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
+def translate_slices(ckpt: Checkpoint, params, slices, out: np.ndarray) -> np.ndarray:
     """Run normalized 2D slices through a 2D checkpoint into ``out``, in HU.
 
     ``out`` is a float32 or float64 ``[n, *shape]`` array for ``n`` slices
     of one 2D ``shape``, such as a view of a volume along its plane's axis;
     it is returned. Each slice enters the graph through
     :func:`model.graph_input`, which pads it with the air of the
-    checkpoint's space, and is stored in ``out[i]`` by :func:`_store`. The
-    parameter leaves and the decoder's sub-pixel kernels are built once per
-    call.
+    checkpoint's space, runs over ``params`` (the caller's float32 leaves and
+    sub-pixel kernels) and is stored in ``out[i]`` by :func:`_store`.
     """
     shape = out.shape[1:]
     if (out.ndim != 3 or len(slices) != len(out)
@@ -116,7 +115,6 @@ def translate_slices(ckpt: Checkpoint, slices, out: np.ndarray) -> np.ndarray:
                          f"of its trailing shape")
     _check_planar(ckpt, shape, "slices")
     space = value_space(ckpt)
-    params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
     for sl, dest in zip(slices, out):
         _store(ckpt, params, space, sl, dest)
     return out
@@ -175,7 +173,7 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     The slices (axial, then coronal, then sagittal) are one round of a pool
     of at most ``workers`` processes, sized for one largest slice's graph
     each; each claimed run of a plane's slices goes through
-    :func:`translate_slices`.
+    :func:`translate_slices` over leaves built once, before the fork.
     """
     volume.check_space(value_space(ckpt), "the volume to translate")
     # every axis lies in the slice plane of two of the three planes
@@ -185,11 +183,12 @@ def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> Trip
     stack = shared_array((len(PLANES),) + volume.dims, np.float32)
     runs = [(np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
             for axis, out in zip(axes, stack)]
+    params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
 
     def run(lo, hi):  # the tasks [lo, hi) of the slices of all planes, in order
         for slices, out in runs:
             if lo < len(slices) and hi > 0:
-                translate_slices(ckpt, slices[max(lo, 0):hi], out[max(lo, 0):hi])
+                translate_slices(ckpt, params, slices[max(lo, 0):hi], out[max(lo, 0):hi])
             lo, hi = lo - len(slices), hi - len(slices)
 
     with Pool(run, workers, sum(volume.dims),

@@ -2,15 +2,15 @@
 
 Two loops share one engine: self-reconstruction pretraining on unit01 CT
 volumes (input == target) and paired PET-to-CT fine-tuning on sym11 slices
-under the scratch / no-frozen / enc-frozen regimes. The engine takes plain
-2D slices or 3D cubes (``pretrain_recon`` and ``vqsct finetune`` hold them
-in ``GRAPH_DTYPE``) and prepares each drawn item with ``model.graph_input``
-(then, when augmenting, ``volume.apply_plane_symmetry`` or
-``apply_cube_symmetry`` of its one channel). Both are fully
-deterministic given their seed: data order, k-means codebook
-initialization, EMA updates, and stale-code expiration all draw from
-generators derived from the run seed. A step's batch items may run on
-forked worker processes (``workers``) that read the checkpoint in shared
+under the scratch / no-frozen / enc-frozen regimes. Each first checks every
+option (:func:`check_train_options`), before any item is drawn. The engine
+takes plain 2D slices or 3D cubes (in ``GRAPH_DTYPE``) and prepares each
+drawn item with ``model.graph_input`` (then, when augmenting,
+``volume.apply_plane_symmetry`` or ``apply_cube_symmetry`` of its one
+channel). Both are fully deterministic given their seed: data order,
+k-means codebook initialization, EMA updates, and stale-code expiration all
+draw from generators derived from the run seed. A step's batch items may run
+on forked worker processes (``workers``) that read the checkpoint in shared
 memory; the calling process adds their gradients in item order and does
 everything else, so the bytes do not depend on the worker count.
 """
@@ -38,6 +38,7 @@ __all__ = [
     "TrainResult",
     "init_optimizer",
     "adamw_step",
+    "check_train_options",
     "pretrain_recon",
     "finetune_translate",
     "select_checkpoint",
@@ -121,6 +122,25 @@ class TrainResult:
     checkpoint: Checkpoint
     l1_history: list[float]
     loss_history: list[float]
+
+
+def check_train_options(steps: int, batch_size: int, learning_rate: float,
+                        weight_decay: float, beta: float, decay: float, expire_age: int) -> None:
+    """Raise DomainError unless every training option is in range; no numpy is called."""
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise DomainError(f"batch size must be >= 1, got {batch_size}")
+    if not 0.0 < learning_rate < math.inf:
+        raise DomainError(f"learning rate must be finite and > 0, got {learning_rate}")
+    if not 0.0 <= weight_decay < math.inf:
+        raise DomainError(f"weight decay must be finite and >= 0, got {weight_decay}")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
+    if not 0.0 < decay < 1.0:
+        raise DomainError(f"decay must be in (0, 1), got {decay}")
+    if expire_age < 1:
+        raise DomainError(f"expire age must be >= 1, got {expire_age}")
 
 
 def _epoch_batches(n_items: int, batch_size: int, rng):
@@ -315,20 +335,8 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     into shared memory. The augmentation elements are drawn in item order
     before the round; everything but the items (the sums, and AdamW, the
     EMA update and code expiry, in place) runs here, so the bytes do not
-    depend on ``workers`` (see :class:`_Step`).
+    depend on ``workers`` (see :class:`_Step`). The callers check the options.
     """
-    if batch_size < 1:
-        raise DomainError(f"batch size must be >= 1, got {batch_size}")
-    if not 0.0 < learning_rate < np.inf:
-        raise DomainError(f"learning rate must be finite and > 0, got {learning_rate}")
-    if not 0.0 <= weight_decay < np.inf:
-        raise DomainError(f"weight decay must be finite and >= 0, got {weight_decay}")
-    if not 0.0 <= beta < np.inf:
-        raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    if not 0.0 < decay < 1.0:
-        raise DomainError(f"decay must be in (0, 1), got {decay}")
-    if expire_age < 1:
-        raise DomainError(f"expire age must be >= 1, got {expire_age}")
     config, space = ckpt.config, value_space(ckpt)
     sides = (inputs,) if targets is None else (inputs, targets)
     n = len(inputs)
@@ -408,9 +416,8 @@ def pretrain_recon(config: ModelConfig, volumes, steps: int, seed: int, *,
     grid symmetry (flips and transposes). At most ``workers`` processes run
     each step's batch items; the bytes do not depend on it.
     """
+    check_train_options(steps, batch_size, learning_rate, weight_decay, beta, decay, expire_age)
     config.validate()
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
     if config.spatial_rank == 3:  # before any volume is drawn
         config.check_cube_edge(cube_edge)
         check_cube_size(cube_edge)
@@ -454,10 +461,9 @@ def finetune_translate(base: Checkpoint, mode: str, pet_slices, ct_slices,
     space). At most ``workers`` processes run each step's batch items; the
     bytes do not depend on it.
     """
+    check_train_options(steps, batch_size, learning_rate, weight_decay, beta, decay, expire_age)
     mask = mask_for_mode(mode, freeze_codebook_with_encoder)
     base.config.check_rank(2, "fine-tuning")
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
     pet_slices = list(pet_slices)
     ct_slices = list(ct_slices)
     if len(pet_slices) != len(ct_slices):

@@ -36,7 +36,6 @@ __all__ = [
     "Volume",
     "HU_MIN",
     "HU_MAX",
-    "HU_RANGE",
     "INTENSITY_SPACES",
     "NORMALIZED_AIR",
     "PET_REFERENCE_PERCENTILE",
@@ -64,7 +63,6 @@ MAGIC = b"MVOL0001"
 
 HU_MIN = -1024.0
 HU_MAX = 2976.0
-HU_RANGE = HU_MAX - HU_MIN  # 4000
 
 PET_REFERENCE_PERCENTILE = 99.5
 
@@ -189,35 +187,31 @@ def read_volume(path) -> Volume:
 # Intensity normalization
 # ---------------------------------------------------------------------------
 
-def hu_to_normalized(values: np.ndarray, mode: str) -> np.ndarray:
-    """Clamp to [-1024, 2976] HU and map affinely onto [0,1] or [-1,1]."""
-    lo, hi = _NORMALIZED_BOUNDS[mode]
-    out = np.clip(values, HU_MIN, HU_MAX)  # a new array, mapped in place
-    out -= HU_MIN
-    out *= (hi - lo) / HU_RANGE
+def _map_interval(values: np.ndarray, source, target) -> np.ndarray:
+    """Clamp to the ``source`` interval and map it affinely onto ``target``."""
+    (a, b), (lo, hi) = source, target
+    out = np.clip(values, a, b)  # a new array, mapped in place
+    out -= a
+    out *= (hi - lo) / (b - a)
     out += lo
     return out
 
 
+def hu_to_normalized(values: np.ndarray, mode: str) -> np.ndarray:
+    """Clamp to [-1024, 2976] HU and map affinely onto [0,1] or [-1,1]."""
+    return _map_interval(values, (HU_MIN, HU_MAX), _NORMALIZED_BOUNDS[mode])
+
+
 def normalized_to_hu(values: np.ndarray, mode: str) -> np.ndarray:
     """Inverse of hu_to_normalized; inputs clamped to the normalized interval."""
-    lo, hi = _NORMALIZED_BOUNDS[mode]
-    out = np.clip(values, lo, hi)
-    out -= lo
-    out *= HU_RANGE / (hi - lo)
-    out += HU_MIN
-    return out
+    return _map_interval(values, _NORMALIZED_BOUNDS[mode], (HU_MIN, HU_MAX))
 
 
 def activity_to_normalized(values: np.ndarray, reference: float, mode: str) -> np.ndarray:
     """Clamp to [0, reference] activity and map affinely onto the target interval."""
     if not np.isfinite(reference) or reference <= 0:
         raise DomainError(f"activity reference must be positive, got {reference}")
-    lo, hi = _NORMALIZED_BOUNDS[mode]
-    out = np.clip(values, 0.0, reference)
-    out *= (hi - lo) / reference
-    out += lo
-    return out
+    return _map_interval(values, (0.0, reference), _NORMALIZED_BOUNDS[mode])
 
 
 def _linear_percentile(values: np.ndarray, q: float) -> float:

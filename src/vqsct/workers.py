@@ -55,7 +55,7 @@ _END = b"\xff" * _TOKEN
 _MAX_CLAIMS = 256
 # Claims per worker: enough that the workers end within a small claim of
 # each other however the OS shares the CPUs out, few enough that each
-# claim's fixed cost (a read, a parameter build) stays small.
+# claim's fixed cost (a read of the queue) stays small.
 _CLAIMS_PER_WORKER = 16
 # A child's report after each round: the byte length of a pickled
 # ``(lo, error)`` in _HEAD bytes, then the pickle; 0 for a round without failure.

@@ -654,6 +654,23 @@ def test_out_of_range_training_values_exit_1(work, tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+@pytest.mark.parametrize("flag", [
+    "--steps=-1", "--batch-size=0", "--learning-rate=-1", "--weight-decay=-1",
+    "--beta=-1", "--decay=2", "--expire-age=0"])
+def test_training_values_are_checked_before_any_read(tmp_path, capsys, command, flag):
+    # every input path is missing: a value checked after a read would exit 2
+    missing = str(tmp_path / "missing.mvol")
+    inputs = {"pretrain": ["--volumes", missing],
+              "finetune": ["--base", str(tmp_path / "missing.vqck"), "--mode", "no-frozen",
+                           "--pet", missing, "--ct", missing]}[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "never.vqck"), flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1
+    assert flag[2:].split("=")[0].replace("-", " ") + " must" in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("flag", ["--decay=7", "--expire-age=0"])
 def test_enc_frozen_finetune_rejects_unused_codebook_values(work, tmp_path, capsys, flag):
     # enc-frozen freezes the codebook, so no EMA or expiry would ever see them

@@ -261,6 +261,14 @@ def test_forward_commitment_oracle():
         forward(ckpt, x, beta=-0.25)
 
 
+@pytest.mark.parametrize("beta", [-0.25, float("inf"), float("nan")])
+def test_forward_rejects_a_beta_out_of_the_training_range(beta):
+    ckpt = build_model(small_config())
+    x = np.zeros((1, 8, 8), np.float32)
+    with pytest.raises(DomainError, match=r"^beta must be finite and >= 0"):
+        forward(ckpt, x, beta=beta)
+
+
 def test_commitment_is_one_node_over_the_level_projections():
     rng = np.random.default_rng(8)
     ckpt = build_model(small_config(pyramid_levels=2))

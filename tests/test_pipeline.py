@@ -14,7 +14,8 @@ from vqsct import autograd as ag
 from vqsct import model, pipeline
 from vqsct import workers as worker_pool
 from vqsct.errors import DomainError, ShapeError, VqsctError
-from vqsct.model import ModelConfig, build_model, param_tensors
+from vqsct.model import (GRAPH_DTYPE, ModelConfig, build_model, param_tensors,
+                         with_sub_pixel_kernels)
 from vqsct.pipeline import (PLANES, fuse_median, reconstruct_cubes, restack_slices,
                             slice_volume, translate_slices, translate_volume)
 from vqsct.training import pretrain_recon
@@ -26,6 +27,11 @@ def small_config(rank=2, **overrides):
                 codebook_dim=6, pyramid_levels=1, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def leaves(ckpt):
+    """The float32 leaves and sub-pixel kernels that translate_slices runs over."""
+    return with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
 
 
 def hu_volume(rng, dims=(10, 9, 8)):
@@ -208,7 +214,7 @@ def test_translate_slices_pads_and_crops_odd_sizes():
     ckpt = trained_2d(steps=5)
     rng = np.random.default_rng(6)
     slices = [rng.uniform(0, 1, (10, 7)) for _ in range(3)]
-    outs = translate_slices(ckpt, slices, np.empty((3, 10, 7)))
+    outs = translate_slices(ckpt, leaves(ckpt), slices, np.empty((3, 10, 7)))
     assert all(o.shape == (10, 7) for o in outs)
     assert all(np.isfinite(o).all() for o in outs)
 
@@ -220,27 +226,30 @@ def test_translate_slices_writes_views_into_a_view():
     vox = rng.uniform(0, 1, (10, 7, 4))
     hu = np.full((10, 7, 4), np.nan)
     out = np.moveaxis(hu, 2, 0)
-    assert translate_slices(ckpt, np.moveaxis(vox, 2, 0), out) is out
-    want = translate_slices(ckpt, [vox[:, :, z].copy() for z in range(4)], np.empty((4, 10, 7)))
+    params = leaves(ckpt)
+    assert translate_slices(ckpt, params, np.moveaxis(vox, 2, 0), out) is out
+    want = translate_slices(ckpt, params, [vox[:, :, z].copy() for z in range(4)],
+                            np.empty((4, 10, 7)))
     assert np.ascontiguousarray(out).tobytes() == want.tobytes()
     with pytest.raises(ShapeError):
-        translate_slices(ckpt, [vox[:, :, 0]] * 4, np.empty((3, 10, 7)))
+        translate_slices(ckpt, params, [vox[:, :, 0]] * 4, np.empty((3, 10, 7)))
     with pytest.raises(ShapeError):
-        translate_slices(ckpt, [vox[:, :, 0], vox[:, :6, 1]], np.empty((2, 10, 7)))
+        translate_slices(ckpt, params, [vox[:, :, 0], vox[:, :6, 1]], np.empty((2, 10, 7)))
 
 
 def test_translate_slices_checks_depth_against_the_smallest_extent(monkeypatch):
     # 2^depth = 4: an extent of 4 is padded, one of 3 is refused before any
     # slice is padded
     ckpt = build_model(small_config())
-    translate_slices(ckpt, [np.zeros((4, 9))], np.empty((1, 4, 9)))
+    params = leaves(ckpt)
+    translate_slices(ckpt, params, [np.zeros((4, 9))], np.empty((1, 4, 9)))
 
     def no_padding(*args, **kwargs):
         raise AssertionError("a slice was padded")
 
     monkeypatch.setattr(model, "pad_to_multiple", no_padding)  # graph_input's padding
     with pytest.raises(DomainError, match="depth 2"):
-        translate_slices(ckpt, [np.zeros((9, 3))] * 2, np.empty((2, 9, 3)))
+        translate_slices(ckpt, params, [np.zeros((9, 3))] * 2, np.empty((2, 9, 3)))
     with pytest.raises(DomainError, match="depth 2"):
         translate_volume(ckpt, Volume(np.zeros((9, 8, 3)), (1, 1, 1), "sym11", {}))
 
@@ -291,10 +300,11 @@ def test_translate_volume_matches_the_per_plane_path_bytes():
     ckpt = trained_2d(steps=5)
     vol = Volume(np.random.default_rng(9).uniform(0, 1, (12, 10, 9)), (1, 1, 2), "unit01", {})
     result = translate_volume(ckpt, vol)
+    params = leaves(ckpt)
     planes = []
     for plane in PLANES:
         slices = slice_volume(vol, plane)
-        hu = translate_slices(ckpt, slices, np.empty((len(slices),) + slices[0].shape))
+        hu = translate_slices(ckpt, params, slices, np.empty((len(slices),) + slices[0].shape))
         planes.append(Volume(restack_slices(hu, plane), vol.spacing_mm, "HU"))
     for got, want in zip((result.axial, result.coronal, result.sagittal), planes):
         assert want.voxels.dtype == np.float64 and got.voxels.dtype == np.float32
@@ -341,19 +351,29 @@ def test_translate_volume_holds_float32_planes_and_fused_volume():
     assert peak <= 3 * float64_bytes, peak / float64_bytes
 
 
-def test_translate_slices_collapses_each_decoder_weight_once(monkeypatch):
+def test_translate_volume_collapses_each_decoder_weight_once(monkeypatch):
+    # once per call, before the fork, at any worker count: the collapses are
+    # counted in shared memory, so a forked worker's would be counted too
     ckpt = trained_2d(steps=0)
-    collapsed = []
+    shapes = [ckpt.params[f"dec.{i}.w"].shape for i in range(ckpt.config.depth)]
+    assert len(set(shapes)) == len(shapes)
+    collapsed = worker_pool.shared_array((len(shapes),), np.int64)
     real = ag._phase_kernels
 
     def counting(w):
-        collapsed.append(w.shape)
+        collapsed[shapes.index(w.shape)] += 1
         return real(w)
 
     monkeypatch.setattr(ag, "_phase_kernels", counting)
-    rng = np.random.default_rng(13)
-    translate_slices(ckpt, [rng.uniform(0, 1, (10, 7)) for _ in range(4)], np.empty((4, 10, 7)))
-    assert collapsed == [ckpt.params[f"dec.{i}.w"].shape for i in range(ckpt.config.depth)]
+    vol = Volume(np.random.default_rng(13).uniform(0, 1, (12, 10, 9)), (1, 1, 1), "unit01", {})
+    for workers in (1, 2):
+        collapsed[...] = 0
+        translate_volume(ckpt, vol, workers)
+        assert collapsed.tolist() == [1] * len(shapes), workers
+    params = leaves(ckpt)
+    collapsed[...] = 0
+    translate_slices(ckpt, params, slice_volume(vol, "axial"), np.empty((9, 12, 10)))
+    assert collapsed.tolist() == [0] * len(shapes)  # it runs over the caller's kernels
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +399,16 @@ def test_reconstruct_cubes_shapes_and_space():
 
 
 def test_inference_builds_float32_leaves_once_per_command(monkeypatch):
-    leaf_dtypes, conv_dtypes = [], set()
+    # builds, and float32 ones, counted in shared memory so that a forked
+    # worker's would be counted too; the convs of this process's claims
+    builds = worker_pool.shared_array((2,), np.int64)
+    builds[...] = 0
+    conv_dtypes = set()
     real_fwd = ag.conv_forward_data
 
     def counting(ckpt, dtype=np.float64):
-        leaf_dtypes.append(dtype)
+        builds[0] += 1
+        builds[1] += dtype == np.float32
         return param_tensors(ckpt, dtype)
 
     def fwd(x, w, b=None, stride=1, pad=0):
@@ -393,15 +418,15 @@ def test_inference_builds_float32_leaves_once_per_command(monkeypatch):
     monkeypatch.setattr(pipeline, "param_tensors", counting)
     monkeypatch.setattr(ag, "conv_forward_data", fwd)
     rng = np.random.default_rng(11)
-    slices = translate_slices(trained_2d(steps=0), [rng.uniform(0, 1, (10, 7))] * 3,
-                              np.empty((3, 10, 7)))
-    cubes = reconstruct_cubes(trained_3d(steps=0),
-                              Volume(rng.uniform(0, 1, (20, 18, 10)), (1, 1, 1), "unit01", {}),
-                              edge=8)
-    assert leaf_dtypes == [np.float32, np.float32]
+    ckpt_2d, ckpt_3d = trained_2d(steps=0), trained_3d(steps=0)
+    vol = Volume(rng.uniform(0, 1, (20, 18, 10)), (1, 1, 1), "unit01", {})
+    for workers in (1, 2):
+        planes = translate_volume(ckpt_2d, vol, workers)
+        assert builds.tolist() == [2 * workers - 1] * 2, workers
+        cubes = reconstruct_cubes(ckpt_3d, vol, edge=8, workers=workers)
+        assert builds.tolist() == [2 * workers] * 2, workers
+        assert planes.fused.voxels.dtype == cubes.voxels.dtype == np.float32
     assert conv_dtypes == {np.dtype(np.float32)}
-    # translate_slices stores in its output's dtype; reconstruct_cubes writes float32
-    assert all(s.dtype == np.float64 for s in slices) and cubes.voxels.dtype == np.float32
 
 
 @pytest.mark.parametrize("dims", [(96, 96, 96), (70, 45, 50)])

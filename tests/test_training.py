@@ -215,12 +215,22 @@ def test_pretrain_requires_unit01_volumes():
     {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
     {"beta": -0.25}, {"beta": float("nan")}, {"beta": float("inf")},
     {"decay": 0.0}, {"decay": 1.0}, {"decay": 7.0}, {"decay": float("nan")},
-    {"expire_age": 0}, {"expire_age": -4}])
+    {"expire_age": 0}, {"expire_age": -4}, {"steps": -1}])
 def test_out_of_range_training_values_are_rejected(kwargs):
     # with zero steps: each value is checked before any training work, also
-    # where the loop would never reach the code that uses it
-    with pytest.raises(DomainError, match=next(iter(kwargs)).replace("_", " ")):
-        pretrain_recon(small_config(), texture_volumes(1), steps=0, seed=0, **kwargs)
+    # where the loop would never reach the code that uses it, and before any
+    # volume or slice is drawn
+    def never():
+        raise AssertionError("an item was drawn")
+        yield
+
+    match = next(iter(kwargs)).replace("_", " ")
+    kwargs = {"steps": 0, **kwargs}
+    with pytest.raises(DomainError, match=match):
+        pretrain_recon(small_config(), never(), seed=0, **kwargs)
+    with pytest.raises(DomainError, match=match):
+        finetune_translate(build_model(small_config()), "no-frozen", never(), never(),
+                           seed=0, **kwargs)
 
 
 def test_pretrain_deterministic_checkpoint_bytes(tmp_path):
