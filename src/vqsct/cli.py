@@ -5,14 +5,17 @@ stats, select. Exit codes: 0 success, 1 usage or domain errors or running
 out of memory, 2 I/O failures.
 
 ``--config FILE`` takes a JSON object of option values keyed by destination
-(``batch_size`` for ``--batch-size``). Each is checked against its flag and
-becomes the command's parser default, so flags still win. Every run writes
+(``batch_size`` for ``--batch-size``). Each must have its flag's JSON type and
+becomes the command's parser default, so flags still win. A flag's range rule
+is declared beside it (``add_argument(..., rule=...)``) and runs once, after
+``--config`` and before the handler, on flags and config values alike. Every
+run writes
 ``{"command": ..., **options}`` beside its primary output as
 ``*.config.json``; that record with ``--config`` and the same required flags
 replays the run (a config's ``command``, if any, must be the one being run).
 Only phantom, pretrain and finetune draw random numbers and take ``--seed``.
 
-Heavy imports happen inside the command handlers so that the BLAS/OpenMP
+Heavy imports happen inside the command handlers and rules so that the BLAS/OpenMP
 pools can be pinned to one thread through environment variables before
 numpy loads: a command's parallelism is its own pool of worker processes
 (``workers.Pool``), and one BLAS pool of all CPUs in each of them would
@@ -37,6 +40,8 @@ import os
 import re
 import shutil
 import sys
+
+import vqsct  # a rule's library module loads when the rule first names it
 
 from .atomic import atomic_open, is_json_int, is_json_number, write_json
 from .errors import DomainError, UsageError, VqsctError
@@ -66,9 +71,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def add_argument(self, *args, rule=None, **kwargs):
+        """``rule(args)`` checks the flag's value once it is parsed, and rewrites nothing."""
+        action = super().add_argument(*args, **kwargs)
+        action.rule = rule
+        return action
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
 
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+    parser.add_argument("--seed", type=int, default=0, help="master random seed",
+                        # numpy's SeedSequence takes no negative seed
+                        rule=lambda a: _require(a.seed >= 0, f"--seed must be >= 0, got {a.seed}"))
 
 
 def _add_model_flags(parser):
@@ -78,7 +96,8 @@ def _add_model_flags(parser):
     parser.add_argument("--base-channels", type=int, default=8)
     parser.add_argument("--codebook-size", type=int, default=32)
     parser.add_argument("--codebook-dim", type=int, default=16)
-    parser.add_argument("--pyramid-levels", type=int, default=1)
+    parser.add_argument("--pyramid-levels", type=int, default=1,
+                        rule=lambda a: _model_config(a).validate())  # the group's rule
 
 
 def _add_train_flags(parser):
@@ -90,7 +109,9 @@ def _add_train_flags(parser):
     parser.add_argument("--expire-age", type=int, default=2,
                         help="batches without use before a code is replaced")
     parser.add_argument("--decay", type=float, default=0.99, help="codebook EMA decay")
-    parser.add_argument("--weight-decay", type=float, default=0.01)
+    parser.add_argument("--weight-decay", type=float, default=0.01,
+                        rule=lambda a: vqsct.training.check_train_options(  # the group's rule
+                            a.steps, **_train_options(a)))
     parser.add_argument("--augment", action="store_true",
                         help="apply seeded flip/transpose augmentation to samples")
     _add_seed(parser)
@@ -130,15 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "out phantom's cases, the slices or cubes of translate, "
                         "reconstruct and select, and the batch items of pretrain and "
                         "finetune; default one per usable CPU (fewer if free memory "
-                        "or the work is short); each runs one BLAS/OpenMP thread")
+                        "or the work is short); each runs one BLAS/OpenMP thread",
+                        rule=lambda a: a.threads is None or _require(
+                            1 <= a.threads <= _usable_cpus(), f"--threads must be in [1, "
+                            f"{_usable_cpus()}] (the usable CPUs), got {a.threads}"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate paired synthetic PET/CT cases")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--cases", type=int, default=5)
-    p.add_argument("--dims", default="96,96,96", help="voxel grid, e.g. 96,96,96")
+    p.add_argument("--cases", type=int, default=5,
+                   rule=lambda a: _require(a.cases >= 1, f"--cases must be >= 1, got {a.cases}"))
+    p.add_argument("--dims", default="96,96,96", help="voxel grid, e.g. 96,96,96",
+                   rule=lambda a: vqsct.phantom.checked_dims(
+                       _parse_triple(a.dims, "dims", int), 32, "phantom"))
     p.add_argument("--spacing", default="1.5,1.5,1.5",
-                   help="voxel spacing in mm, e.g. 1.5,1.5,1.5")
+                   help="voxel spacing in mm, e.g. 1.5,1.5,1.5", rule=lambda a: (
+                       vqsct.volume.checked_spacing(_parse_triple(a.spacing, "spacing", float))))
     _add_seed(p)
 
     p = sub.add_parser("pretrain", help="self-reconstruction pretraining on CT volumes")
@@ -153,9 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="base checkpoint (architecture + weights)")
     p.add_argument("--mode", required=True, choices=("scratch", "no-frozen", "enc-frozen"))
     p.add_argument("--pet", nargs="+", required=True, help="PET MVOL files")
-    p.add_argument("--ct", nargs="+", required=True, help="paired CT MVOL files")
+    p.add_argument("--ct", nargs="+", required=True, help="paired CT MVOL files",
+                   rule=lambda a: _require(len(a.pet) == len(a.ct), "--pet and --ct must "
+                                           f"pair up, got {len(a.pet)} vs {len(a.ct)}"))
     p.add_argument("--planes", default="axial,coronal,sagittal",
-                   help="comma-joined training planes")
+                   help="comma-joined training planes", rule=_check_planes)
     p.add_argument("--train-codebook", action="store_true",
                    help="keep codebook EMA learning active in enc-frozen mode")
     p.add_argument("--out", required=True, help="output checkpoint path")
@@ -172,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--ct", required=True, help="input CT MVOL")
     p.add_argument("--out", required=True)
-    p.add_argument("--edge", type=int, default=64, help="cube edge in voxels")
+    p.add_argument("--edge", type=int, default=64, help="cube edge in voxels",
+                   rule=lambda a: vqsct.volume.check_cube_size(a.edge))
 
     p = sub.add_parser("evaluate", help="masked regional metrics for one case")
     p.add_argument("--pred", required=True, help="predicted CT MVOL")
@@ -183,11 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     # evaluation.BONE_THRESHOLD_HU, written out: importing it would load numpy
     # before --threads takes effect
     p.add_argument("--bone-hu", type=float, default=300.0,
-                   help="soft/bone HU boundary")
+                   help="soft/bone HU boundary", rule=lambda a: _require(
+                       abs(a.bone_hu) < math.inf, f"--bone-hu must be finite, got {a.bone_hu}"))
     p.add_argument("--diff-dir", default=None,
                    help="directory for blue-white-red difference maps")
     p.add_argument("--diff-cap", type=float, default=200.0,
-                   help="HU value mapped to full red/blue")
+                   help="HU value mapped to full red/blue", rule=lambda a: _require(
+                       0.0 < a.diff_cap < math.inf,
+                       f"--diff-cap must be finite and > 0, got {a.diff_cap}"))
 
     p = sub.add_parser("stats", help="paired Wilcoxon test between two reports")
     p.add_argument("--report-a", required=True)
@@ -197,13 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON")
     p.add_argument("--label-a", default="A")
     p.add_argument("--label-b", default="B")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=0.05,
+                   rule=lambda a: vqsct.evaluation.check_alpha(a.alpha))
 
     p = sub.add_parser("select", help="pick the checkpoint with lowest recon MSE")
     p.add_argument("--candidates", nargs="+", required=True, help="checkpoint files")
     p.add_argument("--volumes", nargs="+", required=True, help="evaluation CT MVOLs")
     p.add_argument("--out", required=True, help="where to copy the winner")
-    p.add_argument("--cube-edge", type=int, default=64)
+    p.add_argument("--cube-edge", type=int, default=64,
+                   rule=lambda a: vqsct.volume.check_cube_size(a.cube_edge))
 
     for command_parser in sub.choices.values():
         command_parser.add_argument("--config", help="JSON file of option values, e.g. "
@@ -219,17 +255,14 @@ def _config_defaults(path, command, command_parser) -> dict:
             values = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON or text, or nested too deep
         raise UsageError(f"{path}: invalid config JSON ({exc})") from None
-    if not isinstance(values, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
+    _require(isinstance(values, dict), f"{path}: config must be a JSON object")
     recorded = values.pop("command", command)
-    if recorded != command:
-        raise UsageError(f"{path}: config is for command {json.dumps(recorded)}, "
-                         f"not {command!r}")
+    _require(recorded == command,
+             f"{path}: config is for command {json.dumps(recorded)}, not {command!r}")
     actions = {a.dest: a for a in command_parser._actions
                if a.dest not in ("help", "config")}
     unknown = set(values) - set(actions)
-    if unknown:
-        raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
+    _require(not unknown, f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in values.items():
         if not (value is None and actions[key].default is None):
             _check_config_value(path, key, value, actions[key])
@@ -247,12 +280,23 @@ def _write_record(args) -> None:
 
 def _parse_triple(text, kind, cast):
     parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{kind} must be three comma-separated values, got {text!r}")
+    _require(len(parts) == 3, f"{kind} must be three comma-separated values, got {text!r}")
     try:
         return tuple(cast(p) for p in parts)
     except ValueError:
         raise UsageError(f"{kind} must be numeric, got {text!r}") from None
+
+
+def _planes(args) -> list:
+    return [p.strip() for p in args.planes.split(",") if p.strip()]
+
+
+def _check_planes(args) -> None:
+    planes, valid = _planes(args), vqsct.pipeline.PLANES
+    for plane in planes:
+        _require(plane in valid, f"unknown plane {plane!r}; valid: {', '.join(valid)}")
+    _require(planes and len(set(planes)) == len(planes),
+             f"--planes must name one plane or more, each once, got {args.planes!r}")
 
 
 def _usable_cpus() -> int:
@@ -260,6 +304,14 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _model_config(args):
+    """The architecture the model flags give."""
+    return vqsct.model.ModelConfig(
+        spatial_rank=args.rank, depth=args.depth, base_channels=args.base_channels,
+        codebook_size=args.codebook_size, codebook_dim=args.codebook_dim,
+        pyramid_levels=args.pyramid_levels, seed=args.seed)
 
 
 def _read_space(path, flag: str, space: str):
@@ -294,14 +346,12 @@ _CASE_BYTES_PER_VOXEL = 96
 
 
 def _cmd_phantom(args) -> None:
-    from .phantom import checked_dims, generate_phantom_pair
-    from .volume import checked_spacing, write_volume
+    from .phantom import generate_phantom_pair
+    from .volume import write_volume
     from .workers import Pool
 
-    dims = checked_dims(_parse_triple(args.dims, "dims", int), 32, "phantom")
-    spacing = checked_spacing(_parse_triple(args.spacing, "spacing", float))
-    if args.cases < 1:
-        raise UsageError(f"--cases must be >= 1, got {args.cases}")
+    dims = _parse_triple(args.dims, "dims", int)
+    spacing = _parse_triple(args.spacing, "spacing", float)
     os.makedirs(args.out, exist_ok=True)
 
     def write_cases(lo, hi):
@@ -323,18 +373,14 @@ def _cmd_phantom(args) -> None:
 
 
 def _cmd_pretrain(args) -> None:
-    from .model import ModelConfig, save_checkpoint
+    from .model import save_checkpoint
     from .training import pretrain_recon
     from .volume import normalize
 
-    config = ModelConfig(
-        spatial_rank=args.rank, depth=args.depth, base_channels=args.base_channels,
-        codebook_size=args.codebook_size, codebook_dim=args.codebook_dim,
-        pyramid_levels=args.pyramid_levels, seed=args.seed).validate()
     # read and normalized one at a time: pretrain_recon keeps float32 items only
     volumes = (normalize(_read_space(p, "--volumes", "HU"), "unit01") for p in args.volumes)
     result = pretrain_recon(
-        config, volumes, args.steps, args.seed, cube_edge=args.cube_edge,
+        _model_config(args), volumes, args.steps, args.seed, cube_edge=args.cube_edge,
         augment=args.augment, workers=args.threads, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
     _write_history(result, f"{args.out}.history.csv")
@@ -344,21 +390,11 @@ def _cmd_finetune(args) -> None:
     import numpy as np
 
     from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
-    from .pipeline import PLANE_AXIS, PLANES
-    from .training import check_train_options, finetune_translate
+    from .pipeline import PLANE_AXIS
+    from .training import finetune_translate
     from .volume import normalize
 
-    planes = [p.strip() for p in args.planes.split(",") if p.strip()]
-    for plane in planes:
-        if plane not in PLANES:
-            raise UsageError(f"unknown plane {plane!r}; valid: {', '.join(PLANES)}")
-    if not planes or len(set(planes)) != len(planes):
-        raise UsageError(f"--planes must name one plane or more, each once, got {args.planes!r}")
-    if len(args.pet) != len(args.ct):
-        raise UsageError(f"--pet and --ct must pair up, got "
-                         f"{len(args.pet)} vs {len(args.ct)}")
-
-    check_train_options(args.steps, **_train_options(args))  # before anything is read
+    planes = _planes(args)
     base = load_checkpoint(args.base)
     base.config.check_rank(2, "fine-tuning")  # before any volume is read
     pet_slices, ct_slices = [], []
@@ -404,9 +440,8 @@ def _cmd_translate(args) -> None:
 def _cmd_reconstruct(args) -> None:
     from .model import load_checkpoint, value_space
     from .pipeline import reconstruct_cubes
-    from .volume import check_cube_size, normalize, write_volume
+    from .volume import normalize, write_volume
 
-    check_cube_size(args.edge)  # in plain integers, before anything is read
     ckpt = load_checkpoint(args.ckpt)
     ckpt.config.check_rank(3, "reconstruct_cubes")  # before the volume is read
     volume = normalize(_read_space(args.ct, "--ct", "HU"), value_space(ckpt))
@@ -418,10 +453,6 @@ def _cmd_evaluate(args) -> None:
     from .evaluation import (evaluate_case, region_masks, save_difference_maps,
                              write_report_csv)
 
-    if not 0.0 < args.diff_cap < float("inf"):
-        raise UsageError(f"--diff-cap must be finite and > 0, got {args.diff_cap}")
-    if not abs(args.bone_hu) < float("inf"):
-        raise UsageError(f"--bone-hu must be finite, got {args.bone_hu}")
     if args.case_id is None:
         args.case_id = os.path.splitext(os.path.basename(args.pred))[0]
     pred = _read_space(args.pred, "--pred", "HU")
@@ -447,9 +478,7 @@ def _cmd_stats(args) -> None:
 def _cmd_select(args) -> None:
     from .model import load_checkpoint
     from .training import select_checkpoint
-    from .volume import check_cube_size
 
-    check_cube_size(args.cube_edge)  # in plain integers, before anything is read
     candidates = [load_checkpoint(p) for p in args.candidates]
     # read once every 3D candidate has checked the cube edge
     volumes = (_read_space(p, "--volumes", "HU") for p in args.volumes)
@@ -478,21 +507,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cpus = _usable_cpus()
-        if args.threads is not None and not 1 <= args.threads <= cpus:
-            raise UsageError(f"--threads must be in [1, {cpus}] (the usable CPUs), "
-                             f"got {args.threads}")
         for var in _THREAD_ENV_VARS:  # the pools are the parallelism: one BLAS thread each
             os.environ[var] = "1"
         import numpy as np
+        command_parser = parser.commands[args.command]
         if args.config:
-            command_parser = parser.commands[args.command]
             command_parser.set_defaults(
                 **_config_defaults(args.config, args.command, command_parser))
             args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative seed
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        args.threads = args.threads or cpus  # the worker count every handler passes
+        for action in parser._actions + command_parser._actions:  # each range rule, once
+            if getattr(action, "rule", None):
+                action.rule(args)
+        args.threads = args.threads or _usable_cpus()  # the worker count every handler passes
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             _HANDLERS[args.command](args)
         _write_record(args)

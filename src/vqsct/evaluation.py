@@ -48,6 +48,7 @@ __all__ = [
     "evaluate_case",
     "write_report_csv",
     "read_report_csv",
+    "check_alpha",
     "compare_reports",
 ]
 
@@ -467,6 +468,12 @@ def read_report_csv(path) -> list[dict]:
     return rows
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise DomainError unless the significance level ``alpha`` lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def compare_reports(rows_a, rows_b, metric: str, region: str,
                     label_a: str = "A", label_b: str = "B",
                     alpha: float = 0.05) -> dict:
@@ -474,10 +481,10 @@ def compare_reports(rows_a, rows_b, metric: str, region: str,
 
     Cases are paired by case_id (the intersection, sorted); the JSON-ready
     result records the comparison, the number of nonzero differences, W,
-    the two-sided p, and significance at ``alpha``, which must lie in (0, 1).
+    the two-sided p, and significance at ``alpha`` (see :func:`check_alpha`).
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
+
     def pick(rows):
         return {r["case_id"]: r["value"] for r in rows
                 if r["metric"] == metric and r["region"] == region}

@@ -440,7 +440,8 @@ def test_negative_seed_from_a_config_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [1, 10 ** 9])
 def test_threads_above_the_usable_cpus_exit_1_before_any_run(tmp_path, capsys, monkeypatch,
                                                             extra):
-    # only the argument check runs: no handler, and no thread count reaches the environment
+    # only the argument check runs: no handler, and the environment holds one BLAS
+    # thread, set before any rule imports numpy, not the rejected count
     def never(args):
         raise AssertionError("the command ran")
 
@@ -453,7 +454,7 @@ def test_threads_above_the_usable_cpus_exit_1_before_any_run(tmp_path, capsys, m
                  "--metric", "mae", "--region", "whole", "--out", str(tmp_path / "s")]) == 1
     assert capsys.readouterr().err == (f"vqsct: error: --threads must be in [1, {cpus}] "
                                        f"(the usable CPUs), got {threads}\n")
-    assert all(os.environ[var] == "unchanged" for var in cli._THREAD_ENV_VARS)
+    assert all(os.environ[var] == "1" for var in cli._THREAD_ENV_VARS)
     assert os.listdir(tmp_path) == []
 
 
@@ -1255,6 +1256,18 @@ def test_stats_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+def test_stats_rejects_alpha_before_reading_a_report(tmp_path, capsys, alpha):
+    # neither report exists: reading one would exit 2
+    missing = str(tmp_path / "missing.csv")
+    assert main(["stats", "--report-a", missing, "--report-b", missing, "--metric", "mae",
+                 "--region", "whole", "--out", str(tmp_path / "s.json"),
+                 f"--alpha={alpha}"]) == 1
+    assert capsys.readouterr().err == \
+        f"vqsct: error: alpha must be in (0, 1), got {float(alpha)}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_stats_identical_reports_exit_1(tmp_path):
     rows = report_rows([50.0, 60.0, 55.0, 70.0, 65.0])
     a = tmp_path / "a.csv"
@@ -1555,3 +1568,29 @@ def test_no_command_imports_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert (tmp_path / "maps" / "slice_000.ppm").exists()
     assert json.loads((tmp_path / "stats.json").read_text())["n"] == 6
+
+
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from vqsct.cli import main
+print(main(sys.argv[1:]), json.dumps(sorted(m for m in sys.modules
+                                            if m.split(".")[0] in ("vqsct", "scipy"))))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--report-a", "a.csv", "--report-b", "b.csv", "--metric", "mae",
+     "--region", "whole", "--out", "s.json", "--alpha=0"],
+    ["evaluate", "--pred", "p.mvol", "--gt", "g.mvol", "--out", "r.csv", "--diff-cap=0"],
+    ["evaluate", "--pred", "p.mvol", "--gt", "g.mvol", "--out", "r.csv", "--bone-hu=nan"]],
+    ids=["stats-alpha", "evaluate-diff-cap", "evaluate-bone-hu"])
+def test_a_rejected_stats_or_evaluate_value_loads_no_further_module(tmp_path, argv):
+    # a rule imports the library module whose check it calls; the handlers of
+    # stats and evaluate load these modules, and a rule loads none beyond them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+                          capture_output=True, cwd=tmp_path, env=env, text=True, timeout=120)
+    code, modules = proc.stdout.split(" ", 1)
+    assert code == "1" and proc.stderr.count("\n") == 1, proc.stderr
+    assert set(json.loads(modules)) <= {"vqsct", "vqsct.atomic", "vqsct.cli", "vqsct.errors",
+                                        "vqsct.evaluation", "vqsct.volume"}
