@@ -25,7 +25,8 @@ tasks and free memory. numpy's overflow, invalid and divide warnings are
 off: every value they could reach is checked.
 ``phantom`` shares out its cases, one case per process at a time;
 ``translate``, ``reconstruct`` and ``select`` their slices or cubes (see
-``pipeline``); and ``pretrain`` and ``finetune`` each step's batch items,
+``pipeline``); ``evaluate`` its axial slabs (see ``evaluation``); and
+``pretrain`` and ``finetune`` each step's batch items,
 forked once per command of two or more steps (see ``training``). Every
 file is the same at any thread count, and ``--threads 1`` runs everything
 in one thread of one process.
@@ -90,8 +91,8 @@ def _add_seed(parser):
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--rank", type=int, default=2, choices=(2, 3),
-                        help="spatial rank of the model")
+    # --rank's rule is the group's: ModelConfig.validate checks the rank too
+    parser.add_argument("--rank", type=int, default=2, help="spatial rank of the model: 2 or 3")
     parser.add_argument("--depth", type=int, default=3, help="downsampling stages")
     parser.add_argument("--base-channels", type=int, default=8)
     parser.add_argument("--codebook-size", type=int, default=32)
@@ -138,9 +139,6 @@ def _check_config_value(path, key, value, action) -> None:
     if not ok:
         raise UsageError(f"{path}: config value {key!r} must be {kind}, "
                          f"got {json.dumps(value)}")
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(f"{path}: config value {key!r} must be one of "
-                         f"{list(action.choices)}, got {json.dumps(value)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,9 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None,
                         help="worker processes for this command's pool, which shares "
                         "out phantom's cases, the slices or cubes of translate, "
-                        "reconstruct and select, and the batch items of pretrain and "
-                        "finetune; default one per usable CPU (fewer if free memory "
-                        "or the work is short); each runs one BLAS/OpenMP thread",
+                        "reconstruct and select, the axial slabs of evaluate, and the "
+                        "batch items of pretrain and finetune; default one per usable "
+                        "CPU (fewer if free memory or the work is short); each runs one "
+                        "BLAS/OpenMP thread",
                         rule=lambda a: a.threads is None or _require(
                             1 <= a.threads <= _usable_cpus(), f"--threads must be in [1, "
                             f"{_usable_cpus()}] (the usable CPUs), got {a.threads}"))
@@ -179,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finetune", help="paired PET-to-CT fine-tuning")
     p.add_argument("--base", required=True, help="base checkpoint (architecture + weights)")
-    p.add_argument("--mode", required=True, choices=("scratch", "no-frozen", "enc-frozen"))
+    p.add_argument("--mode", required=True, help="scratch, no-frozen or enc-frozen",
+                   rule=lambda a: vqsct.model.mask_for_mode(a.mode))
     p.add_argument("--pet", nargs="+", required=True, help="PET MVOL files")
     p.add_argument("--ct", nargs="+", required=True, help="paired CT MVOL files",
                    rule=lambda a: _require(len(a.pet) == len(a.ct), "--pet and --ct must "
@@ -226,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="paired Wilcoxon test between two reports")
     p.add_argument("--report-a", required=True)
     p.add_argument("--report-b", required=True)
-    p.add_argument("--metric", required=True, choices=("mae", "psnr", "ssim", "dsc"))
-    p.add_argument("--region", required=True, choices=("whole", "soft", "bone"))
+    p.add_argument("--metric", required=True, help="mae, psnr, ssim or dsc",
+                   rule=lambda a: vqsct.evaluation.check_metric(a.metric))
+    p.add_argument("--region", required=True, help="whole, soft or bone",
+                   rule=lambda a: vqsct.evaluation.check_region(a.region))
     p.add_argument("--out", required=True, help="output JSON")
     p.add_argument("--label-a", default="A")
     p.add_argument("--label-b", default="B")
@@ -450,16 +452,15 @@ def _cmd_reconstruct(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    from .evaluation import (evaluate_case, region_masks, save_difference_maps,
-                             write_report_csv)
+    from .evaluation import evaluate_case, save_difference_maps, write_report_csv
 
     if args.case_id is None:
         args.case_id = os.path.splitext(os.path.basename(args.pred))[0]
     pred = _read_space(args.pred, "--pred", "HU")
     gt = _read_space(args.gt, "--gt", "HU")
-    truth = region_masks(gt, args.bone_hu)
-    rows = evaluate_case(pred, gt, case_id=args.case_id,
-                         bone_threshold_hu=args.bone_hu, truth=truth)
+    truth = {}  # the truth's region masks, built once by evaluate_case
+    rows = evaluate_case(pred, gt, case_id=args.case_id, bone_threshold_hu=args.bone_hu,
+                         truth=truth, workers=args.threads)
     write_report_csv(rows, args.out)
     if args.diff_dir:
         save_difference_maps(pred, gt, truth["whole"], args.diff_dir, cap=args.diff_cap)

@@ -3,13 +3,16 @@
 Metrics are computed inside boolean masks: the body contour of the
 ground-truth CT (threshold HU > -500, then slice-wise hole filling by a
 flood from each slice's border), split into whole / soft / bone regions at
-a configurable HU boundary. A case is evaluated with one partition per
-volume; its SSIM map is formed one z-slab of axial slices at a time (each
-SSIM value depends on its own slice alone), so the working memory of a
-case is a few masks plus one slab's window means. The volumes may be
-float32, as read from file: every difference and every SSIM slab is formed
-in float64 from the widened values, and every threshold is compared in
-float64, so the metrics are those of the float64 widening.
+a configurable HU boundary. Everything a case needs slice by slice (both
+volumes' contours and region masks, the Dice counts, the SSIM map, whose
+every value depends on its own slice alone) is formed one z-slab of
+``SLAB`` axial slices at a time: :func:`evaluate_case` runs its slabs as
+one round of a :class:`workers.Pool` of at most ``workers`` processes, so
+the working memory of each process is one slab's maps, and the calling
+process keeps the truth's three masks besides the two volumes. The volumes
+may be float32, as read from file: every difference and every SSIM slab is
+formed in float64 from the widened values, and every threshold is compared
+in float64, so the metrics are those of the float64 widening.
 The paired Wilcoxon signed-rank test is exact (full distribution over sign
 assignments) up to n = 25 and uses the tie-corrected normal approximation
 with continuity correction beyond.
@@ -28,6 +31,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import DomainError, FormatError, ShapeError
 from .volume import SLAB, Volume, correlate_valid
+from .workers import Pool, shared_array
 
 __all__ = [
     "REGIONS",
@@ -48,6 +52,8 @@ __all__ = [
     "evaluate_case",
     "write_report_csv",
     "read_report_csv",
+    "check_region",
+    "check_metric",
     "check_alpha",
     "compare_reports",
 ]
@@ -64,6 +70,12 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_C1 = (0.01 * 4000.0) ** 2
 _SSIM_C2 = (0.03 * 4000.0) ** 2
+
+# One slab task's peak working set per voxel of its slab, rounded up: its
+# traced peak is about 78 bytes per voxel at 96x96 and 110x90 slices (both
+# volumes' region masks, float64 copies of both slabs, the window means
+# and the SSIM map).
+_SLAB_BYTES_PER_VOXEL = 80
 
 
 def _voxels(v) -> np.ndarray:
@@ -199,35 +211,61 @@ def _ssim_map(p: np.ndarray, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             / ((mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)))
 
 
-def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
-    """Masked mean SSIM for each of ``masks``, one z-slab of the SSIM map at a time.
+def _check_window(shape) -> None:
+    """Raise DomainError unless an axial slice of ``shape`` holds a full SSIM window."""
+    if shape[0] < _SSIM_WINDOW or shape[1] < _SSIM_WINDOW:
+        raise DomainError(
+            f"in-plane extents {tuple(shape[:2])} are smaller than the "
+            f"{_SSIM_WINDOW}x{_SSIM_WINDOW} window")
+
+
+def _centers(mask: np.ndarray) -> np.ndarray:
+    """The part of ``mask`` at full-window centers of each axial slice."""
+    half = _SSIM_WINDOW // 2
+    return mask[half:-half, half:-half]
+
+
+def _ssim_slab(p: np.ndarray, g: np.ndarray, centers, out: np.ndarray) -> None:
+    """Masked SSIM sums of one z-slab: ``out[k, z]`` sums the SSIM map of
+    slice ``z`` over ``centers[k][:, :, z]``.
 
     The five window means and the SSIM map are formed from float64 copies
-    of ``SLAB`` axial slices at a time, so a case holds one slab's maps,
-    never the whole case's. Each mask's masked sums are added one slice at
-    a time, in slice order, so the result does not depend on the slab size.
+    of the slab, so a process holds one slab's maps, never a case's.
     """
-    half = _SSIM_WINDOW // 2
-    if p.shape[0] < _SSIM_WINDOW or p.shape[1] < _SSIM_WINDOW:
-        raise DomainError(
-            f"in-plane extents {p.shape[:2]} are smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
-    centers = [m[half:-half, half:-half] for m in masks]
-    weights = [int(np.count_nonzero(c)) for c in centers]
+    # contiguous float64 copies: numpy runs the window sums far slower on
+    # strided slabs
+    s = _ssim_map(np.ascontiguousarray(p, dtype=np.float64),
+                  np.ascontiguousarray(g, dtype=np.float64), _gaussian_kernel_1d())
+    for k, c in enumerate(centers):
+        for z in range(s.shape[2]):
+            out[k, z] = s[:, :, z][c[:, :, z]].sum()
+
+
+def _slice_order_means(sums: np.ndarray, weights) -> list[float]:
+    """Each row of per-slice masked SSIM sums, added in slice order, over its center count.
+
+    The sum does not depend on the slab size, nor on which process formed a slab.
+    """
     if 0 in weights:
         raise DomainError("mask contains no full-window centers")
-    kernel = _gaussian_kernel_1d()
-    weighted = [0.0] * len(masks)
+    means = []
+    for row, weight in zip(sums, weights):
+        weighted = 0.0
+        for value in row:
+            weighted += float(value)
+        means.append(weighted / weight)
+    return means
+
+
+def _ssim_means(p: np.ndarray, g: np.ndarray, masks) -> list[float]:
+    """Masked mean SSIM for each of ``masks``, one z-slab (:func:`_ssim_slab`) at a time."""
+    _check_window(p.shape)
+    centers = [_centers(m) for m in masks]
+    sums = np.empty((len(masks), p.shape[2]))
     for z0 in range(0, p.shape[2], SLAB):
         zs = slice(z0, z0 + SLAB)
-        # contiguous float64 copies: numpy runs the window sums far slower on
-        # strided slabs
-        s = _ssim_map(np.ascontiguousarray(p[:, :, zs], dtype=np.float64),
-                      np.ascontiguousarray(g[:, :, zs], dtype=np.float64), kernel)
-        for k, c in enumerate(centers):
-            for z in range(s.shape[2]):
-                # one masked sum per slice, added in slice order
-                weighted[k] += float(s[:, :, z][c[:, :, z0 + z]].sum())
-    return [w / weight for w, weight in zip(weighted, weights)]
+        _ssim_slab(p[:, :, zs], g[:, :, zs], [c[:, :, zs] for c in centers], sums[:, zs])
+    return _slice_order_means(sums, [int(np.count_nonzero(c)) for c in centers])
 
 
 def ssim(pred, gt, mask) -> float:
@@ -242,9 +280,15 @@ def ssim(pred, gt, mask) -> float:
     return _ssim_means(p, g, [m])[0]
 
 
-def _dice(a: np.ndarray, b: np.ndarray) -> float:
-    total = int(a.sum()) + int(b.sum())
-    return 2.0 * int((a & b).sum()) / total if total else 1.0
+def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
+    """``|a|``, ``|b|`` and ``|a & b|`` of two boolean masks."""
+    return int(np.count_nonzero(a)), int(np.count_nonzero(b)), int(np.count_nonzero(a & b))
+
+
+def _dice(size_a: int, size_b: int, both: int) -> float:
+    """Dice overlap from the sizes of two masks and of their intersection."""
+    total = size_a + size_b
+    return 2.0 * both / total if total else 1.0
 
 
 def dsc(pred_ct, gt_ct, region: str, bone_threshold_hu: float = BONE_THRESHOLD_HU) -> float:
@@ -253,11 +297,10 @@ def dsc(pred_ct, gt_ct, region: str, bone_threshold_hu: float = BONE_THRESHOLD_H
     Both volumes go through the same body-contour + HU-partition rules; if
     both derived masks are empty the score is 1.0.
     """
-    if region not in REGIONS:
-        raise DomainError(f"region must be one of {REGIONS}, got {region!r}")
+    check_region(region)
     _check_aligned(pred_ct, gt_ct)
-    return _dice(region_masks(pred_ct, bone_threshold_hu)[region],
-                 region_masks(gt_ct, bone_threshold_hu)[region])
+    return _dice(*_overlap(region_masks(pred_ct, bone_threshold_hu)[region],
+                           region_masks(gt_ct, bone_threshold_hu)[region]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,32 +422,66 @@ def save_difference_maps(pred, gt, mask, out_dir, cap: float = 200.0) -> list[st
 
 def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
                   bone_threshold_hu: float = BONE_THRESHOLD_HU, *,
-                  truth: dict | None = None) -> list[dict]:
+                  truth: dict | None = None, workers: int = 1) -> list[dict]:
     """All four metrics over the three regions for one predicted/true pair.
 
     MAE, PSNR and SSIM use region masks derived from the ground truth; DSC
     compares the masks derived independently from each volume. Each value
     equals what :func:`mae`, :func:`psnr`, :func:`ssim` or :func:`dsc`
-    returns for its region. A caller that also needs the ground truth's
-    masks passes ``truth = region_masks(gt, bone_threshold_hu)``, so the
-    body contour is built once. Returns CSV row dicts (case_id, region,
-    metric, value).
+    returns for its region. Returns CSV row dicts (case_id, region, metric,
+    value).
+
+    The z-slabs of ``SLAB`` axial slices are one round of a pool of at most
+    ``workers`` processes. Each slab's task builds both volumes' region
+    masks of its slices (each contour is filled per axial slice, so a
+    slab's masks are that slab of the whole volume's), writes the truth's
+    masks into shared arrays, and writes its per-slice masked SSIM sums and
+    the mask sizes that SSIM and Dice need; the prediction's masks are
+    never stored. The calling process then adds the SSIM sums in slice
+    order and takes MAE and PSNR over the truth's whole-volume masks, so
+    the rows are the same at any worker count. A caller that also needs
+    the truth's masks (``region_masks(gt, bone_threshold_hu)``) passes a
+    dict as ``truth``, which receives them, so no contour is built twice.
     """
     pred.check_space("HU", "the predicted volume")
     gt.check_space("HU", "the true volume")
     if pred.dims != gt.dims:
         raise ShapeError(f"volume dims differ: {pred.dims} vs {gt.dims}")
-    if truth is None:
-        truth = region_masks(gt, bone_threshold_hu)
-    derived = region_masks(pred, bone_threshold_hu)
-    masks = [truth[region] for region in REGIONS]
+    p, g = pred.voxels, gt.voxels
+    nx, ny, nz = gt.dims
+    slabs = -(-nz // SLAB)
+    fits = min(nx, ny) >= _SSIM_WINDOW  # else the SSIM check below raises
+    masks = {region: shared_array(gt.dims, bool) for region in REGIONS}
+    sums = shared_array((len(REGIONS), nz), np.float64)
+    # per slab and region: SSIM centers, then |derived|, |truth|, |derived & truth|
+    counts = shared_array((slabs, 4, len(REGIONS)), np.int64)
+
+    def run(lo, hi):
+        for k in range(lo, hi):
+            zs = slice(k * SLAB, (k + 1) * SLAB)
+            own = region_masks(g[:, :, zs], bone_threshold_hu)
+            derived = region_masks(p[:, :, zs], bone_threshold_hu)
+            for i, region in enumerate(REGIONS):
+                masks[region][:, :, zs] = own[region]
+                counts[k, :, i] = (np.count_nonzero(_centers(own[region])),
+                                   *_overlap(derived[region], own[region]))
+            if fits:
+                _ssim_slab(p[:, :, zs], g[:, :, zs],
+                           [_centers(own[region]) for region in REGIONS], sums[:, zs])
+
+    with Pool(run, workers, slabs, nx * ny * SLAB * _SLAB_BYTES_PER_VOXEL) as pool:
+        pool.round()
+    if truth is not None:
+        truth.update(masks)
     values = {"mae": [], "psnr": []}
-    for m in masks:  # one masked difference per region for MAE and PSNR
-        d = _masked_diff(*_check_aligned(pred, gt, m))
+    for region in REGIONS:  # one masked difference per region for MAE and PSNR
+        d = _masked_diff(*_check_aligned(pred, gt, masks[region]))
         values["mae"].append(_mae(d))
         values["psnr"].append(_psnr(d))
-    values["ssim"] = _ssim_means(pred.voxels, gt.voxels, masks)
-    values["dsc"] = [_dice(derived[region], truth[region]) for region in REGIONS]
+    _check_window(gt.dims)
+    centers, *overlaps = counts.sum(axis=0).tolist()
+    values["ssim"] = _slice_order_means(sums, centers)
+    values["dsc"] = [_dice(*sizes) for sizes in zip(*overlaps)]
     return [{"case_id": str(case_id), "region": region, "metric": metric,
              "value": float(values[metric][i])}
             for i, region in enumerate(REGIONS) for metric in METRICS]
@@ -468,6 +545,18 @@ def read_report_csv(path) -> list[dict]:
     return rows
 
 
+def check_region(region: str) -> None:
+    """Raise DomainError unless ``region`` is one of ``REGIONS``."""
+    if region not in REGIONS:
+        raise DomainError(f"region must be one of {REGIONS}, got {region!r}")
+
+
+def check_metric(metric: str) -> None:
+    """Raise DomainError unless ``metric`` is one of ``METRICS``."""
+    if metric not in METRICS:
+        raise DomainError(f"metric must be one of {METRICS}, got {metric!r}")
+
+
 def check_alpha(alpha: float) -> None:
     """Raise DomainError unless the significance level ``alpha`` lies in (0, 1)."""
     if not 0.0 < alpha < 1.0:
@@ -483,6 +572,8 @@ def compare_reports(rows_a, rows_b, metric: str, region: str,
     result records the comparison, the number of nonzero differences, W,
     the two-sided p, and significance at ``alpha`` (see :func:`check_alpha`).
     """
+    check_metric(metric)
+    check_region(region)
     check_alpha(alpha)
 
     def pick(rows):

@@ -78,6 +78,14 @@ class ModelConfig:
             raise DomainError(f"spatial_rank must be 2 or 3, got {self.spatial_rank}")
         if self.depth < 1:
             raise DomainError(f"depth must be >= 1, got {self.depth}")
+        # check_extents needs 2^depth <= a slice's smallest extent, which is
+        # at most isqrt(MAX_VOXELS) in a grid within the voxel limit
+        side = math.isqrt(MAX_VOXELS)
+        if self.depth >= side.bit_length():
+            raise DomainError(
+                f"depth must be <= {side.bit_length() - 1}, got {self.depth}: 2^depth is above "
+                f"{side}, the widest that a slice's narrower side can be in a grid within "
+                f"the limit of {MAX_VOXELS} (512^3) voxels")
         if self.base_channels < 1:
             raise DomainError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.codebook_size < 2:

@@ -218,7 +218,8 @@ def _linear_percentile(values: np.ndarray, q: float) -> float:
     """``np.percentile(values.astype(np.float64), q)``, without the float64 copy.
 
     The two order statistics that the linear method interpolates are taken
-    from a partition of a copy of ``values`` in its own dtype, then widened
+    from one partition of a copy of ``values`` in its own dtype (the upper
+    one is the least value after the lower), then widened
     and interpolated in float64 as ``np.percentile`` does: virtual index
     ``(n - 1) * q / 100``, both neighbours the last value at or beyond
     index ``n - 1``, and the two-sided lerp that counts from the upper
@@ -235,8 +236,10 @@ def _linear_percentile(values: np.ndarray, q: float) -> float:
         hi = lo + 1
         below = float(lo)
     part = values.flatten(order="K")
-    part.partition((lo, hi))
-    a, b = float(part[lo]), float(part[hi])
+    part.partition(lo)
+    a = float(part[lo])
+    # the next order statistic is the least value partitioned after lo
+    b = float(part[lo + 1:].min()) if hi > lo else a
     gamma = virtual - below
     diff = b - a
     if gamma >= 0.5:

@@ -12,7 +12,8 @@ pickled on the way in); what changes between rounds, and what they write,
 is in arrays of :func:`shared_array`, which every process maps, or in
 files. Every caller runs ``with Pool(run, workers, tasks, task_bytes) as
 pool: pool.round()``: ``vqsct phantom`` one round over its cases, inference
-one over its slices or cubes, and training one per step over its items.
+one over its slices or cubes, evaluation one over a case's axial slabs, and
+training one per step over its items.
 
 A round raises the error of its earliest failed claim, which is the error
 the serial path raises: claims are taken in order, every claim before the

@@ -197,6 +197,29 @@ def brute_force_assign(inputs, codes):
     return out
 
 
+def kmeans_centroids_by_gather(unit_rows, n_codes, seed=0):
+    """``codebook.kmeans_init``'s centroids with one boolean gather per code.
+
+    Each Lloyd iteration takes every code's members by ``pts[assign == i]``
+    in code order and sets the code to their mean, or, for a code without
+    members, to a random batch row drawn then; rows are then normalized.
+    """
+    from vqsct.codebook import KMEANS_ITERS, _normalize_rows
+    pts = np.asarray(unit_rows, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centroids = pts[rng.choice(pts.shape[0], size=n_codes, replace=False)].copy()
+    for _ in range(KMEANS_ITERS):
+        assign = np.argmax(pts @ centroids.T, axis=1)
+        for i in range(n_codes):
+            members = pts[assign == i]
+            if members.shape[0] == 0:
+                centroids[i] = pts[rng.integers(pts.shape[0])]
+            else:
+                centroids[i] = members.mean(axis=0)
+        centroids = _normalize_rows(centroids)[0]
+    return centroids
+
+
 def midranks(values):
     """Ranks 1..n with ties sharing the average rank, written longhand."""
     values = np.asarray(values, dtype=np.float64)
@@ -308,6 +331,35 @@ def ssim_means_whole_case(p, g, masks):
             weighted += float(s[:, :, z][c[:, :, z]].sum())
         means.append(weighted / int(np.count_nonzero(c)))
     return means
+
+
+def evaluate_case_whole_volume(pred, gt, case_id="case", bone_threshold_hu=300.0):
+    """``evaluation.evaluate_case``'s rows from whole-volume masks in one process.
+
+    The voxels are widened to float64 first. Both volumes' region masks are
+    built over the whole volume at once; MAE and PSNR are taken over each
+    truth mask, SSIM from one map of the whole case
+    (:func:`ssim_means_whole_case`), and Dice from the whole masks' sums.
+    """
+    from vqsct.evaluation import METRICS, PSNR_PEAK, REGIONS, region_masks
+    truth = region_masks(gt, bone_threshold_hu)
+    derived = region_masks(pred, bone_threshold_hu)
+    p, g = (np.asarray(v.voxels, dtype=np.float64) for v in (pred, gt))
+    values = {metric: [] for metric in METRICS}
+    for region in REGIONS:
+        m = truth[region]
+        d = p[m] - g[m]
+        values["mae"].append(float(np.abs(d).mean()))
+        mse = float((d ** 2).mean())
+        values["psnr"].append(float("inf") if mse == 0.0
+                              else float(10.0 * np.log10(PSNR_PEAK * PSNR_PEAK / mse)))
+        a, b = derived[region], m
+        total = int(a.sum()) + int(b.sum())
+        values["dsc"].append(2.0 * int((a & b).sum()) / total if total else 1.0)
+    values["ssim"] = ssim_means_whole_case(p, g, [truth[region] for region in REGIONS])
+    return [{"case_id": str(case_id), "region": region, "metric": metric,
+             "value": float(values[metric][i])}
+            for i, region in enumerate(REGIONS) for metric in METRICS]
 
 
 def graph_input_pad_then_cast(values, depth, space):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import evaluate_case_whole_volume
 from vqsct import cli
 from vqsct.cli import build_parser, main
 from vqsct.errors import FormatError
@@ -26,7 +27,7 @@ from vqsct.evaluation import (BONE_THRESHOLD_HU, read_report_csv,
 from vqsct.model import (ModelConfig, build_model, load_checkpoint,
                          save_checkpoint)
 from vqsct.phantom import generate_texture_volume
-from vqsct.volume import Volume, read_volume, write_volume
+from vqsct.volume import SLAB, Volume, read_volume, write_volume
 
 from test_pipeline import _no_child_left, forks  # noqa: F401
 
@@ -509,7 +510,7 @@ def test_config_file_validation(work, tmp_path, capsys):
 
 @pytest.mark.parametrize("values", [
     {"steps": "ten"}, {"batch_size": 2.5}, {"steps": True},
-    {"learning_rate": "x"}, {"augment": 1}, {"rank": 4}])
+    {"learning_rate": "x"}, {"augment": 1}, {"rank": "3"}])
 def test_config_value_types_are_checked(work, tmp_path, capsys, values):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(values))
@@ -1066,13 +1067,17 @@ def test_oversized_depth_exits_1_before_any_slice_is_padded(work, tmp_path, caps
     assert sorted(os.listdir(tmp_path)) == ["deep.vqck"]
 
 
-def test_oversized_3d_depth_exits_1_with_one_line(work, tmp_path, capsys):
-    # 2^100000 is never formed: the cube edge's trailing zero bits reject it
+@pytest.mark.parametrize("depth,line", [
+    (13, "cube edge 32 must be divisible by 2^13"),
+    (100000, "depth must be <= 13, got 100000: 2^depth is above 11585")], ids=["13", "100000"])
+def test_oversized_3d_depth_exits_1_with_one_line(work, tmp_path, capsys, depth, line):
+    # 2^100000 is never formed: the model flags' rule bounds depth by the
+    # voxel limit, and the cube edge's trailing zero bits reject 2^13
     out = tmp_path / "out"
     assert main(["pretrain", "--volumes", *work["textures"], "--out", str(out),
-                 "--rank", "3", "--depth", "100000", "--cube-edge", "32"]) == 1
+                 "--rank", "3", "--depth", str(depth), "--cube-edge", "32"]) == 1
     err = capsys.readouterr().err
-    assert err == "vqsct: error: cube edge 32 must be divisible by 2^100000\n"
+    assert err.startswith(f"vqsct: error: {line}") and err.count("\n") == 1, err
     assert os.listdir(tmp_path) == []
 
 
@@ -1199,15 +1204,41 @@ def test_evaluate_diff_dir_builds_the_truth_contour_once(work, tmp_path, monkeyp
         return real(ct_volume)
 
     monkeypatch.setattr(evaluation, "body_contour", counting)
-    assert main(["evaluate", "--pred", other, "--gt", ct, "--out", str(tmp_path / "r.csv"),
-                 "--case-id", "c1", "--bone-hu", "250", "--diff-dir",
-                 str(tmp_path / "maps"), "--diff-cap", "100"]) == 0
-    assert len(calls) == 2  # the ground truth's, shared with the maps, and the prediction's
+    assert main(["--threads", "1", "evaluate", "--pred", other, "--gt", ct,
+                 "--out", str(tmp_path / "r.csv"), "--case-id", "c1", "--bone-hu", "250",
+                 "--diff-dir", str(tmp_path / "maps"), "--diff-cap", "100"]) == 0
+    # per z-slab, the ground truth's contour (shared with the maps), then the prediction's
+    slabs = [slice(z, z + SLAB) for z in range(0, gt.dims[2], SLAB)]
+    assert len(calls) == 2 * len(slabs) == 8
+    for k, zs in enumerate(slabs):
+        assert np.array_equal(calls[2 * k], gt.voxels[:, :, zs])
+        assert np.array_equal(calls[2 * k + 1], pred.voxels[:, :, zs])
     assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     names = sorted(os.listdir(tmp_path / "want"))
     assert sorted(os.listdir(tmp_path / "maps")) == names and len(names) == 32
     for name in names:
         assert (tmp_path / "maps" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="--threads 2 needs two usable CPUs")
+def test_evaluate_report_and_maps_are_the_same_at_any_thread_count(work, tmp_path, thread_env,
+                                                                   forks):
+    ct = str(work["phantom"] / "case_000_ct.mvol")
+    other = str(work["phantom"] / "case_001_ct.mvol")
+    gt, pred = read_volume(ct), read_volume(other)
+    write_report_csv(evaluate_case_whole_volume(pred, gt, "c1", 250.0), tmp_path / "want.csv")
+    trees = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        assert main(["--threads", threads, "evaluate", "--pred", other, "--gt", ct,
+                     "--out", str(out / "r.csv"), "--case-id", "c1", "--bone-hu", "250",
+                     "--diff-dir", str(out / "maps"), "--diff-cap", "100"]) == 0
+        trees[threads] = [(out / "r.csv").read_bytes()] + [
+            (out / "maps" / name).read_bytes() for name in sorted(os.listdir(out / "maps"))]
+    assert len(forks) == 1 and _no_child_left()  # --threads 2 on the 4 slabs of 32
+    assert trees["1"] == trees["2"] and len(trees["1"]) == 1 + 32
+    assert trees["1"][0] == (tmp_path / "want.csv").read_bytes()
 
 
 def test_evaluate_default_case_id(work, tmp_path):
@@ -1468,7 +1499,8 @@ def test_huge_checkpoint_depth_exits_1_before_any_layer_spec(work, tmp_path, cap
                  "--pet", str(work["phantom"] / "case_000_pet.mvol"),
                  "--out", str(tmp_path / "o.mvol")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("vqsct: error:") and "manifest" in err and err.count("\n") == 1
+    assert err.startswith("vqsct: error:") and err.count("\n") == 1
+    assert "malformed checkpoint header (depth must be <= 13, got 1000000000" in err
 
 
 @pytest.mark.parametrize("changes", [
@@ -1586,11 +1618,12 @@ print(main(sys.argv[1:]), json.dumps(sorted(m for m in sys.modules
     ids=["stats-alpha", "evaluate-diff-cap", "evaluate-bone-hu"])
 def test_a_rejected_stats_or_evaluate_value_loads_no_further_module(tmp_path, argv):
     # a rule imports the library module whose check it calls; the handlers of
-    # stats and evaluate load these modules, and a rule loads none beyond them
+    # stats and evaluate load these modules (evaluation loads workers for its
+    # pool), and a rule loads none beyond them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
                           capture_output=True, cwd=tmp_path, env=env, text=True, timeout=120)
     code, modules = proc.stdout.split(" ", 1)
     assert code == "1" and proc.stderr.count("\n") == 1, proc.stderr
     assert set(json.loads(modules)) <= {"vqsct", "vqsct.atomic", "vqsct.cli", "vqsct.errors",
-                                        "vqsct.evaluation", "vqsct.volume"}
+                                        "vqsct.evaluation", "vqsct.volume", "vqsct.workers"}

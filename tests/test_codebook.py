@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_assign, unit
+from oracles import brute_force_assign, kmeans_centroids_by_gather, unit
 from vqsct.codebook import (Codebook, ema_update, expire_stale, kmeans_init,
                             quantize)
 from vqsct.errors import DomainError
@@ -64,6 +64,33 @@ def test_kmeans_init_recovers_separated_clusters():
     groups = [set(assigned[i * 25:(i + 1) * 25]) for i in range(4)]
     assert all(len(g) == 1 for g in groups)
     assert len(set.union(*groups)) == 4
+
+
+def _duplicated_rows(rng, dim):
+    """40 rows, 30 of them one row: codes seeded from copies of it tie, and
+    every copy but the lowest-numbered is left without members."""
+    rows = rng.standard_normal((40, dim))
+    rows[:30] = rows[0]
+    return unit(rows)
+
+
+@pytest.mark.parametrize("rows,n_codes,seed", [
+    ("random", 32, 0), ("random", 32, 4), ("random", 5, 1), ("duplicated", 8, 2),
+    ("duplicated", 12, 6)])
+def test_kmeans_init_codes_match_the_per_code_gather_bytes(rows, n_codes, seed):
+    rng = np.random.default_rng(30 + seed)
+    dim = 16
+    batch = (unit(rng.standard_normal((36864, dim))) if rows == "random"
+             else _duplicated_rows(rng, dim))
+    cb = kmeans_init(Codebook(n_codes, dim, seed=0), batch, seed=seed)
+    assert cb.codes.tobytes() == kmeans_centroids_by_gather(batch, n_codes, seed).tobytes()
+
+
+def test_duplicated_rows_leave_a_cluster_empty():
+    batch = _duplicated_rows(np.random.default_rng(32), 16)
+    first = np.random.default_rng(2).choice(40, size=8, replace=False)
+    assign = np.argmax(batch @ batch[first].T, axis=1)
+    assert np.bincount(assign, minlength=8).min() == 0
 
 
 def test_kmeans_init_deterministic():

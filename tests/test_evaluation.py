@@ -9,8 +9,8 @@ import pytest
 import scipy.stats
 from scipy.ndimage import binary_fill_holes, correlate1d
 
-from oracles import (flood_fill_body, mae_loop, psnr_loop, ssim_means_whole_case,
-                     ssim_window, wilcoxon_enum)
+from oracles import (evaluate_case_whole_volume, flood_fill_body, mae_loop, psnr_loop,
+                     ssim_means_whole_case, ssim_window, wilcoxon_enum)
 from vqsct import evaluation
 from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.evaluation import (BODY_THRESHOLD_HU, body_contour, colormap_bwr,
@@ -21,6 +21,8 @@ from vqsct.evaluation import (BODY_THRESHOLD_HU, body_contour, colormap_bwr,
                               write_report_csv)
 from vqsct.phantom import LABEL_LUNG, generate_phantom_pair
 from vqsct.volume import SLAB, Volume, read_volume, write_volume
+
+from test_pipeline import _no_child_left, forks  # noqa: F401
 
 
 class _Phantom:
@@ -541,9 +543,10 @@ def test_evaluate_case_rows(phantom, monkeypatch):
     rows = evaluate_case(pred, phantom.ct, case_id="c0")
     monkeypatch.undo()
     regions = region_masks(phantom.ct)
-    # one contour per volume, and five window means per z-slab (48 = 6 slabs of 8)
+    # one contour per volume per z-slab, and five window means per z-slab
+    # (48 = 6 slabs of 8)
     assert SLAB == 8
-    assert calls == {"body_contour": 2, "_window_mean": 30}
+    assert calls == {"body_contour": 12, "_window_mean": 30}
 
     assert len(rows) == 12
     assert [(r["region"], r["metric"]) for r in rows] == [
@@ -560,10 +563,109 @@ def test_evaluate_case_rows(phantom, monkeypatch):
         assert by_key[(region, "dsc")] == dsc(pred, phantom.ct, region)
 
 
+def _random_hu(rng, dims):
+    """HU voxels of hole-rich body-like structure: foreground at a random density."""
+    return np.where(rng.random(dims) < rng.uniform(0.3, 0.7), rng.uniform(-400, 1500, dims),
+                    rng.uniform(-1100, -600, dims))
+
+
+@pytest.mark.parametrize("dims", [None, (23, 17, 13), (30, 30, 21), (16, 12, 1), (9, 40, 35)])
+def test_each_slab_contour_equals_that_slab_of_the_whole_contour(phantom, dims):
+    # the phantom's 48 slices are whole slabs; the random grids' slice counts are not
+    vox = (phantom.ct.voxels if dims is None
+           else _random_hu(np.random.default_rng(sum(dims)), dims))
+    whole = body_contour(vox)
+    for z0 in range(0, vox.shape[2], SLAB):
+        zs = slice(z0, z0 + SLAB)
+        assert np.array_equal(body_contour(vox[:, :, zs]), whole[:, :, zs]), z0
+
+
+def _cases(phantom):
+    """(pred, gt, bone HU) triples: the phantom with float32 noise, a crop of it
+    whose 21 slices end in a partial slab, and random grids of 13 and 20 slices."""
+    rng = np.random.default_rng(31)
+    gt = phantom.ct.voxels.astype(np.float32)
+    noisy = gt + rng.normal(0, 40, gt.shape).astype(np.float32)
+    yield Volume(noisy, (1, 1, 1), "HU"), Volume(gt, (1, 1, 1), "HU"), 300.0
+    crop = np.ascontiguousarray(phantom.ct.voxels[:40, 5:42, 3:24])
+    yield hu_volume(crop + rng.normal(0, 60, crop.shape)), hu_volume(crop), 250.0
+    for dims in [(23, 17, 13), (30, 24, 20)]:
+        g = _random_hu(rng, dims)
+        yield hu_volume(g + rng.normal(0, 80, dims)), hu_volume(g), 300.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_evaluate_case_equals_the_whole_volume_oracle_at_any_worker_count(phantom, forks,
+                                                                         workers):
+    for pred, gt, bone in _cases(phantom):
+        del forks[:]
+        truth = {}
+        rows = evaluate_case(pred, gt, "c", bone, truth=truth, workers=workers)
+        want = evaluate_case_whole_volume(pred, gt, "c", bone)
+        assert [(r["region"], r["metric"], repr(r["value"])) for r in rows] == [
+            (r["region"], r["metric"], repr(r["value"])) for r in want], gt.dims
+        masks = region_masks(gt, bone)
+        assert truth.keys() == masks.keys()
+        assert all(np.array_equal(truth[region], masks[region]) for region in masks)
+        assert len(forks) == min(workers, -(-gt.dims[2] // SLAB)) - 1
+        assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failed_slab_raises_the_serial_error_and_leaves_no_child(phantom, monkeypatch,
+                                                                  forks, workers):
+    # slabs 2 and 4 of 6 hold a voxel marked with their number; the contour of
+    # a marked slab fails, and every worker count raises slab 2's error
+    gt = phantom.ct.voxels.copy()
+    for k in (4, 2):
+        gt[0, 0, k * SLAB] = -700.0 - k  # air either way
+    real = evaluation.body_contour
+
+    def failing(ct):  # called with each slab's bare voxels
+        marks = ct[(ct < -699.0) & (ct > -710.0)]
+        if marks.size:
+            raise DomainError(f"slab {int(-700.0 - marks[0])} failed")
+        return real(ct)
+
+    monkeypatch.setattr(evaluation, "body_contour", failing)
+    with pytest.raises(DomainError, match="^slab 2 failed$"):
+        evaluate_case(phantom.ct, hu_volume(gt), workers=workers)
+    assert len(forks) == workers - 1 and _no_child_left()
+
+
+def _soft_and_bone(shape):
+    vox = np.full(shape, 50.0)
+    vox[::2] = 500.0
+    return vox
+
+
+def _border_body():
+    vox = np.full((20, 20, 12), -1000.0)
+    vox[:2], vox[-2:] = 500.0, 50.0  # no full-window center inside the body
+    return vox
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("gt,bone,message", [
+    (_soft_and_bone((9, 40, 35)), 300.0, r"in-plane extents \(9, 40\) are smaller than the 11x11"),
+    (np.full((20, 20, 20), -1000.0), 300.0, "empty evaluation mask"),
+    (np.full((20, 20, 20), 60.0), 300.0, "empty evaluation mask"),  # no bone
+    (_border_body(), 300.0, "mask contains no full-window centers"),
+    (_soft_and_bone((20, 21, 19)), math.nan, "bone threshold must be finite, got nan")])
+def test_evaluate_case_raises_the_errors_of_one_whole_volume_pass(gt, bone, message, workers):
+    # the first of: a slab's bone threshold, an empty truth mask (MAE), the
+    # SSIM window, and a mask without window centers
+    with pytest.raises(DomainError, match=f"^{message}"):
+        evaluate_case(hu_volume(gt + 3.0), hu_volume(gt), bone_threshold_hu=bone,
+                      workers=workers)
+
+
 @pytest.mark.parametrize("n", [48, 96])
 def test_evaluate_case_peak_memory_is_at_most_three_input_volumes(n):
-    # the traced peak against one input's float64 bytes (about 2.3x; 7.5x with
-    # the five window means and the SSIM map of the whole case)
+    # the traced peak against one input's float64 bytes (0.9x at 96, 1.5x at
+    # 48, where a slab is a larger share; 2.3x with both volumes' whole masks,
+    # 7.5x with the five window means and the SSIM map of the whole case).
+    # The truth's masks are shared mmaps, which tracing does not see.
     ct, _, _ = generate_phantom_pair((n, n, n), seed=11)
     pred = hu_volume(ct.voxels + np.random.default_rng(14).normal(0, 40, ct.dims))
     tracemalloc.start()
@@ -604,7 +706,9 @@ def test_float32_cases_score_and_draw_as_their_float64_widening(phantom, tmp_pat
 
 def test_evaluate_read_volumes_peak_memory_is_at_most_3_5_float64_volumes(tmp_path):
     # read two 96^3 float32 files and score them, against one volume's float64
-    # bytes (about 3.25x; 4.25x when read_volume widened both to float64)
+    # bytes (about 1.8x, with the truth's masks in untraced shared mmaps; 3.25x
+    # with both volumes' whole masks, 4.25x when read_volume widened both to
+    # float64)
     ct, _, _ = generate_phantom_pair((96, 96, 96), seed=11)
     pred = hu_volume(ct.voxels + np.random.default_rng(14).normal(0, 40, ct.dims))
     write_volume(ct, tmp_path / "gt.mvol")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from oracles import graph_input_pad_then_cast, unit
 from vqsct import autograd as ag
-from vqsct import model
+from vqsct import model, volume
 from vqsct.codebook import Codebook, kmeans_init, quantize
 from vqsct.errors import DomainError, FormatError, ShapeError
 from vqsct.model import (Checkpoint, ModelConfig, _commitment, apply_freeze,
@@ -56,11 +57,22 @@ def test_config_validation():
      {"codebook_size": 2 ** 20, "codebook_dim": 128}, "a codebook"),
 ])
 def test_validate_bounds_the_largest_block_in_plain_integers(rank, over, under, kind):
-    # the largest block of each kind may hold 512^3 values, not one more; a
-    # depth of 10^9 costs nothing, because validate never loops over depth
+    # the largest block of each kind may hold 512^3 values, not one more, at
+    # the deepest depth too: validate never loops over depth
     with pytest.raises(DomainError, match=f"^{kind} .* above the limit of 134217728"):
-        small_config(rank=rank, depth=10 ** 9, **over).validate()
-    small_config(rank=rank, depth=10 ** 9, **under).validate()
+        small_config(rank=rank, depth=13, **over).validate()
+    small_config(rank=rank, depth=13, **under).validate()
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_validate_bounds_depth_by_the_slices_of_a_grid_within_the_voxel_limit(rank):
+    # 2^13 = 8192 fits in a 11585^2 slice of a 512^3-voxel grid; 2^14 fits in
+    # none, and 2^40 or 10^20 is never formed
+    assert 2 ** 13 <= math.isqrt(volume.MAX_VOXELS) < 2 ** 14
+    small_config(rank=rank, depth=13).validate()
+    for depth in (14, 2 ** 40, 10 ** 20):
+        with pytest.raises(DomainError, match=f"^depth must be <= 13, got {depth}: "):
+            small_config(rank=rank, depth=depth).validate()
 
 
 def test_block_limit_covers_every_block_shape():
@@ -574,10 +586,13 @@ def test_block_count_is_the_number_of_block_shapes():
             assert model._block_count(cfg) == len(model._block_shapes(cfg))
 
 
-def test_huge_depth_is_rejected_before_any_layer_spec_is_built(tmp_path, monkeypatch):
-    # a depth-2 checkpoint whose header claims depth 10^9
+@pytest.mark.parametrize("depth,match", [(10 ** 9, r"header \(depth must be <= 13, got"),
+                                         (13, "manifest")], ids=["above-13", "13"])
+def test_huge_depth_is_rejected_before_any_layer_spec_is_built(tmp_path, monkeypatch, depth,
+                                                                match):
+    # a depth-2 checkpoint whose header claims depth 10^9 (above the bound) or 13
     ckpt = build_model(small_config())
-    ckpt.config = dataclasses.replace(ckpt.config, depth=10 ** 9)
+    ckpt.config = dataclasses.replace(ckpt.config, depth=depth)
     path = tmp_path / "m.vqck"
     save_checkpoint(ckpt, path)
 
@@ -585,5 +600,5 @@ def test_huge_depth_is_rejected_before_any_layer_spec_is_built(tmp_path, monkeyp
         raise AssertionError("a layer spec was built")
 
     monkeypatch.setattr(model, "_layer_specs", no_specs)
-    with pytest.raises(FormatError, match="manifest"):
+    with pytest.raises(FormatError, match=match):
         load_checkpoint(path)

@@ -35,14 +35,14 @@ _TRAIN = {"--steps": _NON_NEGATIVE_INTS, "--batch-size": _POSITIVE_INTS,
 
 # The edge values each numeric option accepts, by command; "--threads" is
 # the global flag, given before the command. None of the edge values is a
-# usable thread count, and every model option at 2^40 or above makes a block
-# over the voxel limit but --depth, whose padding is checked against the
-# slices once they are read.
+# usable thread count, every model option at 2^40 or above makes a block
+# over the voxel limit, and a depth of 2^40 or above pads past every slice
+# of a grid within it.
 ACCEPTED = {
     "phantom": {"--cases": _POSITIVE_INTS, "--dims": set(), "--spacing": _POSITIVE_FINITE,
                 "--seed": _NON_NEGATIVE_INTS},
     "pretrain": {"--cube-edge": {"0", "-1", _BIG, _HUGE},  # rank 2 cuts no cubes
-                 "--rank": set(), "--depth": _POSITIVE_INTS, "--base-channels": set(),
+                 "--rank": set(), "--depth": set(), "--base-channels": set(),
                  "--codebook-size": set(), "--codebook-dim": set(),
                  "--pyramid-levels": set(), **_TRAIN},
     "finetune": _TRAIN,
@@ -141,15 +141,9 @@ def test_each_value_exits_1_with_one_line_or_reaches_the_missing_input(
 
 
 def _config_value(command, flag, value):
-    """The case's value as a ``--config`` file holds it, or None where the flag's type fails.
-
-    Also None for a flag with choices (``--rank``): argparse and the config
-    type check each name a choice out of the set in their own words.
-    """
+    """The case's value as a ``--config`` file holds it, or None where the flag's type fails."""
     action = next(a for a in cli.build_parser().commands[command]._actions
                   if flag in a.option_strings)
-    if action.choices is not None:
-        return None
     if action.type is None:  # --dims and --spacing, checked as text
         return ",".join([value] * 3)
     try:
@@ -197,3 +191,24 @@ def test_a_command_process_ends_with_one_line_and_no_traceback(tmp_path, command
     assert proc.stderr.count("\n") <= 1 and "Traceback" not in proc.stderr, proc.stderr
     expected = 2 if value in ACCEPTED[command].get(flag, ()) else 1
     assert proc.returncode == expected, proc.stderr
+
+
+@pytest.mark.parametrize("command,flag,value,line", [
+    ("pretrain", "--rank", 4, "spatial_rank must be 2 or 3, got 4"),
+    ("finetune", "--mode", "frozen",
+     "mode must be one of ('scratch', 'no-frozen', 'enc-frozen'), got 'frozen'"),
+    ("stats", "--metric", "rmse", "metric must be one of ('mae', 'psnr', 'ssim', 'dsc'), "
+     "got 'rmse'"),
+    ("stats", "--region", "lung", "region must be one of ('whole', 'soft', 'bone'), got 'lung'")])
+def test_a_choice_out_of_its_set_exits_1_with_the_library_line(tmp_path, guarded, command,
+                                                               flag, value, line):
+    # the rule calls the library's check, which a --config value meets too;
+    # the other three are required flags, so only --rank can come from a config
+    work = _work(tmp_path)
+    assert _run([*required(command, work), f"{flag}={value}"]) == (1, [f"vqsct: error: {line}"])
+    if flag == "--rank":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rank": value}))
+        assert _run([*required(command, work), "--config", str(config)]) == (
+            1, [f"vqsct: error: {line}"])
+    assert guarded == []

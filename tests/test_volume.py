@@ -269,11 +269,16 @@ def test_read_volume_hands_over_the_float32_payload(tmp_path):
     assert back.copy().voxels.flags.writeable
 
 
-@pytest.mark.parametrize("q", [0, 50, 99.5, 100])
-def test_linear_percentile_is_np_percentile_of_the_widened_values(q):
-    # random sizes; spread values, a few distinct values (heavy ties), or
-    # tiny values up to the lower neighbour and huge ones from the upper, so
-    # that their difference rounds and each side of the two-sided lerp shows
+def _percentile_inputs(q):
+    """float32 inputs for the percentile check at ``q``.
+
+    Random sizes: spread values, a few distinct values (heavy ties), or tiny
+    values up to the lower neighbour and huge ones from the upper, so that
+    their difference rounds and each side of the two-sided lerp shows. Then
+    one value, two, all values equal, a tie across the two neighbours, and
+    96^3 Fortran-ordered grids as read: spread, and mostly zero background
+    with a few distinct values, as a PET holds.
+    """
     rng = np.random.default_rng(21)
     for trial in range(300):
         n = int(rng.integers(1, 3001))
@@ -288,9 +293,22 @@ def test_linear_percentile_is_np_percentile_of_the_widened_values(q):
         x = values.astype(np.float32)
         if n % 6 == 0:  # a Fortran-ordered 3D grid, as read
             x = np.asfortranarray(x.reshape(2, 3, n // 6))
+        yield x
+    yield np.float32([7.25])
+    yield rng.uniform(0, 5, 2).astype(np.float32)
+    yield np.full(1000, 2.5, np.float32)
+    yield rng.permutation(np.float32([1.0] * 500 + [3.0] * 500 + [2.0]))
+    yield np.asfortranarray(rng.gamma(2.0, 1.5, (96, 96, 96)).astype(np.float32))
+    yield np.asfortranarray((rng.random((96, 96, 96)) < 0.3)
+                            * rng.choice(np.float32([0.5, 1.0, 4.0]), (96, 96, 96)))
+
+
+@pytest.mark.parametrize("q", [0, 0.5, 50, 99.5, 100])
+def test_linear_percentile_is_np_percentile_of_the_widened_values(q):
+    for x in _percentile_inputs(q):
         got = _linear_percentile(x, q)
         want = np.percentile(x.astype(np.float64), q)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, q)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x.shape, q)
 
 
 @pytest.mark.parametrize("space", ["HU", "activity"])
