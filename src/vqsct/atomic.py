@@ -33,7 +33,10 @@ def atomic_open(path, mode: str = "w", **kwargs):
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the target; the same errno keeps the OSError subclass
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, mode, **kwargs) as fh:
             yield fh

@@ -8,9 +8,9 @@ out of memory, 2 I/O failures.
 (``batch_size`` for ``--batch-size``). Each must have its flag's JSON type and
 becomes the command's parser default, so flags still win. A flag's range rule
 is declared beside it (``add_argument(..., rule=...)``) and runs once, after
-``--config`` and before the handler, on flags and config values alike. Every
-run writes
-``{"command": ..., **options}`` beside its primary output as
+``--config`` and before the handler, on flags and config values alike; an
+output flag's rule raises OSError (exit 2) if it cannot be written. Every
+run writes ``{"command": ..., **options}`` beside its primary output as
 ``*.config.json``; that record with ``--config`` and the same required flags
 replays the run (a config's ``command``, if any, must be the one being run).
 Only phantom, pretrain and finetune draw random numbers and take ``--seed``.
@@ -35,6 +35,7 @@ in one thread of one process.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -82,6 +83,24 @@ class _Parser(argparse.ArgumentParser):
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise UsageError(message)
+
+
+def _check_out(args) -> None:
+    """``--out``'s rule but phantom's: OSError unless its directory exists and it is none."""
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, "--out is a directory", args.out)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, "--out's directory does not exist", args.out)
+
+
+def _check_diff_dir(args) -> None:
+    """``--diff-dir``'s rule: OSError unless it, or its nearest existing parent, is a directory."""
+    path = args.diff_dir
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, "--diff-dir is not a directory and cannot "
+                                 "become one", args.diff_dir)
 
 
 def _add_seed(parser):
@@ -170,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="self-reconstruction pretraining on CT volumes")
     p.add_argument("--volumes", nargs="+", required=True, help="HU MVOL files")
-    p.add_argument("--out", required=True, help="output checkpoint path")
+    p.add_argument("--out", required=True, help="output checkpoint path", rule=_check_out)
     p.add_argument("--cube-edge", type=int, default=64,
                    help="tile edge for 3D models")
     _add_model_flags(p)
@@ -188,27 +207,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-joined training planes", rule=_check_planes)
     p.add_argument("--train-codebook", action="store_true",
                    help="keep codebook EMA learning active in enc-frozen mode")
-    p.add_argument("--out", required=True, help="output checkpoint path")
+    p.add_argument("--out", required=True, help="output checkpoint path", rule=_check_out)
     _add_train_flags(p)
 
     p = sub.add_parser("translate", help="tri-planar PET-to-CT volume translation")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--pet", required=True, help="input PET MVOL")
-    p.add_argument("--out", required=True, help="output synthetic-CT MVOL")
+    p.add_argument("--out", required=True, help="output synthetic-CT MVOL", rule=_check_out)
     p.add_argument("--dump-planes", action="store_true",
                    help="also write the per-plane volumes")
 
     p = sub.add_parser("reconstruct", help="3D cube-tiled CT self-reconstruction")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--ct", required=True, help="input CT MVOL")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, rule=_check_out)
     p.add_argument("--edge", type=int, default=64, help="cube edge in voxels",
                    rule=lambda a: vqsct.volume.check_cube_size(a.edge))
 
     p = sub.add_parser("evaluate", help="masked regional metrics for one case")
     p.add_argument("--pred", required=True, help="predicted CT MVOL")
     p.add_argument("--gt", required=True, help="ground-truth CT MVOL")
-    p.add_argument("--out", required=True, help="output CSV report")
+    p.add_argument("--out", required=True, help="output CSV report", rule=_check_out)
     p.add_argument("--case-id", default=None,
                    help="case label in the report (default: the --pred file stem)")
     # evaluation.BONE_THRESHOLD_HU, written out: importing it would load numpy
@@ -217,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="soft/bone HU boundary", rule=lambda a: _require(
                        abs(a.bone_hu) < math.inf, f"--bone-hu must be finite, got {a.bone_hu}"))
     p.add_argument("--diff-dir", default=None,
-                   help="directory for blue-white-red difference maps")
+                   help="directory for blue-white-red difference maps", rule=_check_diff_dir)
     p.add_argument("--diff-cap", type=float, default=200.0,
                    help="HU value mapped to full red/blue", rule=lambda a: _require(
                        0.0 < a.diff_cap < math.inf,
@@ -230,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    rule=lambda a: vqsct.evaluation.check_metric(a.metric))
     p.add_argument("--region", required=True, help="whole, soft or bone",
                    rule=lambda a: vqsct.evaluation.check_region(a.region))
-    p.add_argument("--out", required=True, help="output JSON")
+    p.add_argument("--out", required=True, help="output JSON", rule=_check_out)
     p.add_argument("--label-a", default="A")
     p.add_argument("--label-b", default="B")
     p.add_argument("--alpha", type=float, default=0.05,
@@ -239,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="pick the checkpoint with lowest recon MSE")
     p.add_argument("--candidates", nargs="+", required=True, help="checkpoint files")
     p.add_argument("--volumes", nargs="+", required=True, help="evaluation CT MVOLs")
-    p.add_argument("--out", required=True, help="where to copy the winner")
+    p.add_argument("--out", required=True, help="where to copy the winner", rule=_check_out)
     p.add_argument("--cube-edge", type=int, default=64,
                    rule=lambda a: vqsct.volume.check_cube_size(a.cube_edge))
 
@@ -391,7 +410,7 @@ def _cmd_pretrain(args) -> None:
 def _cmd_finetune(args) -> None:
     import numpy as np
 
-    from .model import GRAPH_DTYPE, load_checkpoint, save_checkpoint
+    from .model import load_checkpoint, save_checkpoint
     from .pipeline import PLANE_AXIS
     from .training import finetune_translate
     from .volume import normalize
@@ -401,11 +420,8 @@ def _cmd_finetune(args) -> None:
     base.config.check_rank(2, "fine-tuning")  # before any volume is read
     pet_slices, ct_slices = [], []
     for pet_path, ct_path in zip(args.pet, args.ct):
-        # a read volume normalizes to float32, GRAPH_DTYPE already: no copy
-        pet = np.asarray(normalize(_read_space(pet_path, "--pet", "activity"), "sym11").voxels,
-                         GRAPH_DTYPE)
-        ct = np.asarray(normalize(_read_space(ct_path, "--ct", "HU"), "sym11").voxels,
-                        GRAPH_DTYPE)
+        pet = normalize(_read_space(pet_path, "--pet", "activity"), "sym11").voxels
+        ct = normalize(_read_space(ct_path, "--ct", "HU"), "sym11").voxels
         if pet.shape != ct.shape:
             raise DomainError(f"paired volumes disagree on dims: "
                               f"{pet_path} {pet.shape} vs {ct_path} {ct.shape}")

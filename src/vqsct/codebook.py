@@ -62,7 +62,8 @@ class Codebook:
     ``initialized`` records whether k-means initialization has run; codes are
     valid unit vectors from construction on, so quantization is total either
     way. ``usage_age[i]`` counts consecutive batches without an assignment to
-    code ``i`` (zero iff assigned in the most recent update).
+    code ``i`` (zero iff assigned in the most recent update). Construction
+    and :func:`kmeans_init` start the same fresh bookkeeping (``_start``).
     """
 
     def __init__(self, n_codes: int, dim: int, seed: int = 0):
@@ -71,12 +72,15 @@ class Codebook:
         if dim < 1:
             raise DomainError(f"code dimension must be positive, got {dim}")
         rng = np.random.default_rng(seed)
-        codes = _normalize_rows(rng.standard_normal((n_codes, dim)))[0]
+        self._start(_normalize_rows(rng.standard_normal((n_codes, dim)))[0], initialized=False)
+
+    def _start(self, codes: np.ndarray, initialized: bool) -> None:
+        """Take ``codes``, EMA sums equal to a copy of them, unit cluster sizes and zero ages."""
         self.codes = codes
-        self.usage_age = np.zeros(n_codes, dtype=np.int64)
-        self.ema_cluster_size = np.ones(n_codes, dtype=np.float64)
         self.ema_embed_sum = codes.copy()
-        self.initialized = False
+        self.ema_cluster_size = np.ones(len(codes), dtype=np.float64)
+        self.usage_age = np.zeros(len(codes), dtype=np.int64)
+        self.initialized = initialized
 
     @property
     def n_codes(self) -> int:
@@ -85,15 +89,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.codes.shape[1]
-
-    def copy(self) -> "Codebook":
-        dup = Codebook.__new__(Codebook)
-        dup.codes = self.codes.copy()
-        dup.usage_age = self.usage_age.copy()
-        dup.ema_cluster_size = self.ema_cluster_size.copy()
-        dup.ema_embed_sum = self.ema_embed_sum.copy()
-        dup.initialized = self.initialized
-        return dup
 
 
 def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Codebook:
@@ -134,11 +129,7 @@ def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Cod
             centroids[i] = pts[rng.integers(pts.shape[0])]
         centroids = _normalize_rows(centroids)[0]
 
-    codebook.codes = centroids
-    codebook.ema_embed_sum = centroids.copy()
-    codebook.ema_cluster_size = np.ones(k, dtype=np.float64)
-    codebook.usage_age = np.zeros(k, dtype=np.int64)
-    codebook.initialized = True
+    codebook._start(centroids, initialized=True)
     return codebook
 
 

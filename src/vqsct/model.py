@@ -13,11 +13,13 @@ skip connections into the decoder at matching resolutions.
 
 Checkpoints are VQCK files in ``atomic``'s framed container: a header of
 config, provenance, step, codebook bookkeeping and block manifest (shapes
-and byte offsets), then the little-endian float32 blocks in manifest order.
+and byte offsets), then the little-endian float32 blocks in manifest order
+(layers by name, then each codebook's ``_CODEBOOK_BLOCKS``), cut by :func:`block_views`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -46,6 +48,7 @@ __all__ = [
     "apply_freeze",
     "mask_for_mode",
     "value_space",
+    "block_views",
     "save_checkpoint",
     "load_checkpoint",
     "reinitialized",
@@ -176,10 +179,8 @@ class Checkpoint:
     provenance: str = "scratch"
 
     def copy(self) -> "Checkpoint":
-        return Checkpoint(self.config,
-                          {k: v.copy() for k, v in self.params.items()},
-                          [cb.copy() for cb in self.codebooks],
-                          self.step, self.provenance)
+        """A copy that shares no array with this checkpoint."""
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -429,14 +430,14 @@ def apply_freeze(ckpt: Checkpoint, mask: FreezeMask) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _MAX_AGE = np.iinfo(np.int64).max
+# each codebook's blocks in file order: field -> its axes of (codebook_size, codebook_dim)
+_CODEBOOK_BLOCKS = {"codes": 2, "ema_embed_sum": 2, "ema_cluster_size": 1}
 
 
-def _block_order(params: dict, n_levels: int):
-    names = sorted(params)
-    for j in range(n_levels):
-        names.extend([f"codebook{j}.codes", f"codebook{j}.ema_embed_sum",
-                      f"codebook{j}.ema_cluster_size"])
-    return names
+def _codebook_blocks(n_levels: int):
+    """``(block name, level, field)`` of every codebook block, in file order."""
+    return [(f"codebook{j}.{field}", j, field)
+            for j in range(n_levels) for field in _CODEBOOK_BLOCKS]
 
 
 def _block_count(config: ModelConfig) -> int:
@@ -450,13 +451,11 @@ def _block_shapes(config: ModelConfig) -> dict[str, tuple]:
     for name, c_out, c_in, k in _layer_specs(config):
         shapes[f"{name}.w"] = (c_out, c_in) + (k,) * config.spatial_rank
         shapes[f"{name}.b"] = (c_out,)
-    order = _block_order(shapes, config.pyramid_levels)
+    shapes = dict(sorted(shapes.items()))
     book = (config.codebook_size, config.codebook_dim)
-    for j in range(config.pyramid_levels):
-        shapes[f"codebook{j}.codes"] = book
-        shapes[f"codebook{j}.ema_embed_sum"] = book
-        shapes[f"codebook{j}.ema_cluster_size"] = book[:1]
-    return {name: shapes[name] for name in order}
+    for name, _, field in _codebook_blocks(config.pyramid_levels):
+        shapes[name] = book[:_CODEBOOK_BLOCKS[field]]
+    return shapes
 
 
 def _manifest(shapes: dict):
@@ -469,15 +468,22 @@ def _manifest(shapes: dict):
     return manifest, offset
 
 
+def block_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive runs of the 1D ``flat``, one of each of ``shapes``, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Serialize to VQCK; re-saving a loaded checkpoint is byte-identical."""
-    blocks: dict[str, np.ndarray] = dict(ckpt.params)
-    for j, cb in enumerate(ckpt.codebooks):
-        blocks[f"codebook{j}.codes"] = cb.codes
-        blocks[f"codebook{j}.ema_embed_sum"] = cb.ema_embed_sum
-        blocks[f"codebook{j}.ema_cluster_size"] = cb.ema_cluster_size
-    order = _block_order(ckpt.params, len(ckpt.codebooks))
-    manifest, _ = _manifest({name: blocks[name].shape for name in order})
+    blocks = dict(sorted(ckpt.params.items()))
+    for name, j, field in _codebook_blocks(len(ckpt.codebooks)):
+        blocks[name] = getattr(ckpt.codebooks[j], field)
+    manifest, _ = _manifest({name: block.shape for name, block in blocks.items()})
     header = {
         "config": asdict(ckpt.config),
         "provenance": ckpt.provenance,
@@ -488,7 +494,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ],
         "manifest": manifest,
     }
-    write_framed(path, MAGIC, header, (_float32_bytes(name, blocks[name]) for name in order))
+    write_framed(path, MAGIC, header,
+                 (_float32_bytes(name, block) for name, block in blocks.items()))
 
 
 def _float32_bytes(name: str, block: np.ndarray) -> bytes:
@@ -551,22 +558,12 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: codebook {j} record needs a boolean flag "
                               f"and {config.codebook_size} non-negative integer usage ages")
 
-    blocks = {}
-    offset = 0
-    for name, shape in shapes.items():
-        n = int(np.prod(shape))
-        blocks[name] = values[offset:offset + n].reshape(shape)
-        offset += n
-    params = {n: a for n, a in blocks.items() if not n.startswith("codebook")}
-    codebooks = []
-    for j, (age, flag) in enumerate(zip(ages, flags)):
-        cb = Codebook.__new__(Codebook)
-        cb.codes = blocks[f"codebook{j}.codes"]
-        cb.ema_embed_sum = blocks[f"codebook{j}.ema_embed_sum"]
-        cb.ema_cluster_size = blocks[f"codebook{j}.ema_cluster_size"]
-        cb.usage_age = np.asarray(age, dtype=np.int64)
-        cb.initialized = flag
-        codebooks.append(cb)
+    params = dict(zip(shapes, block_views(values, shapes.values())))
+    codebooks = [Codebook.__new__(Codebook) for _ in ages]  # the stored record, set below
+    for cb, age, flag in zip(codebooks, ages, flags):
+        cb.usage_age, cb.initialized = np.asarray(age, dtype=np.int64), flag
+    for name, j, field in _codebook_blocks(config.pyramid_levels):
+        setattr(codebooks[j], field, params.pop(name))
     return Checkpoint(config, params, codebooks, step=step, provenance=provenance)
 
 

@@ -26,7 +26,7 @@ from . import autograd as ag
 from .codebook import ema_update, expire_stale, kmeans_init
 from .errors import DomainError, ShapeError, TrainingError
 from .model import (GRAPH_DTYPE, Checkpoint, FreezeMask, ModelConfig, apply_freeze,
-                    build_model, encode, forward, graph_input, mask_for_mode,
+                    block_views, build_model, encode, forward, graph_input, mask_for_mode,
                     param_tensors, reinitialized, value_space, with_sub_pixel_kernels)
 from .volume import (HU_MAX, HU_MIN, N_GRID_SYMMETRIES, NORMALIZED_AIR,
                      apply_cube_symmetry, apply_plane_symmetry, check_cube_size,
@@ -190,16 +190,6 @@ def _shared_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of consecutive runs of the 1D ``flat``, one of each of ``shapes``, in order."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
-    return views
-
-
 class _Step:
     """One training step's batch as every worker process of the step sees it.
 
@@ -279,7 +269,7 @@ class _Step:
             l1 = ag.mean_all(ag.abs_val(ag.sub(res.output, ag.leaf(pair[-1], GRAPH_DTYPE))))
             loss = l1 if res.commitment is None else ag.add(l1, res.commitment)
             item_grads = ag.backward(ag.scale(loss, weight), wrt)
-            for name, dest in zip(self.trainable, _flat_views(self.grads[i], self.grad_shapes)):
+            for name, dest in zip(self.trainable, block_views(self.grads[i], self.grad_shapes)):
                 dest[...] = item_grads[name]
             self.losses[i] = loss.data
             self.l1[i] = l1.data
@@ -297,7 +287,7 @@ class _Step:
         for grads, loss in zip(self.grads[1:], self.losses[1:]):
             flat += grads
             total = total + loss
-        grads = dict(zip(self.trainable, _flat_views(flat, self.grad_shapes)))
+        grads = dict(zip(self.trainable, block_views(flat, self.grad_shapes)))
         return grads, total * (1.0 / len(self.batch)), float(np.mean(self.l1))
 
 

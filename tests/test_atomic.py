@@ -189,3 +189,15 @@ def test_write_json_writes_and_returns_one_compact_line(tmp_path):
     text = write_json(tmp_path / "r.json", value)
     assert text == json.dumps(value, separators=(",", ":"))
     assert (tmp_path / "r.json").read_text() == text + "\n"
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "volume", "json"])
+def test_a_write_into_a_missing_directory_names_its_target(tmp_path, kind):
+    target = str(tmp_path / "missing" / "out")
+    write = {"checkpoint": lambda: save_checkpoint(build_model(ModelConfig(depth=1)), target),
+             "volume": lambda: write_volume(Volume(np.zeros((2, 2, 2), np.float32)), target),
+             "json": lambda: write_json(target, {})}[kind]
+    with pytest.raises(FileNotFoundError) as caught:
+        write()
+    assert caught.value.filename == target
+    assert str(caught.value) == f"[Errno 2] No such file or directory: {target!r}"

@@ -354,6 +354,87 @@ def test_select_checks_a_3d_candidate_cube_edge_before_any_candidate_runs(
     assert os.listdir(tmp_path) == []
 
 
+def _forbid_reads(monkeypatch):
+    """Make every read of a volume, checkpoint or report fail the test."""
+    from vqsct import evaluation, model, volume
+
+    def forbidden(path, *args, **kwargs):
+        raise AssertionError(f"{path} was read")
+
+    for module, name in ((volume, "read_volume"), (model, "load_checkpoint"),
+                         (evaluation, "read_report_csv")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+_WRITERS = {  # every command whose --out is a file, with inputs a run would read
+    "pretrain": ["pretrain", "--volumes", "textures", "--steps", "200"],
+    "finetune": ["finetune", "--base", "pre", "--mode", "no-frozen", "--pet", "pet",
+                 "--ct", "ct"],
+    "translate": ["translate", "--ckpt", "fin", "--pet", "pet"],
+    "reconstruct": ["reconstruct", "--ckpt", "pre3d", "--ct", "ct", "--edge", "8"],
+    "evaluate": ["evaluate", "--pred", "ct", "--gt", "ct"],
+    "stats": ["stats", "--report-a", "report", "--report-b", "report", "--metric", "mae",
+              "--region", "whole"],
+    "select": ["select", "--candidates", "pre", "--volumes", "ct"],
+}
+
+
+def _writer_argv(work, tmp_path, command) -> list:
+    report = tmp_path / "inputs" / "report.csv"
+    report.parent.mkdir(exist_ok=True)
+    report.write_text("case_id\n")
+    inputs = {"pre": work["pre"], "fin": work["fin"], "pre3d": work["pre3d"],
+              "textures": work["textures"][0], "report": str(report),
+              "pet": str(work["phantom"] / "case_000_pet.mvol"),
+              "ct": str(work["phantom"] / "case_000_ct.mvol")}
+    return [inputs.get(a, a) for a in _WRITERS[command]]
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_an_out_in_a_missing_directory_exits_2_before_any_read(work, tmp_path, capsys,
+                                                               monkeypatch, command):
+    _forbid_reads(monkeypatch)
+    out = str(tmp_path / "missing" / "dir" / "out")
+    assert main([*_writer_argv(work, tmp_path, command), "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"vqsct: i/o error: [Errno 2] --out's directory does not exist: {out!r}\n")
+    assert sorted(os.listdir(tmp_path)) == ["inputs"]
+
+
+def test_an_out_that_is_a_directory_exits_2_before_any_read(work, tmp_path, capsys,
+                                                          monkeypatch):
+    _forbid_reads(monkeypatch)
+    out = tmp_path / "sct.mvol"
+    out.mkdir()
+    assert main([*_writer_argv(work, tmp_path, "translate"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"vqsct: i/o error: [Errno 21] --out is a directory: {str(out)!r}\n")
+    assert os.listdir(out) == []
+    assert sorted(os.listdir(tmp_path)) == ["inputs", "sct.mvol"]
+
+
+@pytest.mark.parametrize("under", [".", "sub", "sub/maps"], ids=["file", "under", "deeper"])
+def test_a_diff_dir_that_cannot_be_a_directory_exits_2_before_the_report(
+        work, tmp_path, capsys, monkeypatch, under):
+    _forbid_reads(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    diff = os.path.normpath(afile / under)
+    assert main([*_writer_argv(work, tmp_path, "evaluate"), "--out", str(tmp_path / "rep.csv"),
+                 "--diff-dir", diff]) == 2
+    assert capsys.readouterr().err == ("vqsct: i/o error: [Errno 20] --diff-dir is not a "
+                                       f"directory and cannot become one: {diff!r}\n")
+    assert afile.read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "inputs"]
+
+
+def test_a_diff_dir_under_a_missing_directory_is_made(work, tmp_path):
+    diff = tmp_path / "maps" / "case0"
+    assert main(["--threads", "1", *_writer_argv(work, tmp_path, "evaluate"),
+                 "--out", str(tmp_path / "rep.csv"), "--diff-dir", str(diff)]) == 0
+    assert os.listdir(diff)
+
+
 def _sagittal_strides(work):
     """The strides of a sagittal slice of the PET that the failing-worker tests translate."""
     return read_volume(work["phantom"] / "case_001_pet.mvol").voxels.strides[1:]

@@ -43,6 +43,18 @@ def test_kmeans_init_sets_flag_and_unit_norms():
     assert np.allclose(np.linalg.norm(cb.codes, axis=1), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("initialized", [False, True], ids=["fresh", "kmeans"])
+def test_construction_and_kmeans_start_the_same_fresh_bookkeeping(initialized):
+    cb, _ = make_initialized(8, 5, seed=2) if initialized else (Codebook(8, 5, seed=2), None)
+    assert cb.initialized == initialized
+    assert np.array_equal(cb.ema_embed_sum, cb.codes)
+    assert not np.shares_memory(cb.ema_embed_sum, cb.codes)
+    assert cb.ema_cluster_size.dtype == np.float64
+    assert np.array_equal(cb.ema_cluster_size, np.ones(8))
+    assert cb.usage_age.dtype == np.int64
+    assert np.array_equal(cb.usage_age, np.zeros(8))
+
+
 def test_kmeans_init_requires_enough_rows_and_single_shot():
     cb = Codebook(8, 4, seed=0)
     with pytest.raises(DomainError):

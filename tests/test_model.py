@@ -578,6 +578,43 @@ def test_loaded_checkpoint_forward_is_bitwise_equal(tmp_path):
     assert np.allclose(want, close, atol=1e-5)
 
 
+def test_block_views_cover_the_flat_array_in_order():
+    shapes = [(2, 3), (4,), (1, 2, 2), (0,), (3, 1)]
+    flat = np.arange(17.0)
+    views = model.block_views(flat, iter(shapes))
+    assert [v.shape for v in views] == shapes
+    assert all(np.shares_memory(v, flat) for v in views if v.size)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), flat)
+    views[2][...] = -1.0  # a view writes its own run of the flat array
+    assert np.array_equal(np.flatnonzero(flat == -1.0), np.arange(10, 14))
+
+
+def test_copy_of_a_trained_checkpoint_shares_no_memory(tmp_path):
+    from vqsct.phantom import generate_texture_volume
+    from vqsct.training import pretrain_recon
+
+    vols = [volume.normalize(generate_texture_volume((16, 16, 16), seed=5), "unit01")]
+    ckpt = pretrain_recon(small_config(pyramid_levels=2), vols, steps=2, seed=1,
+                          batch_size=2).checkpoint
+    before = tmp_path / "before.vqck"
+    save_checkpoint(ckpt, before)
+    dup = ckpt.copy()
+    arrays = [(ckpt.params[name], dup.params[name]) for name in ckpt.params]
+    for cb, twin in zip(ckpt.codebooks, dup.codebooks):
+        assert twin.initialized == cb.initialized
+        arrays += [(getattr(cb, field), getattr(twin, field)) for field in
+                   ("codes", "ema_embed_sum", "ema_cluster_size", "usage_age")]
+    for original, copied in arrays:
+        assert np.array_equal(original, copied) and original.dtype == copied.dtype
+        assert not np.shares_memory(original, copied)
+        copied += 1
+    dup.codebooks[0].initialized = False
+    dup.step += 1
+    after = tmp_path / "after.vqck"
+    save_checkpoint(ckpt, after)
+    assert after.read_bytes() == before.read_bytes()
+
+
 def test_block_count_is_the_number_of_block_shapes():
     for rank, depth, base in itertools.product((2, 3), (1, 2, 3, 5), (1, 4)):
         for levels in range(1, depth + 1):
