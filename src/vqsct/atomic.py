@@ -23,24 +23,34 @@ import struct
 from .errors import FormatError
 
 
+def _naming(exc: OSError, path: str) -> OSError:
+    """``exc`` naming ``path`` alone; the same errno keeps the OSError subclass."""
+    return OSError(exc.errno, exc.strerror, path)
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open ``path`` for writing through a temporary file beside it.
 
     ``mode`` and ``kwargs`` are those of :func:`open` (``"w"`` or ``"wb"``).
     The temporary file is created with the permissions ``open`` would give.
+    A failure to create it or to move it over ``path`` raises an OSError
+    that names ``path``, not the temporary file.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the target; the same errno keeps the OSError subclass
-        raise OSError(exc.errno, exc.strerror, path) from None
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with open(fd, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _naming(exc, path) from None
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -86,11 +86,34 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _check_out(args) -> None:
-    """``--out``'s rule but phantom's: OSError unless its directory exists and it is none."""
+    """``--out``'s rule but phantom's: OSError unless its directory exists and neither
+    it nor a file the command writes beside it (:func:`_beside_out`) is a directory."""
     if os.path.isdir(args.out):
         raise IsADirectoryError(errno.EISDIR, "--out is a directory", args.out)
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(errno.ENOENT, "--out's directory does not exist", args.out)
+    for path in _beside_out(args):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "a file written beside --out is a directory",
+                                    path)
+
+
+def _beside_out(args) -> list:
+    """The files a command but phantom writes beside its ``--out``."""
+    paths = [f"{args.out}.config.json"]
+    if args.command in ("pretrain", "finetune"):
+        paths.append(f"{args.out}.history.csv")
+    elif args.command == "select":
+        paths.append(f"{args.out}.selection.json")
+    elif args.command == "translate" and args.dump_planes:
+        paths.extend(_plane_outputs(args.out).values())
+    return paths
+
+
+def _plane_outputs(out) -> dict:
+    """``translate --dump-planes``' volume path per plane: ``<stem>.<plane><ext>``."""
+    stem, ext = os.path.splitext(out)
+    return {plane: f"{stem}.{plane}{ext}" for plane in vqsct.pipeline.PLANES}
 
 
 def _check_diff_dir(args) -> None:
@@ -449,10 +472,8 @@ def _cmd_translate(args) -> None:
     result = translate_volume(ckpt, volume, args.threads)
     write_volume(result.fused, args.out)
     if args.dump_planes:
-        stem, ext = os.path.splitext(args.out)
-        write_volume(result.axial, f"{stem}.axial{ext}")
-        write_volume(result.coronal, f"{stem}.coronal{ext}")
-        write_volume(result.sagittal, f"{stem}.sagittal{ext}")
+        for plane, path in _plane_outputs(args.out).items():
+            write_volume(getattr(result, plane), path)
 
 
 def _cmd_reconstruct(args) -> None:

@@ -30,6 +30,9 @@ __all__ = [
 DEFAULT_DECAY = 0.99
 DEFAULT_EXPIRE_AGE = 2
 KMEANS_ITERS = 10
+# k-means assigns its rows in blocks of about this many bytes of similarities
+# (4,096 rows at 32 codes), not through one [rows, codes] matrix
+KMEANS_BLOCK_BYTES = 1 << 20
 
 
 def _normalize_rows(x: np.ndarray, eps: float = 1e-12):
@@ -91,42 +94,58 @@ class Codebook:
         return self.codes.shape[1]
 
 
+def _row_blocks(n_rows: int, n_codes: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` blocks of ``n_rows >= 2`` rows, each of about
+    ``KMEANS_BLOCK_BYTES`` of similarities and none of one row.
+
+    numpy computes a one-row product by gemv, which may differ in the last
+    bit from the gemm of a larger block; so a one-row tail joins the block
+    before, and every row's similarities are those of the whole product.
+    """
+    starts = list(range(0, n_rows, max(2, KMEANS_BLOCK_BYTES // (8 * n_codes))))
+    if n_rows - starts[-1] == 1:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [n_rows]))
+
+
 def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Codebook:
     """Initialize codes as L2-normalized k-means centroids of the first batch.
 
     ``unit_rows`` are the batch's rows as :func:`quantize` returns them
-    (already on the unit sphere; they are not normalized again).
+    (already on the unit sphere; they are not normalized again), C- or
+    F-ordered: training passes the transposed view of its ``[dim, rows]``
+    unit-row slots, whose columns each ``np.bincount`` then reads in place.
     ``KMEANS_ITERS`` Lloyd iterations, centroids seeded from distinct batch
-    rows; each iteration sums every cluster's members by one weighted
-    ``np.bincount`` per column, and re-seeds empty clusters, in code order,
-    from random batch rows. Deterministic given the seed. Mutates and
-    returns ``codebook``.
+    rows; each iteration assigns the rows in blocks of about
+    ``KMEANS_BLOCK_BYTES`` of similarities, sums every cluster's members by
+    one weighted ``np.bincount`` per column, and re-seeds empty clusters, in
+    code order, from random batch rows. Deterministic given the seed.
+    Mutates and returns ``codebook``.
     """
     if codebook.initialized:
         raise DomainError("codebook is already initialized")
     pts = np.asarray(unit_rows, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != codebook.dim:
         raise ShapeError(f"kmeans batch shape {pts.shape} incompatible with code dim {codebook.dim}")
-    k = codebook.n_codes
-    if pts.shape[0] < k:
-        raise DomainError(f"kmeans needs at least {k} vectors, got {pts.shape[0]}")
+    k, n = codebook.n_codes, pts.shape[0]
+    if n < k:
+        raise DomainError(f"kmeans needs at least {k} vectors, got {n}")
 
+    blocks = _row_blocks(n, k)
     rng = np.random.default_rng(seed)
-    centroids = pts[rng.choice(pts.shape[0], size=k, replace=False)].copy()
-    # one contiguous buffer for every bincount's weights: a fresh copy per
-    # column and iteration raised a rank-3 pretrain's peak RSS by about 0.8 MB
-    column = np.empty(pts.shape[0])
+    centroids = pts[rng.choice(n, size=k, replace=False)].copy()
+    assign = np.empty(n, dtype=np.intp)
     for _ in range(KMEANS_ITERS):
         # on the unit sphere, nearest-in-Euclidean == argmax cosine
-        assign = np.argmax(pts @ centroids.T, axis=1)
+        for lo, hi in blocks:
+            np.argmax(pts[lo:hi] @ centroids.T, axis=1, out=assign[lo:hi])
         counts = np.bincount(assign, minlength=k)
         sums = np.empty((k, pts.shape[1]))
         for j in range(pts.shape[1]):  # members added in row order, as their mean adds them
-            np.copyto(column, pts[:, j])
-            sums[:, j] = np.bincount(assign, weights=column, minlength=k)
+            sums[:, j] = np.bincount(assign, weights=pts[:, j], minlength=k)
         centroids = sums / np.maximum(counts, 1)[:, None]
         for i in np.flatnonzero(counts == 0):  # in ascending order: the same draws
-            centroids[i] = pts[rng.integers(pts.shape[0])]
+            centroids[i] = pts[rng.integers(n)]
         centroids = _normalize_rows(centroids)[0]
 
     codebook._start(centroids, initialized=True)

@@ -156,22 +156,24 @@ def _collect_level_rows(ckpt: Checkpoint, items, out=None) -> list[np.ndarray]:
     """Quantizer unit rows per pyramid level over graph inputs (for k-means init).
 
     One set of ``GRAPH_DTYPE`` leaves serves all the items, and each item
-    runs only the encoder and the quantizer levels. Each item's rows go to
-    their place in one ``[rows, dim]`` float64 array per level: the leading
+    runs only the encoder and the quantizer levels. Each item's rows go
+    column by column to their place in one ``[dim, rows]`` float64 array
+    per level, the layout of :class:`_Step`'s unit-row slots: the leading
     elements of the level's 1D buffer in ``out`` if given (the step's
-    unit-row slots, reused), else a new array.
+    slots, reused), else a new array. Returns the ``[rows, dim]`` transposed
+    views.
     """
     params = param_tensors(ckpt, GRAPH_DTYPE)
     bounds = np.cumsum([[0] * len(ckpt.codebooks)]
                        + [ckpt.config.level_rows(np.shape(item)[1:]) for item in items], axis=0)
     if out is None:
         out = [np.empty(rows * cb.dim) for rows, cb in zip(bounds[-1], ckpt.codebooks)]
-    level_rows = [flat[:rows * cb.dim].reshape(rows, cb.dim)
-                  for flat, rows, cb in zip(out, bounds[-1], ckpt.codebooks)]
+    level_columns = [flat[:rows * cb.dim].reshape(cb.dim, rows)
+                     for flat, rows, cb in zip(out, bounds[-1], ckpt.codebooks)]
     for i, item in enumerate(items):
         for j, (_, _, qres) in enumerate(encode(ckpt, item, params)):
-            level_rows[j][bounds[i, j]:bounds[i + 1, j]] = qres.unit_rows
-    return level_rows
+            level_columns[j][:, bounds[i, j]:bounds[i + 1, j]] = qres.unit_rows.T
+    return [columns.T for columns in level_columns]
 
 
 def _ensure_codebooks_initialized(ckpt: Checkpoint, items, seed: int, out=None) -> None:
@@ -201,8 +203,11 @@ class _Step:
     any worker: it builds the ``GRAPH_DTYPE`` leaves and sub-pixel kernels
     once per round, and each item fills its own slots, its flattened
     gradient, loss and L1, and its unit rows and code indices at its offsets.
-    The parent then folds the slots in item order. The unit rows are stored
-    column by column, as the EMA update reads them.
+    The parent then folds the slots in item order. Each level's unit rows
+    are stored column by column, as one ``[dim, rows]`` array in the leading
+    elements of its slot: :func:`_collect_level_rows` writes the first
+    batch's rows for k-means there, and the EMA update and code expiry read
+    a step's rows there, each through the ``[rows, dim]`` transposed view.
     """
 
     def __init__(self, ckpt: Checkpoint, sides, trainable, size: int, *, beta: float,

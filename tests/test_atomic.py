@@ -201,3 +201,17 @@ def test_a_write_into_a_missing_directory_names_its_target(tmp_path, kind):
         write()
     assert caught.value.filename == target
     assert str(caught.value) == f"[Errno 2] No such file or directory: {target!r}"
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "volume", "json"])
+def test_a_failed_replace_names_its_target_and_leaves_no_temporary_file(tmp_path, kind):
+    target = tmp_path / "out"
+    (target / "inside").mkdir(parents=True)  # os.replace cannot move a file over it
+    write = {"checkpoint": lambda: save_checkpoint(build_model(ModelConfig(depth=1)), target),
+             "volume": lambda: write_volume(Volume(np.zeros((2, 2, 2), np.float32)), target),
+             "json": lambda: write_json(target, {})}[kind]
+    with pytest.raises(IsADirectoryError) as caught:
+        write()
+    assert caught.value.filename == str(target) and caught.value.filename2 is None
+    assert str(caught.value) == f"[Errno 21] Is a directory: {str(target)!r}"
+    assert sorted(os.listdir(tmp_path)) == ["out"] and os.listdir(target) == ["inside"]

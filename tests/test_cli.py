@@ -235,15 +235,14 @@ def test_blocked_case_path_exits_2_as_the_serial_loop_does(tmp_path, capsys, mon
         assert _blocked_run(out, flags, monkeypatch, blocked) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
-        errors[name] = re.sub(r"\.[0-9a-f]{16}\.tmp", ".<random>.tmp", err.replace(str(out), "OUT"))
+        errors[name] = err.replace(str(out), "OUT")
         left = os.listdir(out)
         assert not [f for f in left if f.startswith(".")], left  # no temporary file
         assert "phantom.config.json" not in left
         assert {"case_000_ct.mvol", "case_000_pet.mvol", "case_000_truth.json"} <= set(left)
         assert os.listdir(out / "case_001_ct.mvol") == []
     assert errors["threads-1"] == (
-        "vqsct: i/o error: [Errno 21] Is a directory: 'OUT/.case_001_ct.mvol.<random>.tmp' "
-        "-> 'OUT/case_001_ct.mvol'\n")
+        "vqsct: i/o error: [Errno 21] Is a directory: 'OUT/case_001_ct.mvol'\n")
     assert len(set(errors.values())) == 1, errors
 
 
@@ -411,6 +410,22 @@ def test_an_out_that_is_a_directory_exits_2_before_any_read(work, tmp_path, caps
         f"vqsct: i/o error: [Errno 21] --out is a directory: {str(out)!r}\n")
     assert os.listdir(out) == []
     assert sorted(os.listdir(tmp_path)) == ["inputs", "sct.mvol"]
+
+
+@pytest.mark.parametrize("command,flags,side", [
+    ("evaluate", [], "out.dat.config.json"), ("stats", [], "out.dat.config.json"),
+    ("pretrain", [], "out.dat.history.csv"), ("finetune", [], "out.dat.history.csv"),
+    ("select", [], "out.dat.selection.json"), ("translate", ["--dump-planes"], "out.coronal.dat")])
+def test_a_file_beside_out_that_is_a_directory_exits_2_before_any_read(
+        work, tmp_path, capsys, monkeypatch, command, flags, side):
+    _forbid_reads(monkeypatch)
+    (tmp_path / side).mkdir()
+    argv = [*_writer_argv(work, tmp_path, command), *flags, "--out", str(tmp_path / "out.dat")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("vqsct: i/o error: [Errno 21] a file written beside "
+                                       f"--out is a directory: {str(tmp_path / side)!r}\n")
+    assert os.listdir(tmp_path / side) == []
+    assert sorted(os.listdir(tmp_path)) == sorted(["inputs", side])
 
 
 @pytest.mark.parametrize("under", [".", "sub", "sub/maps"], ids=["file", "under", "deeper"])

@@ -1,13 +1,15 @@
 """Cosine codebook checks against brute-force and scalar-loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_assign, kmeans_centroids_by_gather, unit
-from vqsct.codebook import (Codebook, ema_update, expire_stale, kmeans_init,
-                            quantize)
+from vqsct.codebook import (KMEANS_BLOCK_BYTES, Codebook, _row_blocks, ema_update,
+                            expire_stale, kmeans_init, quantize)
 from vqsct.errors import DomainError
 
 
@@ -88,14 +90,46 @@ def _duplicated_rows(rng, dim):
 
 @pytest.mark.parametrize("rows,n_codes,seed", [
     ("random", 32, 0), ("random", 32, 4), ("random", 5, 1), ("duplicated", 8, 2),
-    ("duplicated", 12, 6)])
+    ("duplicated", 12, 6), ("tail", 32, 3), ("columns", 32, 5)])
 def test_kmeans_init_codes_match_the_per_code_gather_bytes(rows, n_codes, seed):
     rng = np.random.default_rng(30 + seed)
     dim = 16
-    batch = (unit(rng.standard_normal((36864, dim))) if rows == "random"
-             else _duplicated_rows(rng, dim))
-    cb = kmeans_init(Codebook(n_codes, dim, seed=0), batch, seed=seed)
+    if rows == "duplicated":
+        batch = _duplicated_rows(rng, dim)
+    else:  # "tail": one block of rows and one row more
+        n = KMEANS_BLOCK_BYTES // (8 * n_codes) + 1 if rows == "tail" else 36864
+        batch = unit(rng.standard_normal((n, dim)))
+    # "columns": the transposed view of [dim, rows] slots, as training passes them
+    given_rows = np.asfortranarray(batch) if rows == "columns" else batch
+    cb = kmeans_init(Codebook(n_codes, dim, seed=0), given_rows, seed=seed)
     assert cb.codes.tobytes() == kmeans_centroids_by_gather(batch, n_codes, seed).tobytes()
+
+
+@pytest.mark.parametrize("n_rows,n_codes", [
+    (2, 2), (5, 32), (4095, 32), (4096, 32), (4097, 32), (4098, 32), (8193, 32),
+    (36864, 32), (36865, 32), (7, 1 << 20)])
+def test_kmeans_row_blocks_tile_the_rows_with_no_one_row_block(n_rows, n_codes):
+    blocks = _row_blocks(n_rows, n_codes)
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == n_rows
+    assert all(hi - lo >= 2 for lo, hi in blocks)
+    # about KMEANS_BLOCK_BYTES of similarities each, one row more at most
+    assert max(hi - lo for lo, hi in blocks) <= max(2, KMEANS_BLOCK_BYTES // (8 * n_codes)) + 1
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_init_holds_no_rows_by_codes_similarity_matrix(order):
+    # 36,864 rows of 16 (a 96^2 batch of 16 at level 1): the whole [rows, 32]
+    # float64 similarity matrix alone would be 9.4 MB
+    batch = np.asarray(unit(np.random.default_rng(8).standard_normal((36864, 16))), order=order)
+    cb = Codebook(32, 16, seed=0)
+    tracemalloc.start()
+    try:
+        kmeans_init(cb, batch, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_duplicated_rows_leave_a_cluster_empty():

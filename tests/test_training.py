@@ -175,6 +175,23 @@ def test_kmeans_rows_are_the_full_forward_unit_rows():
         assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
 
 
+def test_kmeans_rows_fill_the_step_slots_column_by_column():
+    ckpt = build_model(small_config(pyramid_levels=2))
+    rng = np.random.default_rng(4)
+    slices = [rng.uniform(0, 1, (16, 16)).astype(np.float32) for _ in range(5)]
+    batch = np.array([3, 0, 4])
+    step = training._Step(ckpt, (slices,), [], len(batch), beta=0.25, augment=False,
+                          codebook_trainable=True)
+    level_rows = training._collect_level_rows(ckpt, [slices[i][None] for i in batch],
+                                              step.columns)
+    step.publish(batch, None)  # the layout a step's EMA update reads
+    for j, (rows, (columns, _)) in enumerate(zip(level_rows, step.levels())):
+        want = np.concatenate([forward(ckpt, slices[i][None]).unit_rows[j] for i in batch])
+        assert rows.tobytes() == want.tobytes()
+        assert np.shares_memory(rows, step.columns[j])
+        assert columns.T.tobytes() == want.tobytes()
+
+
 def test_each_step_collapses_each_decoder_weight_once(monkeypatch):
     # once per step, not once per batch item, and never for k-means init
     collapsed = []
