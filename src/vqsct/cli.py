@@ -92,28 +92,24 @@ def _check_out(args) -> None:
         raise IsADirectoryError(errno.EISDIR, "--out is a directory", args.out)
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(errno.ENOENT, "--out's directory does not exist", args.out)
-    for path in _beside_out(args):
+    for path in _beside_out(args).values():
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, "a file written beside --out is a directory",
                                     path)
 
 
-def _beside_out(args) -> list:
-    """The files a command but phantom writes beside its ``--out``."""
-    paths = [f"{args.out}.config.json"]
+def _beside_out(args) -> dict:
+    """The files a command but phantom writes beside its ``--out``, by what they
+    hold; the rule checks them and the writers take their paths from here."""
+    paths = {"config": f"{args.out}.config.json"}
     if args.command in ("pretrain", "finetune"):
-        paths.append(f"{args.out}.history.csv")
+        paths["history"] = f"{args.out}.history.csv"
     elif args.command == "select":
-        paths.append(f"{args.out}.selection.json")
-    elif args.command == "translate" and args.dump_planes:
-        paths.extend(_plane_outputs(args.out).values())
+        paths["selection"] = f"{args.out}.selection.json"
+    elif args.command == "translate" and args.dump_planes:  # <stem>.<plane><ext>
+        stem, ext = os.path.splitext(args.out)
+        paths.update({plane: f"{stem}.{plane}{ext}" for plane in vqsct.pipeline.PLANES})
     return paths
-
-
-def _plane_outputs(out) -> dict:
-    """``translate --dump-planes``' volume path per plane: ``<stem>.<plane><ext>``."""
-    stem, ext = os.path.splitext(out)
-    return {plane: f"{stem}.{plane}{ext}" for plane in vqsct.pipeline.PLANES}
 
 
 def _check_diff_dir(args) -> None:
@@ -316,7 +312,7 @@ def _config_defaults(path, command, command_parser) -> dict:
 def _write_record(args) -> None:
     """Write the command's own options beside its primary output, for ``--config``."""
     path = (os.path.join(args.out, "phantom.config.json") if args.command == "phantom"
-            else f"{args.out}.config.json")
+            else _beside_out(args)["config"])
     options = {key: value for key, value in vars(args).items()
                if key not in ("threads", "command", "config")}
     write_json(path, {"command": args.command, **options})
@@ -427,7 +423,7 @@ def _cmd_pretrain(args) -> None:
         _model_config(args), volumes, args.steps, args.seed, cube_edge=args.cube_edge,
         augment=args.augment, workers=args.threads, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
-    _write_history(result, f"{args.out}.history.csv")
+    _write_history(result, _beside_out(args)["history"])
 
 
 def _cmd_finetune(args) -> None:
@@ -457,12 +453,12 @@ def _cmd_finetune(args) -> None:
         freeze_codebook_with_encoder=not args.train_codebook, augment=args.augment,
         workers=args.threads, **_train_options(args))
     save_checkpoint(result.checkpoint, args.out)
-    _write_history(result, f"{args.out}.history.csv")
+    _write_history(result, _beside_out(args)["history"])
 
 
 def _cmd_translate(args) -> None:
     from .model import load_checkpoint, value_space
-    from .pipeline import translate_volume
+    from .pipeline import PLANES, translate_volume
     from .volume import normalize, write_volume
 
     ckpt = load_checkpoint(args.ckpt)
@@ -472,8 +468,9 @@ def _cmd_translate(args) -> None:
     result = translate_volume(ckpt, volume, args.threads)
     write_volume(result.fused, args.out)
     if args.dump_planes:
-        for plane, path in _plane_outputs(args.out).items():
-            write_volume(getattr(result, plane), path)
+        paths = _beside_out(args)
+        for plane in PLANES:
+            write_volume(getattr(result, plane), paths[plane])
 
 
 def _cmd_reconstruct(args) -> None:
@@ -525,7 +522,7 @@ def _cmd_select(args) -> None:
     index = next(i for i, c in enumerate(candidates) if c is best)
     with open(args.candidates[index], "rb") as src, atomic_open(args.out, "wb") as fh:
         shutil.copyfileobj(src, fh)
-    print(write_json(f"{args.out}.selection.json",
+    print(write_json(_beside_out(args)["selection"],
                      {"selected_index": index, "selected_path": args.candidates[index]}))
 
 

@@ -108,6 +108,15 @@ def _row_blocks(n_rows: int, n_codes: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
+def _code_sums(rows: np.ndarray, indices: np.ndarray, k: int):
+    """Each of ``k`` codes' member count and sum of member ``rows``: one weighted
+    ``np.bincount`` per column, adding in row order onto zeros as ``np.add.at`` would."""
+    sums = np.empty((k, rows.shape[1]))
+    for j in range(rows.shape[1]):
+        sums[:, j] = np.bincount(indices, weights=rows[:, j], minlength=k)
+    return np.bincount(indices, minlength=k), sums
+
+
 def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Codebook:
     """Initialize codes as L2-normalized k-means centroids of the first batch.
 
@@ -117,8 +126,8 @@ def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Cod
     unit-row slots, whose columns each ``np.bincount`` then reads in place.
     ``KMEANS_ITERS`` Lloyd iterations, centroids seeded from distinct batch
     rows; each iteration assigns the rows in blocks of about
-    ``KMEANS_BLOCK_BYTES`` of similarities, sums every cluster's members by
-    one weighted ``np.bincount`` per column, and re-seeds empty clusters, in
+    ``KMEANS_BLOCK_BYTES`` of similarities, sums every cluster's members as
+    :func:`ema_update` does (``_code_sums``), and re-seeds empty clusters, in
     code order, from random batch rows. Deterministic given the seed.
     Mutates and returns ``codebook``.
     """
@@ -139,10 +148,7 @@ def kmeans_init(codebook: Codebook, unit_rows: np.ndarray, seed: int = 0) -> Cod
         # on the unit sphere, nearest-in-Euclidean == argmax cosine
         for lo, hi in blocks:
             np.argmax(pts[lo:hi] @ centroids.T, axis=1, out=assign[lo:hi])
-        counts = np.bincount(assign, minlength=k)
-        sums = np.empty((k, pts.shape[1]))
-        for j in range(pts.shape[1]):  # members added in row order, as their mean adds them
-            sums[:, j] = np.bincount(assign, weights=pts[:, j], minlength=k)
+        counts, sums = _code_sums(pts, assign, k)
         centroids = sums / np.maximum(counts, 1)[:, None]
         for i in np.flatnonzero(counts == 0):  # in ascending order: the same draws
             centroids[i] = pts[rng.integers(n)]
@@ -188,10 +194,7 @@ def ema_update(codebook: Codebook, unit_rows: np.ndarray, indices: np.ndarray,
         raise DomainError(f"decay must be in (0, 1), got {decay}")
     if unit_rows.shape[0] != indices.shape[0]:
         raise ShapeError("unit rows and code indices disagree on batch size")
-    k = codebook.n_codes
-    counts = np.bincount(indices, minlength=k).astype(np.float64)
-    # per-column bincount adds the rows in input order onto zeros, as np.add.at would
-    sums = np.stack([np.bincount(indices, weights=col, minlength=k) for col in unit_rows.T], axis=1)
+    counts, sums = _code_sums(unit_rows, indices, codebook.n_codes)
 
     codebook.ema_cluster_size = decay * codebook.ema_cluster_size + (1.0 - decay) * counts
     codebook.ema_embed_sum = decay * codebook.ema_embed_sum + (1.0 - decay) * sums

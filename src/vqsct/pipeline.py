@@ -90,12 +90,13 @@ def _check_planar(ckpt: Checkpoint, extents, what: str) -> None:
     ckpt.config.check_extents(extents, what)
 
 
-def _store(ckpt: Checkpoint, params, space: str, item, dest: np.ndarray) -> None:
-    """Run one slice or cube into ``dest``: its output cropped to ``dest.shape``,
-    mapped to HU in float64 and cast to ``dest``'s dtype as it is stored."""
+def _store(ckpt: Checkpoint, params, space: str, item, dest: np.ndarray) -> np.ndarray:
+    """Run one slice or cube into ``dest`` and return its output: cropped to
+    ``dest.shape``, it is mapped to HU in float64 and cast to ``dest``'s dtype."""
     pred = forward(ckpt, graph_input(ckpt.config, item, space), params).output.data[0]
     dest[...] = normalized_to_hu(pred[tuple(slice(n) for n in dest.shape)].astype(np.float64),
                                  space)
+    return pred
 
 
 def translate_slices(ckpt: Checkpoint, params, slices, out: np.ndarray) -> np.ndarray:
@@ -211,7 +212,9 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
 
     The cubes, in :func:`volume.extract_cubes` order, are one round of a
     pool of at most ``workers`` processes, sized for one cube's graph each;
-    each process walks the tiles once, up to its last claim.
+    each process walks the tiles once, up to its last claim, and holds its
+    last output across claims, so that glibc does not trim the heap that the
+    next cube's graph would then fault in again.
     """
     ckpt.config.check_rank(3, "reconstruct_cubes")
     space = value_space(ckpt)
@@ -221,11 +224,13 @@ def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
     out = shared_array(volume.dims, np.float32)
     taken = 0  # tiles this process has drawn; its claims come in ascending order
+    held = None  # this process's last cube output, kept below the next cube's graph
 
     def run(lo, hi):
-        nonlocal taken
+        nonlocal taken, held
         for cube, (ox, oy, oz) in islice(tiles, lo - taken, hi - taken):
-            _store(ckpt, params, space, cube, out[ox:ox + edge, oy:oy + edge, oz:oz + edge])
+            held = _store(ckpt, params, space, cube,
+                          out[ox:ox + edge, oy:oy + edge, oz:oz + edge])
         taken = hi
 
     with Pool(run, workers, prod(-(-n // edge) for n in volume.dims),

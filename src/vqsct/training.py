@@ -152,39 +152,6 @@ def _epoch_batches(n_items: int, batch_size: int, rng):
             yield perm[lo:lo + size]
 
 
-def _collect_level_rows(ckpt: Checkpoint, items, out=None) -> list[np.ndarray]:
-    """Quantizer unit rows per pyramid level over graph inputs (for k-means init).
-
-    One set of ``GRAPH_DTYPE`` leaves serves all the items, and each item
-    runs only the encoder and the quantizer levels. Each item's rows go
-    column by column to their place in one ``[dim, rows]`` float64 array
-    per level, the layout of :class:`_Step`'s unit-row slots: the leading
-    elements of the level's 1D buffer in ``out`` if given (the step's
-    slots, reused), else a new array. Returns the ``[rows, dim]`` transposed
-    views.
-    """
-    params = param_tensors(ckpt, GRAPH_DTYPE)
-    bounds = np.cumsum([[0] * len(ckpt.codebooks)]
-                       + [ckpt.config.level_rows(np.shape(item)[1:]) for item in items], axis=0)
-    if out is None:
-        out = [np.empty(rows * cb.dim) for rows, cb in zip(bounds[-1], ckpt.codebooks)]
-    level_columns = [flat[:rows * cb.dim].reshape(cb.dim, rows)
-                     for flat, rows, cb in zip(out, bounds[-1], ckpt.codebooks)]
-    for i, item in enumerate(items):
-        for j, (_, _, qres) in enumerate(encode(ckpt, item, params)):
-            level_columns[j][:, bounds[i, j]:bounds[i + 1, j]] = qres.unit_rows.T
-    return [columns.T for columns in level_columns]
-
-
-def _ensure_codebooks_initialized(ckpt: Checkpoint, items, seed: int, out=None) -> None:
-    if all(cb.initialized for cb in ckpt.codebooks):
-        return
-    level_rows = _collect_level_rows(ckpt, items, out)
-    for j, cb in enumerate(ckpt.codebooks):
-        if not cb.initialized:
-            kmeans_init(cb, level_rows[j], seed=seed + j)
-
-
 def _shared_copy(arr: np.ndarray) -> np.ndarray:
     """A copy of ``arr`` in :func:`workers.shared_array`."""
     out = shared_array(arr.shape, arr.dtype)
@@ -198,16 +165,16 @@ class _Step:
     The workers read the checkpoint itself, whose weights and codes
     :func:`_train_loop` keeps in shared memory (:func:`workers.shared_array`).
     Before each round the parent publishes in such arrays the batch's item
-    indices and augmentation elements and, when the codebooks train, each
+    indices and augmentation elements and, when the step has row slots, each
     item's offset into every level's rows. :meth:`run` runs batch items on
     any worker: it builds the ``GRAPH_DTYPE`` leaves and sub-pixel kernels
     once per round, and each item fills its own slots, its flattened
     gradient, loss and L1, and its unit rows and code indices at its offsets.
     The parent then folds the slots in item order. Each level's unit rows
     are stored column by column, as one ``[dim, rows]`` array in the leading
-    elements of its slot: :func:`_collect_level_rows` writes the first
-    batch's rows for k-means there, and the EMA update and code expiry read
-    a step's rows there, each through the ``[rows, dim]`` transposed view.
+    elements of its slot, which k-means (:meth:`initialize_codebooks`), the
+    EMA update and code expiry read through its ``[rows, dim]`` transposed
+    view; the slots exist when one of them will read them.
     """
 
     def __init__(self, ckpt: Checkpoint, sides, trainable, size: int, *, beta: float,
@@ -224,10 +191,13 @@ class _Step:
                                   GRAPH_DTYPE)
         self.losses = shared_array((size,), GRAPH_DTYPE)
         self.l1 = shared_array((size,), np.float64)
+        shapes = {np.shape(item) for item in sides[0]}
+        self.item_bytes = (max(map(math.prod, shapes)) * config.base_channels
+                           * _TRAIN_BYTES_PER_VOXEL_CHANNEL)
         self.bounds = self.columns = self.indices = None
-        if codebook_trainable:  # room for a batch of the items with the most rows
-            most = np.max([config.level_rows(shape)
-                           for shape in {np.shape(item) for item in sides[0]}], axis=0)
+        if codebook_trainable or not all(cb.initialized for cb in ckpt.codebooks):
+            # room for a batch of the items with the most rows
+            most = np.max([config.level_rows(shape) for shape in shapes], axis=0)
             self.bounds = shared_array((size + 1, len(ckpt.codebooks)), np.intp)
             self.columns = [shared_array((cb.dim * size * rows,), np.float64)
                             for cb, rows in zip(ckpt.codebooks, most)]
@@ -253,6 +223,30 @@ class _Step:
                 for columns, indices, cb, n
                 in zip(self.columns, self.indices, self.ckpt.codebooks, rows)]
 
+    def _keep(self, i: int, unit_rows, code_indices) -> None:
+        """Store item ``i``'s unit rows and code indices, per level, at its offsets."""
+        for j, ((columns, indices), rows, codes) in enumerate(
+                zip(self.levels(), unit_rows, code_indices)):
+            start, end = self.bounds[i, j], self.bounds[i + 1, j]
+            columns[:, start:end] = rows.T
+            indices[start:end] = codes.ravel()
+
+    def initialize_codebooks(self, batch, seed: int) -> None:
+        """k-means-initialize each uninitialized codebook (level ``j`` with seed
+        ``seed + j``) on ``batch``'s unaugmented encoder rows, in the step's slots."""
+        if all(cb.initialized for cb in self.ckpt.codebooks):
+            return
+        self.publish(batch, None)
+        params = param_tensors(self.ckpt, GRAPH_DTYPE)
+        for i, idx in enumerate(batch):
+            levels = encode(self.ckpt, graph_input(self.config, self.sides[0][idx], self.space),
+                            params)
+            self._keep(i, [qres.unit_rows for *_, qres in levels],
+                       [qres.indices for *_, qres in levels])
+        for j, (cb, (columns, _)) in enumerate(zip(self.ckpt.codebooks, self.levels())):
+            if not cb.initialized:
+                kmeans_init(cb, columns.T, seed=seed + j)
+
     def run(self, lo: int, hi: int) -> None:
         """Run the published batch's items ``[lo, hi)`` into their slots."""
         if self._built != self.round[0]:
@@ -262,7 +256,6 @@ class _Step:
         params = self._params
         wrt = {name: params[name] for name in self.trainable}
         weight = 1.0 / len(self.batch)
-        levels = self.levels() if self.bounds is not None else ()
         # looked up per call, so a function rebound in this module's namespace is the one run
         symmetry = apply_plane_symmetry if self.config.spatial_rank == 2 else apply_cube_symmetry
         for i in range(lo, hi):
@@ -278,10 +271,8 @@ class _Step:
                 dest[...] = item_grads[name]
             self.losses[i] = loss.data
             self.l1[i] = l1.data
-            for j, (columns, indices) in enumerate(levels):
-                start, end = self.bounds[i, j], self.bounds[i + 1, j]
-                columns[:, start:end] = res.unit_rows[j].T
-                indices[start:end] = res.code_indices[j].ravel()
+            if self.bounds is not None:
+                self._keep(i, res.unit_rows, res.code_indices)
             del res, l1, loss, item_grads  # free this item's graph before the next forward
 
     def fold(self):
@@ -332,7 +323,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     EMA update and code expiry, in place) runs here, so the bytes do not
     depend on ``workers`` (see :class:`_Step`). The callers check the options.
     """
-    config, space = ckpt.config, value_space(ckpt)
+    config = ckpt.config
     sides = (inputs,) if targets is None else (inputs, targets)
     n = len(inputs)
     data_rng = np.random.default_rng([seed, 0])
@@ -342,15 +333,9 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
 
     first_batch = next(batches)
     trainable = apply_freeze(ckpt, mask)
-    item_bytes = (max(np.size(item) for item in inputs) * config.base_channels
-                  * _TRAIN_BYTES_PER_VOXEL_CHANNEL)
-    # before k-means, whose rows reuse the step's unit-row slots, so that
-    # they add no memory to the loop's, at any worker count
     step = _Step(ckpt, sides, trainable, len(first_batch), beta=beta, augment=augment,
                  codebook_trainable=mask.codebook_trainable and steps > 0)
-    _ensure_codebooks_initialized(
-        ckpt, [graph_input(config, inputs[idx], space) for idx in first_batch], seed,
-        step.columns)
+    step.initialize_codebooks(first_batch, seed)
     # after k-means, which rebinds the codes: every later update is in place
     ckpt.params = {name: _shared_copy(arr) for name, arr in ckpt.params.items()}
     for cb in ckpt.codebooks:
@@ -362,7 +347,7 @@ def _train_loop(ckpt: Checkpoint, inputs, targets, steps: int, seed: int, *,
     symmetries = N_GRID_SYMMETRIES[config.spatial_rank]
     # a pool forked for one step costs about what it saves: the processes'
     # copy-on-write faults after the fork take about half a step
-    with Pool(step.run, workers if steps > 1 else 1, len(first_batch), item_bytes) as pool:
+    with Pool(step.run, workers if steps > 1 else 1, len(first_batch), step.item_bytes) as pool:
         batch = first_batch
         for _ in range(steps):
             elements = ([int(augment_rng.integers(symmetries)) for _ in batch]

@@ -428,6 +428,25 @@ def test_a_file_beside_out_that_is_a_directory_exits_2_before_any_read(
     assert sorted(os.listdir(tmp_path)) == sorted(["inputs", side])
 
 
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_every_file_written_beside_out_is_one_the_out_rule_checked(
+        work, tmp_path, monkeypatch, command):
+    # so that a new side file cannot skip the rule: it would be written here unchecked
+    checked, rule = [], cli._check_out
+
+    def recording(args):
+        rule(args)
+        checked.extend(os.path.basename(path) for path in cli._beside_out(args).values())
+
+    required, other = _replay_case(command, work, tmp_path)  # translate dumps its planes
+    (tmp_path / "run").mkdir()
+    monkeypatch.setattr(cli, "_check_out", recording)
+    assert main(["--threads", "1", command, *required, *other,
+                 "--out", str(tmp_path / "run" / "out.dat")]) == 0
+    assert "out.dat.config.json" in checked
+    assert sorted(os.listdir(tmp_path / "run")) == sorted(["out.dat", *checked])
+
+
 @pytest.mark.parametrize("under", [".", "sub", "sub/maps"], ids=["file", "under", "deeper"])
 def test_a_diff_dir_that_cannot_be_a_directory_exits_2_before_the_report(
         work, tmp_path, capsys, monkeypatch, under):

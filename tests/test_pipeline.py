@@ -1,7 +1,10 @@
 """Slicing, median fusion, tri-planar translation, and cube reconstruction."""
 
 import os
+import resource
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -19,7 +22,7 @@ from vqsct.model import (GRAPH_DTYPE, ModelConfig, build_model, param_tensors,
 from vqsct.pipeline import (PLANES, fuse_median, reconstruct_cubes, restack_slices,
                             slice_volume, translate_slices, translate_volume)
 from vqsct.training import pretrain_recon
-from vqsct.volume import HU_MAX, HU_MIN, SLAB, Volume, normalize
+from vqsct.volume import HU_MAX, HU_MIN, SLAB, Volume, normalize, write_volume
 
 
 def small_config(rank=2, **overrides):
@@ -453,6 +456,28 @@ def test_reconstruct_cubes_memory_is_bounded_by_a_few_inputs():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * vol.voxels.nbytes, peak / vol.voxels.nbytes
+
+
+def test_a_one_worker_reconstruct_command_keeps_its_heap(tmp_path):
+    # a fresh `vqsct --threads 1 reconstruct` of a 96^3 CT at edge 32 with
+    # perfbench's volumetric model: each cube's graph is built below the last
+    # cube's held output and reuses the heap (about 10.4k minor faults, 4.9k
+    # of them imports); with the output freed first, glibc trims the heap top
+    # and every cube faults its pages in again (about 66k). Smaller volumes or
+    # edges, or a warm call in this process, do not show the difference.
+    ckpt, ct, out = (str(tmp_path / name) for name in ("vol.vqck", "ct.mvol", "rec.mvol"))
+    model.save_checkpoint(build_model(ModelConfig(
+        spatial_rank=3, depth=2, base_channels=8, pyramid_levels=2, codebook_size=32,
+        codebook_dim=16)), ckpt)
+    write_volume(Volume(np.random.default_rng(16).uniform(HU_MIN, HU_MAX, (96, 96, 96)),
+                        (1, 1, 1), "HU", {}), ct)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, "-m", "vqsct.cli", "--threads", "1", "reconstruct",
+                    "--ckpt", ckpt, "--ct", ct, "--edge", "32", "--out", out],
+                   env=env, check=True, timeout=120)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert faults < 25_000, faults
 
 
 def test_reconstruct_cubes_validates_edge_and_rank():

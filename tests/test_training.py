@@ -163,33 +163,63 @@ def test_kmeans_init_builds_one_set_of_leaves_and_runs_no_decoder(monkeypatch):
     assert len(convs) == 16 * (config.depth + 2 * config.pyramid_levels)
 
 
-def test_kmeans_rows_are_the_full_forward_unit_rows():
-    ckpt = build_model(small_config(pyramid_levels=2))
-    rng = np.random.default_rng(4)
-    items = [rng.uniform(0, 1, (1, 16, 16)).astype(np.float32) for _ in range(5)]
-    batch = np.array([3, 0, 4])
-    level_rows = training._collect_level_rows(ckpt, [items[i] for i in batch])
-    assert len(level_rows) == 2
-    for j, rows in enumerate(level_rows):
-        want = np.concatenate([forward(ckpt, items[i]).unit_rows[j] for i in batch])
-        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
-
-
-def test_kmeans_rows_fill_the_step_slots_column_by_column():
+def _gathered_kmeans_rows(monkeypatch):
+    """A two-level step after its k-means pass on a batch of 16x16 slices, the
+    rows each level's ``kmeans_init`` read (it runs, so the codes are set),
+    and the rows of each level of the batch's forwards, in item order."""
     ckpt = build_model(small_config(pyramid_levels=2))
     rng = np.random.default_rng(4)
     slices = [rng.uniform(0, 1, (16, 16)).astype(np.float32) for _ in range(5)]
     batch = np.array([3, 0, 4])
-    step = training._Step(ckpt, (slices,), [], len(batch), beta=0.25, augment=False,
+    wants = [np.concatenate([forward(ckpt, slices[i][None]).unit_rows[j] for i in batch])
+             for j in range(2)]
+    read = []
+
+    def recording(cb, unit_rows, seed=0):
+        read.append(unit_rows)
+        return kmeans_init(cb, unit_rows, seed=seed)
+
+    monkeypatch.setattr(training, "kmeans_init", recording)
+    step = training._Step(ckpt, (slices,), [], len(batch), beta=0.25, augment=True,
                           codebook_trainable=True)
-    level_rows = training._collect_level_rows(ckpt, [slices[i][None] for i in batch],
-                                              step.columns)
-    step.publish(batch, None)  # the layout a step's EMA update reads
-    for j, (rows, (columns, _)) in enumerate(zip(level_rows, step.levels())):
-        want = np.concatenate([forward(ckpt, slices[i][None]).unit_rows[j] for i in batch])
+    step.elements[...] = 1  # an augmenting step's flips, which k-means' rows must not see
+    step.initialize_codebooks(batch, seed=0)
+    return step, read, wants
+
+
+def test_kmeans_rows_are_the_full_forward_unit_rows(monkeypatch):
+    _, level_rows, wants = _gathered_kmeans_rows(monkeypatch)
+    assert len(level_rows) == 2
+    for rows, want in zip(level_rows, wants):
+        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
+
+def test_kmeans_rows_fill_the_step_slots_column_by_column(monkeypatch):
+    step, level_rows, wants = _gathered_kmeans_rows(monkeypatch)
+    # the layout a step's EMA update reads
+    for j, (rows, (columns, _), want) in enumerate(zip(level_rows, step.levels(), wants)):
         assert rows.tobytes() == want.tobytes()
         assert np.shares_memory(rows, step.columns[j])
         assert columns.T.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("levels,batch_size", [(1, 8), (2, 5)])
+def test_kmeans_without_an_ema_step_equals_kmeans_on_the_forward_rows(levels, batch_size):
+    # steps=0: the codes are k-means' alone, on the first batch's forward rows
+    config = small_config(pyramid_levels=levels)
+    vols = texture_volumes(2, dims=(16, 16, 16))
+    seed = 7
+    codes = [cb.codes for cb in
+             pretrain_recon(config, vols, steps=0, seed=seed, batch_size=batch_size)
+             .checkpoint.codebooks]
+    oracle = build_model(config)
+    slices = [np.asarray(vol.voxels, GRAPH_DTYPE)[:, :, z] for vol in vols
+              for z in range(vol.dims[2])]
+    first = next(training._epoch_batches(len(slices), batch_size,
+                                         np.random.default_rng([seed, 0])))
+    for j, cb in enumerate(oracle.codebooks):
+        rows = np.concatenate([forward(oracle, slices[i][None]).unit_rows[j] for i in first])
+        assert codes[j].tobytes() == kmeans_init(cb, rows, seed=seed + j).codes.tobytes()
 
 
 def test_each_step_collapses_each_decoder_weight_once(monkeypatch):
