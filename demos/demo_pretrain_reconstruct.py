@@ -43,7 +43,7 @@ print(f"\ncheckpoint provenance: {ckpt.provenance}"
 
 # Run the tri-planar path on the first training volume: slice along each
 # plane, translate every slice, restack, and fuse by voxelwise median.
-out = translate_volume(ckpt, normed[0])
+out = translate_volume(ckpt, normed[0], dump_planes=True)
 target = np.clip(volumes[0].voxels, HU_MIN, HU_MAX)
 print("\nper-plane and fused MAE against the original (HU):")
 for name in ("axial", "coronal", "sagittal", "fused"):

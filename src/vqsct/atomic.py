@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import secrets
 import struct
 
 from .errors import FormatError
@@ -39,7 +38,7 @@ def atomic_open(path, mode: str = "w", **kwargs):
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:

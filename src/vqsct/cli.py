@@ -465,7 +465,7 @@ def _cmd_translate(args) -> None:
     ckpt.config.check_rank(2, "tri-planar translation")  # before the volume is read
     space = value_space(ckpt)
     volume = normalize(_read_space(args.pet, "--pet", _SOURCE_SPACE[space]), space)
-    result = translate_volume(ckpt, volume, args.threads)
+    result = translate_volume(ckpt, volume, args.threads, dump_planes=args.dump_planes)
     write_volume(result.fused, args.out)
     if args.dump_planes:
         paths = _beside_out(args)

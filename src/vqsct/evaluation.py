@@ -157,16 +157,20 @@ def _check_aligned(pred, gt, mask=None):
 
 
 def _masked_diff(p: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``p[m] - g[m]`` in float64."""
-    return np.subtract(p[m], g[m], dtype=np.float64)
+    """``p[m] - g[m]`` in one float64 buffer, which :func:`_mae` and
+    :func:`_psnr` then overwrite."""
+    d = p[m].astype(np.float64, copy=False)  # p[m] is a copy already
+    return np.subtract(d, g[m], out=d)
 
 
 def _mae(d: np.ndarray) -> float:
-    return float(np.abs(d).mean())
+    """Mean of ``|d|``, left in ``d``."""
+    return float(np.abs(d, out=d).mean())
 
 
 def _psnr(d: np.ndarray, peak: float = PSNR_PEAK) -> float:
-    mse = float((d ** 2).mean())
+    """PSNR of the difference ``d`` (or ``|d|``), whose squares are left in ``d``."""
+    mse = float(np.square(d, out=d).mean())
     if mse == 0.0:
         return float("inf")
     return float(10.0 * np.log10(peak * peak / mse))
@@ -447,10 +451,10 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
     gt.check_space("HU", "the true volume")
     if pred.dims != gt.dims:
         raise ShapeError(f"volume dims differ: {pred.dims} vs {gt.dims}")
+    _check_window(gt.dims)
     p, g = pred.voxels, gt.voxels
     nx, ny, nz = gt.dims
     slabs = -(-nz // SLAB)
-    fits = min(nx, ny) >= _SSIM_WINDOW  # else the SSIM check below raises
     masks = {region: shared_array(gt.dims, bool) for region in REGIONS}
     sums = shared_array((len(REGIONS), nz), np.float64)
     # per slab and region: SSIM centers, then |derived|, |truth|, |derived & truth|
@@ -465,9 +469,8 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
                 masks[region][:, :, zs] = own[region]
                 counts[k, :, i] = (np.count_nonzero(_centers(own[region])),
                                    *_overlap(derived[region], own[region]))
-            if fits:
-                _ssim_slab(p[:, :, zs], g[:, :, zs],
-                           [_centers(own[region]) for region in REGIONS], sums[:, zs])
+            _ssim_slab(p[:, :, zs], g[:, :, zs],
+                       [_centers(own[region]) for region in REGIONS], sums[:, zs])
 
     with Pool(run, workers, slabs, nx * ny * SLAB * _SLAB_BYTES_PER_VOXEL) as pool:
         pool.round()
@@ -478,7 +481,6 @@ def evaluate_case(pred: Volume, gt: Volume, case_id: str = "case",
         d = _masked_diff(*_check_aligned(pred, gt, masks[region]))
         values["mae"].append(_mae(d))
         values["psnr"].append(_psnr(d))
-    _check_window(gt.dims)
     centers, *overlaps = counts.sum(axis=0).tolist()
     values["ssim"] = _slice_order_means(sums, centers)
     values["dsc"] = [_dice(*sizes) for sizes in zip(*overlaps)]

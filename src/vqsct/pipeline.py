@@ -1,16 +1,20 @@
 """Volume-level inference: tri-planar slicing plus fusion, and cube tiling.
 
 The 2D path slices a normalized volume along each anatomical plane, runs
-every slice through a 2D checkpoint, reassembles three candidate volumes,
-and fuses them by voxelwise median (:func:`fuse_median`). The 3D path
-tiles the volume into cubes, reconstructs each, and writes each output
-into its place.
+every slice through a 2D checkpoint, reassembles the candidate volumes,
+and fuses them by voxelwise median (:func:`fuse_median`). It holds the
+axial and coronal volumes whole and fuses each slab of sagittal slices
+into the axial volume as soon as the slab is translated, so its working
+memory is two float32 volumes beside the input, unless the caller keeps
+all three planes (:func:`translate_volume`). The 3D path tiles the volume
+into cubes, reconstructs each, and writes each output into its place.
 ``model.graph_input`` prepares every slice and cube for the graph, and
 :func:`_store` puts each output in its place. All outputs are in HU.
 
-:func:`translate_volume` and :func:`reconstruct_cubes` run their slices or
-cubes as one round of a :class:`workers.Pool` of at most ``workers``
-processes, and every process writes straight into one shared output
+:func:`reconstruct_cubes` runs its cubes as one round of a
+:class:`workers.Pool` of at most ``workers`` processes, and
+:func:`translate_volume` its slices as two rounds (the sagittal slices
+last); every process writes straight into one shared output
 (:func:`workers.shared_array`). Each slice or cube runs the same code in
 whichever process takes it, so the outputs are byte-identical at any
 worker count.
@@ -60,11 +64,12 @@ PLANE_AXIS = {"axial": 2, "coronal": 1, "sagittal": 0}
 
 @dataclass
 class TriplanarResult:
-    """Per-plane reconstructions and their voxelwise median, all in HU."""
+    """Per-plane reconstructions and their voxelwise median, all in HU; the
+    planes are None unless :func:`translate_volume` was asked to keep them."""
 
-    axial: Volume
-    coronal: Volume
-    sagittal: Volume
+    axial: Volume | None
+    coronal: Volume | None
+    sagittal: Volume | None
     fused: Volume
 
 
@@ -126,9 +131,11 @@ def _median_slabs(planes, out: np.ndarray) -> np.ndarray:
 
     The median of ``a, b, c`` is ``max(min(a, b), min(max(a, b), c))``, one
     of its three values, taken per slab of ``SLAB`` x-planes so no
-    whole-volume temporary is made. ``np.median`` gives +0.0 for any three
-    zeros, also ``-0.0`` ones, and adding ``0.0`` gives the same, so the
-    bytes are those of ``np.median`` over the whole stack. A cast is
+    whole-volume temporary is made; ``out`` may be ``planes[0]``, since a
+    slab's temporaries are made before the slab is written. ``np.median``
+    gives +0.0 for any three zeros, also ``-0.0`` ones, and adding ``0.0``
+    gives the same, so the bytes are those of ``np.median`` over the whole
+    stack. A cast is
     monotone, so float32 planes give the float32 cast of their float64
     median, unless a nonzero float64 value flushes to a float32 zero; HU
     values never do.
@@ -156,47 +163,63 @@ def fuse_median(a: Volume, b: Volume, c: Volume) -> Volume:
     return Volume(fused, a.spacing_mm, a.intensity_space, dict(a.meta))
 
 
-def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1) -> TriplanarResult:
+def translate_volume(ckpt: Checkpoint, volume: Volume, workers: int = 1, *,
+                     dump_planes: bool = False) -> TriplanarResult:
     """Tri-planar translation: slice, translate, restack per plane, fuse.
 
     The input must already be normalized into the checkpoint's value space
     (sym11 for fine-tuned translation models, unit01 for pretrained
-    reconstruction models); the four returned volumes are HU.
+    reconstruction models); the returned volumes are HU.
 
     Each plane's slices are views of the input, and each translated slice
-    is mapped to HU in float64 and stored in its place in one float32
-    ``[3, *dims]`` array, the dtype the volumes are written in; the three
-    plane volumes are views of that array. The fused volume is their
-    :func:`fuse_median`, a float32 voxelwise median taken one slab at a time;
-    it equals the float32 cast of the float64 median.
-    Besides the input, the working memory is about four volumes of float32.
+    is mapped to HU in float64 and stored in its place in a float32 plane
+    volume, the dtype the volumes are written in. The fused volume is the
+    planes' voxelwise median, taken by :func:`_median_slabs` as
+    :func:`fuse_median` takes it, so it equals the float32 cast of the
+    float64 median.
 
-    The slices (axial, then coronal, then sagittal) are one round of a pool
-    of at most ``workers`` processes, sized for one largest slice's graph
-    each; each claimed run of a plane's slices goes through
-    :func:`translate_slices` over leaves built once, before the fork.
+    The axial and coronal slices are one round of a pool of at most
+    ``workers`` processes, sized for one largest slice's graph each, into a
+    shared ``[2, *dims]`` stack. The sagittal slices are the pool's second
+    round: each ``SLAB`` of them is translated into a small temporary and
+    fused at once into its x-rows of the axial plane, which so becomes the
+    fused volume. Besides the input, the working memory is about two float32
+    volumes, and the result's planes are None. With ``dump_planes`` (the
+    CLI's ``--dump-planes``) the stack holds all three planes, which the
+    result returns, and the median goes into a fused volume of its own: four
+    volumes. Each claimed run of slices goes through :func:`translate_slices`
+    over leaves built once, before the fork.
     """
     volume.check_space(value_space(ckpt), "the volume to translate")
     # every axis lies in the slice plane of two of the three planes
     _check_planar(ckpt, volume.dims, "the volume's slices")
-    axes = [_plane_axis(plane) for plane in PLANES]
+    _, ny, nz = volume.dims
     largest = prod(sorted(volume.dims)[1:])  # voxels of the largest slice
-    stack = shared_array((len(PLANES),) + volume.dims, np.float32)
+    stack = shared_array((len(PLANES) if dump_planes else 2,) + volume.dims, np.float32)
+    fused = shared_array(volume.dims, np.float32) if dump_planes else stack[0]
     runs = [(np.moveaxis(volume.voxels, axis, 0), np.moveaxis(out, axis, 0))
-            for axis, out in zip(axes, stack)]
+            for axis, out in zip((PLANE_AXIS["axial"], PLANE_AXIS["coronal"]), stack)]
     params = with_sub_pixel_kernels(ckpt, param_tensors(ckpt, GRAPH_DTYPE))
 
-    def run(lo, hi):  # the tasks [lo, hi) of the slices of all planes, in order
+    def run(lo, hi):  # the tasks [lo, hi): axial, coronal, then sagittal slices
         for slices, out in runs:
             if lo < len(slices) and hi > 0:
                 translate_slices(ckpt, params, slices[max(lo, 0):hi], out[max(lo, 0):hi])
             lo, hi = lo - len(slices), hi - len(slices)
+        for x in range(max(lo, 0), hi, SLAB):  # sagittal slices are x-rows
+            rows = slice(x, min(x + SLAB, hi))
+            sagittal = (stack[2][rows] if dump_planes
+                        else np.empty((rows.stop - x, ny, nz), np.float32))
+            translate_slices(ckpt, params, volume.voxels[rows], sagittal)
+            _median_slabs((stack[0][rows], stack[1][rows], sagittal), fused[rows])
 
     with Pool(run, workers, sum(volume.dims),
               largest * ckpt.config.base_channels * _FORWARD_BYTES_PER_VOXEL_CHANNEL) as pool:
-        pool.round()
-    planes = [Volume(v, volume.spacing_mm, "HU") for v in stack]
-    return TriplanarResult(*planes, fuse_median(*planes))
+        pool.round(0, nz + ny)
+        pool.round(nz + ny)
+    if not dump_planes:
+        return TriplanarResult(None, None, None, Volume(fused, volume.spacing_mm, "HU"))
+    return TriplanarResult(*(Volume(v, volume.spacing_mm, "HU") for v in (*stack, fused)))
 
 
 def reconstruct_cubes(ckpt: Checkpoint, volume: Volume, edge: int = 64,

@@ -3,8 +3,9 @@
 A :class:`Pool` is the calling process plus children forked when the pool
 opens, which live until it closes; it sizes itself (:func:`pool_size`) from
 its caller's ``workers``, task count and bytes per task. Each
-:meth:`Pool.round` runs ``run(lo, hi)`` over the pool's tasks ``[0, tasks)``:
-the tasks are cut into contiguous claims, and every process takes the next
+:meth:`Pool.round` runs ``run(lo, hi)`` over the pool's tasks ``[0, tasks)``,
+or over a sub-range of them: the round's tasks are cut into contiguous
+claims, and every process takes the next
 claim from one shared queue (a pipe) until it takes one of the round's end
 tokens, so a process that the OS runs slower takes fewer claims. The
 children inherit ``run`` and its inputs through the fork (nothing is
@@ -12,7 +13,8 @@ pickled on the way in); what changes between rounds, and what they write,
 is in arrays of :func:`shared_array`, which every process maps, or in
 files. Every caller runs ``with Pool(run, workers, tasks, task_bytes) as
 pool: pool.round()``: ``vqsct phantom`` one round over its cases, inference
-one over its slices or cubes, evaluation one over a case's axial slabs, and
+one over its cubes and translation two over its slices (the sagittal
+slices after the rest), evaluation one over a case's axial slabs, and
 training one per step over its items.
 
 A round raises the error of its earliest failed claim, which is the error
@@ -26,7 +28,8 @@ closed by an exception SIGKILLs its children first; either way it reaps
 them all. A pool of one process (at most one worker or task, or a platform
 or caller where forking is unsafe: not Linux, no ``os.fork``, or another
 live Python thread) forks nothing, and each round is ``run(0, tasks)`` in
-the calling process: the same code over the same tasks.
+the calling process (or ``run(lo, hi)`` for a sub-range): the same code
+over the same tasks.
 """
 
 from __future__ import annotations
@@ -89,12 +92,12 @@ def pool_size(tasks: int, workers: int, task_bytes: int) -> int:
     return max(1, size if free is None else min(size, free // task_bytes))
 
 
-def _claims(tasks: int, workers: int) -> list:
+def _claims(tasks: int, workers: int, first: int = 0) -> list:
     """Contiguous ``[lo, hi)`` runs of about equal task counts covering the
-    tasks in order: one per task, but at most ``_CLAIMS_PER_WORKER`` per
-    worker and ``_MAX_CLAIMS`` in all."""
+    tasks ``[first, first + tasks)`` in order: one per task, but at most
+    ``_CLAIMS_PER_WORKER`` per worker and ``_MAX_CLAIMS`` in all."""
     n = min(tasks, _CLAIMS_PER_WORKER * workers, _MAX_CLAIMS)
-    return [(tasks * k // n, tasks * (k + 1) // n) for k in range(n)]
+    return [(first + tasks * k // n, first + tasks * (k + 1) // n) for k in range(n)]
 
 
 def shared_array(shape, dtype) -> np.ndarray:
@@ -229,17 +232,19 @@ class Pool:
         self._starts[pid] = start_write
         return pid, report_read
 
-    def round(self) -> None:
-        """Run ``run`` over the pool's tasks; raise the earliest failure.
+    def round(self, lo: int = 0, hi: int | None = None) -> None:
+        """Run ``run`` over the pool's tasks ``[lo, hi)``, all of them by
+        default; raise the earliest failure.
 
         Every process stops at its first end token, and every child has
         reported on the round when this returns. After a round that raised,
         close the pool: it runs no further round.
         """
+        hi = self._tasks if hi is None else hi
         if self._workers == 1:
-            self._run(0, self._tasks)
+            self._run(lo, hi)
             return
-        claims = _claims(self._tasks, self._workers)
+        claims = _claims(hi - lo, self._workers, lo)
         self._stop[0] = 0
         os.write(self._feed, b"".join(lo.to_bytes(_HALF, "little") + hi.to_bytes(_HALF, "little")
                                       for lo, hi in claims) + _END * self._workers)

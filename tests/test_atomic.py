@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -85,6 +87,19 @@ def test_failed_write_leaves_old_file_or_none(tmp_path, monkeypatch, kind):
     write(path, 1)
     assert os.listdir(tmp_path) == ["artifact"]
     assert path.read_bytes() != old
+
+
+def test_no_vqsct_module_loads_hashlib():
+    # in a fresh interpreter: the secrets module, for one, loads hashlib and
+    # OpenSSL (about 3.6 MB of RSS in every command) for its token_hex
+    code = ("import sys, vqsct\n"
+            "for name in vqsct._SUBMODULES: getattr(vqsct, name)\n"
+            "print(*sorted({'hashlib', '_hashlib', 'hmac', 'secrets'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_atomic_open_keeps_the_permissions_open_gives(tmp_path):

@@ -653,11 +653,29 @@ def _border_body():
     (_border_body(), 300.0, "mask contains no full-window centers"),
     (_soft_and_bone((20, 21, 19)), math.nan, "bone threshold must be finite, got nan")])
 def test_evaluate_case_raises_the_errors_of_one_whole_volume_pass(gt, bone, message, workers):
-    # the first of: a slab's bone threshold, an empty truth mask (MAE), the
-    # SSIM window, and a mask without window centers
+    # the first of: the SSIM window, a slab's bone threshold, an empty truth
+    # mask (MAE), and a mask without window centers
     with pytest.raises(DomainError, match=f"^{message}"):
         evaluate_case(hu_volume(gt + 3.0), hu_volume(gt), bone_threshold_hu=bone,
                       workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_volume_narrower_than_the_ssim_window_runs_no_slab(monkeypatch, forks, workers):
+    # the window is checked before the round: no contour is built, no
+    # process forked, also where every mask would be empty or the bone
+    # threshold is not finite
+    def no_slab(*args, **kwargs):
+        raise AssertionError("a slab ran")
+
+    monkeypatch.setattr(evaluation, "region_masks", no_slab)
+    for gt, bone in [(_soft_and_bone((10, 60, 40)), 300.0),
+                     (np.full((40, 10, 16), -1000.0), 300.0),
+                     (_soft_and_bone((10, 10, 9)), math.nan)]:
+        with pytest.raises(DomainError, match=r"^in-plane extents \(\d+, \d+\) are smaller"):
+            evaluate_case(hu_volume(gt + 3.0), hu_volume(gt), bone_threshold_hu=bone,
+                          workers=workers)
+    assert forks == []
 
 
 @pytest.mark.parametrize("n", [48, 96])

@@ -174,20 +174,44 @@ def test_median_of_three_by_min_max_is_np_median(dtype):
 
 
 def test_fuse_median_and_translate_volume_share_the_slab_median(monkeypatch):
-    calls = []
-    real = pipeline._median_slabs
+    # every fused x-row is written by one _median_slabs call, of at most SLAB
+    # rows, in whichever process fuses it: the calls count the rows of the
+    # fused array they write in shared memory. Without dump_planes the fused
+    # rows are the axial plane's, the first of the three planes.
+    fused, shapes = [], []
+    real_array, real_median = pipeline.shared_array, pipeline._median_slabs
+
+    def recording_array(shape, dtype):  # the fused array is the last one made
+        fused[:] = [real_array(shape, dtype)]
+        return fused[0]
 
     def counting(planes, out):
-        calls.append(out.shape)
-        return real(planes, out)
+        if fused:
+            base = fused[0] if fused[0].ndim == 3 else fused[0][0]
+            assert out.shape[0] <= SLAB and np.shares_memory(out, base)
+            x = (out.ctypes.data - base.ctypes.data) // base.strides[0]
+            rows[x:x + out.shape[0]] += 1
+            assert fused[0].ndim == 3 or out.ctypes.data == planes[0].ctypes.data
+        else:
+            shapes.append(out.shape)
+        return real_median(planes, out)
 
+    monkeypatch.setattr(pipeline, "shared_array", recording_array)
     monkeypatch.setattr(pipeline, "_median_slabs", counting)
     rng = np.random.default_rng(16)
     vols = [Volume(rng.uniform(0, 1, (9, 4, 3)), (1, 1, 1), "HU", {}) for _ in range(3)]
     fuse_median(*vols)
-    translate_volume(trained_2d(steps=0),
-                     Volume(rng.uniform(0, 1, (8, 6, 5)), (1, 1, 1), "unit01", {}))
-    assert calls == [(9, 4, 3), (8, 6, 5)]
+    assert shapes == [(9, 4, 3)]
+    ckpt, nx = trained_2d(steps=0), 3 * SLAB + 5
+    vol = Volume(rng.uniform(0, 1, (nx, 6, 5)), (1, 1, 1), "unit01", {})
+    rows = worker_pool.shared_array((nx,), np.int64)
+    for workers in (1, 2):
+        for dump_planes in (False, True):
+            rows[...] = 0
+            translate_volume(ckpt, vol, workers, dump_planes=dump_planes)
+            assert rows.tolist() == [1] * nx, (workers, dump_planes)
+            fused.clear()
+    assert shapes == [(9, 4, 3)]
 
 
 def test_fuse_median_validates_alignment():
@@ -281,7 +305,10 @@ def test_translate_volume_self_reconstruction_quality():
     assert result.fused.intensity_space == "HU"
     assert fused_err < 180.0
     assert fused_err < 0.6 * mean_err
-    for plane_vol in (result.axial, result.coronal, result.sagittal):
+    assert result.axial is result.coronal is result.sagittal is None
+    kept = translate_volume(ckpt, normed, dump_planes=True)
+    assert kept.fused.voxels.tobytes() == result.fused.voxels.tobytes()
+    for plane_vol in (kept.axial, kept.coronal, kept.sagittal):
         assert plane_vol.dims == vol.dims
         assert np.abs(plane_vol.voxels - clamped).mean() < 230.0
 
@@ -290,39 +317,74 @@ def test_translate_volume_fused_is_per_voxel_median():
     ckpt = trained_2d(steps=20)
     rng = np.random.default_rng(8)
     vol = Volume(rng.uniform(0, 1, (12, 12, 12)), (1, 1, 1), "unit01", {})
-    result = translate_volume(ckpt, vol)
+    result = translate_volume(ckpt, vol, dump_planes=True)
     stack = np.stack([result.axial.voxels, result.coronal.voxels,
                       result.sagittal.voxels])
     assert np.array_equal(result.fused.voxels, np.median(stack, axis=0))
+    assert np.array_equal(translate_volume(ckpt, vol).fused.voxels, result.fused.voxels)
 
 
-def test_translate_volume_matches_the_per_plane_path_bytes():
+@pytest.mark.parametrize("dims", [(40, 40, 40), (110, 90, 74), (102, 86, 94)])
+def test_translate_volume_matches_the_per_plane_path_bytes(dims):
     # the planes stacked in place, and their median, against restacked
     # float64 per-plane volumes and fuse_median: each output is float32 and
-    # equals the float32 cast of its float64 oracle
+    # equals the float32 cast of its float64 oracle, at 1 and 2 workers, with
+    # the planes kept or with each slab of sagittal slices fused as it comes
     ckpt = trained_2d(steps=5)
-    vol = Volume(np.random.default_rng(9).uniform(0, 1, (12, 10, 9)), (1, 1, 2), "unit01", {})
-    result = translate_volume(ckpt, vol)
+    vol = Volume(np.random.default_rng(9).uniform(0, 1, dims).astype(np.float32), (1, 1, 2),
+                 "unit01", {})
     params = leaves(ckpt)
     planes = []
     for plane in PLANES:
         slices = slice_volume(vol, plane)
         hu = translate_slices(ckpt, params, slices, np.empty((len(slices),) + slices[0].shape))
         planes.append(Volume(restack_slices(hu, plane), vol.spacing_mm, "HU"))
-    for got, want in zip((result.axial, result.coronal, result.sagittal), planes):
-        assert want.voxels.dtype == np.float64 and got.voxels.dtype == np.float32
-        assert got.voxels.tobytes() == want.voxels.astype(np.float32).tobytes()
-        assert got.spacing_mm == want.spacing_mm and got.intensity_space == "HU"
     fused = fuse_median(*planes)
-    assert fused.voxels.dtype == np.float64 and result.fused.voxels.dtype == np.float32
-    assert result.fused.voxels.tobytes() == fused.voxels.astype(np.float32).tobytes()
-    assert result.fused.spacing_mm == fused.spacing_mm and result.fused.meta == fused.meta
+    assert fused.voxels.dtype == np.float64
+    for workers in (1, 2):
+        kept = translate_volume(ckpt, vol, workers, dump_planes=True)
+        for got, want in zip((kept.axial, kept.coronal, kept.sagittal), planes):
+            assert want.voxels.dtype == np.float64 and got.voxels.dtype == np.float32
+            assert got.voxels.tobytes() == want.voxels.astype(np.float32).tobytes()
+            assert got.spacing_mm == want.spacing_mm and got.intensity_space == "HU"
+        for result in (kept, translate_volume(ckpt, vol, workers)):
+            assert result.fused.voxels.dtype == np.float32
+            assert result.fused.voxels.tobytes() == fused.voxels.astype(np.float32).tobytes()
+            assert result.fused.spacing_mm == fused.spacing_mm
+            assert result.fused.meta == fused.meta and result.fused.intensity_space == "HU"
+
+
+@pytest.mark.parametrize("dump_planes", [False, True])
+def test_translate_volume_shares_two_planes_or_three_and_a_fused_volume(monkeypatch,
+                                                                       dump_planes):
+    # the shared arrays made during the call: the axial and coronal planes,
+    # the first of which becomes the fused volume; with dump_planes all three
+    # planes and a fused volume of its own
+    made = []
+    real = pipeline.shared_array
+
+    def recording(shape, dtype):
+        made.append(real(shape, dtype))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline, "shared_array", recording)
+    dims = (21, 13, 10)
+    vol = Volume(np.random.default_rng(10).uniform(0, 1, dims).astype(np.float32), (1, 1, 1),
+                 "unit01", {})
+    result = translate_volume(trained_2d(steps=0), vol, 2, dump_planes=dump_planes)
+    assert all(a.dtype == np.float32 for a in made)
+    volume_bytes = 4 * np.prod(dims)
+    assert sum(a.nbytes for a in made) == (4 if dump_planes else 2) * volume_bytes
+    assert [a.shape for a in made] == ([(3, *dims), dims] if dump_planes else [(2, *dims)])
+    assert result.fused.voxels.ctypes.data == made[-1].ctypes.data
 
 
 def test_translate_volume_peak_memory_is_at_most_five_input_volumes():
-    # a 96^3 input: its float64 bytes against the traced peak (about 4.5x: the
-    # [3, *dims] stack and the fused volume; 8.1x with a copy of each plane's
-    # slices, a list of its HU slices and median's copy of the whole stack)
+    # a 96^3 input: its float64 bytes against the traced peak (about 0.28x:
+    # one slab's sagittal slices and median temporaries, beside each slice's
+    # graph; 0.64x with a heap copy of the fused volume, 8.1x with a copy of
+    # each plane's slices, a list of its HU slices and median's copy of the
+    # whole stack). The planes are shared mmaps, which tracing does not see.
     ckpt = trained_2d(steps=0)
     vol = Volume(np.random.default_rng(12).uniform(0, 1, (96, 96, 96)), (1, 1, 1),
                  "unit01", {})
@@ -336,22 +398,42 @@ def test_translate_volume_peak_memory_is_at_most_five_input_volumes():
 
 
 def test_translate_volume_holds_float32_planes_and_fused_volume():
-    # a float32 input, as normalize gives it for a read volume: the [3, *dims]
-    # stack and the fused volume are float32 (about 2.3x the input's float64
-    # bytes; 4.5x when both were float64)
+    # a float32 input, as normalize gives it for a read volume: the planes and
+    # the fused volume are float32, in shared mmaps that tracing does not see
+    # (the traced peak is about 0.23x the input's float64 bytes with the
+    # planes kept; 2.3x when the stack and fused volume were float64 heap arrays)
     ckpt = trained_2d(steps=0)
     vol = Volume(np.random.default_rng(19).uniform(0, 1, (96, 96, 96)).astype(np.float32),
                  (1, 1, 1), "unit01", {})
     float64_bytes = 2 * vol.voxels.nbytes
     tracemalloc.start()
     try:
-        result = translate_volume(ckpt, vol)
+        result = translate_volume(ckpt, vol, dump_planes=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(v.voxels.dtype == np.float32 for v in
                (result.axial, result.coronal, result.sagittal, result.fused))
+    assert translate_volume(ckpt, vol).fused.voxels.dtype == np.float32
     assert peak <= 3 * float64_bytes, peak / float64_bytes
+
+
+def test_a_one_worker_translate_fuses_one_slab_at_a_time():
+    # at one worker the sagittal round is one claim of every x-row: the
+    # traced peak (about 0.53x one float32 volume of 96^3, 1.3x with a heap
+    # copy of the fused volume) stays below one volume only if the sagittal
+    # slices and the median's temporaries are made one SLAB of rows at a
+    # time (a whole-claim fusion holds about 4 volumes)
+    ckpt = trained_2d(steps=0)
+    vol = Volume(np.random.default_rng(21).uniform(0, 1, (96, 96, 96)).astype(np.float32),
+                 (1, 1, 1), "unit01", {})
+    tracemalloc.start()
+    try:
+        translate_volume(ckpt, vol, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * vol.voxels.nbytes, peak / vol.voxels.nbytes
 
 
 def test_translate_volume_collapses_each_decoder_weight_once(monkeypatch):
@@ -519,9 +601,12 @@ def forks(monkeypatch):
     return calls
 
 
-def _translated_bytes(result):
-    return [v.voxels.tobytes() for v in (result.axial, result.coronal, result.sagittal,
-                                         result.fused)]
+def _translated_bytes(ckpt, vol, workers=1):
+    """The fused volume's bytes, then those of the three planes and the fused
+    volume that ``dump_planes`` keeps: two calls, so two pools."""
+    kept = translate_volume(ckpt, vol, workers, dump_planes=True)
+    return [translate_volume(ckpt, vol, workers).fused.voxels.tobytes()] + [
+        v.voxels.tobytes() for v in (kept.axial, kept.coronal, kept.sagittal, kept.fused)]
 
 
 @pytest.mark.parametrize("tasks", [1, 2, 7, 60, 165, 5000])
@@ -579,6 +664,25 @@ def test_a_pool_of_no_tasks_forks_nothing_and_its_round_returns(forks):
     assert ran == [(0, 0)] and forks == []
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_round_runs_a_sub_range_of_the_pool_tasks(forks, workers):
+    # two rounds of one pool, over the tasks [0, 7) and [7, 20): each task
+    # runs once, in its own round, and the pool forks once for both
+    hits = worker_pool.shared_array((2, 20), np.int64)
+    hits[...] = 0
+    current = worker_pool.shared_array((1,), np.int64)
+
+    def run(lo, hi):
+        hits[current[0], lo:hi] += 1
+
+    with worker_pool.Pool(run, workers, 20, 1) as pool:
+        for k, bounds in enumerate([(0, 7), (7,)]):  # the second up to the pool's end
+            current[0] = k
+            pool.round(*bounds)
+    assert hits.tolist() == [[1] * 7 + [0] * 13, [0] * 7 + [1] * 13]
+    assert len(forks) == workers - 1 and _no_child_left()
+
+
 def test_no_tasks_fork_nothing(forks):
     # a volume with a zero extent has no cubes: nothing forks, as at one worker
     vol = Volume(np.zeros((0, 8, 8)), (1, 1, 1), "unit01", {})
@@ -589,17 +693,18 @@ def test_no_tasks_fork_nothing(forks):
 @pytest.mark.parametrize("dims,many", [((96, 96, 96), None), ((70, 45, 50), None),
                                        ((8, 8, 8), 25)])
 def test_translate_volume_bytes_do_not_depend_on_workers(forks, dims, many):
-    # all four volumes at 1, 2 and 3 workers; "many" (more workers than the 24
-    # slices) only on a small grid, where it forks one child per slice
+    # the fused volume, and all four volumes of dump_planes, at 1, 2 and 3
+    # workers; "many" (more workers than the 24 slices) only on a small grid,
+    # where it forks one child per slice
     ckpt = trained_2d(steps=2)
     vol = Volume(np.random.default_rng(22).uniform(0, 1, dims).astype(np.float32),
                  (1, 1, 2), "unit01", {})
-    want = _translated_bytes(translate_volume(ckpt, vol))
-    assert forks == []
+    want = _translated_bytes(ckpt, vol)
+    assert forks == [] and want[0] == want[-1]
     for workers in ([many] if many else [2, 3]):
         del forks[:]
-        assert _translated_bytes(translate_volume(ckpt, vol, workers)) == want
-        assert len(forks) == min(workers, sum(dims)) - 1
+        assert _translated_bytes(ckpt, vol, workers) == want
+        assert len(forks) == 2 * (min(workers, sum(dims)) - 1)
         assert _no_child_left()
 
 
@@ -648,15 +753,15 @@ def test_one_worker_or_a_second_live_thread_never_forks(monkeypatch):
     ckpt, ckpt3 = trained_2d(steps=2), trained_3d(steps=2)
     vol = Volume(np.random.default_rng(25).uniform(0, 1, (20, 18, 16)), (1, 1, 1),
                  "unit01", {})
-    want = _translated_bytes(translate_volume(ckpt, vol))
+    want = _translated_bytes(ckpt, vol)
     cubes = reconstruct_cubes(ckpt3, vol, edge=8).voxels.tobytes()
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _translated_bytes(translate_volume(ckpt, vol, 1)) == want
+    assert _translated_bytes(ckpt, vol, 1) == want
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert _translated_bytes(translate_volume(ckpt, vol, 3)) == want
+        assert _translated_bytes(ckpt, vol, 3) == want
         assert reconstruct_cubes(ckpt3, vol, edge=8, workers=3).voxels.tobytes() == cubes
     finally:
         release.set()
@@ -682,25 +787,26 @@ def _failing_input(monkeypatch, kind, fail):
 @pytest.mark.parametrize("late", [False, True], ids=["in-order", "earlier-fails-later"])
 @pytest.mark.parametrize("kind", ["domain", "memory"])
 def test_worker_error_is_the_serial_error_of_the_earliest_failed_claim(monkeypatch, kind, late):
-    # coronal slice y=10 (task 80) and sagittal slice x=30 (task 145) of
-    # 70x45x50 fail; the serial path raises the coronal error first, and so
-    # must the pool, whichever process takes which claim, also when the
-    # coronal slice fails half a second after the sagittal one
+    # of 70x45x50, axial slice z=5 (task 5) and coronal slice y=40 (task 90)
+    # fail in the first round, and sagittal slice x=30 in the second; the
+    # serial path raises the axial error first, and so must the pool,
+    # whichever process takes which claim, also when the axial slice fails
+    # half a second after the coronal one
     ckpt = trained_2d(steps=0)
     voxels = np.random.default_rng(26).uniform(0, 1, (70, 45, 50)).astype(np.float32)
     voxels[5, 10, 5], voxels[30, 40, 40] = 7.0, 8.0
     vol = Volume(voxels, (1, 1, 1), "unit01", {})
-    marked = {(70, 50): 7.0, (45, 50): 8.0}
+    marked = {(70, 45): 7.0, (70, 50): 8.0, (45, 50): 8.0}
     _failing_input(monkeypatch, kind, lambda v: marked.get(v.shape) == v.max())
     if late:
         failing = pipeline.graph_input
 
-        def coronal_late(config, values, space):
-            if values.shape == (70, 50) and values.max() == 7.0:
+        def axial_late(config, values, space):
+            if values.shape == (70, 45) and values.max() == 7.0:
                 time.sleep(0.5)
             return failing(config, values, space)
 
-        monkeypatch.setattr(pipeline, "graph_input", coronal_late)
+        monkeypatch.setattr(pipeline, "graph_input", axial_late)
     messages = []
     for workers in (1, 2, 3):
         with pytest.raises(DomainError if kind == "domain" else MemoryError) as err:
@@ -709,7 +815,24 @@ def test_worker_error_is_the_serial_error_of_the_earliest_failed_claim(monkeypat
         assert _no_child_left()
     assert messages[0] == messages[1] == messages[2]
     if kind == "domain":
-        assert messages[0] == "slice of shape (70, 50), max 7.0"
+        assert messages[0] == "slice of shape (70, 45), max 7.0"
+
+
+@pytest.mark.parametrize("dump_planes", [False, True])
+def test_a_failed_sagittal_slice_is_the_error_of_the_second_round(monkeypatch, forks,
+                                                                  dump_planes):
+    # sagittal slices x=9 and x=30 of 70x45x50 fail, in the round that fuses
+    # them; every worker count raises the x=9 error and reaps its children
+    ckpt = trained_2d(steps=0)
+    voxels = np.random.default_rng(32).uniform(0, 1, (70, 45, 50)).astype(np.float32)
+    voxels[9, 4, 4], voxels[30, 40, 40] = 7.0, 8.0
+    vol = Volume(voxels, (1, 1, 1), "unit01", {})
+    _failing_input(monkeypatch, "domain", lambda v: v.shape == (45, 50) and v.max() > 6.0)
+    for workers in (1, 2, 3):
+        del forks[:]
+        with pytest.raises(DomainError, match=r"^slice of shape \(45, 50\), max 7.0$"):
+            translate_volume(ckpt, vol, workers, dump_planes=dump_planes)
+        assert len(forks) == workers - 1 and _no_child_left()
 
 
 def test_killed_worker_is_an_error_and_is_reaped(monkeypatch, forks):
@@ -757,10 +880,10 @@ def test_a_slower_worker_takes_fewer_claims(monkeypatch):
     ckpt = trained_2d(steps=0)
     vol = Volume(np.random.default_rng(29).uniform(0, 1, (16, 16, 16)), (1, 1, 1),
                  "unit01", {})
-    want = _translated_bytes(translate_volume(ckpt, vol))
+    want = translate_volume(ckpt, vol).fused.voxels.tobytes()
     fds = _slow_children(monkeypatch, 0.1)
     start = time.perf_counter()
-    assert _translated_bytes(translate_volume(ckpt, vol, 2)) == want
+    assert translate_volume(ckpt, vol, 2).fused.voxels.tobytes() == want
     elapsed = time.perf_counter() - start
     pids = _pids(*fds)
     assert len(pids) == 48 and len(set(pids)) == 2

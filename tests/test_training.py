@@ -1,8 +1,11 @@
 """Optimizer recurrence and the two training loops."""
 
 import os
+import resource
 import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -19,7 +22,7 @@ from vqsct.model import (GRAPH_DTYPE, FreezeMask, ModelConfig, build_model, forw
                          param_tensors, save_checkpoint)
 from vqsct.training import (adamw_step, finetune_translate, init_optimizer,
                             pretrain_recon, select_checkpoint)
-from vqsct.volume import Volume, normalize
+from vqsct.volume import HU_MAX, HU_MIN, SLAB, Volume, normalize, write_volume
 
 
 def small_config(rank=2, **overrides):
@@ -429,13 +432,13 @@ def test_finetune_augment_shares_one_symmetry_per_pair():
 def test_traced_names_see_every_augmentation_and_fusion(monkeypatch):
     # a span tracer rebinds functions by identity in every vqsct namespace;
     # each augmented item calls a traced symmetry once per side, and each
-    # tri-planar translation fuses through fuse_median once
-    import sys
-
+    # tri-planar translation fuses one SLAB of sagittal slices at a time
+    # through _median_slabs, which fuse_median also runs
     from vqsct import pipeline, volume
     from vqsct.pipeline import translate_volume
 
-    calls = dict.fromkeys(["apply_plane_symmetry", "apply_cube_symmetry", "fuse_median"], 0)
+    calls = dict.fromkeys(["apply_plane_symmetry", "apply_cube_symmetry", "fuse_median",
+                           "_median_slabs"], 0)
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -444,7 +447,7 @@ def test_traced_names_see_every_augmentation_and_fusion(monkeypatch):
         return wrapper
 
     for name in calls:
-        real = getattr(pipeline if name == "fuse_median" else volume, name)
+        real = getattr(pipeline if "median" in name else volume, name)
         wrapper = counting(name, real)
         for key, mod in list(sys.modules.items()):
             if mod is not None and (key == "vqsct" or key.startswith("vqsct.")):
@@ -457,7 +460,7 @@ def test_traced_names_see_every_augmentation_and_fusion(monkeypatch):
     base = pretrain_recon(small_config(), vols, steps=steps, seed=0, batch_size=batch,
                           augment=True).checkpoint
     assert calls == {"apply_plane_symmetry": steps * batch, "apply_cube_symmetry": 0,
-                     "fuse_median": 0}
+                     "fuse_median": 0, "_median_slabs": 0}
     pretrain_recon(small_config(rank=3), vols, steps=steps, seed=0, batch_size=batch,
                    cube_edge=8, augment=True)
     assert calls["apply_cube_symmetry"] == steps * batch
@@ -466,9 +469,12 @@ def test_traced_names_see_every_augmentation_and_fusion(monkeypatch):
                        augment=True)
     assert calls["apply_plane_symmetry"] == 3 * steps * batch  # 1 + 2 per item
     translate_volume(base, vols[0])
-    translate_volume(base, vols[0])
+    translate_volume(base, vols[0], dump_planes=True)
     assert calls == {"apply_plane_symmetry": 3 * steps * batch,
-                     "apply_cube_symmetry": steps * batch, "fuse_median": 2}
+                     "apply_cube_symmetry": steps * batch, "fuse_median": 0,
+                     "_median_slabs": 2 * 16 // SLAB}
+    pipeline.fuse_median(*vols * 3)
+    assert calls["fuse_median"] == 1 and calls["_median_slabs"] == 2 * 16 // SLAB + 1
 
 
 def test_finetune_loss_histories_have_step_length():
@@ -915,3 +921,39 @@ def test_workers_exit_when_the_training_parent_dies(monkeypatch):
     finally:
         os.close(read_end)
     assert _no_child_left()
+
+
+# perfbench's train and volumetric flags, as one-worker pretrain commands
+_PERFBENCH_PRETRAIN = {
+    2: ["--depth", "2", "--base-channels", "8", "--pyramid-levels", "2", "--codebook-size",
+        "32", "--codebook-dim", "16", "--batch-size", "16", "--learning-rate", "0.002",
+        "--beta", "0.0", "--augment"],
+    3: ["--rank", "3", "--depth", "2", "--base-channels", "8", "--pyramid-levels", "2",
+        "--learning-rate", "0.002", "--beta", "0.0", "--augment", "--cube-edge", "32",
+        "--batch-size", "4"]}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_one_worker_training_steps_keep_their_heap(tmp_path, rank):
+    # fresh `vqsct --threads 1 pretrain` commands on four 96^3 CTs, 10 steps
+    # against 2: a step reuses the heap of the step before it (4-15 minor
+    # faults a step). A step whose buffers come back from the OS faults them
+    # in again: about 1,000 a step when glibc trimmed 4 MB of heap between
+    # steps, and 2,000-4,300 with eight 2 MB arrays freed at each step's end.
+    cts = [str(tmp_path / f"ct{i}.mvol") for i in range(4)]
+    rng = np.random.default_rng(31)
+    for path in cts:
+        write_volume(Volume(rng.uniform(HU_MIN, HU_MAX, (96, 96, 96)).astype(np.float32),
+                            (1, 1, 1), "HU", {}), path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def faults(steps):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "vqsct.cli", "--threads", "1", "pretrain",
+                        "--volumes", *cts, "--out", str(tmp_path / f"pre{steps}.vqck"),
+                        *_PERFBENCH_PRETRAIN[rank], "--steps", str(steps)],
+                       env=env, check=True, timeout=300)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    per_step = (faults(10) - faults(2)) / 8
+    assert per_step < 100, per_step
